@@ -22,6 +22,7 @@ from .fock import (
     dense_to_sector,
     dgamma,
     pairing_op,
+    quadratic_op,
     sector_to_dense,
 )
 from .hartree import HartreeTrajectory, mean_field, mu_of
@@ -107,7 +108,7 @@ def bogoliubov_hamiltonian(u, h0, W, basis: OccupationBasis,
     h = mean_field_hamiltonian(u, h0, W)
     k1 = kern.k1 if projected else kern.k1_bare
     k2 = kern.k2 if projected else kern.k2_bare
-    op = dgamma(h + k1, basis) + pairing_op(k2, basis)
+    op = quadratic_op(h + k1, k2, basis)
     return BogHamiltonian(op, h, kern, time)
 
 

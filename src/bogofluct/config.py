@@ -49,6 +49,14 @@ DEFAULTS = {
     "output_dir": "bogofluct_out",
 }
 
+# keys allowed inside the nested sections, by path from the top
+NESTED_KEYS = {
+    ("model",): set(DEFAULTS["model"]),
+    ("model", "interaction"): {"kind", "params"},
+    ("tolerances",): set(DEFAULTS["tolerances"]),
+    ("rate_gate",): {"band", "require_monotone", "at_time"},
+}
+
 
 def _merge(base, override):
     out = copy.deepcopy(base)
@@ -73,6 +81,18 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         resolved = _merge(DEFAULTS, raw)
+        for path, known in NESTED_KEYS.items():  # parents come first
+            section = resolved
+            for key in path:
+                section = section[key]
+            name = ".".join(path)
+            if section is None and name == "rate_gate":
+                continue
+            if not isinstance(section, dict):
+                raise ValueError(f"config section {name} must be an object")
+            unknown = set(section) - known
+            if unknown:
+                raise ValueError(f"unknown config keys in {name}: {sorted(unknown)}")
         self.raw = resolved
         self.model = resolved["model"]
         self.N_list = [int(n) for n in resolved["N_list"]]
@@ -103,6 +123,11 @@ class ExperimentConfig:
             raise ValueError("output times must lie in [0, T]")
         if sorted(self.output_times) != self.output_times:
             raise ValueError("output times must be nondecreasing")
+        if self.rate_gate and "at_time" in self.rate_gate:
+            if float(self.rate_gate["at_time"]) not in self.output_times:
+                raise ValueError(
+                    f"rate_gate.at_time {self.rate_gate['at_time']} is not an output time"
+                )
 
     def require_exact_sectors(self, N=None):
         need = max(self.N_list) if N is None else N

@@ -32,7 +32,7 @@ from .fock import (
     hartree_block,
     number_op,
     pairing_raise,
-    project_out_mode,
+    _project_out,
 )
 from .hartree import mean_field, mu_of
 from .linalg import integer_spectral_function
@@ -79,15 +79,16 @@ def apply_u_n(frame: ExcitationFrame, psi: SectorVector) -> FockVector:
     if psi.n != N:
         raise ValueError(f"expected a sector-{N} state, got sector {psi.n}")
     low = annihilate_op(frame.u, basis).mat
+    raise_u = low.conj().T.tocsr()
     out = np.zeros(basis.size, dtype=complex)
     cur = psi.embed().amplitudes
     # k = N - j condensate quanta removed before projecting sector j
     for k in range(N + 1):
         j = N - k
         if j <= basis.n_max:
-            comp = project_out_mode(frame.u, FockVector(basis, cur / math.sqrt(math.factorial(k))))
+            comp = _project_out(low, raise_u, cur / math.sqrt(math.factorial(k)), basis.n_max)
             sl = basis.sector_slice(j)
-            out[sl] = comp.amplitudes[sl]
+            out[sl] = comp[sl]
         if k < N:
             cur = low @ cur
     return FockVector(basis, out)

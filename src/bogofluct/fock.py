@@ -10,6 +10,15 @@ particle number; inside a sector, occupation vectors with the first mode
 filling first, i.e. (n,0,...), (n-1,1,0,...), ...  Creation amplitudes that
 would leave the truncation are dropped, which keeps every assembled operator a
 compression of its untruncated counterpart.
+
+Quadratic operators are value refills of sparsity patterns cached on the
+basis (CSRPattern): one for the band-(-2, 0, 2) operators dGamma(A),
+pairing(K) and their sum, one for the band-(-1) annihilators a(f).  A pattern
+is built on first use, and the particle-number band of each of its term
+blocks is checked once, then; a fill only computes the values and writes
+them into those verified positions.  Each value is computed as a one-shot
+assembly from index triplets would compute it, so a refilled operator is
+byte-identical to one assembled anew from triplets.
 """
 
 import json
@@ -22,6 +31,7 @@ import scipy.sparse as sp
 __all__ = [
     "OccupationBasis",
     "enumerate_basis",
+    "CSRPattern",
     "FockVector",
     "SectorVector",
     "SparseOperator",
@@ -30,6 +40,7 @@ __all__ = [
     "dgamma",
     "number_op",
     "pairing_op",
+    "quadratic_op",
     "two_body_op",
     "two_body_general",
     "sym_tensor",
@@ -84,9 +95,13 @@ class OccupationBasis:
         self.sector_offsets = offsets
         self.size = dim
         self._index = {tuple(int(v) for v in row): i for i, row in enumerate(states)}
+        self._keys = None
         self._lowering = None
+        self._low_struct = None
         self._hop = None
         self._pair = None
+        self._quad_pattern = None
+        self._low_pattern = None
 
     def index(self, occ) -> int:
         return self._index[tuple(int(v) for v in occ)]
@@ -103,6 +118,20 @@ class OccupationBasis:
     def totals(self) -> np.ndarray:
         return self.states.sum(axis=1)
 
+    def lookup(self, occ) -> np.ndarray:
+        """Basis indices of a stack of occupation rows, by one vectorized
+        search over fixed-width byte keys of the rows (keys sorted once)."""
+        if self._keys is None:
+            keys = _row_keys(self.states)
+            order = np.argsort(keys)
+            self._keys = (keys[order], order)
+        sorted_keys, order = self._keys
+        want = _row_keys(occ)
+        pos = np.minimum(np.searchsorted(sorted_keys, want), self.size - 1)
+        if not np.all(sorted_keys[pos] == want):
+            raise KeyError("occupation vector outside the truncated basis")
+        return order[pos]
+
     def mode_lowering(self, i: int) -> sp.csr_matrix:
         """Sparse matrix of the mode annihilator a_i (cached)."""
         if self._lowering is None:
@@ -110,25 +139,29 @@ class OccupationBasis:
         return self._lowering[i]
 
     def _build_lowering(self, i):
-        rows, cols, data = [], [], []
-        for idx in range(self.size):
-            ni = self.states[idx, i]
-            if ni == 0:
-                continue
-            occ = self.states[idx].copy()
-            occ[i] -= 1
-            rows.append(self._index[tuple(int(v) for v in occ)])
-            cols.append(idx)
-            data.append(math.sqrt(ni))
-        return sp.csr_matrix(
-            (np.asarray(data), (rows, cols)), shape=(self.size, self.size)
-        )
+        dst, src, amps = self.lowering_structure(i)
+        return sp.csr_matrix((amps, (dst, src)), shape=(self.size, self.size))
+
+    def lowering_structure(self, i: int):
+        """Index pattern (rows, cols, amps) of a_i (cached): amplitude
+        sqrt(n_i) from each state with n_i > 0."""
+        if self._low_struct is None:
+            self._low_struct = {}
+        if i not in self._low_struct:
+            src = np.nonzero(self.states[:, i] > 0)[0]
+            occ = self.states[src].copy()
+            occ[:, i] -= 1
+            amps = np.sqrt(self.states[src, i].astype(float))
+            self._low_struct[i] = (self.lookup(occ), src, amps)
+        return self._low_struct[i]
 
     def hop_structure(self, i: int, j: int):
         """Index pattern (rows, cols, amps) of a_i^dag a_j for i != j (cached).
 
-        Amplitude sqrt(n_j (n_i + 1)) from each state with n_j > 0; assembling
-        dGamma for a new one-body matrix is then pure array concatenation.
+        Amplitude sqrt(n_j (n_i + 1)) from each state with n_j > 0.  The
+        pattern enters the cached quadratic-operator pattern of the basis,
+        whose band is checked once; dGamma of a one-body matrix then only
+        refills values.
         """
         if self._hop is None:
             self._hop = {}
@@ -138,14 +171,10 @@ class OccupationBasis:
             occ = self.states[src].copy()
             occ[:, j] -= 1
             occ[:, i] += 1
-            dst = np.fromiter(
-                (self._index[tuple(int(v) for v in row)] for row in occ),
-                dtype=np.int64, count=len(src),
-            )
             amps = np.sqrt(
                 self.states[src, j].astype(float) * (self.states[src, i] + 1.0)
             )
-            self._hop[key] = (dst, src, amps)
+            self._hop[key] = (self.lookup(occ), src, amps)
         return self._hop[key]
 
     def pair_structure(self, i: int, j: int):
@@ -165,12 +194,39 @@ class OccupationBasis:
             amps = np.sqrt(occ[:, j0].astype(float))
             occ[:, i0] += 1
             amps = amps * np.sqrt(occ[:, i0].astype(float))
-            dst = np.fromiter(
-                (self._index[tuple(int(v) for v in row)] for row in occ),
-                dtype=np.int64, count=len(src),
-            )
-            self._pair[key] = (dst, src, amps)
+            self._pair[key] = (self.lookup(occ), src, amps)
         return self._pair[key]
+
+    def quadratic_pattern(self) -> "CSRPattern":
+        """CSR pattern of the band-(-2, 0, 2) quadratic operators (cached).
+
+        Blocks in term order: "diag", ("hop", i, j) for i != j,
+        ("raise", i, j) and ("lower", i, j) for i <= j.
+        """
+        if self._quad_pattern is None:
+            rows = np.arange(self.size)
+            blocks = [("diag", rows, rows, None, 0)]
+            for i in range(self.M):
+                for j in range(self.M):
+                    if i != j:
+                        blocks.append((("hop", i, j), *self.hop_structure(i, j), 0))
+            pairs = [(i, j) for i in range(self.M) for j in range(i, self.M)]
+            for i, j in pairs:
+                blocks.append((("raise", i, j), *self.pair_structure(i, j), 2))
+            for i, j in pairs:
+                dst, src, amps = self.pair_structure(i, j)
+                blocks.append((("lower", i, j), src, dst, amps, -2))
+            self._quad_pattern = CSRPattern(self, blocks)
+        return self._quad_pattern
+
+    def lowering_pattern(self) -> "CSRPattern":
+        """CSR pattern of the band-(-1) annihilators a(f) (cached); block i
+        holds the entries of a_i."""
+        if self._low_pattern is None:
+            self._low_pattern = CSRPattern(self, [
+                (i, *self.lowering_structure(i), -1) for i in range(self.M)
+            ])
+        return self._low_pattern
 
     def __repr__(self):
         return f"OccupationBasis(M={self.M}, n_max={self.n_max}, size={self.size})"
@@ -178,6 +234,119 @@ class OccupationBasis:
 
 def enumerate_basis(M: int, n_max: int, max_states: int = DEFAULT_MAX_STATES) -> OccupationBasis:
     return OccupationBasis(M, n_max, max_states)
+
+
+def _row_keys(occ) -> np.ndarray:
+    # one fixed-width byte string per occupation row; equal rows, equal keys
+    occ = np.ascontiguousarray(occ, dtype=np.int64)
+    return occ.view(np.dtype((np.void, occ.itemsize * occ.shape[1]))).ravel()
+
+
+class CSRPattern:
+    """Sorted CSR index arrays of a fixed list of term blocks on one basis.
+
+    Each block is (key, rows, cols, amps, band): one index pattern, its
+    amplitudes (None for a block whose values a fill passes in full) and the
+    particle-number change it makes.  Every band is verified once, here.  The
+    blocks must not overlap, so every stored value is one term, never a sum.
+    A fill writes values into verified positions only and hands out fresh
+    index arrays, so the cached ones are never shared mutably.
+    """
+
+    def __init__(self, basis: OccupationBasis, blocks):
+        rows = np.concatenate([b[1] for b in blocks])
+        cols = np.concatenate([b[2] for b in blocks])
+        totals = basis.totals()
+        for key, r, c, amps, band in blocks:
+            _check_band_entries(totals[r] - totals[c], (band,))
+            # then coeff * amps is an exact zero only when coeff is
+            if amps is not None and np.any(amps < 1.0):
+                raise ValueError(f"block {key} has an amplitude below 1")
+        order = np.lexsort((cols, rows))
+        r_sorted, c_sorted = rows[order], cols[order]
+        if np.any((np.diff(r_sorted) == 0) & (np.diff(c_sorted) == 0)):
+            raise ValueError("term blocks overlap; values would need summing")
+        n = basis.size
+        self.shape = (n, n)
+        idx = np.int32 if max(len(rows), n) < 2**31 else np.int64
+        self.block = {b[0]: k for k, b in enumerate(blocks)}
+        sizes = [len(b[1]) for b in blocks]
+        pos = np.empty(len(rows), dtype=np.int64)
+        pos[order] = np.arange(len(rows))
+        starts = np.cumsum([0] + sizes)
+        self.slots = {
+            k: pos[starts[k]:starts[k + 1]] for k, b in enumerate(blocks) if b[3] is None
+        }
+        indptr = np.zeros(n + 1, dtype=idx)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        self._full = (
+            # block number and amplitude of each stored entry, in CSR order
+            np.repeat(np.arange(len(blocks), dtype=np.min_scalar_type(len(blocks))), sizes)[order],
+            np.concatenate([np.zeros(s) if b[3] is None else b[3]
+                            for s, b in zip(sizes, blocks)])[order],
+            c_sorted.astype(idx),
+            indptr,
+            {k: (slice(None), p) for k, p in self.slots.items()},
+        )
+        self.nnz = len(rows)
+        self._cut = (None, None)
+
+    def _layout(self, drop):
+        # the full layout with the sorted CSR positions in drop left out
+        # (cached for the last drop set: a time loop refills the same one)
+        if drop.size == 0:
+            return self._full
+        key = drop.tobytes()
+        if self._cut[0] != key:
+            block_of, amps, indices, indptr, _ = self._full
+            keep = np.ones(self.nnz, dtype=bool)
+            keep[drop] = False
+            slots = {}
+            for k, p in self.slots.items():
+                alive = keep[p]
+                slots[k] = (alive, p[alive] - np.searchsorted(drop, p[alive]))
+            self._cut = (key, (
+                block_of[keep], amps[keep], indices[keep],
+                (indptr - np.searchsorted(drop, indptr)).astype(indptr.dtype), slots,
+            ))
+        return self._cut[1]
+
+    def fill(self, values: dict, drop_zeros: bool = True,
+             plus_zero: bool = False) -> sp.csr_matrix:
+        """CSR matrix of the blocks named in values; the others are absent.
+
+        A scalar values[key] multiplies the block's amplitudes (as
+        ``coeff * amps``); an array is the block's values in term order.
+        plus_zero adds complex zero to every value, as a sparse sum does (so
+        a -0.0 part becomes +0.0).  drop_zeros leaves out exact zeros, as a
+        sparse sum or eliminate_zeros does; without it every entry of a named
+        block is stored.
+        """
+        coeff = np.zeros(len(self.block), dtype=complex)
+        gone = np.ones(len(self.block), dtype=bool)
+        full = []
+        for key, val in values.items():
+            k = self.block[key]
+            if np.ndim(val):
+                full.append((k, val))
+                gone[k] = False
+            else:
+                coeff[k] = val
+                gone[k] = drop_zeros and val == 0
+        block_of, amps = self._full[:2]
+        drops = [np.flatnonzero(gone[block_of])] if gone.any() else []
+        if drop_zeros:
+            drops += [self.slots[k][val == 0] for k, val in full]
+        drop = np.sort(np.concatenate(drops)) if drops else np.empty(0, dtype=np.int64)
+        block_of, amps, indices, indptr, slots = self._layout(drop)
+        data = coeff[block_of]
+        data *= amps
+        for k, val in full:
+            alive, p = slots[k]
+            data[p] = val[alive]
+        if plus_zero:
+            data += 0.0
+        return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=self.shape)
 
 
 @dataclass
@@ -242,8 +411,9 @@ class SparseOperator:
     """Sparse operator on a truncated occupation basis.
 
     ``band`` declares the particle-number changes the operator may make; the
-    declaration is verified when the operator is assembled.  Arithmetic on
-    verified operators combines bands without re-verifying.
+    declaration is verified when the operator is assembled, or once per
+    basis on the cached pattern that a quadratic-operator fill writes into.
+    Arithmetic on verified operators combines bands without re-verifying.
     """
 
     def __init__(self, basis, mat, band, check: bool = True):
@@ -295,7 +465,10 @@ def _check_band(basis, mat, band):
     if coo.nnz == 0:
         return
     totals = basis.totals()
-    dn = totals[coo.row] - totals[coo.col]
+    _check_band_entries(totals[coo.row] - totals[coo.col], band)
+
+
+def _check_band_entries(dn, band):
     bad = ~np.isin(dn, np.asarray(band))
     if np.any(bad):
         seen = sorted(set(int(v) for v in dn[bad]))
@@ -307,11 +480,9 @@ def annihilate_op(f: np.ndarray, basis: OccupationBasis) -> SparseOperator:
     f = np.asarray(f, dtype=complex)
     if f.shape != (basis.M,):
         raise ValueError("one-particle vector has wrong length")
-    mat = sp.csr_matrix((basis.size, basis.size), dtype=complex)
-    for i in range(basis.M):
-        if f[i] != 0:
-            mat = mat + np.conj(f[i]) * basis.mode_lowering(i)
-    return SparseOperator(basis, mat.tocsr(), (-1,) if mat.nnz else (0,))
+    values = {i: np.conj(f[i]) for i in range(basis.M) if f[i] != 0}
+    mat = basis.lowering_pattern().fill(values, plus_zero=True)
+    return SparseOperator(basis, mat, (-1,) if mat.nnz else (0,), check=False)
 
 
 def create_op(f: np.ndarray, basis: OccupationBasis) -> SparseOperator:
@@ -322,31 +493,55 @@ def create_op(f: np.ndarray, basis: OccupationBasis) -> SparseOperator:
     return annihilate_op(f, basis).dag()
 
 
-def dgamma(A: np.ndarray, basis: OccupationBasis) -> SparseOperator:
-    """Second quantization of the one-body operator A: acts as sum_j A_j on
-    each sector."""
+def _one_body_values(A, basis):
     A = np.asarray(A, dtype=complex)
     M = basis.M
     if A.shape != (M, M):
         raise ValueError("one-body matrix has wrong shape")
-    states = basis.states
-    rows = [np.arange(basis.size)]
-    cols = [np.arange(basis.size)]
-    data = [states @ np.diagonal(A)]
+    values = {"diag": basis.states @ np.diagonal(A)}
     for i in range(M):
         for j in range(M):
-            if i == j or A[i, j] == 0:
+            if i != j and A[i, j] != 0:
+                values[("hop", i, j)] = A[i, j]
+    return values
+
+
+def _pair_values(K, basis, lower: bool, tol: float | None = 1e-12):
+    # raise block (i, j) holds 0.5 * coeff * amps, lower block its conjugate
+    # as conj(0.5 * coeff) * amps: for real amps the two differ at most in
+    # the sign of a zero part, which the +0.0 of every fill with lower
+    # blocks (a sparse sum of raise and lower) clears
+    K = np.asarray(K, dtype=complex)
+    if tol is not None and np.max(np.abs(K - K.T)) > tol:
+        raise ValueError("pairing kernel is not symmetric")
+    values = {}
+    for i in range(basis.M):
+        for j in range(i, basis.M):
+            coeff = K[i, j] if i == j else K[i, j] + K[j, i]
+            if coeff == 0:
                 continue
-            r, c, amps = basis.hop_structure(i, j)
-            rows.append(r)
-            cols.append(c)
-            data.append(A[i, j] * amps)
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(basis.size, basis.size),
-    ).tocsr()
-    mat.eliminate_zeros()
-    return SparseOperator(basis, mat, (0,))
+            values[("raise", i, j)] = 0.5 * coeff
+            if lower:
+                values[("lower", i, j)] = np.conj(0.5 * coeff)
+    return values
+
+
+def dgamma(A: np.ndarray, basis: OccupationBasis) -> SparseOperator:
+    """Second quantization of the one-body operator A: acts as sum_j A_j on
+    each sector."""
+    mat = basis.quadratic_pattern().fill(_one_body_values(A, basis))
+    return SparseOperator(basis, mat, (0,), check=False)
+
+
+def quadratic_op(A: np.ndarray, K: np.ndarray, basis: OccupationBasis,
+                 tol: float = 1e-12) -> SparseOperator:
+    """dGamma(A) + pairing_op(K) in one fill of the quadratic pattern; the
+    stored values equal those of the sparse sum of the two operators."""
+    values = _one_body_values(A, basis)
+    values.update(_pair_values(K, basis, lower=True, tol=tol))
+    mat = basis.quadratic_pattern().fill(values, plus_zero=True)
+    band = (-2, 0, 2) if any(k[0] == "raise" for k in values) else (0,)
+    return SparseOperator(basis, mat, band, check=False)
 
 
 def number_op(basis: OccupationBasis) -> SparseOperator:
@@ -360,38 +555,16 @@ def pairing_op(K: np.ndarray, basis: OccupationBasis, tol: float = 1e-12) -> Spa
 
     K must be symmetric; the operator changes particle number by +-2.
     """
-    K = np.asarray(K, dtype=complex)
-    if np.max(np.abs(K - K.T)) > tol:
-        raise ValueError("pairing kernel is not symmetric")
-    up = pairing_raise(K, basis)
-    mat = up.mat + up.mat.conj().T
-    if mat.nnz == 0:
-        return SparseOperator(basis, sp.csr_matrix(mat), (0,))
-    return SparseOperator(basis, mat.tocsr(), (-2, 2))
+    values = _pair_values(K, basis, lower=True, tol=tol)
+    mat = basis.quadratic_pattern().fill(values, plus_zero=True)
+    return SparseOperator(basis, mat, (-2, 2) if mat.nnz else (0,), check=False)
 
 
 def pairing_raise(K: np.ndarray, basis: OccupationBasis) -> SparseOperator:
     """Creation half of the pairing operator, (1/2) sum K[x,y] a_x^dag a_y^dag."""
-    K = np.asarray(K, dtype=complex)
-    rows, cols, data = [], [], []
-    for i in range(basis.M):
-        for j in range(i, basis.M):
-            coeff = K[i, j] if i == j else K[i, j] + K[j, i]
-            if coeff == 0:
-                continue
-            r, c, amps = basis.pair_structure(i, j)
-            rows.append(r)
-            cols.append(c)
-            data.append(0.5 * coeff * amps)
-    if not data:
-        return SparseOperator(
-            basis, sp.csr_matrix((basis.size, basis.size), dtype=complex), (0,)
-        )
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(basis.size, basis.size),
-    )
-    return SparseOperator(basis, mat.tocsr(), (2,))
+    values = _pair_values(K, basis, lower=False, tol=None)
+    mat = basis.quadratic_pattern().fill(values, drop_zeros=False)
+    return SparseOperator(basis, mat, (2,) if values else (0,), check=False)
 
 
 def two_body_op(W: np.ndarray, basis: OccupationBasis) -> SparseOperator:
@@ -476,12 +649,16 @@ def project_out_mode(u: np.ndarray, vec: FockVector) -> FockVector:
     sum_k (-1)^k/k! a^dag(u)^k a(u)^k, evaluated Horner style; exact on the
     truncated basis in any frame.
     """
-    basis = vec.basis
-    low = annihilate_op(u, basis).mat
+    low = annihilate_op(u, vec.basis).mat
     raise_u = low.conj().T.tocsr()
-    downs = [vec.amplitudes]
-    cur = vec.amplitudes
-    for _ in range(basis.n_max):
+    return FockVector(vec.basis, _project_out(low, raise_u, vec.amplitudes, vec.basis.n_max))
+
+
+def _project_out(low, raise_u, amps, n_max):
+    # project_out_mode on an amplitude array, with a(u) and a^dag(u) given
+    downs = [amps]
+    cur = amps
+    for _ in range(n_max):
         cur = low @ cur
         if np.linalg.norm(cur) == 0.0:
             break
@@ -489,7 +666,7 @@ def project_out_mode(u: np.ndarray, vec: FockVector) -> FockVector:
     acc = downs[-1].copy()
     for k in range(len(downs) - 2, -1, -1):
         acc = downs[k] - (raise_u @ acc) / (k + 1)
-    return FockVector(basis, acc)
+    return acc
 
 
 def hartree_block(u: np.ndarray, phis, basis: OccupationBasis,

@@ -270,3 +270,73 @@ def test_cli_run_single(tmp_path, capsys):
     code = main(["run-single", str(path), "4"])
     capsys.readouterr()
     assert code == 0
+
+
+# ------------------------------------------------------- nested keys and gates
+
+@pytest.mark.parametrize("section,patch", [
+    ("tolerances", {"tolerances": {"tangancy": 1e-6}}),
+    ("model", {"model": {"modez": 3}}),
+    ("model.interaction", {"model": {"interaction": {"kind": "zero", "parms": {}}}}),
+    ("rate_gate", {"rate_gate": {"band": [-1.0, 0.0], "at_tme": 0.5}}),
+])
+def test_unknown_nested_keys_rejected(section, patch):
+    doc = json.loads(json.dumps(TINY))
+    doc.update(patch)
+    with pytest.raises(ValueError, match=f"unknown config keys in {section}:"):
+        ExperimentConfig(doc)
+
+
+@pytest.mark.parametrize("patch", [{"rate_gate": True}, {"model": "ring"},
+                                   {"model": {"interaction": "zero"}}])
+def test_non_object_sections_rejected(patch):
+    doc = json.loads(json.dumps(TINY))
+    doc.update(patch)
+    with pytest.raises(ValueError, match="must be an object"):
+        ExperimentConfig(doc)
+
+
+def test_shipped_configs_load():
+    from pathlib import Path
+
+    from bogofluct.config import load_config
+
+    paths = sorted((Path(__file__).parent.parent / "demos" / "configs").glob("*.json"))
+    assert paths
+    for path in paths:
+        load_config(path)
+
+
+GATE_CASE = {
+    "model": {"modes": 3, "spacing": 1.0,
+              "interaction": {"kind": "gaussian", "params": {"strength": 1.0, "range": 1.0}}},
+    "u0": {"kind": "gaussian", "center": 0.0, "width": 0.8},
+    "N_list": [4, 6, 8],
+    "n_max": 8,
+    "T": 0.2,
+    "output_times": [0.0, 0.1, 0.2],
+    "dt_hartree": 0.002,
+    "dt_fock": 0.002,
+    "dt_nbody": 0.1,
+}
+
+
+def test_rate_gate_off_grid_time_rejected():
+    # at_time 0.15 used to skip the band gate and let the run pass
+    doc = dict(GATE_CASE, rate_gate={"band": [5, 6], "at_time": 0.15})
+    with pytest.raises(ValueError, match="at_time"):
+        ExperimentConfig(doc)
+
+
+@pytest.mark.parametrize("at_time,value_is_nan", [(0.2, False), (0.0, True)])
+def test_rate_gate_band_fails_when_missed_or_not_evaluated(tmp_path, at_time, value_is_nan):
+    # no slope is fitted at t = 0, so that band cannot be evaluated
+    doc = dict(GATE_CASE, rate_gate={"band": [5, 6], "at_time": at_time},
+               output_dir=str(tmp_path / "o"))
+    rep = run_convergence(ExperimentConfig(doc))
+    assert not rep.passed
+    verdict = json.loads((tmp_path / "o" / "gates.json").read_text())
+    assert verdict["passed"] is False
+    (gate,) = [g for g in verdict["gates"] if g["name"] == "rate_slope_in_band"]
+    assert gate["ok"] is False
+    assert np.isnan(gate["value"]) == value_is_nan
