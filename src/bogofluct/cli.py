@@ -22,7 +22,8 @@ def _cmd_run(args):
     cfg = load_config(args.config)
     report = run_convergence(cfg)
     for name, val, bound, ok in report.gates:
-        print(f"{'PASS' if ok else 'FAIL'}  {name:<28} value={val:.6g} bound={bound:.6g}")
+        value = "none" if val is None else f"{val:.6g}"
+        print(f"{'PASS' if ok else 'FAIL'}  {name:<28} value={value} bound={bound:.6g}")
     for N, reason in report.failures.items():
         print(f"FAIL  N={N} aborted: {reason}")
     for t, fit in sorted(report.fits.items()):

@@ -267,9 +267,10 @@ def _rate_gate_ok(cfg, rows, fits, gate_results):
         ok = ok and mono
     band = gate.get("band")
     if band is not None:
-        # a slope that could not be fitted fails the gate, with value NaN
-        slope = fits[t_star].slope if t_star in fits else float("nan")
-        in_band = band[0] <= slope <= band[1]
+        # a slope that could not be fitted fails the gate, with value None
+        # (null in gates.json)
+        slope = fits[t_star].slope if t_star in fits else None
+        in_band = slope is not None and band[0] <= slope <= band[1]
         gate_results.append(("rate_slope_in_band", slope, band[1], in_band))
         ok = ok and in_band
     return ok

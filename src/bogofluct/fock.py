@@ -94,7 +94,6 @@ class OccupationBasis:
         self.states = states
         self.sector_offsets = offsets
         self.size = dim
-        self._index = {tuple(int(v) for v in row): i for i, row in enumerate(states)}
         self._keys = None
         self._lowering = None
         self._low_struct = None
@@ -104,7 +103,7 @@ class OccupationBasis:
         self._low_pattern = None
 
     def index(self, occ) -> int:
-        return self._index[tuple(int(v) for v in occ)]
+        return int(self.lookup(np.asarray(occ)[None, :])[0])
 
     def sector_slice(self, n: int) -> slice:
         if not 0 <= n <= self.n_max:
@@ -126,6 +125,9 @@ class OccupationBasis:
             order = np.argsort(keys)
             self._keys = (keys[order], order)
         sorted_keys, order = self._keys
+        occ = np.asarray(occ)
+        if occ.ndim != 2 or occ.shape[1] != self.M:
+            raise KeyError(f"occupation rows of shape {occ.shape}, basis has {self.M} modes")
         want = _row_keys(occ)
         pos = np.minimum(np.searchsorted(sorted_keys, want), self.size - 1)
         if not np.all(sorted_keys[pos] == want):
@@ -533,12 +535,11 @@ def dgamma(A: np.ndarray, basis: OccupationBasis) -> SparseOperator:
     return SparseOperator(basis, mat, (0,), check=False)
 
 
-def quadratic_op(A: np.ndarray, K: np.ndarray, basis: OccupationBasis,
-                 tol: float = 1e-12) -> SparseOperator:
+def quadratic_op(A: np.ndarray, K: np.ndarray, basis: OccupationBasis) -> SparseOperator:
     """dGamma(A) + pairing_op(K) in one fill of the quadratic pattern; the
     stored values equal those of the sparse sum of the two operators."""
     values = _one_body_values(A, basis)
-    values.update(_pair_values(K, basis, lower=True, tol=tol))
+    values.update(_pair_values(K, basis, lower=True))
     mat = basis.quadratic_pattern().fill(values, plus_zero=True)
     band = (-2, 0, 2) if any(k[0] == "raise" for k in values) else (0,)
     return SparseOperator(basis, mat, band, check=False)

@@ -328,15 +328,28 @@ def test_rate_gate_off_grid_time_rejected():
         ExperimentConfig(doc)
 
 
-@pytest.mark.parametrize("at_time,value_is_nan", [(0.2, False), (0.0, True)])
-def test_rate_gate_band_fails_when_missed_or_not_evaluated(tmp_path, at_time, value_is_nan):
+@pytest.mark.parametrize("at_time,evaluated", [(0.2, True), (0.0, False)])
+def test_rate_gate_band_fails_when_missed_or_not_evaluated(tmp_path, at_time, evaluated):
     # no slope is fitted at t = 0, so that band cannot be evaluated
     doc = dict(GATE_CASE, rate_gate={"band": [5, 6], "at_time": at_time},
                output_dir=str(tmp_path / "o"))
     rep = run_convergence(ExperimentConfig(doc))
     assert not rep.passed
-    verdict = json.loads((tmp_path / "o" / "gates.json").read_text())
+    # strict JSON: NaN or Infinity anywhere would raise here
+    verdict = json.loads((tmp_path / "o" / "gates.json").read_text(),
+                         parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
     assert verdict["passed"] is False
     (gate,) = [g for g in verdict["gates"] if g["name"] == "rate_slope_in_band"]
     assert gate["ok"] is False
-    assert np.isnan(gate["value"]) == value_is_nan
+    assert (gate["value"] is not None) == evaluated
+
+
+def test_cli_reports_unevaluated_rate_gate(tmp_path, capsys):
+    doc = dict(GATE_CASE, rate_gate={"band": [5, 6], "at_time": 0.0},
+               output_dir=str(tmp_path / "o"))
+    path = tmp_path / "gate.json"
+    path.write_text(json.dumps(doc))
+    code = main(["run", str(path)])
+    text = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL  rate_slope_in_band" in text and "value=none" in text

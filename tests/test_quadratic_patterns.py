@@ -154,12 +154,19 @@ def test_pattern_checks_band_once_when_built():
         CSRPattern(basis, [("a0", dst, src, amps, -1), ("again", dst, src, amps, -1)])
 
 
-def test_vectorized_lookup_matches_index_dict():
+def test_vectorized_lookup_matches_row_dict():
     basis = enumerate_basis(4, 6)
+    row_dict = {tuple(row): i for i, row in enumerate(basis.states.tolist())}
     assert np.array_equal(basis.lookup(basis.states), np.arange(basis.size))
     shifted = basis.states[basis.states[:, 2] > 0].copy()
     shifted[:, 2] -= 1
     shifted[:, 0] += 1
-    assert basis.lookup(shifted).tolist() == [basis.index(occ) for occ in shifted]
+    expected = [row_dict[tuple(occ)] for occ in shifted.tolist()]
+    assert basis.lookup(shifted).tolist() == expected
+    assert [basis.index(occ) for occ in shifted] == expected
+    assert basis.index((1, 0, 0, 0)) == row_dict[(1, 0, 0, 0)]
+    for bad in ([[7, 0, 0, 0]], [[0, 0, 0, -1]], [[1, 0, 0]]):
+        with pytest.raises(KeyError):
+            basis.lookup(np.array(bad))
     with pytest.raises(KeyError):
-        basis.lookup(np.array([[7, 0, 0, 0]]))
+        basis.index((0, 0, 7, 0))
