@@ -5,6 +5,14 @@ mode, assembles the quadratic generator on the truncated Fock basis, steps the
 fluctuation state with a midpoint-frozen Krylov exponential, exposes the
 low-sector coupled system as an independent cross-check, and verifies the
 finite-dimensional operator inequalities the dynamics relies on.
+
+Every term of the generator changes the number of excitations by 0 (the
+one-body part dGamma(h + k1)) or by +-2 (pair creation and annihilation
+through k2), so it never mixes states of even and odd total: a state that
+starts in one parity block stays there.  When the initial state has weight
+in one block only, as the vacuum has, the Krylov steps run on that block
+(OccupationBasis.parity_block), at about half the dimension and nnz, and
+every state handed out is scattered back into the full basis.
 """
 
 import logging
@@ -160,6 +168,15 @@ def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
     applies its Krylov exponential (an order-2 scheme).  The run aborts if the
     norm drifts or, for the projected dynamics, if the tangency defect grows
     beyond tangency_tol, both of which signal truncation or step-size trouble.
+
+    The generator conserves the parity of the total number, so when every
+    nonzero amplitude of phi0 sits on states of one parity (the vacuum, or
+    any single-parity table), the generator is filled and exponentiated on
+    that parity block alone and the other-parity amplitudes stay exactly
+    zero.  The Krylov subspace is the one of the full basis in exact
+    arithmetic; only rounding differs.  A phi0 with weight in both parities
+    steps on the full basis.  States and diagnostics rows are on the full
+    basis either way.
     """
     basis = phi0.basis
     if abs(phi0.norm() - 1.0) > 1e-9:
@@ -172,7 +189,11 @@ def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
         t_grid = np.array([traj.times[-1]])
     t_grid = np.asarray(t_grid, dtype=float)
     energy_form = dgamma(np.eye(basis.M) + h0, basis).mat
+    parities = np.unique(basis.totals()[phi0.amplitudes != 0] % 2)
+    block = basis.parity_block(int(parities[0])) if len(parities) == 1 else basis
+    sel = slice(None) if block is basis else block.parent_index
     phi = phi0.copy()
+    amps = phi.amplitudes[sel]
     t = 0.0
     states = []
     run = FluctuationRun(t_grid, states)
@@ -185,9 +206,10 @@ def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
         step = span / n_sub if n_sub else 0.0
         for _ in range(n_sub):
             u_mid = traj.interpolate(t + 0.5 * step)
-            gen = bogoliubov_hamiltonian(u_mid, h0, W, basis, projected=projected)
-            phi = FockVector(basis, krylov_expm(gen.op.mat, phi.amplitudes,
-                                                -1j * step, tol=krylov_tol))
+            gen = bogoliubov_hamiltonian(u_mid, h0, W, block, projected=projected)
+            amps = krylov_expm(gen.op.mat, amps, -1j * step, tol=krylov_tol)
+            phi = FockVector(basis, np.zeros(basis.size, dtype=complex))
+            phi.amplitudes[sel] = amps
             t += step
             u_now = traj.interpolate(t)
             row = _diag_row(t, phi, u_now, h0, energy_form)

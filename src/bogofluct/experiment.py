@@ -160,6 +160,7 @@ def run_convergence(cfg: ExperimentConfig, write=True) -> ConvergenceReport:
     ]
 
     energy_form = dgamma(np.eye(lattice.M) + h0, basis).mat
+    totals = basis.totals()
     rows = []
     failures = {}
     worst_initial = 0.0
@@ -194,7 +195,6 @@ def run_convergence(cfg: ExperimentConfig, write=True) -> ConvergenceReport:
                 err_energy = float(np.real(np.vdot(delta, energy_form @ delta)))
                 gamma1 = reduced_density(psi, 1)
                 tdist = trace_distance(gamma1, _condensate_density(u_t))
-                totals = basis.totals()
                 expect_np = float(totals @ (np.abs(mapped.amplitudes) ** 2))
                 if t == 0.0:
                     worst_initial = max(worst_initial, err)

@@ -19,6 +19,11 @@ blocks is checked once, then; a fill only computes the values and writes
 them into those verified positions.  Each value is computed as a one-shot
 assembly from index triplets would compute it, so a refilled operator is
 byte-identical to one assembled anew from triplets.
+
+A parity block (OccupationBasis.parity_block) is the basis of the states of
+one total-number parity, kept in parent order.  The quadratic operators map
+it to itself, so their patterns and fills serve it as they serve a full
+basis; a(f) changes the parity and is refused there.
 """
 
 import json
@@ -80,8 +85,6 @@ class OccupationBasis:
                 f"basis with M={M}, n_max={n_max} holds {dim} states, "
                 f"above the cap {max_states}"
             )
-        self.M = M
-        self.n_max = n_max
         states = np.empty((dim, M), dtype=np.int64)
         offsets = np.empty(n_max + 2, dtype=np.int64)
         pos = 0
@@ -91,14 +94,20 @@ class OccupationBasis:
                 states[pos] = occ
                 pos += 1
         offsets[n_max + 1] = pos
+        self._setup(M, n_max, states, offsets, None)
+
+    def _setup(self, M, n_max, states, offsets, parent_index):
+        self.M = M
+        self.n_max = n_max
         self.states = states
         self.sector_offsets = offsets
-        self.size = dim
+        self.size = len(states)
+        self.parent_index = parent_index
+        self._totals = None
+        self._blocks = {}
         self._keys = None
         self._lowering = None
         self._low_struct = None
-        self._hop = None
-        self._pair = None
         self._quad_pattern = None
         self._low_pattern = None
 
@@ -115,7 +124,31 @@ class OccupationBasis:
         return s.stop - s.start
 
     def totals(self) -> np.ndarray:
-        return self.states.sum(axis=1)
+        """Total particle number of each state (computed once, read-only)."""
+        if self._totals is None:
+            self._totals = self.states.sum(axis=1)
+            self._totals.setflags(write=False)
+        return self._totals
+
+    def parity_block(self, p: int) -> "OccupationBasis":
+        """The states whose total has parity p, as a basis of their own (cached).
+
+        The block keeps M, n_max and the parent order; sectors of the other
+        parity are empty, and ``parent_index`` holds each state's index in
+        this basis.  Hops keep the total and pairs move it by 2, so the
+        quadratic pattern and its fills work on the block unchanged; a(f)
+        leaves it, so the block has no lowering operators.
+        """
+        if p not in (0, 1):
+            raise ValueError(f"parity must be 0 or 1, got {p}")
+        if p not in self._blocks:
+            keep = np.flatnonzero(self.totals() % 2 == p)
+            keep.setflags(write=False)
+            block = OccupationBasis.__new__(OccupationBasis)
+            block._setup(self.M, self.n_max, self.states[keep],
+                         np.searchsorted(keep, self.sector_offsets), keep)
+            self._blocks[p] = block
+        return self._blocks[p]
 
     def lookup(self, occ) -> np.ndarray:
         """Basis indices of a stack of occupation rows, by one vectorized
@@ -146,7 +179,12 @@ class OccupationBasis:
 
     def lowering_structure(self, i: int):
         """Index pattern (rows, cols, amps) of a_i (cached): amplitude
-        sqrt(n_i) from each state with n_i > 0."""
+        sqrt(n_i) from each state with n_i > 0.  Refused on a parity block."""
+        if self.parent_index is not None:
+            raise ValueError(
+                "a_i changes the particle-number parity, so it does not act "
+                "within a parity block; use the parent basis"
+            )
         if self._low_struct is None:
             self._low_struct = {}
         if i not in self._low_struct:
@@ -158,52 +196,41 @@ class OccupationBasis:
         return self._low_struct[i]
 
     def hop_structure(self, i: int, j: int):
-        """Index pattern (rows, cols, amps) of a_i^dag a_j for i != j (cached).
+        """Index pattern (rows, cols, amps) of a_i^dag a_j for i != j.
 
         Amplitude sqrt(n_j (n_i + 1)) from each state with n_j > 0.  The
         pattern enters the cached quadratic-operator pattern of the basis,
         whose band is checked once; dGamma of a one-body matrix then only
         refills values.
         """
-        if self._hop is None:
-            self._hop = {}
-        key = (i, j)
-        if key not in self._hop:
-            src = np.nonzero(self.states[:, j] > 0)[0]
-            occ = self.states[src].copy()
-            occ[:, j] -= 1
-            occ[:, i] += 1
-            amps = np.sqrt(
-                self.states[src, j].astype(float) * (self.states[src, i] + 1.0)
-            )
-            self._hop[key] = (self.lookup(occ), src, amps)
-        return self._hop[key]
+        src = np.nonzero(self.states[:, j] > 0)[0]
+        occ = self.states[src].copy()
+        occ[:, j] -= 1
+        occ[:, i] += 1
+        amps = np.sqrt(self.states[src, j].astype(float) * (self.states[src, i] + 1.0))
+        return self.lookup(occ), src, amps
 
     def pair_structure(self, i: int, j: int):
-        """Index pattern of the double raising a_i^dag a_j^dag, i <= j (cached).
+        """Index pattern of the double raising a_i^dag a_j^dag, i <= j.
 
         Sources are the states whose total lies at least two below the
         truncation; amplitudes carry the bosonic enhancement factors.
         """
-        if self._pair is None:
-            self._pair = {}
-        key = (min(i, j), max(i, j))
-        if key not in self._pair:
-            i0, j0 = key
-            src = np.nonzero(self.totals() <= self.n_max - 2)[0]
-            occ = self.states[src].copy()
-            occ[:, j0] += 1
-            amps = np.sqrt(occ[:, j0].astype(float))
-            occ[:, i0] += 1
-            amps = amps * np.sqrt(occ[:, i0].astype(float))
-            self._pair[key] = (self.lookup(occ), src, amps)
-        return self._pair[key]
+        i0, j0 = min(i, j), max(i, j)
+        src = np.nonzero(self.totals() <= self.n_max - 2)[0]
+        occ = self.states[src].copy()
+        occ[:, j0] += 1
+        amps = np.sqrt(occ[:, j0].astype(float))
+        occ[:, i0] += 1
+        amps = amps * np.sqrt(occ[:, i0].astype(float))
+        return self.lookup(occ), src, amps
 
     def quadratic_pattern(self) -> "CSRPattern":
         """CSR pattern of the band-(-2, 0, 2) quadratic operators (cached).
 
         Blocks in term order: "diag", ("hop", i, j) for i != j,
-        ("raise", i, j) and ("lower", i, j) for i <= j.
+        ("raise", i, j) and ("lower", i, j) for i <= j.  The index patterns
+        are built here and kept only inside the CSR pattern.
         """
         if self._quad_pattern is None:
             rows = np.arange(self.size)
@@ -212,11 +239,11 @@ class OccupationBasis:
                 for j in range(self.M):
                     if i != j:
                         blocks.append((("hop", i, j), *self.hop_structure(i, j), 0))
-            pairs = [(i, j) for i in range(self.M) for j in range(i, self.M)]
-            for i, j in pairs:
-                blocks.append((("raise", i, j), *self.pair_structure(i, j), 2))
-            for i, j in pairs:
-                dst, src, amps = self.pair_structure(i, j)
+            pairs = {(i, j): self.pair_structure(i, j)
+                     for i in range(self.M) for j in range(i, self.M)}
+            for (i, j), (dst, src, amps) in pairs.items():
+                blocks.append((("raise", i, j), dst, src, amps, 2))
+            for (i, j), (dst, src, amps) in pairs.items():
                 blocks.append((("lower", i, j), src, dst, amps, -2))
             self._quad_pattern = CSRPattern(self, blocks)
         return self._quad_pattern

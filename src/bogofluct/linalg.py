@@ -44,7 +44,8 @@ def krylov_expm(H, v, z, tol=1e-10, m_max=30):
         if j > 0:
             w = w - beta[j - 1] * V[j - 1]
         # full reorthogonalization; m is small and this buys 1e-14 accuracy
-        w = w - V[: j + 1].T @ (V[: j + 1].conj() @ w)
+        # (conj(V) @ w as conj(V @ conj(w)): conjugates a vector, not the block)
+        w = w - V[: j + 1].T @ np.conj(V[: j + 1] @ np.conj(w))
         b = np.linalg.norm(w)
         approx = _tridiag_exp_col(alpha[: j + 1], beta[:j], z)
         cur = beta0 * (V[: j + 1].T @ approx)

@@ -1,0 +1,151 @@
+"""Parity blocks of the occupation basis and the block-restricted stepper.
+
+The quadratic generator changes the total number by 0 or +-2, so a state of
+one parity stays in that parity's block.  The oracle for the restricted
+stepper is the full-basis midpoint Krylov loop, written out here.
+"""
+
+import numpy as np
+import pytest
+
+from bogofluct.bogoliubov import bogoliubov_hamiltonian, solve_bogoliubov
+from bogofluct.fock import FockVector, enumerate_basis, quadratic_op
+from bogofluct.hartree import solve_hartree
+from bogofluct.linalg import krylov_expm
+from bogofluct.model import build_interaction, build_laplacian, build_lattice, gaussian_profile
+
+SIZES = [(3, 8), (4, 6)]
+
+
+def random_complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("M,n_max", SIZES)
+@pytest.mark.parametrize("p", [0, 1])
+def test_block_holds_parity_rows_in_parent_order(M, n_max, p):
+    basis = enumerate_basis(M, n_max)
+    block = basis.parity_block(p)
+    want = [k for k in range(basis.size) if sum(basis.states[k]) % 2 == p]
+    assert (block.M, block.n_max) == (M, n_max)
+    assert block.parent_index.tolist() == want
+    assert np.array_equal(block.states, basis.states[want])
+    for n in range(n_max + 1):
+        dim = basis.sector_dim(n) if n % 2 == p else 0
+        assert block.sector_dim(n) == dim
+        assert np.all(block.totals()[block.sector_slice(n)] == n)
+    assert basis.parity_block(p) is block
+
+
+def test_totals_are_cached_and_read_only():
+    basis = enumerate_basis(3, 4)
+    totals = basis.totals()
+    assert basis.totals() is totals
+    assert np.array_equal(totals, basis.states.sum(axis=1))
+    with pytest.raises(ValueError):
+        totals[0] = 7
+    with pytest.raises(ValueError):
+        basis.parity_block(0).parent_index[0] = 1
+
+
+@pytest.mark.parametrize("M,n_max", SIZES)
+@pytest.mark.parametrize("p", [0, 1])
+def test_block_generator_is_the_full_submatrix(M, n_max, p):
+    rng = np.random.default_rng(10 * M + n_max + p)
+    A = random_complex(rng, M, M)
+    K = random_complex(rng, M, M)
+    K = K + K.T
+    basis = enumerate_basis(M, n_max)
+    block = basis.parity_block(p)
+    idx = block.parent_index
+    sub = quadratic_op(A, K, basis).mat[idx][:, idx]
+    got = quadratic_op(A, K, block).mat
+    assert got.shape == sub.shape == (block.size, block.size)
+    assert got.data.tobytes() == sub.data.tobytes()
+    assert np.array_equal(got.indices, sub.indices)
+    assert np.array_equal(got.indptr, sub.indptr)
+
+
+def test_block_refuses_states_and_operators_outside_it():
+    basis = enumerate_basis(3, 6)
+    even = basis.parity_block(0)
+    odd = basis.parity_block(1)
+    assert even.index((2, 0, 0)) == 1
+    with pytest.raises(KeyError):
+        even.index((1, 0, 0))
+    with pytest.raises(KeyError):
+        odd.lookup(np.array([[1, 1, 0]]))
+    for block in (even, odd):
+        with pytest.raises(ValueError, match="parity block"):
+            block.lowering_pattern()
+        with pytest.raises(ValueError, match="parity block"):
+            block.mode_lowering(0)
+    with pytest.raises(ValueError):
+        basis.parity_block(2)
+
+
+# -------------------------------------------------------------- the stepper
+
+def setup_run(M=3, n_max=8, g=1.5, T=0.3):
+    lat = build_lattice(M, 1.0)
+    h0 = build_laplacian(lat)
+    W = build_interaction(lat, gaussian_profile(g, 1.0))
+    d = np.minimum(lat.positions, lat.M * lat.spacing - lat.positions)
+    u0 = np.exp(-(d**2) / 2.0).astype(complex)
+    u0 /= np.linalg.norm(u0)
+    traj = solve_hartree(u0, h0, W, T=T, dt=0.001)
+    return enumerate_basis(M, n_max), u0, traj, h0, W
+
+
+def full_basis_krylov(phi0, traj, h0, W, dt, t_grid):
+    # the midpoint-frozen Krylov loop of solve_bogoliubov, on the full basis
+    amps = phi0.amplitudes.copy()
+    t = 0.0
+    out = []
+    for t_target in t_grid:
+        n_sub = max(1, int(round((t_target - t) / dt)))
+        step = (t_target - t) / n_sub
+        for _ in range(n_sub):
+            gen = bogoliubov_hamiltonian(traj.interpolate(t + 0.5 * step), h0, W, phi0.basis)
+            amps = krylov_expm(gen.op.mat, amps, -1j * step, tol=1e-12)
+            t += step
+        out.append(amps.copy())
+    return out
+
+
+def sector_one_start(basis, u0, rng):
+    v = random_complex(rng, basis.M)
+    v -= u0 * np.vdot(u0, v)
+    amps = np.zeros(basis.size, dtype=complex)
+    amps[basis.sector_slice(1)] = v / np.linalg.norm(v)
+    return FockVector(basis, amps)
+
+
+@pytest.mark.parametrize("start", ["vacuum", "sector 1"])
+def test_single_parity_start_matches_full_basis_krylov(start):
+    basis, u0, traj, h0, W = setup_run()
+    if start == "vacuum":
+        phi0, p = FockVector.vacuum(basis), 0
+    else:
+        phi0, p = sector_one_start(basis, u0, np.random.default_rng(4)), 1
+    grid = [0.1, 0.3]
+    run = solve_bogoliubov(phi0, traj, h0, W, dt=0.01, t_grid=grid)
+    ref = full_basis_krylov(phi0, traj, h0, W, 0.01, grid)
+    other = basis.totals() % 2 != p
+    for state, want in zip(run.states, ref):
+        assert state.basis is basis
+        assert np.linalg.norm(state.amplitudes - want) < 1e-12
+        assert np.all(state.amplitudes[other] == 0)
+    assert np.linalg.norm(run.states[-1].amplitudes[~other][1:]) > 1e-3
+
+
+def test_mixed_parity_start_steps_the_full_basis_bit_for_bit():
+    basis, u0, traj, h0, W = setup_run()
+    rng = np.random.default_rng(5)
+    amps = sector_one_start(basis, u0, rng).amplitudes
+    amps[0] = 0.6
+    phi0 = FockVector(basis, amps / np.linalg.norm(amps))
+    grid = [0.1, 0.3]
+    run = solve_bogoliubov(phi0, traj, h0, W, dt=0.01, t_grid=grid)
+    for state, want in zip(run.states, full_basis_krylov(phi0, traj, h0, W, 0.01, grid)):
+        assert state.amplitudes.tobytes() == want.tobytes()
