@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .csvio import write_csv
 from .fock import (
     FockVector,
     OccupationBasis,
@@ -139,10 +140,7 @@ class FluctuationRun:
     )
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(",".join(self.DIAG_COLUMNS) + "\n")
-            for row in self.diagnostics:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_csv(path, self.DIAG_COLUMNS, self.diagnostics)
 
 
 def _diag_row(t, phi: FockVector, u, h0, energy_form_diag):

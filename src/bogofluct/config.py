@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .fock import OccupationBasis, SectorVector, annihilate_op
+from .fock import ORTH_TOL, OccupationBasis, SectorVector, annihilate_op
 from .model import (
     ModeBasis,
     build_interaction,
@@ -225,7 +225,7 @@ class ExperimentConfig:
             if p is None or n == 0:
                 continue
             defect = np.linalg.norm(low @ p.embed().amplitudes)
-            if defect > 1e-8 * max(1.0, p.norm()):
+            if defect > ORTH_TOL * max(1.0, p.norm()):
                 raise ValueError(f"phi_{n} is not orthogonal to the condensate")
         return phis
 

@@ -45,6 +45,7 @@ __all__ = [
     "number_plus_op",
     "func_of_number_plus",
     "du_generator",
+    "leading_part",
     "conjugated_hamiltonian",
     "assemble_r1",
     "assemble_r2",
@@ -245,13 +246,11 @@ def assemble_r2(frame: ExcitationFrame, W, basis: OccupationBasis) -> SparseOper
     return SparseOperator(basis, mat.tocsr(), (0,))
 
 
-def conjugated_hamiltonian(frame: ExcitationFrame, h0, W,
-                           basis: OccupationBasis) -> np.ndarray:
-    """Dense right side of the conjugation identity on the excitation layers.
+def leading_part(frame: ExcitationFrame, h0, W, basis: OccupationBasis) -> np.ndarray:
+    """Dense leading part of the conjugated N-body Hamiltonian:
 
     N e + dGamma(Q(h + k1 - e)Q) + [a^dag(Q h u) sqrt(N - Np) + h.c.]
-    + pairing(k2) + R1 + R2; equals the conjugated N-body Hamiltonian on the
-    condensate-orthogonal layers with total at most N.
+    + pairing(k2), with h the mean-field Hamiltonian and e = <u, h u>.
     """
     u, N, Q = frame.u, frame.N, frame.q
     kern = build_kernels(u, W)
@@ -268,7 +267,16 @@ def conjugated_hamiltonian(frame: ExcitationFrame, h0, W,
 
     pc = pairing_raise(kern.k2, basis).toarray()
     out += pc + pc.conj().T
+    return out
 
+
+def conjugated_hamiltonian(frame: ExcitationFrame, h0, W,
+                           basis: OccupationBasis) -> np.ndarray:
+    """Dense right side of the conjugation identity on the excitation layers:
+    leading_part + R1 + R2; equals the conjugated N-body Hamiltonian on the
+    condensate-orthogonal layers with total at most N.
+    """
+    out = leading_part(frame, h0, W, basis)
     out += assemble_r1(frame, h0, W, basis)
     out += assemble_r2(frame, W, basis).toarray()
     return out

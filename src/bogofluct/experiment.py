@@ -1,5 +1,5 @@
 """Experiment orchestration: the main convergence measurement, single-run
-diagnostics, the coherent-frame comparison, rate fitting and CSV emission.
+diagnostics, the coherent-frame comparison and rate fitting.
 
 Everything here is deterministic: no randomness, no wall-clock values, and
 floats are written with repr-faithful precision, so identical configurations
@@ -16,6 +16,7 @@ import numpy as np
 from .bogoliubov import solve_bogoliubov
 from .coherent import solve_coherent_fluct
 from .config import ExperimentConfig
+from .csvio import write_csv
 from .excitation import ExcitationFrame, apply_u_n
 from .fock import FockVector, OccupationBasis, dgamma, enumerate_basis, hartree_block
 from .hartree import solve_hartree
@@ -85,26 +86,12 @@ class ConvergenceReport:
     passed: bool
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(",".join(REPORT_COLUMNS) + "\n")
-            for row in self.rows:
-                fh.write(",".join(_fmt(row[c]) for c in REPORT_COLUMNS) + "\n")
+        write_csv(path, REPORT_COLUMNS, ([row[c] for c in REPORT_COLUMNS] for row in self.rows))
 
     def write_rates_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("time,slope,stderr,r_squared,n_used\n")
-            for t in sorted(self.fits):
-                f = self.fits[t]
-                fh.write(
-                    f"{_fmt(t)},{_fmt(f.slope)},{_fmt(f.stderr)},"
-                    f"{_fmt(f.r_squared)},{f.n_used}\n"
-                )
-
-
-def _fmt(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.17g}"
+        write_csv(path, ("time", "slope", "stderr", "r_squared", "n_used"),
+                  ([t, f.slope, f.stderr, f.r_squared, f.n_used]
+                   for t, f in sorted(self.fits.items())))
 
 
 def _condensate_density(u: np.ndarray) -> ReducedDensity:
@@ -117,7 +104,8 @@ def _shared_setup(cfg: ExperimentConfig):
     W = cfg.interaction(lattice)
     u0 = cfg.condensate(lattice)
     traj = solve_hartree(u0, h0, W, cfg.T, cfg.dt_hartree)
-    return lattice, h0, W, u0, traj
+    basis = enumerate_basis(lattice.M, cfg.n_max)
+    return h0, W, u0, traj, basis
 
 
 def _hartree_gates(traj, tol):
@@ -131,6 +119,48 @@ def _hartree_gates(traj, tol):
     ]
 
 
+class _Comparison:
+    """The shared setup, the initial excitation layers and the one
+    fluctuation run over `times` that the exact dynamics of every N is
+    compared with."""
+
+    def __init__(self, cfg: ExperimentConfig, times):
+        self.cfg, self.times = cfg, times
+        self.h0, self.W, self.u0, self.traj, self.basis = _shared_setup(cfg)
+        self.phis = cfg.excitations(self.u0, self.basis)
+        self.run = solve_bogoliubov(
+            _layers_to_fock(self.phis, self.basis), self.traj, self.h0, self.W, cfg.dt_fock,
+            t_grid=times, tangency_tol=max(1e-4, cfg.tolerances["tangency"]))
+        self.energy_form = dgamma(np.eye(self.basis.M) + self.h0, self.basis).mat
+
+    def rows(self, N):
+        """Build the N-particle state from the layers phi_0..phi_N, evolve it
+        exactly and map it through the excitation frame; yield per output
+        time its comparison row against the fluctuation state, and the exact
+        state's norm and energy."""
+        basis = self.basis
+        layers = [self.phis[n] if n <= N else None for n in range(min(N, basis.n_max) + 1)]
+        cut_weight = math.fsum((p.norm() ** 2 if p is not None else 0.0) for p in layers)
+        psi0 = hartree_block(self.u0, layers, basis)
+        deficit = abs(1.0 - psi0.norm())
+        psi0.amplitudes = psi0.amplitudes / psi0.norm()
+        H = build_hamiltonian(self.h0, self.W, N, basis)
+        states = propagate_exact(H, psi0, self.times, dt_max=self.cfg.dt_nbody)
+        totals = basis.totals()
+        for t, psi, phi in zip(self.times, states, self.run.states):
+            u_t = self.traj.interpolate(t)
+            mapped = apply_u_n(ExcitationFrame(u_t, N), psi)
+            delta = mapped.amplitudes - phi.amplitudes
+            yield {
+                "time": t,
+                "err_norm": float(np.linalg.norm(delta)),
+                "err_energy_form": float(np.real(np.vdot(delta, self.energy_form @ delta))),
+                "trace_dist_k1": trace_distance(reduced_density(psi, 1), _condensate_density(u_t)),
+                "expect_Nplus": float(totals @ (np.abs(mapped.amplitudes) ** 2)),
+                "init_norm_deficit": deficit + abs(1.0 - cut_weight),
+            }, psi.norm(), float(np.real(np.vdot(psi.amplitudes, H.mat @ psi.amplitudes)))
+
+
 def run_convergence(cfg: ExperimentConfig, write=True) -> ConvergenceReport:
     """The main experiment: for each N, build the initial N-particle state
     from the shared excitation data, evolve it exactly, map it through the
@@ -138,29 +168,22 @@ def run_convergence(cfg: ExperimentConfig, write=True) -> ConvergenceReport:
     the one fluctuation evolution; then fit the error against N.
     """
     cfg.require_exact_sectors()
-    lattice, h0, W, u0, traj = _shared_setup(cfg)
-    basis = enumerate_basis(lattice.M, cfg.n_max)
-    phis = cfg.excitations(u0, basis)
-    phi0 = _layers_to_fock(phis, basis)
     times = list(cfg.output_times)
     tol = cfg.tolerances
-
-    run = solve_bogoliubov(phi0, traj, h0, W, cfg.dt_fock, t_grid=times,
-                           tangency_tol=max(1e-4, tol["tangency"]))
+    comp = _Comparison(cfg, times)
+    run = comp.run
     diag = np.array(run.diagnostics)
     bog_norm_drift = float(np.max(np.abs(diag[:, 1] - 1.0)))
     tangency_max = float(np.max(diag[:, 2]))
     leakage_max = float(np.max(diag[:, 5]))
 
-    gates = _hartree_gates(traj, tol)
+    gates = _hartree_gates(comp.traj, tol)
     gates += [
         ("bog_norm_drift", bog_norm_drift, tol["bog_norm_drift"]),
         ("tangency", tangency_max, tol["tangency"]),
         ("leakage", leakage_max, tol["leakage"]),
     ]
 
-    energy_form = dgamma(np.eye(lattice.M) + h0, basis).mat
-    totals = basis.totals()
     rows = []
     failures = {}
     worst_initial = 0.0
@@ -168,44 +191,19 @@ def run_convergence(cfg: ExperimentConfig, write=True) -> ConvergenceReport:
     worst_nbody_energy = 0.0
     for N in cfg.N_list:
         try:
-            layers = [phis[n] if n <= N else None for n in range(min(N, basis.n_max) + 1)]
-            cut_weight = math.fsum(
-                (p.norm() ** 2 if p is not None else 0.0) for p in layers
-            )
-            psi0 = hartree_block(u0, layers, basis)
-            deficit = abs(1.0 - psi0.norm())
-            psi0.amplitudes = psi0.amplitudes / psi0.norm()
-            H = build_hamiltonian(h0, W, N, basis)
-            states = propagate_exact(H, psi0, times, dt_max=cfg.dt_nbody)
             e_ref = None
-            for k_out, (t, psi) in enumerate(zip(times, states)):
-                worst_nbody_norm = max(worst_nbody_norm, abs(psi.norm() - 1.0))
-                e_t = float(np.real(np.vdot(psi.amplitudes, H.mat @ psi.amplitudes)))
-                if e_ref is None:
-                    e_ref = e_t
-                else:
-                    worst_nbody_energy = max(
-                        worst_nbody_energy, abs(e_t - e_ref) / max(abs(e_ref), 1e-30)
-                    )
-                u_t = traj.interpolate(t)
-                frame = ExcitationFrame(u_t, N)
-                mapped = apply_u_n(frame, psi)
-                delta = mapped.amplitudes - run.states[k_out].amplitudes
-                err = float(np.linalg.norm(delta))
-                err_energy = float(np.real(np.vdot(delta, energy_form @ delta)))
-                gamma1 = reduced_density(psi, 1)
-                tdist = trace_distance(gamma1, _condensate_density(u_t))
-                expect_np = float(totals @ (np.abs(mapped.amplitudes) ** 2))
-                if t == 0.0:
-                    worst_initial = max(worst_initial, err)
-                rows.append({
-                    "N": N, "time": t, "err_norm": err,
-                    "err_energy_form": err_energy, "trace_dist_k1": tdist,
-                    "expect_Nplus": expect_np, "tangency": tangency_max,
-                    "leakage": leakage_max,
-                    "init_norm_deficit": deficit + abs(1.0 - cut_weight),
-                })
-        except Exception as exc:  # record and continue with remaining N
+            for row, norm, e_t in comp.rows(N):
+                e_ref = e_t if e_ref is None else e_ref
+                worst_nbody_norm = max(worst_nbody_norm, abs(norm - 1.0))
+                worst_nbody_energy = max(
+                    worst_nbody_energy, abs(e_t - e_ref) / max(abs(e_ref), 1e-30)
+                )
+                if row["time"] == 0.0:
+                    worst_initial = max(worst_initial, row["err_norm"])
+                rows.append({"N": N, **row, "tangency": tangency_max, "leakage": leakage_max})
+        except RuntimeError as exc:
+            # numerical breakdowns (KrylovError, norm budgets) are filed per
+            # N; programming errors propagate
             failures[N] = f"{type(exc).__name__}: {exc}"
     gates += [
         ("nbody_norm_drift", worst_nbody_norm, tol["nbody_norm_drift"]),
@@ -248,7 +246,7 @@ def run_convergence(cfg: ExperimentConfig, write=True) -> ConvergenceReport:
                 "diagnostics": {
                     # how singular the interaction is relative to the kinetic
                     # operator; always finite on a lattice
-                    "relative_bound_constant": relative_bound_constant(W, h0),
+                    "relative_bound_constant": relative_bound_constant(comp.W, comp.h0),
                 },
             }, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -291,36 +289,17 @@ def run_single(cfg: ExperimentConfig, N: int, write=True):
     the excitation-mapped comparison series; returns the summary dict.
     """
     cfg.require_exact_sectors(N)
-    lattice, h0, W, u0, traj = _shared_setup(cfg)
-    basis = enumerate_basis(lattice.M, cfg.n_max)
-    phis = cfg.excitations(u0, basis)
-    phi0 = _layers_to_fock(phis, basis)
     series_times = [k * cfg.T / 16.0 for k in range(17)]
-
-    run = solve_bogoliubov(phi0, traj, h0, W, cfg.dt_fock, t_grid=series_times)
-    layers = [phis[n] if n <= N else None for n in range(min(N, basis.n_max) + 1)]
-    psi0 = hartree_block(u0, layers, basis)
-    psi0.amplitudes = psi0.amplitudes / psi0.norm()
-    H = build_hamiltonian(h0, W, N, basis)
-    states = propagate_exact(H, psi0, series_times, dt_max=cfg.dt_nbody)
-
-    energy_form = dgamma(np.eye(lattice.M) + h0, basis).mat
-    totals = basis.totals()
-    series = []
-    for k_out, (t, psi) in enumerate(zip(series_times, states)):
-        u_t = traj.interpolate(t)
-        frame = ExcitationFrame(u_t, N)
-        mapped = apply_u_n(frame, psi)
-        delta = mapped.amplitudes - run.states[k_out].amplitudes
-        gamma1 = reduced_density(psi, 1)
-        series.append({
-            "time": t,
-            "err_norm": float(np.linalg.norm(delta)),
-            "err_energy_form": float(np.real(np.vdot(delta, energy_form @ delta))),
-            "trace_dist_k1": trace_distance(gamma1, _condensate_density(u_t)),
-            "expect_Nplus_mapped": float(totals @ np.abs(mapped.amplitudes) ** 2),
-            "expect_Nplus_plus1": float(totals @ np.abs(mapped.amplitudes) ** 2) + 1.0,
-        })
+    comp = _Comparison(cfg, series_times)
+    traj = comp.traj
+    series = [{
+        "time": row["time"],
+        "err_norm": row["err_norm"],
+        "err_energy_form": row["err_energy_form"],
+        "trace_dist_k1": row["trace_dist_k1"],
+        "expect_Nplus_mapped": row["expect_Nplus"],
+        "expect_Nplus_plus1": row["expect_Nplus"] + 1.0,
+    } for row, *_nbody in comp.rows(N)]
 
     ratio = [row["expect_Nplus_plus1"] / series[0]["expect_Nplus_plus1"] for row in series]
     gron_c = _gronwall_constant(series_times, ratio)
@@ -333,16 +312,17 @@ def run_single(cfg: ExperimentConfig, N: int, write=True):
     if write:
         os.makedirs(cfg.output_dir, exist_ok=True)
         traj.write_csv(os.path.join(cfg.output_dir, "hartree_trajectory.csv"))
-        run.write_csv(os.path.join(cfg.output_dir, f"fluctuation_diagnostics_N{N}.csv"))
-        cols = list(series[0].keys())
-        with open(os.path.join(cfg.output_dir, f"excitation_series_N{N}.csv"), "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in series:
-                fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
+        comp.run.write_csv(os.path.join(cfg.output_dir, f"fluctuation_diagnostics_N{N}.csv"))
+        _write_dict_rows(os.path.join(cfg.output_dir, f"excitation_series_N{N}.csv"), series)
         with open(os.path.join(cfg.output_dir, f"summary_N{N}.json"), "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return series, summary
+
+
+def _write_dict_rows(path, rows):
+    cols = list(rows[0])
+    write_csv(path, cols, ([row[c] for c in cols] for row in rows))
 
 
 def _gronwall_constant(times, ratio):
@@ -366,8 +346,7 @@ def _gronwall_constant(times, ratio):
 def compare_coherent(cfg: ExperimentConfig, write=True):
     """Side-by-side evolution of the same vacuum start under the projected
     and the bare-kernel quadratic generators; returns the gap series."""
-    lattice, h0, W, u0, traj = _shared_setup(cfg)
-    basis = enumerate_basis(lattice.M, cfg.n_max)
+    h0, W, _u0, traj, basis = _shared_setup(cfg)
     vac = FockVector.vacuum(basis)
     times = [t for t in cfg.output_times]
     if times[0] != 0.0:
@@ -386,9 +365,5 @@ def compare_coherent(cfg: ExperimentConfig, write=True):
         rows.append(row)
     if write:
         os.makedirs(cfg.output_dir, exist_ok=True)
-        cols = list(rows[0].keys())
-        with open(os.path.join(cfg.output_dir, "coherent_comparison.csv"), "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
+        _write_dict_rows(os.path.join(cfg.output_dir, "coherent_comparison.csv"), rows)
     return rows

@@ -697,8 +697,13 @@ def _project_out(low, raise_u, amps, n_max):
     return acc
 
 
+# largest ||a(u) phi_n|| / max(1, ||phi_n||) accepted as orthogonal to the
+# condensate, both when excitation data are loaded and when they are used
+ORTH_TOL = 1e-10
+
+
 def hartree_block(u: np.ndarray, phis, basis: OccupationBasis,
-                  orth_tol: float = 1e-10) -> SectorVector:
+                  orth_tol: float = ORTH_TOL) -> SectorVector:
     """Assemble sum_n a^dag(u)^(N-n)/sqrt((N-n)!) phi_n in sector N = len(phis)-1.
 
     Each phi_n must be a SectorVector in sector n annihilated by a(u); the map

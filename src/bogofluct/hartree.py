@@ -7,6 +7,8 @@ is measured, never enforced, so step-size problems surface as drift.
 
 import numpy as np
 
+from .csvio import write_csv
+
 __all__ = [
     "mean_field",
     "mu_of",
@@ -113,22 +115,11 @@ class HartreeTrajectory:
     def write_csv(self, path):
         """Columns: time, re/im of each amplitude, mu, energy, norm."""
         M = self.u.shape[1]
-        header = ["time"]
-        for i in range(M):
-            header += [f"re_u{i}", f"im_u{i}"]
-        header += ["mu", "energy", "norm"]
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for k, t in enumerate(self.times):
-                row = [f"{t:.17g}"]
-                for i in range(M):
-                    row += [f"{self.u[k, i].real:.17g}", f"{self.u[k, i].imag:.17g}"]
-                row += [
-                    f"{self.mu[k]:.17g}",
-                    f"{self.energy[k]:.17g}",
-                    f"{np.linalg.norm(self.u[k]):.17g}",
-                ]
-                fh.write(",".join(row) + "\n")
+        re_im = [f"{part}_u{i}" for i in range(M) for part in ("re", "im")]
+        re_im_values = np.dstack([self.u.real, self.u.imag]).reshape(len(self.u), 2 * M)
+        rows = np.column_stack([self.times, re_im_values, self.mu, self.energy,
+                                [np.linalg.norm(u) for u in self.u]])
+        write_csv(path, ["time", *re_im, "mu", "energy", "norm"], rows)
 
 
 def solve_hartree(u0, h0, W, T, dt, norm_tol=1e-6) -> HartreeTrajectory:

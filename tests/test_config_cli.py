@@ -6,6 +6,7 @@ import pytest
 from bogofluct.cli import main
 from bogofluct.config import ExperimentConfig
 from bogofluct.experiment import fit_rate, run_convergence, run_single
+from bogofluct.linalg import KrylovError
 
 TINY = {
     "model": {
@@ -353,3 +354,59 @@ def test_cli_reports_unevaluated_rate_gate(tmp_path, capsys):
     text = capsys.readouterr().out
     assert code == 1
     assert "FAIL  rate_slope_in_band" in text and "value=none" in text
+
+
+def test_phi0_table_orthogonality_bound_matches_the_block_builder():
+    # a defect of 5e-9 used to load, then fail hartree_block at every N
+    from bogofluct.fock import ORTH_TOL, enumerate_basis, hartree_block
+
+    doc = json.loads(json.dumps(TINY))
+    cfg = ExperimentConfig(doc)
+    u0 = cfg.condensate(cfg.lattice())
+    basis = enumerate_basis(3, 6)
+    v = np.array([-np.conj(u0[1]), np.conj(u0[0]), 0.0])
+    v /= np.linalg.norm(v)
+    for eps, loads in [(0.5 * ORTH_TOL, True), (5e-9, False)]:
+        layer1 = 0.3 * v + eps * u0
+        doc["phi0"] = {"kind": "table", "sectors": {
+            "0": [[float(np.sqrt(1.0 - 0.09)), 0.0]],
+            "1": [[float(x.real), float(x.imag)] for x in layer1],
+        }}
+        if loads:
+            phis = ExperimentConfig(doc).excitations(u0, basis)
+            assert hartree_block(u0, phis[:5], basis).n == 4
+        else:
+            with pytest.raises(ValueError, match="orthogonal"):
+                ExperimentConfig(doc).excitations(u0, basis)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KrylovError])
+def test_numerical_failure_is_filed_for_its_n(monkeypatch, error):
+    import bogofluct.experiment as experiment
+
+    exact = experiment.propagate_exact
+
+    def failing_at_6(H, psi0, times, **kwargs):
+        if psi0.n == 6:
+            raise error("norm budget exceeded")
+        return exact(H, psi0, times, **kwargs)
+
+    monkeypatch.setattr(experiment, "propagate_exact", failing_at_6)
+    rep = run_convergence(ExperimentConfig(GATE_CASE), write=False)
+    assert list(rep.failures) == [6]
+    assert rep.failures[6] == f"{error.__name__}: norm budget exceeded"
+    assert not rep.passed
+    assert [(r["N"], r["time"]) for r in rep.rows] == [
+        (N, t) for N in (4, 8) for t in GATE_CASE["output_times"]
+    ]
+
+
+def test_programming_error_propagates_out_of_the_n_loop(monkeypatch):
+    import bogofluct.experiment as experiment
+
+    def broken(H, psi0, times, **kwargs):
+        raise TypeError("bad argument")
+
+    monkeypatch.setattr(experiment, "propagate_exact", broken)
+    with pytest.raises(TypeError, match="bad argument"):
+        run_convergence(ExperimentConfig(GATE_CASE), write=False)
