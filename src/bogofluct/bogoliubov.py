@@ -97,7 +97,6 @@ class BogHamiltonian:
     op: SparseOperator
     h: np.ndarray
     kernels: Kernels
-    time: float | None = None
 
 
 def mean_field_hamiltonian(u, h0, W) -> np.ndarray:
@@ -106,7 +105,7 @@ def mean_field_hamiltonian(u, h0, W) -> np.ndarray:
 
 
 def bogoliubov_hamiltonian(u, h0, W, basis: OccupationBasis,
-                           projected: bool = True, time: float | None = None) -> BogHamiltonian:
+                           projected: bool = True) -> BogHamiltonian:
     """Assemble the quadratic generator for fluctuations around u.
 
     With projected=True the condensate-projected kernels enter (the frame
@@ -118,7 +117,7 @@ def bogoliubov_hamiltonian(u, h0, W, basis: OccupationBasis,
     k1 = kern.k1 if projected else kern.k1_bare
     k2 = kern.k2 if projected else kern.k2_bare
     op = quadratic_op(h + k1, k2, basis)
-    return BogHamiltonian(op, h, kern, time)
+    return BogHamiltonian(op, h, kern)
 
 
 def tangency_defect(phi: FockVector, u: np.ndarray) -> float:
@@ -158,14 +157,15 @@ def _diag_row(t, phi: FockVector, u, h0, energy_form_diag):
 
 def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
                      t_grid=None, projected: bool = True,
-                     tangency_tol: float = 1e-4, krylov_tol: float = 1e-12,
-                     check_tangency: bool = True) -> FluctuationRun:
+                     tangency_tol: float = 1e-4) -> FluctuationRun:
     """Propagate the fluctuation state along the stored condensate history.
 
     One step freezes the generator at the interpolated midpoint condensate and
-    applies its Krylov exponential (an order-2 scheme).  The run aborts if the
-    norm drifts or, for the projected dynamics, if the tangency defect grows
-    beyond tangency_tol, both of which signal truncation or step-size trouble.
+    applies its Krylov exponential (an order-2 scheme).  The projected
+    dynamics (projected=True) lives on the excitation space, so its initial
+    state must be tangent (defect at most 1e-8) and the run aborts when the
+    tangency defect grows beyond tangency_tol, which signals truncation or
+    step-size trouble; the bare-kernel dynamics has no such requirement.
 
     The generator conserves the parity of the total number, so when every
     nonzero amplitude of phi0 sits on states of one parity (the vacuum, or
@@ -179,7 +179,7 @@ def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
     basis = phi0.basis
     if abs(phi0.norm() - 1.0) > 1e-9:
         raise ValueError("initial fluctuation state must be unit norm to 1e-9")
-    if check_tangency and projected:
+    if projected:
         d0 = tangency_defect(phi0, traj.u[0])
         if d0 > 1e-8:
             raise ValueError(f"initial state has tangency defect {d0:.3e} > 1e-8")
@@ -205,14 +205,14 @@ def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
         for _ in range(n_sub):
             u_mid = traj.interpolate(t + 0.5 * step)
             gen = bogoliubov_hamiltonian(u_mid, h0, W, block, projected=projected)
-            amps = krylov_expm(gen.op.mat, amps, -1j * step, tol=krylov_tol)
+            amps = krylov_expm(gen.op.mat, amps, -1j * step, tol=1e-12)
             phi = FockVector(basis, np.zeros(basis.size, dtype=complex))
             phi.amplitudes[sel] = amps
             t += step
             u_now = traj.interpolate(t)
             row = _diag_row(t, phi, u_now, h0, energy_form)
             run.diagnostics.append(row)
-            if check_tangency and projected and row[2] > tangency_tol:
+            if projected and row[2] > tangency_tol:
                 raise RuntimeError(
                     f"tangency defect {row[2]:.3e} at t={t:.4g} exceeds "
                     f"{tangency_tol:.1e}; increase n_max or reduce dt"
@@ -266,19 +266,20 @@ def _sector_view(phi: FockVector, n: int):
     return SectorVector(phi.basis, n, phi.sector(n).copy())
 
 
-def _bisect_smallest_constant(check, hi_start=1.0, rel=1e-4, max_doublings=60):
-    # smallest c >= 0 with check(c) true, assuming monotonicity in c
+def _bisect_smallest_constant(check):
+    # smallest c >= 0 with check(c) true, to relative 1e-4, assuming
+    # monotonicity in c
     if check(0.0):
         return 0.0
-    hi = hi_start
+    hi = 1.0
     doublings = 0
     while not check(hi):
         hi *= 2.0
         doublings += 1
-        if doublings > max_doublings:
+        if doublings > 60:
             raise RuntimeError("no finite constant found")
-    lo = 0.0 if hi == hi_start else hi / 2.0
-    while hi - lo > rel * max(1.0, hi):
+    lo = 0.0 if hi == 1.0 else hi / 2.0
+    while hi - lo > 1e-4 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if check(mid):
             hi = mid
@@ -287,7 +288,11 @@ def _bisect_smallest_constant(check, hi_start=1.0, rel=1e-4, max_doublings=60):
     return hi
 
 
-def verify_bog_bounds(u, h0, W, basis: OccupationBasis, psd_tol=1e-10) -> dict:
+# smallest eigenvalue, relative to the matrix scale, still counted as >= 0
+PSD_TOL = 1e-10
+
+
+def verify_bog_bounds(u, h0, W, basis: OccupationBasis) -> dict:
     """Finite-dimensional operator inequalities for the quadratic generator.
 
     Finds by bisection the smallest constants with
@@ -310,7 +315,7 @@ def verify_bog_bounds(u, h0, W, basis: OccupationBasis, psd_tol=1e-10) -> dict:
     scale = max(1.0, np.abs(Hd).max())
 
     def psd(mat):
-        return float(np.linalg.eigvalsh(mat)[0]) >= -psd_tol * scale
+        return float(np.linalg.eigvalsh(mat)[0]) >= -PSD_TOL * scale
 
     c_up = _bisect_smallest_constant(
         lambda c: psd((c * energy_form - Hd)[1:, 1:])
@@ -342,6 +347,6 @@ def verify_bog_bounds(u, h0, W, basis: OccupationBasis, psd_tol=1e-10) -> dict:
         "k2_frobenius": k2_f,
         "pairing_margin": pairing_margin,
         "commutator_margin": commutator_margin,
-        "pairing_ok": pairing_margin >= -psd_tol * max(1.0, k2_f * (basis.n_max + 2)),
-        "commutator_ok": commutator_margin >= -psd_tol * max(1.0, 2 * k2_f * (basis.n_max + 1)),
+        "pairing_ok": pairing_margin >= -PSD_TOL * max(1.0, k2_f * (basis.n_max + 2)),
+        "commutator_ok": commutator_margin >= -PSD_TOL * max(1.0, 2 * k2_f * (basis.n_max + 1)),
     }

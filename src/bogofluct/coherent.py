@@ -47,16 +47,20 @@ def _poisson_tail(lam: float, n_max: int) -> float:
     return max(0.0, 1.0 - total)
 
 
-def weyl_op(f: np.ndarray, basis: OccupationBasis, tail_tol: float = 1e-8) -> WeylOperator:
+# largest coherent-state mass beyond the truncation that weyl_op accepts
+TAIL_TOL = 1e-8
+
+
+def weyl_op(f: np.ndarray, basis: OccupationBasis) -> WeylOperator:
     """Displacement unitary; rejects f whose coherent tail leaks past the
-    truncation by more than tail_tol."""
+    truncation by more than TAIL_TOL."""
     f = np.asarray(f, dtype=complex)
     lam = float(np.linalg.norm(f)) ** 2
     if lam > basis.n_max / 4:
         raise ValueError(f"displacement too large: |f|^2={lam:.3g} > n_max/4")
     tail = _poisson_tail(lam, basis.n_max)
-    if tail > tail_tol:
-        raise ValueError(f"coherent tail {tail:.3e} beyond truncation exceeds {tail_tol:.1e}")
+    if tail > TAIL_TOL:
+        raise ValueError(f"coherent tail {tail:.3e} beyond truncation exceeds {TAIL_TOL:.1e}")
     a_f = annihilate_op(f, basis).mat
     gen = (a_f.conj().T - a_f).toarray()
     return WeylOperator(f, sla.expm(gen))
@@ -77,17 +81,14 @@ def coherent_state(f: np.ndarray, basis: OccupationBasis) -> FockVector:
     return FockVector(basis, math.exp(-lam / 2) * amps)
 
 
-def unprojected_hamiltonian(u, h0, W, basis: OccupationBasis,
-                            time: float | None = None) -> BogHamiltonian:
+def unprojected_hamiltonian(u, h0, W, basis: OccupationBasis) -> BogHamiltonian:
     """Quadratic generator with the bare kernels kept on the condensate
     directions; differs from the projected one whenever the interaction is
     nonzero."""
-    return bogoliubov_hamiltonian(u, h0, W, basis, projected=False, time=time)
+    return bogoliubov_hamiltonian(u, h0, W, basis, projected=False)
 
 
-def solve_coherent_fluct(xi0: FockVector, traj, h0, W, dt, t_grid=None,
-                         krylov_tol: float = 1e-12) -> FluctuationRun:
+def solve_coherent_fluct(xi0: FockVector, traj, h0, W, dt, t_grid=None) -> FluctuationRun:
     """Same midpoint stepper as the condensate-frame dynamics, with the bare
     kernels and no tangency requirement."""
-    return solve_bogoliubov(xi0, traj, h0, W, dt, t_grid=t_grid, projected=False,
-                            check_tangency=False, krylov_tol=krylov_tol)
+    return solve_bogoliubov(xi0, traj, h0, W, dt, t_grid=t_grid, projected=False)

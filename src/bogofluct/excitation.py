@@ -243,7 +243,7 @@ def assemble_r2(frame: ExcitationFrame, W, basis: OccupationBasis) -> SparseOper
                 lows[i].conj().T @ lows[j].conj().T @ lows[i] @ lows[j]
             )
     mat = mat / (2.0 * (frame.N - 1))
-    return SparseOperator(basis, mat.tocsr(), (0,))
+    return SparseOperator(basis, mat.tocsr())
 
 
 def leading_part(frame: ExcitationFrame, h0, W, basis: OccupationBasis) -> np.ndarray:

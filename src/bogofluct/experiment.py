@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bogoliubov import solve_bogoliubov
+from .bogoliubov import _bisect_smallest_constant, solve_bogoliubov
 from .coherent import solve_coherent_fluct
 from .config import ExperimentConfig
 from .csvio import write_csv
@@ -326,21 +326,13 @@ def _write_dict_rows(path, rows):
 
 
 def _gronwall_constant(times, ratio):
-    # smallest c with ratio(t) <= c*exp(c*t) for all t > 0 (monotone in c)
-    def ok(c):
-        return all(r <= c * math.exp(c * t) + 1e-12 for t, r in zip(times, ratio))
-    lo, hi = 0.0, 1.0
-    while not ok(hi):
-        hi *= 2.0
-        if hi > 1e6:
-            return float("inf")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # smallest c with ratio(t) <= c*exp(c*t) for all t > 0 (monotone in c);
+    # t = 0, where the ratio is 1, says nothing about the growth
+    points = [(t, r) for t, r in zip(times, ratio) if t > 0]
+    if not all(math.isfinite(r) for _, r in points):
+        raise RuntimeError("no finite Gronwall constant: the ratio is not finite")
+    return _bisect_smallest_constant(
+        lambda c: all(r <= c * math.exp(c * t) + 1e-12 for t, r in points))
 
 
 def compare_coherent(cfg: ExperimentConfig, write=True):

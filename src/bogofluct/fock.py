@@ -16,9 +16,12 @@ basis (CSRPattern): one for the band-(-2, 0, 2) operators dGamma(A),
 pairing(K) and their sum, one for the band-(-1) annihilators a(f).  A pattern
 is built on first use, and the particle-number band of each of its term
 blocks is checked once, then; a fill only computes the values and writes
-them into those verified positions.  Each value is computed as a one-shot
-assembly from index triplets would compute it, so a refilled operator is
-byte-identical to one assembled anew from triplets.
+them into those verified positions.  That build is the one place where the
+particle-number structure is checked: a SparseOperator is only a basis and a
+matrix, and the operators made without a pattern are diagonal (number_op,
+two_body_op) or products of ladder operators (two_body_general).  Each value
+is computed as a one-shot assembly from index triplets would compute it, so
+a refilled operator is byte-identical to one assembled anew from triplets.
 
 A parity block (OccupationBasis.parity_block) is the basis of the states of
 one total-number parity, kept in parent order.  The quadratic operators map
@@ -271,6 +274,13 @@ def _row_keys(occ) -> np.ndarray:
     return occ.view(np.dtype((np.void, occ.itemsize * occ.shape[1]))).ravel()
 
 
+def _check_band_entries(dn, band):
+    bad = ~np.isin(dn, np.asarray(band))
+    if np.any(bad):
+        seen = sorted(set(int(v) for v in dn[bad]))
+        raise ValueError(f"operator moves particle number by {seen}, declared {band}")
+
+
 class CSRPattern:
     """Sorted CSR index arrays of a fixed list of term blocks on one basis.
 
@@ -437,46 +447,38 @@ class SectorVector:
 
 
 class SparseOperator:
-    """Sparse operator on a truncated occupation basis.
+    """Sparse operator on a truncated occupation basis: the basis and its
+    CSR matrix.
 
-    ``band`` declares the particle-number changes the operator may make; the
-    declaration is verified when the operator is assembled, or once per
-    basis on the cached pattern that a quadratic-operator fill writes into.
-    Arithmetic on verified operators combines bands without re-verifying.
+    The particle-number structure is checked in one place, CSRPattern, when
+    a quadratic or annihilator pattern is built; the other constructions
+    (diagonal matrices, products of ladder operators) change the particle
+    number as their index structure dictates.
     """
 
-    def __init__(self, basis, mat, band, check: bool = True):
+    def __init__(self, basis, mat):
         self.basis = basis
         self.mat = mat
-        self.band = tuple(band)
-        if check:
-            _check_band(basis, mat, self.band)
 
     def apply(self, vec: FockVector) -> FockVector:
         return FockVector(vec.basis, self.mat @ vec.amplitudes)
 
     def dag(self) -> "SparseOperator":
-        return SparseOperator(
-            self.basis, self.mat.conj().T.tocsr(),
-            tuple(-b for b in self.band), check=False,
-        )
+        return SparseOperator(self.basis, self.mat.conj().T.tocsr())
 
     def __add__(self, other):
-        band = tuple(sorted(set(self.band) | set(other.band)))
-        return SparseOperator(self.basis, (self.mat + other.mat).tocsr(), band, check=False)
+        return SparseOperator(self.basis, (self.mat + other.mat).tocsr())
 
     def __sub__(self, other):
-        band = tuple(sorted(set(self.band) | set(other.band)))
-        return SparseOperator(self.basis, (self.mat - other.mat).tocsr(), band, check=False)
+        return SparseOperator(self.basis, (self.mat - other.mat).tocsr())
 
     def __mul__(self, scalar):
-        return SparseOperator(self.basis, self.mat * scalar, self.band, check=False)
+        return SparseOperator(self.basis, self.mat * scalar)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        band = tuple(sorted({a + b for a in self.band for b in other.band}))
-        return SparseOperator(self.basis, (self.mat @ other.mat).tocsr(), band, check=False)
+        return SparseOperator(self.basis, (self.mat @ other.mat).tocsr())
 
     def toarray(self) -> np.ndarray:
         return self.mat.toarray()
@@ -486,22 +488,7 @@ class SparseOperator:
         return abs(d).max() <= tol if d.nnz else True
 
     def __repr__(self):
-        return f"SparseOperator(size={self.mat.shape[0]}, nnz={self.mat.nnz}, band={self.band})"
-
-
-def _check_band(basis, mat, band):
-    coo = mat.tocoo()
-    if coo.nnz == 0:
-        return
-    totals = basis.totals()
-    _check_band_entries(totals[coo.row] - totals[coo.col], band)
-
-
-def _check_band_entries(dn, band):
-    bad = ~np.isin(dn, np.asarray(band))
-    if np.any(bad):
-        seen = sorted(set(int(v) for v in dn[bad]))
-        raise ValueError(f"operator moves particle number by {seen}, declared {band}")
+        return f"SparseOperator(size={self.mat.shape[0]}, nnz={self.mat.nnz})"
 
 
 def annihilate_op(f: np.ndarray, basis: OccupationBasis) -> SparseOperator:
@@ -511,7 +498,7 @@ def annihilate_op(f: np.ndarray, basis: OccupationBasis) -> SparseOperator:
         raise ValueError("one-particle vector has wrong length")
     values = {i: np.conj(f[i]) for i in range(basis.M) if f[i] != 0}
     mat = basis.lowering_pattern().fill(values, plus_zero=True)
-    return SparseOperator(basis, mat, (-1,) if mat.nnz else (0,), check=False)
+    return SparseOperator(basis, mat)
 
 
 def create_op(f: np.ndarray, basis: OccupationBasis) -> SparseOperator:
@@ -535,13 +522,14 @@ def _one_body_values(A, basis):
     return values
 
 
-def _pair_values(K, basis, lower: bool, tol: float | None = 1e-12):
+def _pair_values(K, basis, lower: bool):
     # raise block (i, j) holds 0.5 * coeff * amps, lower block its conjugate
     # as conj(0.5 * coeff) * amps: for real amps the two differ at most in
     # the sign of a zero part, which the +0.0 of every fill with lower
-    # blocks (a sparse sum of raise and lower) clears
+    # blocks (a sparse sum of raise and lower) clears; the Hermitian sum
+    # (lower) needs a symmetric kernel, the creation half takes any
     K = np.asarray(K, dtype=complex)
-    if tol is not None and np.max(np.abs(K - K.T)) > tol:
+    if lower and np.max(np.abs(K - K.T)) > 1e-12:
         raise ValueError("pairing kernel is not symmetric")
     values = {}
     for i in range(basis.M):
@@ -559,7 +547,7 @@ def dgamma(A: np.ndarray, basis: OccupationBasis) -> SparseOperator:
     """Second quantization of the one-body operator A: acts as sum_j A_j on
     each sector."""
     mat = basis.quadratic_pattern().fill(_one_body_values(A, basis))
-    return SparseOperator(basis, mat, (0,), check=False)
+    return SparseOperator(basis, mat)
 
 
 def quadratic_op(A: np.ndarray, K: np.ndarray, basis: OccupationBasis) -> SparseOperator:
@@ -567,32 +555,26 @@ def quadratic_op(A: np.ndarray, K: np.ndarray, basis: OccupationBasis) -> Sparse
     stored values equal those of the sparse sum of the two operators."""
     values = _one_body_values(A, basis)
     values.update(_pair_values(K, basis, lower=True))
-    mat = basis.quadratic_pattern().fill(values, plus_zero=True)
-    band = (-2, 0, 2) if any(k[0] == "raise" for k in values) else (0,)
-    return SparseOperator(basis, mat, band, check=False)
+    return SparseOperator(basis, basis.quadratic_pattern().fill(values, plus_zero=True))
 
 
 def number_op(basis: OccupationBasis) -> SparseOperator:
-    return SparseOperator(
-        basis, sp.diags(basis.totals().astype(complex), format="csr"), (0,)
-    )
+    return SparseOperator(basis, sp.diags(basis.totals().astype(complex), format="csr"))
 
 
-def pairing_op(K: np.ndarray, basis: OccupationBasis, tol: float = 1e-12) -> SparseOperator:
+def pairing_op(K: np.ndarray, basis: OccupationBasis) -> SparseOperator:
     """Hermitian pairing operator (1/2) sum_xy K[x,y] a_x^dag a_y^dag + h.c.
 
     K must be symmetric; the operator changes particle number by +-2.
     """
-    values = _pair_values(K, basis, lower=True, tol=tol)
-    mat = basis.quadratic_pattern().fill(values, plus_zero=True)
-    return SparseOperator(basis, mat, (-2, 2) if mat.nnz else (0,), check=False)
+    values = _pair_values(K, basis, lower=True)
+    return SparseOperator(basis, basis.quadratic_pattern().fill(values, plus_zero=True))
 
 
 def pairing_raise(K: np.ndarray, basis: OccupationBasis) -> SparseOperator:
     """Creation half of the pairing operator, (1/2) sum K[x,y] a_x^dag a_y^dag."""
-    values = _pair_values(K, basis, lower=False, tol=None)
-    mat = basis.quadratic_pattern().fill(values, drop_zeros=False)
-    return SparseOperator(basis, mat, (2,) if values else (0,), check=False)
+    values = _pair_values(K, basis, lower=False)
+    return SparseOperator(basis, basis.quadratic_pattern().fill(values, drop_zeros=False))
 
 
 def two_body_op(W: np.ndarray, basis: OccupationBasis) -> SparseOperator:
@@ -607,7 +589,7 @@ def two_body_op(W: np.ndarray, basis: OccupationBasis) -> SparseOperator:
         raise ValueError("two-body kernel is not symmetric")
     S = basis.states.astype(float)
     vals = 0.5 * (np.einsum("si,ij,sj->s", S, W, S) - S @ np.real(np.diag(W)))
-    return SparseOperator(basis, sp.diags(vals.astype(complex), format="csr"), (0,))
+    return SparseOperator(basis, sp.diags(vals.astype(complex), format="csr"))
 
 
 def two_body_general(B: np.ndarray, basis: OccupationBasis) -> SparseOperator:
@@ -632,7 +614,7 @@ def two_body_general(B: np.ndarray, basis: OccupationBasis) -> SparseOperator:
                         continue
                     Cmat = Cmat + B[i, j, k, l] * (raiser[i] @ raiser[j])
             mat = mat + 0.5 * (Cmat @ lowpair)
-    return SparseOperator(basis, mat.tocsr(), (0,))
+    return SparseOperator(basis, mat.tocsr())
 
 
 def sym_tensor(psi_k: SectorVector, psi_l: SectorVector) -> SectorVector:

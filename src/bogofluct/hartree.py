@@ -122,11 +122,15 @@ class HartreeTrajectory:
         write_csv(path, ["time", *re_im, "mu", "energy", "norm"], rows)
 
 
-def solve_hartree(u0, h0, W, T, dt, norm_tol=1e-6) -> HartreeTrajectory:
+# largest norm drift of an RK4 step before solve_hartree gives up
+NORM_TOL = 1e-6
+
+
+def solve_hartree(u0, h0, W, T, dt) -> HartreeTrajectory:
     """RK4 integration of the gauged Hartree equation on [0, T].
 
     Stores u, mu, energy and the exact derivative at every step.  Fails if the
-    measured norm drift exceeds norm_tol, which signals that dt is too large.
+    measured norm drift exceeds NORM_TOL, which signals that dt is too large.
     """
     u0 = np.asarray(u0, dtype=complex)
     if abs(np.linalg.norm(u0) - 1.0) > 1e-10:
@@ -157,9 +161,9 @@ def solve_hartree(u0, h0, W, T, dt, norm_tol=1e-6) -> HartreeTrajectory:
         k4 = _rhs(u + dt * k3, h0, W)
         u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         drift = abs(np.linalg.norm(u) - 1.0)
-        if drift > norm_tol:
+        if drift > NORM_TOL:
             raise RuntimeError(
-                f"norm drift {drift:.3e} at t={times[k + 1]:.4g} exceeds {norm_tol:.1e}; "
+                f"norm drift {drift:.3e} at t={times[k + 1]:.4g} exceeds {NORM_TOL:.1e}; "
                 f"reduce dt"
             )
     return HartreeTrajectory(times, u_hist, udot_hist, mu_hist, e_hist, h0, W)

@@ -72,15 +72,15 @@ def _tridiag_exp_col(alpha, beta, z):
     return U @ (np.exp(z * w) * U[0].conj())
 
 
-def propagate_substeps(H, v, t, dt_max, tol=1e-10, m_max=30, prefactor=-1j):
-    """exp(prefactor * t * H) v, substepping so no step exceeds dt_max."""
+def propagate_substeps(H, v, t, dt_max, tol=1e-10, m_max=30):
+    """exp(-i t H) v, substepping so no step exceeds dt_max."""
     if t == 0.0:
         return v.copy()
     n_sub = max(1, int(np.ceil(abs(t) / dt_max)))
     dt = t / n_sub
     out = v
     for _ in range(n_sub):
-        out = krylov_expm(H, out, prefactor * dt, tol=tol, m_max=m_max)
+        out = krylov_expm(H, out, -1j * dt, tol=tol, m_max=m_max)
     return out
 
 

@@ -53,13 +53,12 @@ def build_hamiltonian(h0, W, N: int, basis: OccupationBasis) -> NBodyHamiltonian
 
 
 def propagate_exact(H: NBodyHamiltonian, psi0: SectorVector, t_grid,
-                    dt_max: float = 0.1, tol: float = 1e-12, m_max: int = 30,
-                    norm_rate: float = 1e-9):
+                    dt_max: float = 0.1):
     """States at the grid times under the time-independent N-body Hamiltonian.
 
     Uses one dense eigendecomposition below DENSE_FALLBACK_DIM states and a
-    substepped Krylov exponential above; any norm drift beyond norm_rate per
-    unit time raises instead of being silently renormalized.
+    substepped Krylov exponential above; any norm drift beyond 1e-9 per unit
+    time raises instead of being silently renormalized.
     """
     if psi0.n != H.N:
         raise ValueError(f"initial state lives in sector {psi0.n}, expected {H.N}")
@@ -78,12 +77,12 @@ def propagate_exact(H: NBodyHamiltonian, psi0: SectorVector, t_grid,
         v = psi0.amplitudes.copy()
         t_prev = 0.0
         for t in t_grid:
-            v = propagate_substeps(H.mat, v, t - t_prev, dt_max, tol=tol, m_max=m_max)
+            v = propagate_substeps(H.mat, v, t - t_prev, dt_max, tol=1e-12)
             t_prev = t
             out.append(SectorVector(H.basis, H.N, v.copy()))
     for t, psi in zip(t_grid, out):
         drift = abs(psi.norm() - 1.0)
-        if drift > norm_rate * (1.0 + abs(t)):
+        if drift > 1e-9 * (1.0 + abs(t)):
             raise RuntimeError(
                 f"propagation norm drift {drift:.3e} at t={t:.4g} exceeds budget"
             )

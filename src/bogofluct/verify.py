@@ -30,17 +30,10 @@ from .excitation import (
     func_of_number_plus,
     leading_part,
 )
-from .fock import (
-    FockVector,
-    SectorVector,
-    annihilate_op,
-    create_op,
-    dgamma,
-    enumerate_basis,
-    two_body_op,
-)
+from .fock import FockVector, SectorVector, annihilate_op, create_op, enumerate_basis
 from .hartree import solve_hartree
 from .model import build_interaction, build_laplacian, build_lattice, gaussian_profile
+from .nbody import build_hamiltonian
 
 __all__ = ["IdentityCheck", "verify_algebra", "DEFAULT_SIZES"]
 
@@ -59,11 +52,11 @@ class IdentityCheck:
         return self.residual <= self.tol
 
 
-def _setup(M, N, n_max, seed, strength=0.8):
+def _setup(M, N, n_max, seed):
     rng = np.random.default_rng(seed)
     lattice = build_lattice(M, 1.0)
     h0 = build_laplacian(lattice)
-    W = build_interaction(lattice, gaussian_profile(strength, 1.0))
+    W = build_interaction(lattice, gaussian_profile(0.8, 1.0))
     basis = enumerate_basis(M, n_max)
     u = rng.normal(size=M) + 1j * rng.normal(size=M)
     u = u / np.linalg.norm(u)
@@ -94,8 +87,7 @@ def verify_algebra(sizes=DEFAULT_SIZES, seed=20240601) -> list:
 
         checks += _conjugation_identities(frame, basis, U, sl, rng, ctx)
 
-        HN = (dgamma(h0, basis) + (1.0 / (N - 1)) * two_body_op(W, basis)).mat
-        H_sector = HN[sl, sl].toarray()
+        H_sector = build_hamiltonian(h0, W, N, basis).mat.toarray()
         lead = leading_part(frame, h0, W, basis)
         r1 = assemble_r1(frame, h0, W, basis)
         r2 = assemble_r2(frame, W, basis).toarray()

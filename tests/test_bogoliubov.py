@@ -302,3 +302,16 @@ def test_bound_report_refuses_large_basis():
     with pytest.raises(ValueError):
         verify_bog_bounds(bump(lat), build_laplacian(lat),
                           build_interaction(lat, gaussian_profile(1.0, 1.0)), big)
+
+
+def test_projected_run_aborts_when_tangency_passes_its_bound():
+    lat, h0, W = setup_model(3, g=1.5)
+    basis = enumerate_basis(3, 4)
+    traj = solve_hartree(bump(lat), h0, W, T=0.5, dt=0.001)
+    vac = FockVector.vacuum(basis)
+    run = solve_bogoliubov(vac.copy(), traj, h0, W, dt=0.01, t_grid=[0.5])
+    reached = max(row[2] for row in run.diagnostics)
+    assert reached > 0.0
+    with pytest.raises(RuntimeError, match="tangency defect"):
+        solve_bogoliubov(vac.copy(), traj, h0, W, dt=0.01, t_grid=[0.5],
+                         tangency_tol=0.5 * reached)

@@ -142,3 +142,17 @@ def test_projected_and_bare_dynamics_separate():
     gap = np.linalg.norm(proj.states[0].amplitudes - bare.states[0].amplitudes)
     assert gap > 1e-3
     assert abs(bare.states[0].norm() - 1.0) < 1e-8
+
+
+def test_only_the_projected_run_requires_a_tangent_start():
+    # one quantum in the condensate mode: a(u0) of it has norm 1
+    lat, h0, W = setup_model(3, g=1.2)
+    basis = enumerate_basis(3, 6)
+    traj = solve_hartree(bump(lat), h0, W, T=0.2, dt=0.001)
+    start = create_op(traj.u[0], basis).apply(FockVector.vacuum(basis))
+    bare = solve_coherent_fluct(start.copy(), traj, h0, W, dt=0.01, t_grid=[0.1, 0.2])
+    assert len(bare.states) == 2
+    assert abs(bare.states[-1].norm() - 1.0) < 1e-8
+    assert bare.diagnostics[0][2] > 0.5  # tangency column, far above any bound
+    with pytest.raises(ValueError, match="initial state has tangency defect"):
+        solve_bogoliubov(start.copy(), traj, h0, W, dt=0.01, t_grid=[0.1, 0.2])

@@ -410,3 +410,27 @@ def test_programming_error_propagates_out_of_the_n_loop(monkeypatch):
     monkeypatch.setattr(experiment, "propagate_exact", broken)
     with pytest.raises(TypeError, match="bad argument"):
         run_convergence(ExperimentConfig(GATE_CASE), write=False)
+
+
+def test_gronwall_constant_fits_the_growth_after_t0():
+    from pathlib import Path
+
+    from bogofluct.config import load_config
+
+    cfg = load_config(Path(__file__).parent.parent / "demos" / "configs" / "desk_convergence.json")
+    series, summary = run_single(cfg, 6, write=False)
+    c = summary["gronwall_constant"]
+    # at t = 0 the ratio is 1, which used to hold the constant at 1 - 1e-12
+    assert c < 0.99
+    base = series[0]["expect_Nplus_plus1"]
+    for row in series[1:]:
+        assert row["time"] > 0
+        assert row["expect_Nplus_plus1"] / base <= c * np.exp(c * row["time"]) + 1e-12
+
+
+def test_gronwall_constant_refuses_a_ratio_with_no_finite_constant():
+    from bogofluct.experiment import _gronwall_constant
+
+    assert _gronwall_constant([0.0, 0.5], [1.0, 1.0]) < 1.0
+    with pytest.raises(RuntimeError, match="finite"):
+        _gronwall_constant([0.0, 0.5], [1.0, float("inf")])
