@@ -127,10 +127,12 @@ def tangency_defect(phi: FockVector, u: np.ndarray) -> float:
 
 @dataclass
 class FluctuationRun:
-    """States at the requested grid times plus per-step diagnostics rows."""
+    """States at the requested grid times, the energy form dGamma(1 + h0) on
+    the full basis, and per-step diagnostics rows."""
 
     times: np.ndarray
     states: list
+    energy_form: sp.csr_matrix
     diagnostics: list = field(default_factory=list)
 
     DIAG_COLUMNS = (
@@ -194,7 +196,7 @@ def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
     amps = phi.amplitudes[sel]
     t = 0.0
     states = []
-    run = FluctuationRun(t_grid, states)
+    run = FluctuationRun(t_grid, states, energy_form)
     run.diagnostics.append(_diag_row(0.0, phi, traj.u[0], h0, energy_form))
     for t_target in t_grid:
         if t_target < t - 1e-12:

@@ -18,7 +18,7 @@ from .coherent import solve_coherent_fluct
 from .config import ExperimentConfig
 from .csvio import write_csv
 from .excitation import ExcitationFrame, apply_u_n
-from .fock import FockVector, OccupationBasis, dgamma, enumerate_basis, hartree_block
+from .fock import FockVector, OccupationBasis, enumerate_basis, hartree_block
 from .hartree import solve_hartree
 from .model import relative_bound_constant
 from .nbody import ReducedDensity, build_hamiltonian, propagate_exact, reduced_density, trace_distance
@@ -131,7 +131,6 @@ class _Comparison:
         self.run = solve_bogoliubov(
             _layers_to_fock(self.phis, self.basis), self.traj, self.h0, self.W, cfg.dt_fock,
             t_grid=times, tangency_tol=max(1e-4, cfg.tolerances["tangency"]))
-        self.energy_form = dgamma(np.eye(self.basis.M) + self.h0, self.basis).mat
 
     def rows(self, N):
         """Build the N-particle state from the layers phi_0..phi_N, evolve it
@@ -154,7 +153,7 @@ class _Comparison:
             yield {
                 "time": t,
                 "err_norm": float(np.linalg.norm(delta)),
-                "err_energy_form": float(np.real(np.vdot(delta, self.energy_form @ delta))),
+                "err_energy_form": float(np.real(np.vdot(delta, self.run.energy_form @ delta))),
                 "trace_dist_k1": trace_distance(reduced_density(psi, 1), _condensate_density(u_t)),
                 "expect_Nplus": float(totals @ (np.abs(mapped.amplitudes) ** 2)),
                 "init_norm_deficit": deficit + abs(1.0 - cut_weight),

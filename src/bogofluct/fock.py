@@ -19,9 +19,10 @@ blocks is checked once, then; a fill only computes the values and writes
 them into those verified positions.  That build is the one place where the
 particle-number structure is checked: a SparseOperator is only a basis and a
 matrix, and the operators made without a pattern are diagonal (number_op,
-two_body_op) or products of ladder operators (two_body_general).  Each value
-is computed as a one-shot assembly from index triplets would compute it, so
-a refilled operator is byte-identical to one assembled anew from triplets.
+two_body_op) or products of ladder operators (two_body_general).  Every
+ladder amplitude is the square root of the exact integer product of its
+bosonic factors, a filled operator stores no exact zero, and the diagonal
+block starts at sector 1, since dGamma(A) vanishes on the vacuum.
 
 A parity block (OccupationBasis.parity_block) is the basis of the states of
 one total-number parity, kept in parent order.  The quadratic operators map
@@ -110,7 +111,6 @@ class OccupationBasis:
         self._blocks = {}
         self._keys = None
         self._lowering = None
-        self._low_struct = None
         self._quad_pattern = None
         self._low_pattern = None
 
@@ -181,62 +181,50 @@ class OccupationBasis:
         return sp.csr_matrix((amps, (dst, src)), shape=(self.size, self.size))
 
     def lowering_structure(self, i: int):
-        """Index pattern (rows, cols, amps) of a_i (cached): amplitude
-        sqrt(n_i) from each state with n_i > 0.  Refused on a parity block."""
+        """Index pattern (rows, cols, amps) of a_i: amplitude sqrt(n_i) from
+        each state with n_i > 0.  Refused on a parity block."""
         if self.parent_index is not None:
             raise ValueError(
                 "a_i changes the particle-number parity, so it does not act "
                 "within a parity block; use the parent basis"
             )
-        if self._low_struct is None:
-            self._low_struct = {}
-        if i not in self._low_struct:
-            src = np.nonzero(self.states[:, i] > 0)[0]
-            occ = self.states[src].copy()
-            occ[:, i] -= 1
-            amps = np.sqrt(self.states[src, i].astype(float))
-            self._low_struct[i] = (self.lookup(occ), src, amps)
-        return self._low_struct[i]
+        return self._ladder(down=(i,))
 
     def hop_structure(self, i: int, j: int):
-        """Index pattern (rows, cols, amps) of a_i^dag a_j for i != j.
-
-        Amplitude sqrt(n_j (n_i + 1)) from each state with n_j > 0.  The
-        pattern enters the cached quadratic-operator pattern of the basis,
-        whose band is checked once; dGamma of a one-body matrix then only
-        refills values.
-        """
-        src = np.nonzero(self.states[:, j] > 0)[0]
-        occ = self.states[src].copy()
-        occ[:, j] -= 1
-        occ[:, i] += 1
-        amps = np.sqrt(self.states[src, j].astype(float) * (self.states[src, i] + 1.0))
-        return self.lookup(occ), src, amps
+        """Index pattern (rows, cols, amps) of a_i^dag a_j for i != j:
+        amplitude sqrt(n_j (n_i + 1)) from each state with n_j > 0."""
+        return self._ladder(down=(j,), up=(i,))
 
     def pair_structure(self, i: int, j: int):
-        """Index pattern of the double raising a_i^dag a_j^dag, i <= j.
+        """Index pattern of the double raising a_i^dag a_j^dag, from each state
+        whose total lies at least two below the truncation."""
+        return self._ladder(up=(i, j))
 
-        Sources are the states whose total lies at least two below the
-        truncation; amplitudes carry the bosonic enhancement factors.
-        """
-        i0, j0 = min(i, j), max(i, j)
-        src = np.nonzero(self.totals() <= self.n_max - 2)[0]
-        occ = self.states[src].copy()
-        occ[:, j0] += 1
-        amps = np.sqrt(occ[:, j0].astype(float))
-        occ[:, i0] += 1
-        amps = amps * np.sqrt(occ[:, i0].astype(float))
-        return self.lookup(occ), src, amps
+    def _ladder(self, down=(), up=()):
+        # index pattern (rows, cols, amps) of prod a_up^dag prod a_down: the
+        # sources are the states every a_down acts on whose image stays in
+        # the truncation; amps is sqrt of the exact integer product of the
+        # bosonic factors
+        occ = self.states.copy()
+        factor = np.ones(self.size, dtype=np.int64)
+        for j in down:
+            factor *= occ[:, j]
+            occ[:, j] -= 1
+        for i in up:
+            occ[:, i] += 1
+            factor *= occ[:, i]
+        src = np.flatnonzero((factor > 0) & (self.totals() <= self.n_max + len(down) - len(up)))
+        return self.lookup(occ[src]), src, np.sqrt(factor[src].astype(float))
 
     def quadratic_pattern(self) -> "CSRPattern":
         """CSR pattern of the band-(-2, 0, 2) quadratic operators (cached).
 
-        Blocks in term order: "diag", ("hop", i, j) for i != j,
-        ("raise", i, j) and ("lower", i, j) for i <= j.  The index patterns
-        are built here and kept only inside the CSR pattern.
+        Blocks in term order: "diag" (from sector 1 on), ("hop", i, j) for
+        i != j, ("raise", i, j) and ("lower", i, j) for i <= j.  The index
+        patterns are built here and kept only inside the CSR pattern.
         """
         if self._quad_pattern is None:
-            rows = np.arange(self.size)
+            rows = np.arange(self.sector_offsets[1], self.size)
             blocks = [("diag", rows, rows, None, 0)]
             for i in range(self.M):
                 for j in range(self.M):
@@ -287,9 +275,11 @@ class CSRPattern:
     Each block is (key, rows, cols, amps, band): one index pattern, its
     amplitudes (None for a block whose values a fill passes in full) and the
     particle-number change it makes.  Every band is verified once, here.  The
-    blocks must not overlap, so every stored value is one term, never a sum.
-    A fill writes values into verified positions only and hands out fresh
-    index arrays, so the cached ones are never shared mutably.
+    blocks must not overlap, so every stored value is one term, never a sum,
+    and no amplitude may lie below 1, so a nonzero coefficient never makes a
+    zero entry.  The pattern has one layout, built here; a fill writes
+    values into it and hands out fresh index arrays, so the cached ones are
+    never shared mutably.
     """
 
     def __init__(self, basis: OccupationBasis, blocks):
@@ -298,7 +288,6 @@ class CSRPattern:
         totals = basis.totals()
         for key, r, c, amps, band in blocks:
             _check_band_entries(totals[r] - totals[c], (band,))
-            # then coeff * amps is an exact zero only when coeff is
             if amps is not None and np.any(amps < 1.0):
                 raise ValueError(f"block {key} has an amplitude below 1")
         order = np.lexsort((cols, rows))
@@ -316,76 +305,43 @@ class CSRPattern:
         self.slots = {
             k: pos[starts[k]:starts[k + 1]] for k, b in enumerate(blocks) if b[3] is None
         }
-        indptr = np.zeros(n + 1, dtype=idx)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        self._full = (
-            # block number and amplitude of each stored entry, in CSR order
-            np.repeat(np.arange(len(blocks), dtype=np.min_scalar_type(len(blocks))), sizes)[order],
-            np.concatenate([np.zeros(s) if b[3] is None else b[3]
-                            for s, b in zip(sizes, blocks)])[order],
-            c_sorted.astype(idx),
-            indptr,
-            {k: (slice(None), p) for k, p in self.slots.items()},
-        )
-        self.nnz = len(rows)
-        self._cut = (None, None)
+        # block number and amplitude of each stored entry, in CSR order
+        self.block_of = np.repeat(
+            np.arange(len(blocks), dtype=np.min_scalar_type(len(blocks))), sizes)[order]
+        self.amps = np.concatenate([np.zeros(s) if b[3] is None else b[3]
+                                    for s, b in zip(sizes, blocks)])[order]
+        self.indices = c_sorted.astype(idx)
+        self.indptr = np.zeros(n + 1, dtype=idx)
+        np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
 
-    def _layout(self, drop):
-        # the full layout with the sorted CSR positions in drop left out
-        # (cached for the last drop set: a time loop refills the same one)
-        if drop.size == 0:
-            return self._full
-        key = drop.tobytes()
-        if self._cut[0] != key:
-            block_of, amps, indices, indptr, _ = self._full
-            keep = np.ones(self.nnz, dtype=bool)
-            keep[drop] = False
-            slots = {}
-            for k, p in self.slots.items():
-                alive = keep[p]
-                slots[k] = (alive, p[alive] - np.searchsorted(drop, p[alive]))
-            self._cut = (key, (
-                block_of[keep], amps[keep], indices[keep],
-                (indptr - np.searchsorted(drop, indptr)).astype(indptr.dtype), slots,
-            ))
-        return self._cut[1]
-
-    def fill(self, values: dict, drop_zeros: bool = True,
-             plus_zero: bool = False) -> sp.csr_matrix:
-        """CSR matrix of the blocks named in values; the others are absent.
+    def fill(self, values: dict) -> sp.csr_matrix:
+        """CSR matrix of the blocks named in values; the others are 0.
 
         A scalar values[key] multiplies the block's amplitudes (as
         ``coeff * amps``); an array is the block's values in term order.
-        plus_zero adds complex zero to every value, as a sparse sum does (so
-        a -0.0 part becomes +0.0).  drop_zeros leaves out exact zeros, as a
-        sparse sum or eliminate_zeros does; without it every entry of a named
-        block is stored.
+        Exact zeros are not stored.  They can only come from a block left
+        out, a zero scalar or a zero in an array, so only then is the
+        matrix compacted.
         """
         coeff = np.zeros(len(self.block), dtype=complex)
-        gone = np.ones(len(self.block), dtype=bool)
+        has_zero = len(values) < len(self.block)
         full = []
         for key, val in values.items():
             k = self.block[key]
             if np.ndim(val):
                 full.append((k, val))
-                gone[k] = False
+                has_zero = has_zero or not np.all(val)
             else:
                 coeff[k] = val
-                gone[k] = drop_zeros and val == 0
-        block_of, amps = self._full[:2]
-        drops = [np.flatnonzero(gone[block_of])] if gone.any() else []
-        if drop_zeros:
-            drops += [self.slots[k][val == 0] for k, val in full]
-        drop = np.sort(np.concatenate(drops)) if drops else np.empty(0, dtype=np.int64)
-        block_of, amps, indices, indptr, slots = self._layout(drop)
-        data = coeff[block_of]
-        data *= amps
+                has_zero = has_zero or val == 0
+        data = coeff[self.block_of]
+        data *= self.amps
         for k, val in full:
-            alive, p = slots[k]
-            data[p] = val[alive]
-        if plus_zero:
-            data += 0.0
-        return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=self.shape)
+            data[self.slots[k]] = val
+        mat = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
+        if has_zero:
+            mat.eliminate_zeros()
+        return mat
 
 
 @dataclass
@@ -497,7 +453,7 @@ def annihilate_op(f: np.ndarray, basis: OccupationBasis) -> SparseOperator:
     if f.shape != (basis.M,):
         raise ValueError("one-particle vector has wrong length")
     values = {i: np.conj(f[i]) for i in range(basis.M) if f[i] != 0}
-    mat = basis.lowering_pattern().fill(values, plus_zero=True)
+    mat = basis.lowering_pattern().fill(values)
     return SparseOperator(basis, mat)
 
 
@@ -514,7 +470,7 @@ def _one_body_values(A, basis):
     M = basis.M
     if A.shape != (M, M):
         raise ValueError("one-body matrix has wrong shape")
-    values = {"diag": basis.states @ np.diagonal(A)}
+    values = {"diag": basis.states[basis.sector_offsets[1]:] @ np.diagonal(A)}
     for i in range(M):
         for j in range(M):
             if i != j and A[i, j] != 0:
@@ -524,10 +480,8 @@ def _one_body_values(A, basis):
 
 def _pair_values(K, basis, lower: bool):
     # raise block (i, j) holds 0.5 * coeff * amps, lower block its conjugate
-    # as conj(0.5 * coeff) * amps: for real amps the two differ at most in
-    # the sign of a zero part, which the +0.0 of every fill with lower
-    # blocks (a sparse sum of raise and lower) clears; the Hermitian sum
-    # (lower) needs a symmetric kernel, the creation half takes any
+    # conj(0.5 * coeff) * amps; the Hermitian sum (lower) needs a symmetric
+    # kernel, the creation half takes any
     K = np.asarray(K, dtype=complex)
     if lower and np.max(np.abs(K - K.T)) > 1e-12:
         raise ValueError("pairing kernel is not symmetric")
@@ -551,11 +505,10 @@ def dgamma(A: np.ndarray, basis: OccupationBasis) -> SparseOperator:
 
 
 def quadratic_op(A: np.ndarray, K: np.ndarray, basis: OccupationBasis) -> SparseOperator:
-    """dGamma(A) + pairing_op(K) in one fill of the quadratic pattern; the
-    stored values equal those of the sparse sum of the two operators."""
+    """dGamma(A) + pairing_op(K) in one fill of the quadratic pattern."""
     values = _one_body_values(A, basis)
     values.update(_pair_values(K, basis, lower=True))
-    return SparseOperator(basis, basis.quadratic_pattern().fill(values, plus_zero=True))
+    return SparseOperator(basis, basis.quadratic_pattern().fill(values))
 
 
 def number_op(basis: OccupationBasis) -> SparseOperator:
@@ -568,13 +521,13 @@ def pairing_op(K: np.ndarray, basis: OccupationBasis) -> SparseOperator:
     K must be symmetric; the operator changes particle number by +-2.
     """
     values = _pair_values(K, basis, lower=True)
-    return SparseOperator(basis, basis.quadratic_pattern().fill(values, plus_zero=True))
+    return SparseOperator(basis, basis.quadratic_pattern().fill(values))
 
 
 def pairing_raise(K: np.ndarray, basis: OccupationBasis) -> SparseOperator:
     """Creation half of the pairing operator, (1/2) sum K[x,y] a_x^dag a_y^dag."""
     values = _pair_values(K, basis, lower=False)
-    return SparseOperator(basis, basis.quadratic_pattern().fill(values, drop_zeros=False))
+    return SparseOperator(basis, basis.quadratic_pattern().fill(values))
 
 
 def two_body_op(W: np.ndarray, basis: OccupationBasis) -> SparseOperator:

@@ -155,7 +155,7 @@ def solve_hartree(u0, h0, W, T, dt) -> HartreeTrajectory:
         e_hist[k] = hartree_energy(u, h0, W)
         if k == n_steps:
             break
-        k1 = _rhs(u, h0, W)
+        k1 = udot_hist[k]
         k2 = _rhs(u + 0.5 * dt * k1, h0, W)
         k3 = _rhs(u + 0.5 * dt * k2, h0, W)
         k4 = _rhs(u + dt * k3, h0, W)

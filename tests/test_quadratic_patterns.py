@@ -136,12 +136,12 @@ def test_zero_coefficients_leave_blocks_out():
     # the vacuum diagonal entry of dGamma is an exact zero and is dropped
     d = dgamma(np.eye(3), basis).mat
     assert d.nnz == basis.size - 1 and d[0, 0] == 0
-    # a coefficient 0.5 * K that underflows to zero: the Hermitian sum drops
-    # the zeros, the creation half stores them, as triplet assembly did
+    # a coefficient 0.5 * K that underflows to zero: the Hermitian sum and
+    # the creation half both drop the zeros
     K = np.zeros((3, 3))
     K[0, 0] = 5e-324
     assert pairing_op(K, basis).mat.nnz == 0
-    assert pairing_raise(K, basis).mat.nnz == basis.pair_structure(0, 0)[0].size
+    assert pairing_raise(K, basis).mat.nnz == 0
 
 
 def test_pattern_checks_band_once_when_built():
@@ -170,3 +170,68 @@ def test_vectorized_lookup_matches_row_dict():
             basis.lookup(np.array(bad))
     with pytest.raises(KeyError):
         basis.index((0, 0, 7, 0))
+
+
+@pytest.mark.parametrize("M,n_max", [(2, 3), (3, 4), (4, 5)])
+def test_no_constructor_stores_an_exact_zero(M, n_max):
+    rng = np.random.default_rng(100 + 10 * M + n_max)
+    basis = enumerate_basis(M, n_max)
+    A, K, f = random_inputs(rng, M)
+    A_hops = A.copy()
+    A_hops[0, 1] = A_hops[M - 1, 0] = 0.0  # zeroed hops leave blocks out
+    A_cancel = A.copy()
+    A_cancel[np.diag_indices(M)] = 0.0
+    A_cancel[0, 0], A_cancel[1, 1] = 1.0, -1.0  # diagonal zero where n_0 == n_1
+    K_tiny = K.copy()
+    K_tiny[0, 0] = 5e-324  # 0.5 * K[0, 0] underflows to zero
+    f[0] = 0.0
+    low = sum(np.conj(f[i]) * L for i, L in enumerate(lowerings(basis)))
+    built = [(dgamma(B, basis), oracle_dgamma(B, basis)) for B in (A, A_hops, A_cancel)]
+    for kern in (K, K_tiny):
+        up = oracle_raise(kern, basis)
+        built += [(pairing_raise(kern, basis), up), (pairing_op(kern, basis), up + up.conj().T)]
+        # every block named: only the zero array value or the zero scalar
+        built += [(quadratic_op(B, kern, basis), oracle_dgamma(B, basis) + up + up.conj().T)
+                  for B in (A, A_cancel)]
+    built += [(annihilate_op(f, basis), low), (create_op(f, basis), low.conj().T)]
+    for op, ref in built:
+        assert np.all(op.mat.data != 0)
+        assert_matches(op, ref)
+
+
+def test_pattern_refuses_an_amplitude_below_one():
+    basis = enumerate_basis(2, 3)
+    dst, src, amps = basis.lowering_structure(0)
+    with pytest.raises(ValueError, match="amplitude below 1"):
+        CSRPattern(basis, [("a0", dst, src, 0.5 * amps, -1)])
+
+
+def expected_ladder(basis, down, up):
+    # the ladder pattern state by state, in Python integers
+    rows, cols, factors = [], [], []
+    for s, occ in enumerate(basis.states.tolist()):
+        factor = 1
+        for j in down:
+            factor *= occ[j]
+            occ[j] -= 1
+        for i in up:
+            occ[i] += 1
+            factor *= occ[i]
+        if factor > 0 and sum(occ) <= basis.n_max:
+            rows.append(basis.index(occ))
+            cols.append(s)
+            factors.append(factor)
+    return rows, cols, factors
+
+
+@pytest.mark.parametrize("M,n_max", [(1, 5), (3, 4), (4, 6)])
+def test_ladder_amplitudes_are_roots_of_integer_products(M, n_max):
+    basis = enumerate_basis(M, n_max)
+    cases = [(basis.lowering_structure(i), (i,), ()) for i in range(M)]
+    cases += [(basis.hop_structure(i, j), (j,), (i,))
+              for i in range(M) for j in range(M) if i != j]
+    cases += [(basis.pair_structure(i, j), (), (i, j)) for i in range(M) for j in range(i, M)]
+    for (dst, src, amps), down, up in cases:
+        rows, cols, factors = expected_ladder(basis, down, up)
+        assert dst.tolist() == rows and src.tolist() == cols
+        assert amps.tobytes() == np.sqrt(np.array(factors, dtype=float)).tobytes()
