@@ -7,8 +7,10 @@ part plus two remainder operators, and dense helpers for verifying all of the
 algebraic identities at small sizes.
 
 The forward map is applied frame-free: component j of the image is the
-zero-condensate-occupation projection of a(u)^(N-j)/sqrt((N-j)!) applied to
-the sector-N state, which is exact on the truncated basis.  Functions of the
+zero-condensate-occupation projection P0 of a(u)^(N-j)/sqrt((N-j)!) applied
+to the sector-N state, which is exact on the truncated basis.  One chain of
+N lowerings a(u)^m psi serves every layer, and each layer is one Horner pass
+of the normal-ordered series for P0 over it.  Functions of the
 excitation-number operator are realized by dense spectral calculus with the
 eigenvalues rounded to integers, so weights like sqrt(N - n) carry no series
 truncation error.
@@ -32,7 +34,6 @@ from .fock import (
     hartree_block,
     number_op,
     pairing_raise,
-    _project_out,
 )
 from .hartree import mean_field, mu_of
 from .linalg import integer_spectral_function
@@ -73,26 +74,32 @@ def apply_u_n(frame: ExcitationFrame, psi: SectorVector) -> FockVector:
     """Map a sector-N state to its excitation decomposition.
 
     The output has support on sectors 0..N, each annihilated by a(u); its norm
-    equals the input norm.
+    equals the input norm.  The lowerings a(u)^m psi, m = 0..N, are computed
+    once; layer j is a Horner pass of j raisings over them from m = N-j on,
+    scaled by 1/sqrt((N-j)!).
     """
-    basis = psi.basis
-    N = frame.N
-    if psi.n != N:
-        raise ValueError(f"expected a sector-{N} state, got sector {psi.n}")
+    if psi.n != frame.N:
+        raise ValueError(f"expected a sector-{frame.N} state, got sector {psi.n}")
+    return FockVector(psi.basis, _u_n(frame, psi.embed().amplitudes, psi.basis))
+
+
+def _u_n(frame: ExcitationFrame, amps: np.ndarray, basis: OccupationBasis) -> np.ndarray:
+    # apply_u_n on a (size,) vector or on a (size, dim) block of such columns
     low = annihilate_op(frame.u, basis).mat
     raise_u = low.conj().T.tocsr()
-    out = np.zeros(basis.size, dtype=complex)
-    cur = psi.embed().amplitudes
-    # k = N - j condensate quanta removed before projecting sector j
-    for k in range(N + 1):
-        j = N - k
-        if j <= basis.n_max:
-            comp = _project_out(low, raise_u, cur / math.sqrt(math.factorial(k)), basis.n_max)
-            sl = basis.sector_slice(j)
-            out[sl] = comp[sl]
-        if k < N:
-            cur = low @ cur
-    return FockVector(basis, out)
+    downs = [amps]
+    for _ in range(frame.N):
+        downs.append(low @ downs[-1])
+    out = np.zeros_like(amps)
+    for j in range(frame.N + 1):
+        # P0 = sum_m (-1)^m/m! a^dag(u)^m a(u)^m on a(u)^k psi, k = N - j
+        k = frame.N - j
+        acc = downs[-1]
+        for m in range(j - 1, -1, -1):
+            acc = downs[k + m] - (raise_u @ acc) / (m + 1)
+        sl = basis.sector_slice(j)
+        out[sl] = acc[sl] / math.sqrt(math.factorial(k))
+    return out
 
 
 def apply_u_n_star(frame: ExcitationFrame, phi: FockVector,
@@ -117,14 +124,10 @@ def apply_u_n_star(frame: ExcitationFrame, phi: FockVector,
 
 def dense_u_n(frame: ExcitationFrame, basis: OccupationBasis) -> np.ndarray:
     """Matrix of the excitation map from sector N into the full basis."""
-    N = frame.N
-    dim = basis.sector_dim(N)
-    cols = np.empty((basis.size, dim), dtype=complex)
-    for a in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[a] = 1.0
-        cols[:, a] = apply_u_n(frame, SectorVector(basis, N, e)).amplitudes
-    return cols
+    dim = basis.sector_dim(frame.N)
+    units = np.zeros((basis.size, dim), dtype=complex)
+    units[basis.sector_slice(frame.N)] = np.eye(dim)
+    return _u_n(frame, units, basis)
 
 
 def number_plus_op(u: np.ndarray, basis: OccupationBasis) -> SparseOperator:

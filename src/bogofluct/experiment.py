@@ -138,7 +138,7 @@ class _Comparison:
         time its comparison row against the fluctuation state, and the exact
         state's norm and energy."""
         basis = self.basis
-        layers = [self.phis[n] if n <= N else None for n in range(min(N, basis.n_max) + 1)]
+        layers = self.phis[:N + 1]
         cut_weight = math.fsum((p.norm() ** 2 if p is not None else 0.0) for p in layers)
         psi0 = hartree_block(self.u0, layers, basis)
         deficit = abs(1.0 - psi0.norm())

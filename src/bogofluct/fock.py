@@ -614,22 +614,13 @@ def project_out_mode(u: np.ndarray, vec: FockVector) -> FockVector:
     """
     low = annihilate_op(u, vec.basis).mat
     raise_u = low.conj().T.tocsr()
-    return FockVector(vec.basis, _project_out(low, raise_u, vec.amplitudes, vec.basis.n_max))
-
-
-def _project_out(low, raise_u, amps, n_max):
-    # project_out_mode on an amplitude array, with a(u) and a^dag(u) given
-    downs = [amps]
-    cur = amps
-    for _ in range(n_max):
-        cur = low @ cur
-        if np.linalg.norm(cur) == 0.0:
-            break
-        downs.append(cur)
+    downs = [vec.amplitudes]
+    for _ in range(vec.basis.n_max):
+        downs.append(low @ downs[-1])
     acc = downs[-1].copy()
-    for k in range(len(downs) - 2, -1, -1):
+    for k in range(vec.basis.n_max - 1, -1, -1):
         acc = downs[k] - (raise_u @ acc) / (k + 1)
-    return acc
+    return FockVector(vec.basis, acc)
 
 
 # largest ||a(u) phi_n|| / max(1, ||phi_n||) accepted as orthogonal to the

@@ -48,13 +48,13 @@ def krylov_expm(H, v, z, tol=1e-10, m_max=30):
         w = w - V[: j + 1].T @ np.conj(V[: j + 1] @ np.conj(w))
         b = np.linalg.norm(w)
         approx = _tridiag_exp_col(alpha[: j + 1], beta[:j], z)
-        cur = beta0 * (V[: j + 1].T @ approx)
-        if prev is not None and np.linalg.norm(cur - prev) <= tol * beta0:
-            return cur
-        if b <= 1e-13 * max(1.0, abs(a)):
-            # invariant subspace: the Krylov result is exact
-            return cur
-        prev = cur
+        # the rows of V are orthonormal, so two successive approximants
+        # differ by beta0 times the change of their coefficients
+        converged = prev is not None and np.linalg.norm(approx - np.append(prev, 0.0)) <= tol
+        if converged or b <= 1e-13 * max(1.0, abs(a)):
+            # converged, or an invariant subspace where the result is exact
+            return beta0 * (V[: j + 1].T @ approx)
+        prev = approx
         if j + 1 < m_max:
             beta[j] = b
             V[j + 1] = w / b

@@ -23,6 +23,7 @@ from bogofluct.fock import (
     dgamma,
     enumerate_basis,
     hartree_block,
+    project_out_mode,
     sym_tensor,
     two_body_op,
 )
@@ -290,3 +291,47 @@ def test_master_identity_with_interaction_variants():
         B = conjugated_hamiltonian(frame, h0, W, basis)
         resid = np.max(np.abs(HN[sl, sl].toarray() - U.conj().T @ B @ U))
         assert resid < 1e-10
+
+
+def _projected_layer(u, psi, j):
+    # the per-layer definition: P0 a(u)^k psi / sqrt(k!), k = N - j, in sector j
+    k = psi.n - j
+    low = annihilate_op(u, psi.basis)
+    vec = psi.embed()
+    for _ in range(k):
+        vec = low.apply(vec)
+    vec = FockVector(psi.basis, vec.amplitudes / math.sqrt(math.factorial(k)))
+    return project_out_mode(u, vec).sector(j)
+
+
+@pytest.mark.parametrize("M, n_max, N, u_is_mode", [
+    (2, 4, 4, False), (3, 5, 3, False), (3, 5, 5, True), (4, 4, 2, False), (2, 6, 6, True),
+])
+def test_map_matches_per_layer_projection(M, n_max, N, u_is_mode):
+    # the shared lowering chain against one projector call per layer; with
+    # u a mode vector and at most N - 2 quanta in that mode, the chain
+    # vanishes after N - 2 lowerings
+    basis = enumerate_basis(M, n_max)
+    rng = np.random.default_rng(20 + 7 * M + N)
+    amps = random_unit(rng, basis.sector_dim(N))
+    if u_is_mode:
+        u = np.eye(M, dtype=complex)[1]
+        amps[basis.states[basis.sector_slice(N)][:, 1] > N - 2] = 0.0
+    else:
+        u = random_unit(rng, M)
+    psi = SectorVector(basis, N, amps)
+    phi = apply_u_n(ExcitationFrame(u, N), psi)
+    for j in range(N + 1):
+        assert np.max(np.abs(phi.sector(j) - _projected_layer(u, psi, j))) < 1e-13
+    for n in range(N + 1, n_max + 1):
+        assert not phi.sector(n).any()
+
+
+@pytest.mark.parametrize("M, n_max, N", [(2, 3, 3), (3, 4, 2), (3, 5, 4)])
+def test_dense_map_columns_equal_mapped_unit_vectors(M, n_max, N):
+    basis = enumerate_basis(M, n_max)
+    frame = ExcitationFrame(random_unit(np.random.default_rng(40 + M + N), M), N)
+    U = dense_u_n(frame, basis)
+    units = np.eye(basis.sector_dim(N))
+    for a, e in enumerate(units):
+        assert np.array_equal(U[:, a], apply_u_n(frame, SectorVector(basis, N, e)).amplitudes)
