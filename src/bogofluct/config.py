@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .fock import ORTH_TOL, OccupationBasis, SectorVector, annihilate_op
+from .fock import OccupationBasis, SectorVector, hartree_block
 from .model import (
     ModeBasis,
     build_interaction,
@@ -49,10 +49,15 @@ DEFAULTS = {
     "output_dir": "bogofluct_out",
 }
 
-# keys allowed inside the nested sections, by path from the top
+# keys allowed inside the nested sections, by path from the top; a section
+# with kinds allows the union of its kinds' keys, because _merge carries the
+# default kind's keys into every kind
 NESTED_KEYS = {
     ("model",): set(DEFAULTS["model"]),
     ("model", "interaction"): {"kind", "params"},
+    ("model", "interaction", "params"): {"strength", "range", "c", "values"},
+    ("u0",): {"kind", "index", "center", "width", "re", "im"},
+    ("phi0",): {"kind", "sectors"},
     ("tolerances",): set(DEFAULTS["tolerances"]),
     ("rate_gate",): {"band", "require_monotone", "at_time"},
 }
@@ -123,6 +128,12 @@ class ExperimentConfig:
             raise ValueError("output times must lie in [0, T]")
         if sorted(self.output_times) != self.output_times:
             raise ValueError("output times must be nondecreasing")
+        band = (self.rate_gate or {}).get("band")
+        if band is not None and not (
+                isinstance(band, (list, tuple)) and len(band) == 2
+                and all(isinstance(v, (int, float)) and math.isfinite(v) for v in band)
+                and band[0] <= band[1]):
+            raise ValueError(f"rate_gate.band must be two finite numbers lo <= hi, got {band!r}")
         if self.rate_gate and "at_time" in self.rate_gate:
             if float(self.rate_gate["at_time"]) not in self.output_times:
                 raise ValueError(
@@ -220,13 +231,7 @@ class ExperimentConfig:
         total = math.fsum((p.norm() ** 2 if p is not None else 0.0) for p in phis)
         if abs(total - 1.0) > 1e-8:
             raise ValueError(f"excitation layers have total weight {total}, need 1 +- 1e-8")
-        low = annihilate_op(u0, basis).mat
-        for n, p in enumerate(phis):
-            if p is None or n == 0:
-                continue
-            defect = np.linalg.norm(low @ p.embed().amplitudes)
-            if defect > ORTH_TOL * max(1.0, p.norm()):
-                raise ValueError(f"phi_{n} is not orthogonal to the condensate")
+        hartree_block(u0, phis, basis)  # refuses a layer not orthogonal to u0
         return phis
 
     def resolved_json(self) -> str:

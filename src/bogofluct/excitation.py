@@ -10,7 +10,9 @@ The forward map is applied frame-free: component j of the image is the
 zero-condensate-occupation projection P0 of a(u)^(N-j)/sqrt((N-j)!) applied
 to the sector-N state, which is exact on the truncated basis.  One chain of
 N lowerings a(u)^m psi serves every layer, and each layer is one Horner pass
-of the normal-ordered series for P0 over it.  Functions of the
+of the normal-ordered series for P0 over it.  Every product is with a sector
+block of a(u) or a^dag(u) (fock.sector_lowerings) on sector-sized vectors;
+only the layers are written into a full-basis vector.  Functions of the
 excitation-number operator are realized by dense spectral calculus with the
 eigenvalues rounded to integers, so weights like sqrt(N - n) carry no series
 truncation error.
@@ -34,6 +36,7 @@ from .fock import (
     hartree_block,
     number_op,
     pairing_raise,
+    sector_lowerings,
 )
 from .hartree import mean_field, mu_of
 from .linalg import integer_spectral_function
@@ -80,25 +83,24 @@ def apply_u_n(frame: ExcitationFrame, psi: SectorVector) -> FockVector:
     """
     if psi.n != frame.N:
         raise ValueError(f"expected a sector-{frame.N} state, got sector {psi.n}")
-    return FockVector(psi.basis, _u_n(frame, psi.embed().amplitudes, psi.basis))
+    return FockVector(psi.basis, _u_n(frame, psi.amplitudes, psi.basis))
 
 
 def _u_n(frame: ExcitationFrame, amps: np.ndarray, basis: OccupationBasis) -> np.ndarray:
-    # apply_u_n on a (size,) vector or on a (size, dim) block of such columns
-    low = annihilate_op(frame.u, basis).mat
-    raise_u = low.conj().T.tocsr()
-    downs = [amps]
-    for _ in range(frame.N):
-        downs.append(low @ downs[-1])
-    out = np.zeros_like(amps)
+    # apply_u_n on sector-N amplitudes: a (dim,) vector or a (dim, cols) block
+    low = sector_lowerings(frame.u, basis, frame.N)
+    up = [None] + [b.conj().T for b in low[1:]]  # up[n] raises sector n-1 to n
+    downs = [amps]  # downs[m] = a(u)^m psi, in sector N - m
+    for n in range(frame.N, 0, -1):
+        downs.append(low[n] @ downs[-1])
+    out = np.zeros((basis.size,) + amps.shape[1:], dtype=complex)
     for j in range(frame.N + 1):
         # P0 = sum_m (-1)^m/m! a^dag(u)^m a(u)^m on a(u)^k psi, k = N - j
         k = frame.N - j
         acc = downs[-1]
         for m in range(j - 1, -1, -1):
-            acc = downs[k + m] - (raise_u @ acc) / (m + 1)
-        sl = basis.sector_slice(j)
-        out[sl] = acc[sl] / math.sqrt(math.factorial(k))
+            acc = downs[k + m] - (up[j - m] @ acc) / (m + 1)
+        out[basis.sector_slice(j)] = acc / math.sqrt(math.factorial(k))
     return out
 
 
@@ -124,10 +126,7 @@ def apply_u_n_star(frame: ExcitationFrame, phi: FockVector,
 
 def dense_u_n(frame: ExcitationFrame, basis: OccupationBasis) -> np.ndarray:
     """Matrix of the excitation map from sector N into the full basis."""
-    dim = basis.sector_dim(frame.N)
-    units = np.zeros((basis.size, dim), dtype=complex)
-    units[basis.sector_slice(frame.N)] = np.eye(dim)
-    return _u_n(frame, units, basis)
+    return _u_n(frame, np.eye(basis.sector_dim(frame.N), dtype=complex), basis)
 
 
 def number_plus_op(u: np.ndarray, basis: OccupationBasis) -> SparseOperator:

@@ -24,6 +24,11 @@ ladder amplitude is the square root of the exact integer product of its
 bosonic factors, a filled operator stores no exact zero, and the diagonal
 block starts at sector 1, since dGamma(A) vanishes on the vacuum.
 
+a(f) lowers the total by exactly one, so sector_lowerings cuts it into its
+blocks from sector n to n-1, and their adjoints are the raisings.  The
+condensate block construction (hartree_block) and the excitation map apply
+a(u) and a^dag(u) only through these blocks, on sector-sized vectors.
+
 A parity block (OccupationBasis.parity_block) is the basis of the states of
 one total-number parity, kept in parent order.  The quadratic operators map
 it to itself, so their patterns and fills serve it as they serve a full
@@ -46,6 +51,7 @@ __all__ = [
     "SparseOperator",
     "create_op",
     "annihilate_op",
+    "sector_lowerings",
     "dgamma",
     "number_op",
     "pairing_op",
@@ -334,7 +340,7 @@ class CSRPattern:
             else:
                 coeff[k] = val
                 has_zero = has_zero or val == 0
-        data = coeff[self.block_of]
+        data = np.take(coeff, self.block_of)
         data *= self.amps
         for k, val in full:
             data[self.slots[k]] = val
@@ -455,6 +461,14 @@ def annihilate_op(f: np.ndarray, basis: OccupationBasis) -> SparseOperator:
     values = {i: np.conj(f[i]) for i in range(basis.M) if f[i] != 0}
     mat = basis.lowering_pattern().fill(values)
     return SparseOperator(basis, mat)
+
+
+def sector_lowerings(f: np.ndarray, basis: OccupationBasis, top: int) -> list:
+    """Blocks of annihilate_op(f, basis).mat from sector n to n-1 at index n,
+    n = 1..top (index 0 is None); low[n].conj().T raises sector n-1 to n."""
+    low = annihilate_op(f, basis).mat
+    return [None] + [low[basis.sector_slice(n - 1), basis.sector_slice(n)]
+                     for n in range(1, top + 1)]
 
 
 def create_op(f: np.ndarray, basis: OccupationBasis) -> SparseOperator:
@@ -639,9 +653,8 @@ def hartree_block(u: np.ndarray, phis, basis: OccupationBasis,
     N = len(phis) - 1
     if N > basis.n_max:
         raise ValueError(f"target sector {N} exceeds truncation {basis.n_max}")
-    low = annihilate_op(u, basis).mat
-    raise_u = low.conj().T.tocsr()
-    total = np.zeros(basis.size, dtype=complex)
+    low = sector_lowerings(u, basis, N)
+    total = np.zeros(basis.sector_dim(N), dtype=complex)
     for n, phi in enumerate(phis):
         if phi is None:
             continue
@@ -650,13 +663,13 @@ def hartree_block(u: np.ndarray, phis, basis: OccupationBasis,
         nrm = phi.norm()
         if nrm == 0.0:
             continue
-        w = phi.embed().amplitudes
-        if n >= 1 and np.linalg.norm(low @ w) > orth_tol * max(1.0, nrm):
+        w = phi.amplitudes
+        if n >= 1 and np.linalg.norm(low[n] @ w) > orth_tol * max(1.0, nrm):
             raise ValueError(f"phi_{n} is not orthogonal to the condensate mode")
         for k in range(1, N - n + 1):
-            w = (raise_u @ w) / math.sqrt(k)
+            w = (low[n + k].conj().T @ w) / math.sqrt(k)
         total += w
-    return SectorVector(basis, N, total[basis.sector_slice(N)])
+    return SectorVector(basis, N, total)
 
 
 def sector_to_dense(psi: SectorVector) -> np.ndarray:

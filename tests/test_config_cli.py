@@ -434,3 +434,36 @@ def test_gronwall_constant_refuses_a_ratio_with_no_finite_constant():
     assert _gronwall_constant([0.0, 0.5], [1.0, 1.0]) < 1.0
     with pytest.raises(RuntimeError, match="finite"):
         _gronwall_constant([0.0, 0.5], [1.0, float("inf")])
+
+
+@pytest.mark.parametrize("section,patch", [
+    ("u0", {"u0": {"kind": "gaussian", "widht": 2}}),
+    ("model.interaction.params", {"model": {"interaction": {
+        "kind": "gaussian", "params": {"strength": 0.5, "rnage": 3}}}}),
+    ("phi0", {"phi0": {"kind": "vacuum", "sector": {}}}),
+])
+def test_typos_in_kind_sections_rejected(section, patch):
+    doc = json.loads(json.dumps(TINY))
+    doc.update(patch)
+    with pytest.raises(ValueError, match=f"unknown config keys in {section}:"):
+        ExperimentConfig(doc)
+
+
+@pytest.mark.parametrize("band", [5, [0.5], [-0.3, -0.7], [-0.7, float("nan")],
+                                  [-0.7, float("inf")], ["-0.7", -0.3]])
+def test_malformed_rate_band_rejected_at_load(band):
+    # a band that is not two finite numbers lo <= hi used to load and fail
+    # only after the whole run
+    doc = json.loads(json.dumps(TINY))
+    doc["rate_gate"] = {"band": band, "at_time": 0.5}
+    with pytest.raises(ValueError, match="rate_gate.band"):
+        ExperimentConfig(doc)
+
+
+def test_table_condensate_and_point_band_still_load():
+    # u0 keys of a kind other than the default's, and a band with lo == hi
+    doc = json.loads(json.dumps(TINY))
+    doc["u0"] = {"kind": "table", "re": [1.0, 0.0, 0.0], "im": [0.0, 0.0, 0.0]}
+    doc["rate_gate"] = {"band": [-1, -1]}
+    cfg = ExperimentConfig(doc)
+    assert np.array_equal(cfg.condensate(cfg.lattice()), [1.0, 0.0, 0.0])

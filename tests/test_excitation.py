@@ -335,3 +335,61 @@ def test_dense_map_columns_equal_mapped_unit_vectors(M, n_max, N):
     units = np.eye(basis.sector_dim(N))
     for a, e in enumerate(units):
         assert np.array_equal(U[:, a], apply_u_n(frame, SectorVector(basis, N, e)).amplitudes)
+
+
+def _full_basis_u_n(u, N, amps, basis):
+    # the map on full-basis vectors or column blocks, every product with the
+    # whole a(u) or a^dag(u)
+    low = annihilate_op(u, basis).mat
+    raise_u = low.conj().T.tocsr()
+    downs = [amps]
+    for _ in range(N):
+        downs.append(low @ downs[-1])
+    out = np.zeros_like(amps)
+    for j in range(N + 1):
+        k = N - j
+        acc = downs[-1]
+        for m in range(j - 1, -1, -1):
+            acc = downs[k + m] - (raise_u @ acc) / (m + 1)
+        sl = basis.sector_slice(j)
+        out[sl] = acc[sl] / math.sqrt(math.factorial(k))
+    return out
+
+
+def _full_basis_hartree_block(u, phis, basis):
+    # sum_n a^dag(u)^(N-n)/sqrt((N-n)!) phi_n with full-basis raisings
+    raise_u = annihilate_op(u, basis).mat.conj().T.tocsr()
+    N = len(phis) - 1
+    total = np.zeros(basis.size, dtype=complex)
+    for n, phi in enumerate(phis):
+        w = phi.embed().amplitudes
+        for k in range(1, N - n + 1):
+            w = (raise_u @ w) / math.sqrt(k)
+        total += w
+    return total[basis.sector_slice(N)]
+
+
+@pytest.mark.parametrize("M, n_max, N, zero_mode", [
+    (2, 4, 4, None), (3, 6, 4, 1), (4, 5, 3, None),
+])
+def test_sector_blocks_equal_the_full_basis_products(M, n_max, N, zero_mode):
+    # the map, its dense matrix and the block builder run on sector blocks of
+    # a(u); every entry equals the full-basis computation bit for bit
+    basis = enumerate_basis(M, n_max)
+    rng = np.random.default_rng(60 + 7 * M + N)
+    u = random_unit(rng, M)
+    if zero_mode is not None:
+        u[zero_mode] = 0.0
+        u /= np.linalg.norm(u)
+    frame = ExcitationFrame(u, N)
+    psi = SectorVector(basis, N, random_unit(rng, basis.sector_dim(N)))
+    ref = _full_basis_u_n(u, N, psi.embed().amplitudes, basis)
+    assert np.array_equal(apply_u_n(frame, psi).amplitudes, ref)
+
+    units = np.zeros((basis.size, basis.sector_dim(N)), dtype=complex)
+    units[basis.sector_slice(N)] = np.eye(basis.sector_dim(N))
+    assert np.array_equal(dense_u_n(frame, basis), _full_basis_u_n(u, N, units, basis))
+
+    phis = [SectorVector(basis, j, ref[basis.sector_slice(j)]) for j in range(N + 1)]
+    built = hartree_block(u, phis, basis).amplitudes
+    assert np.array_equal(built, _full_basis_hartree_block(u, phis, basis))

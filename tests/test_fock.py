@@ -18,6 +18,7 @@ from bogofluct.fock import (
     pairing_op,
     project_out_mode,
     save_vector,
+    sector_lowerings,
     sector_to_dense,
     sym_tensor,
     two_body_op,
@@ -335,6 +336,24 @@ def test_hartree_block_rejects_nonorthogonal():
     phis = [None, SectorVector(b, 1, u.copy()), None]
     with pytest.raises(ValueError):
         hartree_block(u, phis, b)
+
+
+@pytest.mark.parametrize("M, n_max, zero_mode", [(2, 4, None), (3, 6, 1), (4, 5, None)])
+def test_sector_lowerings_are_the_sector_blocks_of_a(M, n_max, zero_mode):
+    b = enumerate_basis(M, n_max)
+    u = random_unit(np.random.default_rng(16 + M), M)
+    if zero_mode is not None:
+        u[zero_mode] = 0.0
+        u /= np.linalg.norm(u)
+    full = annihilate_op(u, b).mat
+    dense = full.toarray()
+    low = sector_lowerings(u, b, n_max)
+    assert len(low) == n_max + 1 and low[0] is None
+    for n in range(1, n_max + 1):
+        block = dense[b.sector_slice(n - 1), b.sector_slice(n)]
+        assert np.array_equal(low[n].toarray(), block)
+    assert sum(blk.nnz for blk in low[1:]) == full.nnz
+    assert sector_lowerings(u, b, 0) == [None]
 
 
 # -------------------------------------------------------------- serialization
