@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .csvio import write_csv
@@ -144,14 +145,14 @@ class FluctuationRun:
         write_csv(path, self.DIAG_COLUMNS, self.diagnostics)
 
 
-def _diag_row(t, phi: FockVector, u, h0, energy_form_diag):
+def _diag_row(t, phi: FockVector, u, energy_form):
     sector_norms = phi.sector_norms()
     n_max = phi.basis.n_max
     leakage = float(np.sum(sector_norms[max(0, n_max - 1):] ** 2))
     totals = phi.basis.totals()
     p = np.abs(phi.amplitudes) ** 2
     expect_n = float(totals @ p)
-    expect_energy = float(np.real(np.vdot(phi.amplitudes, energy_form_diag @ phi.amplitudes)))
+    expect_energy = float(np.real(np.vdot(phi.amplitudes, energy_form @ phi.amplitudes)))
     profile = [float(sector_norms[n]) if n <= n_max else 0.0 for n in range(7)]
     return [t, phi.norm(), tangency_defect(phi, u), expect_n, expect_energy,
             leakage, *profile]
@@ -197,7 +198,7 @@ def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
     t = 0.0
     states = []
     run = FluctuationRun(t_grid, states, energy_form)
-    run.diagnostics.append(_diag_row(0.0, phi, traj.u[0], h0, energy_form))
+    run.diagnostics.append(_diag_row(0.0, phi, traj.u[0], energy_form))
     for t_target in t_grid:
         if t_target < t - 1e-12:
             raise ValueError("t_grid must be nondecreasing from zero")
@@ -212,7 +213,7 @@ def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
             phi.amplitudes[sel] = amps
             t += step
             u_now = traj.interpolate(t)
-            row = _diag_row(t, phi, u_now, h0, energy_form)
+            row = _diag_row(t, phi, u_now, energy_form)
             run.diagnostics.append(row)
             if projected and row[2] > tangency_tol:
                 raise RuntimeError(
@@ -268,28 +269,6 @@ def _sector_view(phi: FockVector, n: int):
     return SectorVector(phi.basis, n, phi.sector(n).copy())
 
 
-def _bisect_smallest_constant(check):
-    # smallest c >= 0 with check(c) true, to relative 1e-4, assuming
-    # monotonicity in c
-    if check(0.0):
-        return 0.0
-    hi = 1.0
-    doublings = 0
-    while not check(hi):
-        hi *= 2.0
-        doublings += 1
-        if doublings > 60:
-            raise RuntimeError("no finite constant found")
-    lo = 0.0 if hi == 1.0 else hi / 2.0
-    while hi - lo > 1e-4 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if check(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 # smallest eigenvalue, relative to the matrix scale, still counted as >= 0
 PSD_TOL = 1e-10
 
@@ -297,34 +276,33 @@ PSD_TOL = 1e-10
 def verify_bog_bounds(u, h0, W, basis: OccupationBasis) -> dict:
     """Finite-dimensional operator inequalities for the quadratic generator.
 
-    Finds by bisection the smallest constants with
+    Computes the smallest constants with
       c_up * dGamma(I + h0) - H >= 0   on the vacuum complement, and
       H - dGamma(h0) + c_low (N+1) >= 0,
-    and checks the pairing and number-commutator bounds with the explicit
-    Frobenius-norm constants.  The vacuum is excluded from the upper bound
-    because the pairing term couples it to two-quantum states with a fixed
-    amplitude while the energy form vanishes on it, so no finite multiple
-    dominates there (the untruncated bound carries an additive constant for
-    the same reason).  Dense eigensolves; refuses large bases.
+    as extreme eigenvalues of two generalized eigenproblems, and checks the
+    pairing and number-commutator bounds with the explicit Frobenius-norm
+    constants.  I + h0 must be positive definite.  The vacuum is excluded
+    from the upper bound because the pairing term couples it to two-quantum
+    states with a fixed amplitude while the energy form vanishes on it, so no
+    finite multiple dominates there (the untruncated bound carries an
+    additive constant for the same reason).  Dense eigensolves; refuses large
+    bases.
     """
     if basis.size > 5000:
         raise ValueError("verification basis too large (limit 5000 states)")
+    if np.linalg.eigvalsh(np.eye(basis.M) + h0)[0] <= 0.0:
+        raise ValueError("I + h0 is not positive definite")
     bog = bogoliubov_hamiltonian(u, h0, W, basis)
     Hd = bog.op.toarray()
     energy_form = dgamma(np.eye(basis.M) + h0, basis).toarray()
     kinetic_form = dgamma(h0, basis).toarray()
     nvals = basis.totals().astype(float)
-    scale = max(1.0, np.abs(Hd).max())
 
-    def psd(mat):
-        return float(np.linalg.eigvalsh(mat)[0]) >= -PSD_TOL * scale
-
-    c_up = _bisect_smallest_constant(
-        lambda c: psd((c * energy_form - Hd)[1:, 1:])
-    )
-    c_low = _bisect_smallest_constant(
-        lambda c: psd(Hd - kinetic_form + c * np.diag(nvals + 1.0))
-    )
+    # c_up = lambda_max(H, E) on the vacuum complement,
+    # c_low = -lambda_min(H - dGamma(h0), N + 1)
+    c_up = max(0.0, float(sla.eigh(Hd[1:, 1:], energy_form[1:, 1:], eigvals_only=True)[-1]))
+    c_low = max(0.0, float(-sla.eigh(Hd - kinetic_form, np.diag(nvals + 1.0),
+                                     eigvals_only=True)[0]))
 
     k2_f = bog.kernels.k2_frobenius
     pair = pairing_op(bog.kernels.k2, basis).toarray()

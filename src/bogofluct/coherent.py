@@ -70,14 +70,8 @@ def coherent_state(f: np.ndarray, basis: OccupationBasis) -> FockVector:
     """Closed-form amplitudes exp(-|f|^2/2) prod f_i^{s_i}/sqrt(s_i!)."""
     f = np.asarray(f, dtype=complex)
     lam = float(np.linalg.norm(f)) ** 2
-    amps = np.empty(basis.size, dtype=complex)
-    for idx, occ in enumerate(basis.states):
-        val = 1.0 + 0.0j
-        for fi, c in zip(f, occ):
-            c = int(c)
-            if c:
-                val *= fi**c / math.sqrt(math.factorial(c))
-        amps[idx] = val
+    F = np.concatenate([basis.sector_factorials(n) for n in range(basis.n_max + 1)])
+    amps = np.prod(f ** basis.states, axis=1) / np.sqrt(F.astype(float))
     return FockVector(basis, math.exp(-lam / 2) * amps)
 
 

@@ -134,6 +134,9 @@ class ExperimentConfig:
                 and all(isinstance(v, (int, float)) and math.isfinite(v) for v in band)
                 and band[0] <= band[1]):
             raise ValueError(f"rate_gate.band must be two finite numbers lo <= hi, got {band!r}")
+        monotone = (self.rate_gate or {}).get("require_monotone", False)
+        if not isinstance(monotone, bool):
+            raise ValueError(f"rate_gate.require_monotone must be true or false, got {monotone!r}")
         if self.rate_gate and "at_time" in self.rate_gate:
             if float(self.rate_gate["at_time"]) not in self.output_times:
                 raise ValueError(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .bogoliubov import build_kernels, mean_field_hamiltonian
+from .bogoliubov import build_kernels, mean_field_hamiltonian, tangency_defect
 from .fock import (
     FockVector,
     OccupationBasis,
@@ -116,8 +116,7 @@ def apply_u_n_star(frame: ExcitationFrame, phi: FockVector,
     norms = phi.sector_norms()
     if basis.n_max > N and float(np.sum(norms[N + 1:] ** 2)) > 1e-24:
         raise ValueError("input has weight above sector N")
-    low = annihilate_op(frame.u, basis).mat
-    defect = np.linalg.norm(low @ phi.amplitudes)
+    defect = tangency_defect(phi, frame.u)
     if defect > tangency_tol * max(1.0, phi.norm()):
         raise ValueError(f"input has tangency defect {defect:.3e} > {tangency_tol:.1e}")
     phis = [SectorVector(basis, n, phi.sector(n).copy()) for n in range(N + 1)]

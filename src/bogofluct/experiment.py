@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bogoliubov import _bisect_smallest_constant, solve_bogoliubov
+from .bogoliubov import solve_bogoliubov
 from .coherent import solve_coherent_fluct
 from .config import ExperimentConfig
 from .csvio import write_csv
@@ -322,6 +322,28 @@ def run_single(cfg: ExperimentConfig, N: int, write=True):
 def _write_dict_rows(path, rows):
     cols = list(rows[0])
     write_csv(path, cols, ([row[c] for c in cols] for row in rows))
+
+
+def _bisect_smallest_constant(check):
+    # smallest c >= 0 with check(c) true, to relative 1e-4, assuming
+    # monotonicity in c
+    if check(0.0):
+        return 0.0
+    hi = 1.0
+    doublings = 0
+    while not check(hi):
+        hi *= 2.0
+        doublings += 1
+        if doublings > 60:
+            raise RuntimeError("no finite constant found")
+    lo = 0.0 if hi == 1.0 else hi / 2.0
+    while hi - lo > 1e-4 * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if check(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _gronwall_constant(times, ratio):

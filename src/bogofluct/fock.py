@@ -176,6 +176,23 @@ class OccupationBasis:
             raise KeyError("occupation vector outside the truncated basis")
         return order[pos]
 
+    def sector_factorials(self, n: int) -> np.ndarray:
+        """Exact prod_i s_i! of each state s of sector n: int64 up to n = 20,
+        where no product exceeds n! < 2**63, Python integers (object dtype)
+        from n = 21 on, where 21! passes int64."""
+        fact = np.array([math.factorial(c) for c in range(n + 1)])
+        return fact[self.states[self.sector_slice(n)]].prod(axis=1)
+
+    def tuple_states(self, n: int) -> np.ndarray:
+        """Local index in sector n of the state of every ordered mode tuple,
+        shape (M,)*n in C order; the first tuple of each state is its
+        ascending one."""
+        occ = np.zeros((1, self.M), dtype=np.int64)
+        for _ in range(n):  # the new mode is the fastest index
+            occ = (occ[:, None, :] + np.eye(self.M, dtype=np.int64)).reshape(-1, self.M)
+        local = self.lookup(occ) - self.sector_slice(n).start
+        return local.reshape((self.M,) * n)
+
     def mode_lowering(self, i: int) -> sp.csr_matrix:
         """Sparse matrix of the mode annihilator a_i (cached)."""
         if self._lowering is None:
@@ -598,24 +615,18 @@ def sym_tensor(psi_k: SectorVector, psi_l: SectorVector) -> SectorVector:
     n_out = psi_k.n + psi_l.n
     if n_out > basis.n_max:
         raise ValueError(f"product sector {n_out} exceeds truncation {basis.n_max}")
+    nz_k = np.flatnonzero(psi_k.amplitudes)
+    nz_l = np.flatnonzero(psi_l.amplitudes)
+    sum_occ = (basis.states[basis.sector_slice(psi_k.n)][nz_k, None]
+               + basis.states[basis.sector_slice(psi_l.n)][nz_l])
+    idx = basis.lookup(sum_occ.reshape(-1, basis.M)) - basis.sector_slice(n_out).start
+    # prod_i binom(s_i + t_i, s_i) = F(s + t) / (F(s) F(t)), F = prod_i s_i!
+    coeff = (basis.sector_factorials(n_out)[idx].reshape(len(nz_k), len(nz_l))
+             // basis.sector_factorials(psi_k.n)[nz_k, None]
+             // basis.sector_factorials(psi_l.n)[nz_l])
+    vals = psi_k.amplitudes[nz_k, None] * psi_l.amplitudes[nz_l] * np.sqrt(coeff.astype(float))
     out = np.zeros(basis.sector_dim(n_out), dtype=complex)
-    off_out = basis.sector_offsets[n_out]
-    sl_k = basis.sector_slice(psi_k.n)
-    sl_l = basis.sector_slice(psi_l.n)
-    states_k = basis.states[sl_k]
-    states_l = basis.states[sl_l]
-    nz_k = np.nonzero(psi_k.amplitudes)[0]
-    nz_l = np.nonzero(psi_l.amplitudes)[0]
-    for ik in nz_k:
-        s = states_k[ik]
-        ck = psi_k.amplitudes[ik]
-        for il in nz_l:
-            t = states_l[il]
-            coeff = 1.0
-            for si, ti in zip(s, t):
-                coeff *= math.comb(int(si + ti), int(si))
-            idx = basis.index(s + t) - off_out
-            out[idx] += ck * psi_l.amplitudes[il] * math.sqrt(coeff)
+    np.add.at(out, idx, vals.ravel())
     return SectorVector(basis, n_out, out)
 
 
@@ -679,45 +690,23 @@ def sector_to_dense(psi: SectorVector) -> np.ndarray:
     amplitude(s) * sqrt(prod s_i! / n!), making the tensor the symmetric
     wave function in the product basis.
     """
-    import itertools
-
     basis, n = psi.basis, psi.n
     if basis.M**max(n, 1) > 10_000_000:
         raise ValueError("dense sector tensor would be too large")
-    T = np.zeros((basis.M,) * n, dtype=complex) if n > 0 else np.zeros((), dtype=complex)
     if n == 0:
-        T[()] = psi.amplitudes[0]
-        return T
-    sl = basis.sector_slice(n)
-    for local, occ in enumerate(basis.states[sl]):
-        amp = psi.amplitudes[local]
-        if amp == 0:
-            continue
-        modes = []
-        for m, cnt in enumerate(occ):
-            modes.extend([m] * int(cnt))
-        weight = amp * math.sqrt(
-            np.prod([math.factorial(int(c)) for c in occ]) / math.factorial(n)
-        )
-        for perm in set(itertools.permutations(modes)):
-            T[perm] = weight
-    return T
+        return np.full((), psi.amplitudes[0])
+    weight = np.sqrt((basis.sector_factorials(n) / math.factorial(n)).astype(float))
+    return (psi.amplitudes * weight)[basis.tuple_states(n)]
 
 
 def dense_to_sector(T: np.ndarray, basis: OccupationBasis, n: int) -> SectorVector:
-    """Inverse of sector_to_dense for a symmetric coefficient tensor."""
+    """Inverse of sector_to_dense for a symmetric coefficient tensor; reads
+    each state's ascending mode tuple."""
     if n == 0:
         return SectorVector(basis, 0, np.array([complex(T)]))
-    sl = basis.sector_slice(n)
-    out = np.zeros(basis.sector_dim(n), dtype=complex)
-    for local, occ in enumerate(basis.states[sl]):
-        modes = []
-        for m, cnt in enumerate(occ):
-            modes.extend([m] * int(cnt))
-        out[local] = T[tuple(modes)] * math.sqrt(
-            math.factorial(n) / np.prod([math.factorial(int(c)) for c in occ])
-        )
-    return SectorVector(basis, n, out)
+    _, first = np.unique(basis.tuple_states(n), return_index=True)
+    weight = np.sqrt((math.factorial(n) / basis.sector_factorials(n)).astype(float))
+    return SectorVector(basis, n, np.asarray(T).ravel()[first] * weight)
 
 
 def save_vector(path, vec: FockVector):

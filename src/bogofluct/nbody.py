@@ -106,17 +106,6 @@ class ReducedDensity:
         return self
 
 
-def _lowering_string(basis: OccupationBasis, occ):
-    """Normalized annihilation string for one k-sector occupation vector."""
-    op = None
-    for mode, cnt in enumerate(occ):
-        for _ in range(int(cnt)):
-            L = basis.mode_lowering(mode)
-            op = L if op is None else (L @ op)
-    norm = math.sqrt(np.prod([math.factorial(int(c)) for c in occ]))
-    return op.tocsr() / norm
-
-
 def reduced_density(psi: SectorVector, k: int) -> ReducedDensity:
     """k-particle density matrix of a sector-N state, trace normalized to 1.
 
@@ -127,12 +116,14 @@ def reduced_density(psi: SectorVector, k: int) -> ReducedDensity:
     if not 1 <= k <= N:
         raise ValueError(f"order k={k} outside 1..{N}")
     basis = psi.basis
-    sl = basis.sector_slice(k)
-    kdim = basis.sector_dim(k)
-    emb = psi.embed().amplitudes
-    lowered = np.empty((kdim, basis.size), dtype=complex)
-    for local, occ in enumerate(basis.states[sl]):
-        lowered[local] = _lowering_string(basis, occ) @ emb
+    # column j of cols is a_{m_1} ... a_{m_k} psi for the j-th mode tuple in
+    # C order; the ascending tuple of each state s gives its string, over
+    # sqrt(prod s_i!)
+    cols = psi.embed().amplitudes[:, None]
+    for _ in range(k):
+        cols = np.hstack([basis.mode_lowering(m) @ cols for m in range(basis.M)])
+    _, first = np.unique(basis.tuple_states(k), return_index=True)
+    lowered = (cols[:, first] / np.sqrt(basis.sector_factorials(k).astype(float))).T
     gram = lowered.conj() @ lowered.T  # gram[t, s] = <A_t psi, A_s psi>
     mat = gram.T / math.comb(N, k)
     mat = 0.5 * (mat + mat.conj().T)

@@ -315,3 +315,32 @@ def test_projected_run_aborts_when_tangency_passes_its_bound():
     with pytest.raises(RuntimeError, match="tangency defect"):
         solve_bogoliubov(vac.copy(), traj, h0, W, dt=0.01, t_grid=[0.5],
                          tangency_tol=0.5 * reached)
+
+
+def test_bound_constants_are_the_smallest_psd_multiples():
+    from bogofluct.bogoliubov import PSD_TOL
+
+    lat, h0, W = setup_model(3, g=1.0)
+    basis = enumerate_basis(3, 4)
+    u = random_unit(np.random.default_rng(6), 3)
+    rep = verify_bog_bounds(u, h0, W, basis)
+    H = bogoliubov_hamiltonian(u, h0, W, basis).op.toarray()
+    E = dgamma(np.eye(3) + h0, basis).toarray()
+    K = dgamma(h0, basis).toarray()
+    number = np.diag(basis.totals() + 1.0)
+    scale = max(1.0, np.abs(H).max())
+
+    def lowest(mat):
+        return float(np.linalg.eigvalsh(mat)[0])
+
+    assert rep["c_up"] > 0.0 and rep["c_low"] > 0.0
+    assert lowest((rep["c_up"] * E - H)[1:, 1:]) >= -PSD_TOL * scale
+    assert lowest((0.999 * rep["c_up"] * E - H)[1:, 1:]) < -PSD_TOL * scale
+    assert lowest(H - K + rep["c_low"] * number) >= -PSD_TOL * scale
+    assert lowest(H - K + 0.999 * rep["c_low"] * number) < -PSD_TOL * scale
+
+
+def test_bound_report_refuses_an_indefinite_energy_form():
+    lat, h0, W = setup_model(3, g=1.0)
+    with pytest.raises(ValueError, match="not positive definite"):
+        verify_bog_bounds(bump(lat), h0 - 3.0 * np.eye(3), W, enumerate_basis(3, 4))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -156,3 +158,27 @@ def test_only_the_projected_run_requires_a_tangent_start():
     assert bare.diagnostics[0][2] > 0.5  # tangency column, far above any bound
     with pytest.raises(ValueError, match="initial state has tangency defect"):
         solve_bogoliubov(start.copy(), traj, h0, W, dt=0.01, t_grid=[0.1, 0.2])
+
+
+def _per_state_coherent_amplitudes(f, basis):
+    # reference: the factor-by-factor product over each occupation vector
+    lam = float(np.linalg.norm(f)) ** 2
+    amps = np.empty(basis.size, dtype=complex)
+    for idx, occ in enumerate(basis.states):
+        val = 1.0 + 0.0j
+        for fi, c in zip(f, occ):
+            c = int(c)
+            if c:
+                val *= fi**c / math.sqrt(math.factorial(c))
+        amps[idx] = val
+    return math.exp(-lam / 2) * amps
+
+
+@pytest.mark.parametrize("M,n_max", [(2, 20), (3, 8), (4, 6)])
+def test_coherent_state_matches_the_per_state_reference(M, n_max):
+    basis = enumerate_basis(M, n_max)
+    rng = np.random.default_rng(M + n_max)
+    f = 0.6 * (rng.normal(size=M) + 1j * rng.normal(size=M))
+    for g in (f, np.concatenate([[0.0], f[1:]])):
+        got = coherent_state(g, basis).amplitudes
+        assert np.max(np.abs(got - _per_state_coherent_amplitudes(g.astype(complex), basis))) <= 1e-15

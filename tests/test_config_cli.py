@@ -467,3 +467,19 @@ def test_table_condensate_and_point_band_still_load():
     doc["rate_gate"] = {"band": [-1, -1]}
     cfg = ExperimentConfig(doc)
     assert np.array_equal(cfg.condensate(cfg.lattice()), [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("flag", ["false", 1, 0, None, [True]])
+def test_non_boolean_require_monotone_rejected(flag):
+    # a non-empty string would read as true and switch the monotonicity gate on
+    doc = json.loads(json.dumps(TINY))
+    doc["rate_gate"] = {"band": [-0.7, -0.3], "require_monotone": flag}
+    with pytest.raises(ValueError, match="rate_gate.require_monotone"):
+        ExperimentConfig(doc)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_boolean_require_monotone_loads(flag):
+    doc = json.loads(json.dumps(TINY))
+    doc["rate_gate"] = {"band": [-0.7, -0.3], "require_monotone": flag}
+    assert ExperimentConfig(doc).rate_gate["require_monotone"] is flag

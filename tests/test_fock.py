@@ -371,3 +371,142 @@ def test_vector_roundtrip(tmp_path):
     assert np.array_equal(w2.amplitudes, v.amplitudes)
     with pytest.raises(ValueError):
         load_vector(path, basis=enumerate_basis(3, 4))
+
+
+# ------------------------------------------- occupation multiplicities (bases)
+
+# References: state-by-state constructions of the same quantities, each
+# deriving its states' mode tuples and prod s_i! on its own.
+
+def _per_state_sector_to_dense(psi):
+    basis, n = psi.basis, psi.n
+    T = np.zeros((basis.M,) * n, dtype=complex) if n > 0 else np.zeros((), dtype=complex)
+    if n == 0:
+        T[()] = psi.amplitudes[0]
+        return T
+    sl = basis.sector_slice(n)
+    for local, occ in enumerate(basis.states[sl]):
+        amp = psi.amplitudes[local]
+        if amp == 0:
+            continue
+        modes = []
+        for m, cnt in enumerate(occ):
+            modes.extend([m] * int(cnt))
+        weight = amp * math.sqrt(
+            np.prod([math.factorial(int(c)) for c in occ]) / math.factorial(n)
+        )
+        for perm in set(itertools.permutations(modes)):
+            T[perm] = weight
+    return T
+
+
+def _per_state_dense_to_sector(T, basis, n):
+    if n == 0:
+        return SectorVector(basis, 0, np.array([complex(T)]))
+    sl = basis.sector_slice(n)
+    out = np.zeros(basis.sector_dim(n), dtype=complex)
+    for local, occ in enumerate(basis.states[sl]):
+        modes = []
+        for m, cnt in enumerate(occ):
+            modes.extend([m] * int(cnt))
+        out[local] = T[tuple(modes)] * math.sqrt(
+            math.factorial(n) / np.prod([math.factorial(int(c)) for c in occ])
+        )
+    return SectorVector(basis, n, out)
+
+
+def _per_state_sym_tensor(psi_k, psi_l):
+    basis = psi_k.basis
+    n_out = psi_k.n + psi_l.n
+    out = np.zeros(basis.sector_dim(n_out), dtype=complex)
+    off_out = basis.sector_offsets[n_out]
+    states_k = basis.states[basis.sector_slice(psi_k.n)]
+    states_l = basis.states[basis.sector_slice(psi_l.n)]
+    for ik in np.nonzero(psi_k.amplitudes)[0]:
+        s = states_k[ik]
+        ck = psi_k.amplitudes[ik]
+        for il in np.nonzero(psi_l.amplitudes)[0]:
+            t = states_l[il]
+            coeff = 1.0
+            for si, ti in zip(s, t):
+                coeff *= math.comb(int(si + ti), int(si))
+            idx = basis.index(s + t) - off_out
+            out[idx] += ck * psi_l.amplitudes[il] * math.sqrt(coeff)
+    return SectorVector(basis, n_out, out)
+
+
+MULTIPLICITY_BASES = [(2, 6), (3, 5), (4, 4), (5, 3)]
+
+
+@pytest.mark.parametrize("M,n_max", MULTIPLICITY_BASES)
+def test_dense_tensors_equal_the_per_state_reference(M, n_max):
+    b = enumerate_basis(M, n_max)
+    rng = np.random.default_rng(10 * M + n_max)
+    for n in range(n_max + 1):
+        amps = random_unit(rng, b.sector_dim(n))
+        amps[-1] = 0.0  # a zero amplitude (the whole vector at n = 0)
+        psi = SectorVector(b, n, amps)
+        T = sector_to_dense(psi)
+        want = _per_state_sector_to_dense(psi)
+        assert T.shape == want.shape and T.dtype == want.dtype
+        assert np.array_equal(T, want)
+        assert np.array_equal(dense_to_sector(T, b, n).amplitudes,
+                              _per_state_dense_to_sector(want, b, n).amplitudes)
+        # dense_to_sector reads one entry per state, also of a tensor that
+        # is not symmetric
+        raw = rng.normal(size=T.shape) + 1j * rng.normal(size=T.shape)
+        assert np.array_equal(dense_to_sector(raw, b, n).amplitudes,
+                              _per_state_dense_to_sector(raw, b, n).amplitudes)
+
+
+@pytest.mark.parametrize("M,n_max", MULTIPLICITY_BASES[:3])
+def test_sym_tensor_matches_the_per_state_reference(M, n_max):
+    b = enumerate_basis(M, n_max)
+    rng = np.random.default_rng(M + 7 * n_max)
+    for k in range(n_max + 1):
+        for l in range(n_max + 1 - k):
+            pk = random_unit(rng, b.sector_dim(k))
+            pk[0] = 0.0
+            psi_k = SectorVector(b, k, pk)
+            psi_l = SectorVector(b, l, random_unit(rng, b.sector_dim(l)))
+            got = sym_tensor(psi_k, psi_l).amplitudes
+            want = _per_state_sym_tensor(psi_k, psi_l).amplitudes
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
+
+
+@pytest.mark.parametrize("M,n_max", MULTIPLICITY_BASES)
+def test_tuple_map_invariants(M, n_max):
+    b = enumerate_basis(M, n_max)
+    for n in range(n_max + 1):
+        states = b.states[b.sector_slice(n)]
+        local = b.tuple_states(n)
+        assert local.shape == (M,) * n
+        tuples = list(itertools.product(range(M), repeat=n))
+        for tup, s in zip(tuples, local.ravel()):
+            assert np.array_equal(np.bincount(tup, minlength=M), states[s])
+        seen, first = np.unique(local, return_index=True)
+        assert np.array_equal(seen, np.arange(b.sector_dim(n)))
+        for s, j in zip(seen, first):
+            assert tuples[j] == tuple(sorted(tuples[j]))
+        F = b.sector_factorials(n)
+        assert [int(f) for f in F] == [
+            math.prod(math.factorial(int(c)) for c in occ) for occ in states]
+
+
+def test_factorials_stay_exact_past_int64():
+    b = enumerate_basis(2, 22)
+    assert b.sector_factorials(20).dtype == np.int64
+    F = b.sector_factorials(22)
+    assert F.dtype == object
+    assert F[0] == math.factorial(22) and F[11] == math.factorial(11) ** 2
+
+
+def test_dense_round_trip_at_twenty_one_quanta():
+    b = enumerate_basis(2, 21)
+    rng = np.random.default_rng(21)
+    for n in (0, 1, 20, 21):
+        psi = SectorVector(b, n, random_unit(rng, b.sector_dim(n)))
+        T = sector_to_dense(psi)
+        assert T.shape == (2,) * n
+        back = dense_to_sector(T, b, n).amplitudes
+        assert np.max(np.abs(back - psi.amplitudes)) <= 1e-15

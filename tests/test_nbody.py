@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -205,3 +207,34 @@ def test_reduced_density_rejects_bad_order():
         reduced_density(psi, 0)
     with pytest.raises(ValueError):
         reduced_density(psi, 4)
+
+
+def _per_state_reduced_density(psi, k):
+    # reference: one normalized lowering string per k-sector state
+    basis, N = psi.basis, psi.n
+    emb = psi.embed().amplitudes
+    sl = basis.sector_slice(k)
+    lowered = np.empty((basis.sector_dim(k), basis.size), dtype=complex)
+    for local, occ in enumerate(basis.states[sl]):
+        op = None
+        for mode, cnt in enumerate(occ):
+            for _ in range(int(cnt)):
+                L = basis.mode_lowering(mode)
+                op = L if op is None else (L @ op)
+        norm = math.sqrt(np.prod([math.factorial(int(c)) for c in occ]))
+        lowered[local] = (op.tocsr() / norm) @ emb
+    gram = lowered.conj() @ lowered.T
+    mat = gram.T / math.comb(N, k)
+    return 0.5 * (mat + mat.conj().T)
+
+
+@pytest.mark.parametrize("M,N", [(2, 6), (3, 5), (4, 4)])
+def test_reduced_density_matches_the_per_state_reference(M, N):
+    b = enumerate_basis(M, N + 1)
+    rng = np.random.default_rng(M * N)
+    amps = random_unit(rng, b.sector_dim(N))
+    amps[1] = 0.0
+    psi = SectorVector(b, N, amps / np.linalg.norm(amps))
+    assert np.array_equal(reduced_density(psi, 1).matrix, _per_state_reduced_density(psi, 1))
+    got = reduced_density(psi, 2).matrix
+    assert np.max(np.abs(got - _per_state_reduced_density(psi, 2))) <= 1e-15
