@@ -2,17 +2,26 @@
 
 Builds the time-dependent one-body and pairing kernels from the condensate
 mode, assembles the quadratic generator on the truncated Fock basis, steps the
-fluctuation state with a midpoint-frozen Krylov exponential, exposes the
-low-sector coupled system as an independent cross-check, and verifies the
-finite-dimensional operator inequalities the dynamics relies on.
+fluctuation state with a midpoint-frozen exponential (an order-2 scheme),
+exposes the low-sector coupled system as an independent cross-check, and
+verifies the finite-dimensional operator inequalities the dynamics relies on.
 
 Every term of the generator changes the number of excitations by 0 (the
 one-body part dGamma(h + k1)) or by +-2 (pair creation and annihilation
 through k2), so it never mixes states of even and odd total: a state that
 starts in one parity block stays there.  When the initial state has weight
-in one block only, as the vacuum has, the Krylov steps run on that block
+in one block only, the Krylov steps run on that block
 (OccupationBasis.parity_block), at about half the dimension and nnz, and
 every state handed out is scattered back into the full basis.
+
+A quadratic generator maps a quasi-free state c exp(1/2 a^dag T a^dag) vacuum
+to another one, so a projected run from a multiple of the vacuum carries the
+symmetric M x M matrix T and the scalar c instead of Fock amplitudes.  Each
+step applies the same frozen-midpoint exponential exp(-i tau H_mid) exactly,
+through the 2M x 2M matrix exponential of its Bogoliubov map; this is the
+untruncated dynamics, which the Krylov stepper reproduces up to the cut at
+n_max.  Its diagnostics rows are closed forms in T, and Fock amplitudes are
+built only at the output times, truncated at n_max.
 """
 
 import logging
@@ -32,6 +41,7 @@ from .fock import (
     dense_to_sector,
     dgamma,
     pairing_op,
+    pairing_raise,
     quadratic_op,
     sector_to_dense,
 )
@@ -105,6 +115,17 @@ def mean_field_hamiltonian(u, h0, W) -> np.ndarray:
     return h0 + np.diag(mean_field(u, W)).astype(complex) - mu_of(u, W) * np.eye(len(u))
 
 
+def _generator_kernels(u, h0, W, projected: bool = True):
+    # one-body matrix A = h + k1 and pairing kernel K = k2 of the generator
+    # dGamma(A) + pairing(K) at u, with h and the kernels; projected=False
+    # takes the bare kernels
+    kern = build_kernels(u, W)
+    h = mean_field_hamiltonian(u, h0, W)
+    if projected:
+        return h + kern.k1, kern.k2, h, kern
+    return h + kern.k1_bare, kern.k2_bare, h, kern
+
+
 def bogoliubov_hamiltonian(u, h0, W, basis: OccupationBasis,
                            projected: bool = True) -> BogHamiltonian:
     """Assemble the quadratic generator for fluctuations around u.
@@ -113,12 +134,8 @@ def bogoliubov_hamiltonian(u, h0, W, basis: OccupationBasis,
     tied to an N-particle product state); projected=False keeps the bare
     kernels (the frame tied to a coherent state).
     """
-    kern = build_kernels(u, W)
-    h = mean_field_hamiltonian(u, h0, W)
-    k1 = kern.k1 if projected else kern.k1_bare
-    k2 = kern.k2 if projected else kern.k2_bare
-    op = quadratic_op(h + k1, k2, basis)
-    return BogHamiltonian(op, h, kern)
+    A, K, h, kern = _generator_kernels(u, h0, W, projected)
+    return BogHamiltonian(quadratic_op(A, K, basis), h, kern)
 
 
 def tangency_defect(phi: FockVector, u: np.ndarray) -> float:
@@ -158,26 +175,129 @@ def _diag_row(t, phi: FockVector, u, energy_form):
             leakage, *profile]
 
 
+class _KrylovStepper:
+    """Fock amplitudes stepped by the Krylov exponential of the generator,
+    on the parity block of phi0 when its weight lies in one."""
+
+    def __init__(self, phi0: FockVector, h0, W, projected, energy_form):
+        basis = phi0.basis
+        parities = np.unique(basis.totals()[phi0.amplitudes != 0] % 2)
+        self.block = basis.parity_block(int(parities[0])) if len(parities) == 1 else basis
+        self.sel = slice(None) if self.block is basis else self.block.parent_index
+        self.phi = phi0.copy()
+        self.amps = self.phi.amplitudes[self.sel]
+        self.h0, self.W, self.projected, self.energy_form = h0, W, projected, energy_form
+
+    def step(self, u_mid, tau):
+        gen = bogoliubov_hamiltonian(u_mid, self.h0, self.W, self.block,
+                                     projected=self.projected)
+        self.amps = krylov_expm(gen.op.mat, self.amps, -1j * tau, tol=1e-12)
+        self.phi = FockVector(self.phi.basis, np.zeros(self.phi.basis.size, dtype=complex))
+        self.phi.amplitudes[self.sel] = self.amps
+
+    def row(self, t, u):
+        return _diag_row(t, self.phi, u, self.energy_form)
+
+    def state(self) -> FockVector:
+        return self.phi.copy()
+
+
+class _QuasiFreeStepper:
+    """The state c exp(1/2 a^dag T a^dag) vacuum, carried as the symmetric
+    M x M matrix T and the scalar c and stepped by the exact Bogoliubov map
+    of each frozen projected generator."""
+
+    def __init__(self, c, basis: OccupationBasis, h0, W):
+        self.T = np.zeros((basis.M, basis.M), dtype=complex)
+        self.c = complex(c)
+        self.basis, self.h0, self.W = basis, h0, W
+
+    def step(self, u_mid, tau):
+        # exp(-i tau H) acts on (a, a^dag) through the 2M x 2M exponential E;
+        # the state stays annihilated by a - T a^dag, which fixes the new T,
+        # and its vacuum amplitude gives c <- c exp(i tau trA/2)/sqrt(det P)
+        # (trA/2 is the normal-ordering constant of dGamma(A)).  The root is
+        # taken of det P exp(-i tau trA), which is 1 without pairing, so the
+        # principal branch holds however far tau trA turns the phase.
+        A, K, _, _ = _generator_kernels(u_mid, self.h0, self.W)
+        M = len(A)
+        E = sla.expm(1j * tau * np.block([[A, K], [-np.conj(K), -A.T]]))
+        P = E[:M, :M] - self.T @ E[M:, :M]
+        Q = E[:M, M:] - self.T @ E[M:, M:]
+        det = np.linalg.det(P) * np.exp(-1j * tau * np.trace(A))
+        if det.real <= 0.0:
+            raise RuntimeError(
+                f"quasi-free step has det P exp(-i tau trA) = {det:.3e}, off the "
+                "principal square-root branch; reduce dt"
+            )
+        T = -np.linalg.solve(P, Q)
+        self.T = 0.5 * (T + T.T)
+        self.c /= np.sqrt(det)
+
+    def row(self, t, u):
+        # closed forms in T: gamma_ij = <a_i^dag a_j> = (G (1 - G)^-1)_ij with
+        # G = conj(T) T, whose eigenvalues are the squared singular values s_j
+        # of T; a(u) phi = a^dag(v) phi with v = u^dag T; the sector-2k weight
+        # is |c|^2 [z^k] prod_j (1 - s_j^2 z)^(-1/2), whose coefficients f_k
+        # follow from the power sums p_m = sum_j s_j^(2m) by
+        # k f_k = 1/2 sum_{m=1..k} p_m f_{k-m}
+        T, n_max = self.T, self.basis.n_max
+        M = len(T)
+        G = np.conj(T) @ T
+        gamma = G @ np.linalg.inv(np.eye(M) - G)
+        v = np.conj(u) @ T
+        tangency = math.sqrt(max(0.0, (np.vdot(v, v) + v @ gamma @ np.conj(v)).real))
+        s2 = np.linalg.eigvalsh(G)
+        p = (s2[None, :] ** np.arange(1, n_max // 2 + 1)[:, None]).sum(axis=1)
+        f = np.ones(n_max // 2 + 1)
+        for k in range(1, n_max // 2 + 1):
+            f[k] = p[:k] @ f[k - 1::-1] / (2 * k)
+        weights = np.zeros(n_max + 1)
+        weights[0::2] = abs(self.c) ** 2 * f
+        leakage = float(np.sum(weights[max(0, n_max - 1):]))
+        expect_energy = float(np.sum((np.eye(M) + self.h0) * gamma).real)
+        profile = [math.sqrt(weights[n]) if n <= n_max else 0.0 for n in range(7)]
+        return [t, math.sqrt(np.sum(weights)), tangency, float(np.trace(gamma).real),
+                expect_energy, leakage, *profile]
+
+    def state(self) -> FockVector:
+        """c sum_{k <= n_max/2} pairing_raise(T)^k vacuum / k!, the state cut
+        at n_max."""
+        raise_T = pairing_raise(self.T, self.basis).mat
+        layer = np.zeros(self.basis.size, dtype=complex)
+        layer[0] = self.c
+        amps = layer.copy()
+        for k in range(1, self.basis.n_max // 2 + 1):
+            layer = (raise_T @ layer) / k
+            amps += layer
+        return FockVector(self.basis, amps)
+
+
 def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
                      t_grid=None, projected: bool = True,
                      tangency_tol: float = 1e-4) -> FluctuationRun:
     """Propagate the fluctuation state along the stored condensate history.
 
     One step freezes the generator at the interpolated midpoint condensate and
-    applies its Krylov exponential (an order-2 scheme).  The projected
-    dynamics (projected=True) lives on the excitation space, so its initial
-    state must be tangent (defect at most 1e-8) and the run aborts when the
-    tangency defect grows beyond tangency_tol, which signals truncation or
-    step-size trouble; the bare-kernel dynamics has no such requirement.
+    applies its exponential (an order-2 scheme).  The projected dynamics
+    (projected=True) lives on the excitation space, so its initial state must
+    be tangent (defect at most 1e-8) and the run aborts when the tangency
+    defect grows beyond tangency_tol, which signals truncation or step-size
+    trouble; the bare-kernel dynamics has no such requirement.
 
-    The generator conserves the parity of the total number, so when every
-    nonzero amplitude of phi0 sits on states of one parity (the vacuum, or
-    any single-parity table), the generator is filled and exponentiated on
-    that parity block alone and the other-parity amplitudes stay exactly
-    zero.  The Krylov subspace is the one of the full basis in exact
-    arithmetic; only rounding differs.  A phi0 with weight in both parities
-    steps on the full basis.  States and diagnostics rows are on the full
-    basis either way.
+    A projected run whose phi0 has its one nonzero amplitude at the vacuum
+    stays quasi-free: it steps (T, c) with the exact Bogoliubov map of each
+    frozen generator, which is the untruncated dynamics, takes its
+    diagnostics rows in closed form (norm and leakage from the sector
+    weights up to n_max) and builds Fock amplitudes, cut at n_max, only at
+    the t_grid times.  Every other start steps Fock amplitudes with the
+    Krylov exponential.  The generator conserves the parity of the total
+    number, so when every nonzero amplitude of phi0 sits on states of one
+    parity, the generator is filled and exponentiated on that parity block
+    alone and the other-parity amplitudes stay exactly zero.  The Krylov
+    subspace is the one of the full basis in exact arithmetic; only rounding
+    differs.  A phi0 with weight in both parities steps on the full basis.
+    States and diagnostics rows are on the full basis either way.
     """
     basis = phi0.basis
     if abs(phi0.norm() - 1.0) > 1e-9:
@@ -190,15 +310,14 @@ def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
         t_grid = np.array([traj.times[-1]])
     t_grid = np.asarray(t_grid, dtype=float)
     energy_form = dgamma(np.eye(basis.M) + h0, basis).mat
-    parities = np.unique(basis.totals()[phi0.amplitudes != 0] % 2)
-    block = basis.parity_block(int(parities[0])) if len(parities) == 1 else basis
-    sel = slice(None) if block is basis else block.parent_index
-    phi = phi0.copy()
-    amps = phi.amplitudes[sel]
+    if projected and np.flatnonzero(phi0.amplitudes).tolist() == [0]:
+        stepper = _QuasiFreeStepper(phi0.amplitudes[0], basis, h0, W)
+    else:
+        stepper = _KrylovStepper(phi0, h0, W, projected, energy_form)
     t = 0.0
     states = []
     run = FluctuationRun(t_grid, states, energy_form)
-    run.diagnostics.append(_diag_row(0.0, phi, traj.u[0], energy_form))
+    run.diagnostics.append(stepper.row(0.0, traj.u[0]))
     for t_target in t_grid:
         if t_target < t - 1e-12:
             raise ValueError("t_grid must be nondecreasing from zero")
@@ -206,21 +325,16 @@ def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
         n_sub = max(1, int(round(span / dt))) if span > 1e-14 else 0
         step = span / n_sub if n_sub else 0.0
         for _ in range(n_sub):
-            u_mid = traj.interpolate(t + 0.5 * step)
-            gen = bogoliubov_hamiltonian(u_mid, h0, W, block, projected=projected)
-            amps = krylov_expm(gen.op.mat, amps, -1j * step, tol=1e-12)
-            phi = FockVector(basis, np.zeros(basis.size, dtype=complex))
-            phi.amplitudes[sel] = amps
+            stepper.step(traj.interpolate(t + 0.5 * step), step)
             t += step
-            u_now = traj.interpolate(t)
-            row = _diag_row(t, phi, u_now, energy_form)
+            row = stepper.row(t, traj.interpolate(t))
             run.diagnostics.append(row)
             if projected and row[2] > tangency_tol:
                 raise RuntimeError(
                     f"tangency defect {row[2]:.3e} at t={t:.4g} exceeds "
                     f"{tangency_tol:.1e}; increase n_max or reduce dt"
                 )
-        states.append(phi.copy())
+        states.append(stepper.state())
     return run
 
 

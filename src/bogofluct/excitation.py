@@ -30,6 +30,7 @@ from .fock import (
     OccupationBasis,
     SectorVector,
     SparseOperator,
+    adjoint_block,
     annihilate_op,
     create_op,
     dgamma,
@@ -89,7 +90,7 @@ def apply_u_n(frame: ExcitationFrame, psi: SectorVector) -> FockVector:
 def _u_n(frame: ExcitationFrame, amps: np.ndarray, basis: OccupationBasis) -> np.ndarray:
     # apply_u_n on sector-N amplitudes: a (dim,) vector or a (dim, cols) block
     low = sector_lowerings(frame.u, basis, frame.N)
-    up = [None] + [b.conj().T for b in low[1:]]  # up[n] raises sector n-1 to n
+    up = [None] + [adjoint_block(b) for b in low[1:]]  # up[n] raises sector n-1 to n
     downs = [amps]  # downs[m] = a(u)^m psi, in sector N - m
     for n in range(frame.N, 0, -1):
         downs.append(low[n] @ downs[-1])

@@ -25,9 +25,10 @@ bosonic factors, a filled operator stores no exact zero, and the diagonal
 block starts at sector 1, since dGamma(A) vanishes on the vacuum.
 
 a(f) lowers the total by exactly one, so sector_lowerings cuts it into its
-blocks from sector n to n-1, and their adjoints are the raisings.  The
-condensate block construction (hartree_block) and the excitation map apply
-a(u) and a^dag(u) only through these blocks, on sector-sized vectors.
+blocks from sector n to n-1, and their adjoints (adjoint_block) are the
+raisings.  The condensate block construction (hartree_block) and the
+excitation map apply a(u) and a^dag(u) only through these blocks, on
+sector-sized vectors.
 
 A parity block (OccupationBasis.parity_block) is the basis of the states of
 one total-number parity, kept in parent order.  The quadratic operators map
@@ -52,6 +53,7 @@ __all__ = [
     "create_op",
     "annihilate_op",
     "sector_lowerings",
+    "adjoint_block",
     "dgamma",
     "number_op",
     "pairing_op",
@@ -482,10 +484,28 @@ def annihilate_op(f: np.ndarray, basis: OccupationBasis) -> SparseOperator:
 
 def sector_lowerings(f: np.ndarray, basis: OccupationBasis, top: int) -> list:
     """Blocks of annihilate_op(f, basis).mat from sector n to n-1 at index n,
-    n = 1..top (index 0 is None); low[n].conj().T raises sector n-1 to n."""
+    n = 1..top (index 0 is None); adjoint_block(low[n]) raises sector n-1 to n.
+
+    a(f) lowers the total by exactly one (checked when its pattern is built),
+    so the rows of sector n-1 hold only columns of sector n, and each block
+    is a slice of the CSR arrays, shifted to sector-local indices.
+    """
     low = annihilate_op(f, basis).mat
-    return [None] + [low[basis.sector_slice(n - 1), basis.sector_slice(n)]
-                     for n in range(1, top + 1)]
+    off = [int(o) for o in basis.sector_offsets]
+    blocks = [None]
+    for n in range(1, top + 1):
+        ptr = low.indptr[off[n - 1]:off[n] + 1]
+        a, b = int(ptr[0]), int(ptr[-1])
+        blocks.append(sp.csr_matrix(
+            (low.data[a:b], low.indices[a:b] - off[n], ptr - a),
+            shape=(off[n] - off[n - 1], off[n + 1] - off[n])))
+    return blocks
+
+
+def adjoint_block(block: sp.csr_matrix) -> sp.csc_matrix:
+    """block.conj().T as one CSC matrix on the block's index arrays."""
+    return sp.csc_matrix((block.data.conj(), block.indices, block.indptr),
+                         shape=block.shape[::-1])
 
 
 def create_op(f: np.ndarray, basis: OccupationBasis) -> SparseOperator:
@@ -678,7 +698,7 @@ def hartree_block(u: np.ndarray, phis, basis: OccupationBasis,
         if n >= 1 and np.linalg.norm(low[n] @ w) > orth_tol * max(1.0, nrm):
             raise ValueError(f"phi_{n} is not orthogonal to the condensate mode")
         for k in range(1, N - n + 1):
-            w = (low[n + k].conj().T @ w) / math.sqrt(k)
+            w = (adjoint_block(low[n + k]) @ w) / math.sqrt(k)
         total += w
     return SectorVector(basis, N, total)
 

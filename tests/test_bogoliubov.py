@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bogofluct.bogoliubov import (
+    _diag_row,
     bogoliubov_hamiltonian,
     build_kernels,
     hierarchy_rhs,
@@ -344,3 +345,98 @@ def test_bound_report_refuses_an_indefinite_energy_form():
     lat, h0, W = setup_model(3, g=1.0)
     with pytest.raises(ValueError, match="not positive definite"):
         verify_bog_bounds(bump(lat), h0 - 3.0 * np.eye(3), W, enumerate_basis(3, 4))
+
+
+# -------------------------------------------------- quasi-free vacuum runs
+
+def test_quasi_free_vacuum_run_matches_full_basis_krylov():
+    # the Krylov loop on the full basis is cut at n_max; at n_max = 20 the
+    # weight it loses there is far below the tolerance
+    from test_parity_block import full_basis_krylov, setup_run
+
+    basis, _u0, traj, h0, W = setup_run(M=3, n_max=20, g=1.5, T=0.3)
+    vac = FockVector.vacuum(basis)
+    grid = [0.1, 0.3]
+    run = solve_bogoliubov(vac, traj, h0, W, dt=0.01, t_grid=grid)
+    for state, want in zip(run.states, full_basis_krylov(vac, traj, h0, W, 0.01, grid)):
+        assert state.basis is basis
+        assert np.linalg.norm(state.amplitudes - want) < 1e-12
+    assert np.linalg.norm(run.states[-1].sector(2)) > 1e-3
+
+
+def test_quasi_free_rows_match_the_rows_of_the_built_states():
+    from test_parity_block import setup_run
+
+    basis, _u0, traj, h0, W = setup_run(M=3, n_max=20, g=1.5, T=0.3)
+    grid = [0.01 * k for k in range(1, 31)]
+    run = solve_bogoliubov(FockVector.vacuum(basis), traj, h0, W, dt=0.01, t_grid=grid)
+    assert len(run.diagnostics) == len(grid) + 1
+    built = [_diag_row(0.0, FockVector.vacuum(basis), traj.u[0], run.energy_form)]
+    for t, state in zip(grid, run.states):
+        built.append(_diag_row(t, state, traj.interpolate(t), run.energy_form))
+    rows = np.array(run.diagnostics)
+    assert np.max(np.abs(rows - np.array(built))) < 1e-12
+    assert np.all(rows[1:, 2] > 0.0) and np.all(rows[1:, 3] > 0.0)
+
+
+def test_quasi_free_run_carries_the_phase_of_the_vacuum():
+    lat, h0, W = setup_model(3, g=1.5)
+    basis = enumerate_basis(3, 12)
+    traj = solve_hartree(bump(lat), h0, W, T=0.3, dt=0.001)
+    phase = np.exp(0.7j)
+    plain = solve_bogoliubov(FockVector.vacuum(basis), traj, h0, W, dt=0.01, t_grid=[0.1, 0.3])
+    turned = FockVector(basis, phase * FockVector.vacuum(basis).amplitudes)
+    run = solve_bogoliubov(turned, traj, h0, W, dt=0.01, t_grid=[0.1, 0.3])
+    for got, want in zip(run.states, plain.states):
+        assert np.linalg.norm(got.amplitudes - phase * want.amplitudes) < 1e-14
+    assert abs(run.states[0].amplitudes[0] / plain.states[0].amplitudes[0] - phase) < 1e-14
+    assert np.max(np.abs(np.array(run.diagnostics) - np.array(plain.diagnostics))) < 1e-14
+
+
+def test_bare_kernel_vacuum_run_is_the_krylov_loop_bit_for_bit():
+    # projected=False keeps the Krylov stepper, on the even parity block
+    from bogofluct.linalg import krylov_expm
+
+    lat, h0, W = setup_model(3, g=1.5)
+    basis = enumerate_basis(3, 8)
+    traj = solve_hartree(bump(lat), h0, W, T=0.3, dt=0.001)
+    grid = [0.1, 0.3]
+    run = solve_bogoliubov(FockVector.vacuum(basis), traj, h0, W, dt=0.01, t_grid=grid,
+                           projected=False)
+    even = basis.parity_block(0)
+    amps = FockVector.vacuum(basis).amplitudes[even.parent_index]
+    t = 0.0
+    for t_target, state in zip(grid, run.states):
+        n_sub = int(round((t_target - t) / 0.01))
+        step = (t_target - t) / n_sub
+        for _ in range(n_sub):
+            gen = bogoliubov_hamiltonian(traj.interpolate(t + 0.5 * step), h0, W, even,
+                                         projected=False)
+            amps = krylov_expm(gen.op.mat, amps, -1j * step, tol=1e-12)
+            t += step
+        want = np.zeros(basis.size, dtype=complex)
+        want[even.parent_index] = amps
+        assert state.amplitudes.tobytes() == want.tobytes()
+
+
+def test_quasi_free_phase_ignores_the_one_body_trace():
+    # tau tr(A) = 0.05 * 306 turns det P far past the negative real axis, but
+    # without pairing the vacuum is a fixed point with amplitude 1
+    lat, h0, _ = setup_model(3)
+    W0 = np.zeros((3, 3))
+    basis = enumerate_basis(3, 8)
+    traj = solve_hartree(bump(lat), h0, W0, T=1.0, dt=0.001)
+    run = solve_bogoliubov(FockVector.vacuum(basis), traj, h0 + 100.0 * np.eye(3), W0,
+                           dt=0.05, t_grid=[1.0])
+    final = run.states[0].amplitudes
+    assert abs(final[0] - 1.0) < 1e-12
+    assert np.linalg.norm(final[1:]) == 0.0
+
+
+def test_quasi_free_step_off_the_principal_branch_is_refused():
+    lat, h0, W = setup_model(3, g=100.0)
+    basis = enumerate_basis(3, 8)
+    traj = solve_hartree(bump(lat), h0, W, T=0.25, dt=0.001)
+    with pytest.raises(RuntimeError, match="principal square-root branch"):
+        solve_bogoliubov(FockVector.vacuum(basis), traj, h0, W, dt=0.25, t_grid=[0.25],
+                         tangency_tol=10.0)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bogofluct.bogoliubov import bogoliubov_hamiltonian, solve_bogoliubov
-from bogofluct.fock import FockVector, enumerate_basis, quadratic_op
+from bogofluct.fock import FockVector, enumerate_basis, pairing_raise, quadratic_op
 from bogofluct.hartree import solve_hartree
 from bogofluct.linalg import krylov_expm
 from bogofluct.model import build_interaction, build_laplacian, build_lattice, gaussian_profile
@@ -121,11 +121,23 @@ def sector_one_start(basis, u0, rng):
     return FockVector(basis, amps)
 
 
-@pytest.mark.parametrize("start", ["vacuum", "sector 1"])
+def vacuum_plus_pair_start(basis, u0, rng):
+    # an even tangent start that is not a multiple of the vacuum, so it steps
+    # Fock amplitudes: the vacuum plus a normalized pair layer q X q^T
+    # orthogonal to the condensate
+    q = np.eye(basis.M) - np.outer(u0, np.conj(u0))
+    X = random_complex(rng, basis.M, basis.M)
+    pair = pairing_raise(q @ (X + X.T) @ q.T, basis).apply(FockVector.vacuum(basis))
+    amps = pair.amplitudes / pair.norm()
+    amps[0] = 1.0
+    return FockVector(basis, amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("start", ["vacuum plus sector 2", "sector 1"])
 def test_single_parity_start_matches_full_basis_krylov(start):
     basis, u0, traj, h0, W = setup_run()
-    if start == "vacuum":
-        phi0, p = FockVector.vacuum(basis), 0
+    if start == "vacuum plus sector 2":
+        phi0, p = vacuum_plus_pair_start(basis, u0, np.random.default_rng(3)), 0
     else:
         phi0, p = sector_one_start(basis, u0, np.random.default_rng(4)), 1
     grid = [0.1, 0.3]
