@@ -42,14 +42,19 @@ def _cmd_run_single(args):
     return 0
 
 
+def _size_token(tok):
+    """One --sizes token M,N,n_max, with M >= 2 and 2 <= N <= n_max."""
+    try:
+        M, N, n_max = (int(x) for x in tok.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{tok!r} is not three integers M,N,n_max") from None
+    if M < 2 or N < 2 or N > n_max:
+        raise argparse.ArgumentTypeError(f"{tok!r} needs M >= 2 and 2 <= N <= n_max")
+    return M, N, n_max
+
+
 def _cmd_verify(args):
-    sizes = DEFAULT_SIZES
-    if args.sizes:
-        sizes = []
-        for tok in args.sizes:
-            M, N, n_max = (int(x) for x in tok.split(","))
-            sizes.append((M, N, n_max))
-    checks = verify_algebra(tuple(sizes))
+    checks = verify_algebra(tuple(args.sizes) if args.sizes else DEFAULT_SIZES)
     width = max(len(c.name) for c in checks)
     all_ok = True
     for c in checks:
@@ -107,7 +112,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_run_single)
 
     p = sub.add_parser("verify-algebra", help="dense identity suite")
-    p.add_argument("--sizes", nargs="*", metavar="M,N,n_max",
+    p.add_argument("--sizes", nargs="*", type=_size_token, metavar="M,N,n_max",
                    help="override the default sizes, e.g. 2,3,4 3,3,4")
     p.set_defaults(func=_cmd_verify)
 

@@ -13,9 +13,10 @@ N lowerings a(u)^m psi serves every layer, and each layer is one Horner pass
 of the normal-ordered series for P0 over it.  Every product is with a sector
 block of a(u) or a^dag(u) (fock.sector_lowerings) on sector-sized vectors;
 only the layers are written into a full-basis vector.  Functions of the
-excitation-number operator are realized by dense spectral calculus with the
-eigenvalues rounded to integers, so weights like sqrt(N - n) carry no series
-truncation error.
+excitation-number operator are realized by spectral calculus on each sector
+block with the eigenvalues rounded to integers, so weights like sqrt(N - n)
+carry no series truncation error; the blocks are exact, as N+ conserves the
+total and so has no entry between sectors, nor has any function of it.
 """
 
 import math
@@ -135,21 +136,27 @@ def number_plus_op(u: np.ndarray, basis: OccupationBasis) -> SparseOperator:
     return number_op(basis) - n_u
 
 
+def _by_sector(op: SparseOperator, basis: OccupationBasis, func, top: int) -> np.ndarray:
+    # f(op) for an op that conserves the total: f of each nonempty sector block <= top
+    out = np.zeros((basis.size, basis.size), dtype=complex)
+    for n in range(min(top, basis.n_max) + 1):
+        s = basis.sector_slice(n)
+        if s.stop > s.start:
+            out[s, s] = integer_spectral_function(op.mat[s, s], func)
+    return out
+
+
 def func_of_number_plus(u, basis: OccupationBasis, func) -> np.ndarray:
-    """Dense f(excitation number) via integer-rounded spectral calculus."""
-    return integer_spectral_function(number_plus_op(u, basis).mat, func)
+    """Dense f(excitation number) by integer-rounded spectral calculus on each
+    sector block; entries between sectors are exactly 0."""
+    return _by_sector(number_plus_op(u, basis), basis, func, basis.n_max)
 
 
 def orthogonal_sector_projector(u, basis: OccupationBasis, n_cut: int) -> np.ndarray:
-    """Dense projector onto condensate-orthogonal layers with total <= n_cut."""
-    # zero condensate occupation AND total below the cut
-    zero_u = integer_spectral_function(
-        (create_op(u, basis) @ annihilate_op(u, basis)).mat,
-        lambda k: 1.0 if k == 0 else 0.0,
-    )
-    totals = basis.totals()
-    cut = np.diag((totals <= n_cut).astype(float))
-    return cut @ zero_u @ cut
+    """Dense projector onto condensate-orthogonal layers with total <= n_cut:
+    the kernel of a^dag(u) a(u) in each sector up to the cut, zero above it."""
+    n_u = create_op(u, basis) @ annihilate_op(u, basis)
+    return _by_sector(n_u, basis, lambda k: 1.0 if k == 0 else 0.0, n_cut)
 
 
 def du_generator(frame: ExcitationFrame, udot: np.ndarray,

@@ -483,3 +483,15 @@ def test_boolean_require_monotone_loads(flag):
     doc = json.loads(json.dumps(TINY))
     doc["rate_gate"] = {"band": [-0.7, -0.3], "require_monotone": flag}
     assert ExperimentConfig(doc).rate_gate["require_monotone"] is flag
+
+
+@pytest.mark.parametrize("token", ["2,3", "2,5,3", "2,1,3"],
+                         ids=["three integers", "N at most n_max", "two particles"])
+def test_cli_verify_refuses_a_bad_size(token, capsys):
+    # a bad --sizes token is a usage error from the parser, not a traceback
+    # from inside the identity suite
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-algebra", "--sizes", "2,2,3", token])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --sizes" in err and repr(token) in err

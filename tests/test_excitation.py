@@ -14,12 +14,14 @@ from bogofluct.excitation import (
     dense_u_n,
     du_generator,
     func_of_number_plus,
+    number_plus_op,
     orthogonal_sector_projector,
 )
 from bogofluct.fock import (
     FockVector,
     SectorVector,
     annihilate_op,
+    create_op,
     dgamma,
     enumerate_basis,
     hartree_block,
@@ -28,6 +30,7 @@ from bogofluct.fock import (
     two_body_op,
 )
 from bogofluct.hartree import solve_hartree
+from bogofluct.linalg import integer_spectral_function
 from bogofluct.model import build_interaction, build_laplacian, build_lattice, gaussian_profile
 from bogofluct.nbody import build_hamiltonian, propagate_exact
 from bogofluct.verify import verify_algebra
@@ -393,3 +396,47 @@ def test_sector_blocks_equal_the_full_basis_products(M, n_max, N, zero_mode):
     phis = [SectorVector(basis, j, ref[basis.sector_slice(j)]) for j in range(N + 1)]
     built = hartree_block(u, phis, basis).amplitudes
     assert np.array_equal(built, _full_basis_hartree_block(u, phis, basis))
+
+
+def _whole_basis_projector(u, basis, n_cut):
+    # the whole-basis construction: the kernel of a^dag(u) a(u), cut to
+    # totals <= n_cut from both sides
+    zero_u = integer_spectral_function((create_op(u, basis) @ annihilate_op(u, basis)).mat,
+                                       lambda k: 1.0 if k == 0 else 0.0)
+    cut = np.diag((basis.totals() <= n_cut).astype(float))
+    return cut @ zero_u @ cut
+
+
+@pytest.mark.parametrize("M, n_max, N, zero_mode", [
+    (3, 6, 4, None), (3, 5, 5, 2), (4, 4, 3, None),
+])
+def test_sector_spectral_calculus_matches_the_whole_basis_form(M, n_max, N, zero_mode):
+    # N+ and a^dag(u) a(u) conserve the total, so taking functions of them
+    # sector block by sector block equals the whole-basis spectral calculus,
+    # with every entry between two sectors exactly 0
+    basis = enumerate_basis(M, n_max)
+    rng = np.random.default_rng(80 + 7 * M + N)
+    u = random_unit(rng, M)
+    if zero_mode is not None:
+        u[zero_mode] = 0.0
+        u /= np.linalg.norm(u)
+    totals = basis.totals()
+    off = totals[:, None] != totals[None, :]
+    n_plus = number_plus_op(u, basis).mat
+    for func in (lambda k: math.sqrt(max(N - k, 0)), lambda k: float(N - k),
+                 lambda k: k * math.sqrt(max(N - k, 0))):
+        got = func_of_number_plus(u, basis, func)
+        assert np.max(np.abs(got - integer_spectral_function(n_plus, func))) < 1e-12
+        assert not np.any(got[off])
+    for n_cut in (0, 2, n_max + 1):
+        got = orthogonal_sector_projector(u, basis, n_cut)
+        assert np.max(np.abs(got - _whole_basis_projector(u, basis, n_cut))) < 1e-12
+        assert not np.any(got[off])
+
+
+def test_func_of_number_plus_refuses_a_non_integer_spectrum():
+    # with a mode of norm 1.1, N - a^dag a(u) has eigenvalues n - 1.21 k
+    basis = enumerate_basis(3, 4)
+    u = random_unit(np.random.default_rng(5), 3)
+    with pytest.raises(ValueError, match="not close to integers"):
+        func_of_number_plus(1.1 * u, basis, lambda k: float(k))
