@@ -39,10 +39,8 @@ from .fock import (
     dgamma,
     enumerate_basis,
     hartree_block,
-    load_vector,
     number_op,
     pairing_op,
-    save_vector,
     sym_tensor,
     two_body_op,
 )

@@ -8,11 +8,8 @@ verifies the finite-dimensional operator inequalities the dynamics relies on.
 
 Every term of the generator changes the number of excitations by 0 (the
 one-body part dGamma(h + k1)) or by +-2 (pair creation and annihilation
-through k2), so it never mixes states of even and odd total: a state that
-starts in one parity block stays there.  When the initial state has weight
-in one block only, the Krylov steps run on that block
-(OccupationBasis.parity_block), at about half the dimension and nnz, and
-every state handed out is scattered back into the full basis.
+through k2), so it never mixes states of even and odd total: the amplitudes
+of a parity a state has no weight in stay exactly zero.
 
 A quadratic generator maps a quasi-free state c exp(1/2 a^dag T a^dag) vacuum
 to another one, so a projected run from a multiple of the vacuum carries the
@@ -176,24 +173,17 @@ def _diag_row(t, phi: FockVector, u, energy_form):
 
 
 class _KrylovStepper:
-    """Fock amplitudes stepped by the Krylov exponential of the generator,
-    on the parity block of phi0 when its weight lies in one."""
+    """Fock amplitudes stepped by the Krylov exponential of the generator."""
 
     def __init__(self, phi0: FockVector, h0, W, projected, energy_form):
-        basis = phi0.basis
-        parities = np.unique(basis.totals()[phi0.amplitudes != 0] % 2)
-        self.block = basis.parity_block(int(parities[0])) if len(parities) == 1 else basis
-        self.sel = slice(None) if self.block is basis else self.block.parent_index
         self.phi = phi0.copy()
-        self.amps = self.phi.amplitudes[self.sel]
         self.h0, self.W, self.projected, self.energy_form = h0, W, projected, energy_form
 
     def step(self, u_mid, tau):
-        gen = bogoliubov_hamiltonian(u_mid, self.h0, self.W, self.block,
+        gen = bogoliubov_hamiltonian(u_mid, self.h0, self.W, self.phi.basis,
                                      projected=self.projected)
-        self.amps = krylov_expm(gen.op.mat, self.amps, -1j * tau, tol=1e-12)
-        self.phi = FockVector(self.phi.basis, np.zeros(self.phi.basis.size, dtype=complex))
-        self.phi.amplitudes[self.sel] = self.amps
+        self.phi = FockVector(self.phi.basis,
+                              krylov_expm(gen.op.mat, self.phi.amplitudes, -1j * tau, tol=1e-12))
 
     def row(self, t, u):
         return _diag_row(t, self.phi, u, self.energy_form)
@@ -291,13 +281,7 @@ def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
     diagnostics rows in closed form (norm and leakage from the sector
     weights up to n_max) and builds Fock amplitudes, cut at n_max, only at
     the t_grid times.  Every other start steps Fock amplitudes with the
-    Krylov exponential.  The generator conserves the parity of the total
-    number, so when every nonzero amplitude of phi0 sits on states of one
-    parity, the generator is filled and exponentiated on that parity block
-    alone and the other-parity amplitudes stay exactly zero.  The Krylov
-    subspace is the one of the full basis in exact arithmetic; only rounding
-    differs.  A phi0 with weight in both parities steps on the full basis.
-    States and diagnostics rows are on the full basis either way.
+    Krylov exponential on the full basis.
     """
     basis = phi0.basis
     if abs(phi0.norm() - 1.0) > 1e-9:

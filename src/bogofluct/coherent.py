@@ -30,10 +30,6 @@ class WeylOperator:
     f: np.ndarray
     matrix: np.ndarray
 
-    def core_cut(self, n_max: int) -> int:
-        nf = float(np.linalg.norm(self.f))
-        return n_max - math.ceil(nf**2 + 6 * nf)
-
 
 def _poisson_tail(lam: float, n_max: int) -> float:
     # mass of the coherent occupation distribution beyond the truncation

@@ -120,9 +120,13 @@ class ExperimentConfig:
         for name in ("dt_hartree", "dt_fock", "dt_nbody"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not self.N_list:
+            raise ValueError("N_list must name at least one N")
+        if not self.output_times:
+            raise ValueError("output_times must name at least one time")
         if sorted(self.N_list) != self.N_list or len(set(self.N_list)) != len(self.N_list):
             raise ValueError("N_list must be strictly increasing")
-        if self.N_list and min(self.N_list) < 2:
+        if min(self.N_list) < 2:
             raise ValueError("every N must be at least 2")
         if any(t < 0 or t > self.T + 1e-12 for t in self.output_times):
             raise ValueError("output times must lie in [0, T]")

@@ -324,36 +324,18 @@ def _write_dict_rows(path, rows):
     write_csv(path, cols, ([row[c] for c in cols] for row in rows))
 
 
-def _bisect_smallest_constant(check):
-    # smallest c >= 0 with check(c) true, to relative 1e-4, assuming
-    # monotonicity in c
-    if check(0.0):
-        return 0.0
-    hi = 1.0
-    doublings = 0
-    while not check(hi):
-        hi *= 2.0
-        doublings += 1
-        if doublings > 60:
-            raise RuntimeError("no finite constant found")
-    lo = 0.0 if hi == 1.0 else hi / 2.0
-    while hi - lo > 1e-4 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if check(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def _gronwall_constant(times, ratio):
-    # smallest c with ratio(t) <= c*exp(c*t) for all t > 0 (monotone in c);
-    # t = 0, where the ratio is 1, says nothing about the growth
+    # smallest c with ratio(t) <= c*exp(c*t) for all t > 0; at each
+    # point the bound c*t*exp(c*t) = t*ratio solves to c = W0(t*ratio)/t with
+    # the principal Lambert W.  t = 0, where the ratio is 1, says nothing
+    # about the growth.  Only run_single needs scipy.special, so it loads
+    # here rather than with the package
+    from scipy.special import lambertw
+
     points = [(t, r) for t, r in zip(times, ratio) if t > 0]
     if not all(math.isfinite(r) for _, r in points):
         raise RuntimeError("no finite Gronwall constant: the ratio is not finite")
-    return _bisect_smallest_constant(
-        lambda c: all(r <= c * math.exp(c * t) + 1e-12 for t, r in points))
+    return max(float(lambertw(t * r).real) / t for t, r in points)
 
 
 def compare_coherent(cfg: ExperimentConfig, write=True):

@@ -5,11 +5,11 @@ operators, symmetric tensor products, and the condensate block construction
 sum_n a^dag(u)^(N-n)/sqrt((N-n)!) phi_n used to build N-particle states from
 excitation data.
 
-Basis ordering contract (serialization version 1): sectors by increasing total
-particle number; inside a sector, occupation vectors with the first mode
-filling first, i.e. (n,0,...), (n-1,1,0,...), ...  Creation amplitudes that
-would leave the truncation are dropped, which keeps every assembled operator a
-compression of its untruncated counterpart.
+Basis ordering: sectors by increasing total particle number; inside a
+sector, occupation vectors with the first mode filling first, i.e.
+(n,0,...), (n-1,1,0,...), ...  Creation amplitudes that would leave the
+truncation are dropped, which keeps every assembled operator a compression
+of its untruncated counterpart.
 
 Quadratic operators are value refills of sparsity patterns cached on the
 basis (CSRPattern): one for the band-(-2, 0, 2) operators dGamma(A),
@@ -19,24 +19,18 @@ blocks is checked once, then; a fill only computes the values and writes
 them into those verified positions.  That build is the one place where the
 particle-number structure is checked: a SparseOperator is only a basis and a
 matrix, and the operators made without a pattern are diagonal (number_op,
-two_body_op) or products of ladder operators (two_body_general).  Every
-ladder amplitude is the square root of the exact integer product of its
-bosonic factors, a filled operator stores no exact zero, and the diagonal
-block starts at sector 1, since dGamma(A) vanishes on the vacuum.
+two_body_op).  Every ladder amplitude is the square root of the exact
+integer product of its bosonic factors, a filled operator stores no exact
+zero, and the diagonal block starts at sector 1, since dGamma(A) vanishes on
+the vacuum.
 
 a(f) lowers the total by exactly one, so sector_lowerings cuts it into its
 blocks from sector n to n-1, and their adjoints (adjoint_block) are the
 raisings.  The condensate block construction (hartree_block) and the
 excitation map apply a(u) and a^dag(u) only through these blocks, on
 sector-sized vectors.
-
-A parity block (OccupationBasis.parity_block) is the basis of the states of
-one total-number parity, kept in parent order.  The quadratic operators map
-it to itself, so their patterns and fills serve it as they serve a full
-basis; a(f) changes the parity and is refused there.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -59,17 +53,13 @@ __all__ = [
     "pairing_op",
     "quadratic_op",
     "two_body_op",
-    "two_body_general",
     "sym_tensor",
     "hartree_block",
     "project_out_mode",
     "sector_to_dense",
     "dense_to_sector",
-    "save_vector",
-    "load_vector",
 ]
 
-ORDERING_VERSION = 1
 DEFAULT_MAX_STATES = 5_000_000
 
 
@@ -106,17 +96,12 @@ class OccupationBasis:
                 states[pos] = occ
                 pos += 1
         offsets[n_max + 1] = pos
-        self._setup(M, n_max, states, offsets, None)
-
-    def _setup(self, M, n_max, states, offsets, parent_index):
         self.M = M
         self.n_max = n_max
         self.states = states
         self.sector_offsets = offsets
         self.size = len(states)
-        self.parent_index = parent_index
         self._totals = None
-        self._blocks = {}
         self._keys = None
         self._lowering = None
         self._quad_pattern = None
@@ -140,26 +125,6 @@ class OccupationBasis:
             self._totals = self.states.sum(axis=1)
             self._totals.setflags(write=False)
         return self._totals
-
-    def parity_block(self, p: int) -> "OccupationBasis":
-        """The states whose total has parity p, as a basis of their own (cached).
-
-        The block keeps M, n_max and the parent order; sectors of the other
-        parity are empty, and ``parent_index`` holds each state's index in
-        this basis.  Hops keep the total and pairs move it by 2, so the
-        quadratic pattern and its fills work on the block unchanged; a(f)
-        leaves it, so the block has no lowering operators.
-        """
-        if p not in (0, 1):
-            raise ValueError(f"parity must be 0 or 1, got {p}")
-        if p not in self._blocks:
-            keep = np.flatnonzero(self.totals() % 2 == p)
-            keep.setflags(write=False)
-            block = OccupationBasis.__new__(OccupationBasis)
-            block._setup(self.M, self.n_max, self.states[keep],
-                         np.searchsorted(keep, self.sector_offsets), keep)
-            self._blocks[p] = block
-        return self._blocks[p]
 
     def lookup(self, occ) -> np.ndarray:
         """Basis indices of a stack of occupation rows, by one vectorized
@@ -207,12 +172,7 @@ class OccupationBasis:
 
     def lowering_structure(self, i: int):
         """Index pattern (rows, cols, amps) of a_i: amplitude sqrt(n_i) from
-        each state with n_i > 0.  Refused on a parity block."""
-        if self.parent_index is not None:
-            raise ValueError(
-                "a_i changes the particle-number parity, so it does not act "
-                "within a parity block; use the parent basis"
-            )
+        each state with n_i > 0."""
         return self._ladder(down=(i,))
 
     def hop_structure(self, i: int, j: int):
@@ -423,9 +383,6 @@ class SectorVector:
         amps[self.basis.sector_slice(self.n)] = self.amplitudes
         return FockVector(self.basis, amps)
 
-    def copy(self) -> "SectorVector":
-        return SectorVector(self.basis, self.n, self.amplitudes.copy())
-
 
 class SparseOperator:
     """Sparse operator on a truncated occupation basis: the basis and its
@@ -463,10 +420,6 @@ class SparseOperator:
 
     def toarray(self) -> np.ndarray:
         return self.mat.toarray()
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        d = self.mat - self.mat.conj().T
-        return abs(d).max() <= tol if d.nnz else True
 
     def __repr__(self):
         return f"SparseOperator(size={self.mat.shape[0]}, nnz={self.mat.nnz})"
@@ -596,31 +549,6 @@ def two_body_op(W: np.ndarray, basis: OccupationBasis) -> SparseOperator:
     return SparseOperator(basis, sp.diags(vals.astype(complex), format="csr"))
 
 
-def two_body_general(B: np.ndarray, basis: OccupationBasis) -> SparseOperator:
-    """(1/2) sum_{ijkl} B[i,j,k,l] a_i^dag a_j^dag a_k a_l for a full two-body
-    coefficient tensor.  Meant for small verification bases."""
-    M = basis.M
-    B = np.asarray(B, dtype=complex)
-    if B.shape != (M, M, M, M):
-        raise ValueError("two-body tensor has wrong shape")
-    mat = sp.csr_matrix((basis.size, basis.size), dtype=complex)
-    lower = [basis.mode_lowering(i) for i in range(M)]
-    raiser = [L.conj().T.tocsr() for L in lower]
-    for k in range(M):
-        for l in range(M):
-            lowpair = (lower[k] @ lower[l]).tocsr()
-            if lowpair.nnz == 0:
-                continue
-            Cmat = sp.csr_matrix((basis.size, basis.size), dtype=complex)
-            for i in range(M):
-                for j in range(M):
-                    if B[i, j, k, l] == 0:
-                        continue
-                    Cmat = Cmat + B[i, j, k, l] * (raiser[i] @ raiser[j])
-            mat = mat + 0.5 * (Cmat @ lowpair)
-    return SparseOperator(basis, mat.tocsr())
-
-
 def sym_tensor(psi_k: SectorVector, psi_l: SectorVector) -> SectorVector:
     """Symmetric tensor product of two sector vectors.
 
@@ -728,33 +656,3 @@ def dense_to_sector(T: np.ndarray, basis: OccupationBasis, n: int) -> SectorVect
     weight = np.sqrt((math.factorial(n) / basis.sector_factorials(n)).astype(float))
     return SectorVector(basis, n, np.asarray(T).ravel()[first] * weight)
 
-
-def save_vector(path, vec: FockVector):
-    """Serialize a Fock vector: one JSON header line, then interleaved
-    (re, im) float64 amplitudes in basis order."""
-    header = {
-        "M": vec.basis.M,
-        "n_max": vec.basis.n_max,
-        "ordering_version": ORDERING_VERSION,
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        interleaved = np.empty(2 * vec.basis.size, dtype=np.float64)
-        interleaved[0::2] = vec.amplitudes.real
-        interleaved[1::2] = vec.amplitudes.imag
-        fh.write(interleaved.tobytes())
-
-
-def load_vector(path, basis: OccupationBasis | None = None) -> FockVector:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        if header["ordering_version"] != ORDERING_VERSION:
-            raise ValueError(f"unsupported ordering version {header['ordering_version']}")
-        if basis is None:
-            basis = OccupationBasis(header["M"], header["n_max"])
-        elif basis.M != header["M"] or basis.n_max != header["n_max"]:
-            raise ValueError("basis does not match serialized header")
-        raw = np.frombuffer(fh.read(), dtype=np.float64)
-    if raw.size != 2 * basis.size:
-        raise ValueError("amplitude payload has wrong length")
-    return FockVector(basis, raw[0::2] + 1j * raw[1::2])

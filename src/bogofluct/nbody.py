@@ -22,7 +22,6 @@ __all__ = [
     "ReducedDensity",
     "reduced_density",
     "trace_distance",
-    "partial_trace_pair",
 ]
 
 
@@ -96,15 +95,6 @@ class ReducedDensity:
     k: int
     matrix: np.ndarray
 
-    def check(self, tol: float = 1e-10):
-        evals = np.linalg.eigvalsh(self.matrix)
-        if evals[0] < -tol:
-            raise ValueError(f"reduced density has negative eigenvalue {evals[0]:.3e}")
-        tr = float(np.trace(self.matrix).real)
-        if abs(tr - 1.0) > tol:
-            raise ValueError(f"reduced density trace {tr} differs from 1")
-        return self
-
 
 def reduced_density(psi: SectorVector, k: int) -> ReducedDensity:
     """k-particle density matrix of a sector-N state, trace normalized to 1.
@@ -136,22 +126,3 @@ def trace_distance(rho: ReducedDensity, sigma: ReducedDensity) -> float:
         raise ValueError("reduced densities are not comparable")
     return float(np.sum(np.abs(np.linalg.eigvalsh(rho.matrix - sigma.matrix))))
 
-
-def partial_trace_pair(rho2: ReducedDensity, basis: OccupationBasis) -> np.ndarray:
-    """Trace one particle out of a two-particle reduced density (dense M x M)."""
-    from .fock import SectorVector, sector_to_dense
-
-    if rho2.k != 2:
-        raise ValueError("expects a two-particle density")
-    M = basis.M
-    kdim = basis.sector_dim(2)
-    # embed columns into the product space, trace the second slot
-    cols = []
-    for a in range(kdim):
-        e = np.zeros(kdim, dtype=complex)
-        e[a] = 1.0
-        cols.append(sector_to_dense(SectorVector(basis, 2, e)).reshape(-1))
-    E = np.array(cols).T  # (M^2, kdim)
-    dense = E @ rho2.matrix @ E.conj().T
-    dense = dense.reshape(M, M, M, M)
-    return np.einsum("xzyz->xy", dense)

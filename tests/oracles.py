@@ -1,0 +1,45 @@
+"""Independent constructions and checks that only the tests use."""
+
+import numpy as np
+import scipy.sparse as sp
+
+from bogofluct.fock import SparseOperator
+
+
+def two_body_general(B, basis) -> SparseOperator:
+    """(1/2) sum_{ijkl} B[i,j,k,l] a_i^dag a_j^dag a_k a_l for a full two-body
+    coefficient tensor, as products of the mode ladder matrices."""
+    M = basis.M
+    B = np.asarray(B, dtype=complex)
+    if B.shape != (M, M, M, M):
+        raise ValueError("two-body tensor has wrong shape")
+    mat = sp.csr_matrix((basis.size, basis.size), dtype=complex)
+    lower = [basis.mode_lowering(i) for i in range(M)]
+    raiser = [L.conj().T.tocsr() for L in lower]
+    for k in range(M):
+        for l in range(M):
+            lowpair = (lower[k] @ lower[l]).tocsr()
+            Cmat = sp.csr_matrix((basis.size, basis.size), dtype=complex)
+            for i in range(M):
+                for j in range(M):
+                    if B[i, j, k, l] == 0:
+                        continue
+                    Cmat = Cmat + B[i, j, k, l] * (raiser[i] @ raiser[j])
+            mat = mat + 0.5 * (Cmat @ lowpair)
+    return SparseOperator(basis, mat.tocsr())
+
+
+def checked_density(rho, tol=1e-10):
+    """rho itself, after checking it is positive semidefinite with trace 1."""
+    evals = np.linalg.eigvalsh(rho.matrix)
+    if evals[0] < -tol:
+        raise ValueError(f"reduced density has negative eigenvalue {evals[0]:.3e}")
+    tr = float(np.trace(rho.matrix).real)
+    if abs(tr - 1.0) > tol:
+        raise ValueError(f"reduced density trace {tr} differs from 1")
+    return rho
+
+
+def is_hermitian(op, tol=1e-12) -> bool:
+    d = op.mat - op.mat.conj().T
+    return abs(d).max() <= tol if d.nnz else True

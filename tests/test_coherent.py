@@ -54,7 +54,8 @@ def test_weyl_unitary_on_safe_core():
     rng = np.random.default_rng(1)
     f = 0.5 * (rng.normal(size=2) + 1j * rng.normal(size=2))
     w = weyl_op(f, basis)
-    cut = w.core_cut(basis.n_max)
+    nf = float(np.linalg.norm(f))
+    cut = basis.n_max - math.ceil(nf**2 + 6 * nf)
     assert cut >= 2
     safe = basis.sector_offsets[cut + 1]
     for _ in range(5):

@@ -55,6 +55,8 @@ def test_unknown_keys_rejected():
     {"N_list": [4, 3]},
     {"N_list": [1, 2]},
     {"output_times": [0.0, 2.0], "T": 1.0},
+    {"N_list": []},
+    {"output_times": []},
 ])
 def test_invalid_configs_rejected(patch):
     doc = json.loads(json.dumps(TINY))

@@ -210,7 +210,7 @@ def test_r1_projected_bound_with_fitted_constant():
 def test_r2_matches_general_two_body_assembly():
     # independent path: build the doubly compressed interaction as a full
     # two-body coefficient tensor and hand it to the generic assembler
-    from bogofluct.fock import two_body_general
+    from oracles import two_body_general
 
     lat, h0, W = setup_model(3, g=1.2)
     basis = enumerate_basis(3, 4)

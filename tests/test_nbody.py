@@ -9,11 +9,11 @@ from bogofluct.model import build_interaction, build_laplacian, build_lattice, c
 from bogofluct.nbody import (
     ReducedDensity,
     build_hamiltonian,
-    partial_trace_pair,
     propagate_exact,
     reduced_density,
     trace_distance,
 )
+from oracles import checked_density
 
 
 def random_unit(rng, n):
@@ -141,11 +141,11 @@ def test_reduced_density_pure_condensate():
     rng = np.random.default_rng(7)
     u = random_unit(rng, 3)
     psi = condensate_state(u, 4, b)
-    g1 = reduced_density(psi, 1).check()
+    g1 = checked_density(reduced_density(psi, 1))
     assert np.max(np.abs(g1.matrix - np.outer(u, np.conj(u)))) < 1e-12
 
     # gamma^(2) is the rank-one projector on the symmetrized pair state
-    g2 = reduced_density(psi, 2).check()
+    g2 = checked_density(reduced_density(psi, 2))
     pair = sym_tensor(SectorVector(b, 1, u), SectorVector(b, 1, u))
     pair_amp = pair.amplitudes / pair.norm()
     assert np.max(np.abs(g2.matrix - np.outer(pair_amp, np.conj(pair_amp)))) < 1e-12
@@ -163,19 +163,9 @@ def test_reduced_density_one_excitation_oracle():
     phis = [None] * (N + 1)
     phis[1] = SectorVector(b, 1, v)
     psi = hartree_block(u, phis, b)
-    g1 = reduced_density(psi, 1).check()
+    g1 = checked_density(reduced_density(psi, 1))
     oracle = ((N - 1) / N) * np.outer(u, np.conj(u)) + (1 / N) * np.outer(v, np.conj(v))
     assert np.max(np.abs(g1.matrix - oracle)) < 1e-12
-
-
-def test_partial_trace_consistency():
-    b = enumerate_basis(3, 3)
-    rng = np.random.default_rng(9)
-    psi = SectorVector(b, 3, random_unit(rng, b.sector_dim(3)))
-    g2 = reduced_density(psi, 2).check()
-    g1 = reduced_density(psi, 1).check()
-    traced = partial_trace_pair(g2, b)
-    assert np.max(np.abs(traced - g1.matrix)) < 1e-10
 
 
 def test_trace_distance_extremes_and_bound():
