@@ -73,6 +73,13 @@ def _merge(base, override):
     return out
 
 
+def _integer(value, name):
+    # JSON integers only: 6.5 or "6" is an error, not 6, and true is not 1
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 class ExperimentConfig:
     """Validated convergence-experiment description.
 
@@ -98,10 +105,14 @@ class ExperimentConfig:
             unknown = set(section) - known
             if unknown:
                 raise ValueError(f"unknown config keys in {name}: {sorted(unknown)}")
+        for key in ("N_list", "output_times"):
+            if not isinstance(resolved[key], list):
+                raise ValueError(f"{key} must be an array, got {resolved[key]!r}")
         self.raw = resolved
         self.model = resolved["model"]
-        self.N_list = [int(n) for n in resolved["N_list"]]
-        self.n_max = int(resolved["n_max"])
+        self.N_list = [_integer(n, "every N") for n in resolved["N_list"]]
+        self.n_max = _integer(resolved["n_max"], "n_max")
+        _integer(self.model["modes"], "model.modes")
         self.u0_spec = resolved["u0"]
         self.phi0_spec = resolved["phi0"]
         self.T = float(resolved["T"])
@@ -155,7 +166,7 @@ class ExperimentConfig:
             )
 
     def lattice(self) -> ModeBasis:
-        return build_lattice(int(self.model["modes"]), float(self.model["spacing"]))
+        return build_lattice(self.model["modes"], float(self.model["spacing"]))
 
     def one_body(self, lattice: ModeBasis) -> np.ndarray:
         h0 = build_laplacian(lattice)

@@ -13,10 +13,10 @@ N lowerings a(u)^m psi serves every layer, and each layer is one Horner pass
 of the normal-ordered series for P0 over it.  Every product is with a sector
 block of a(u) or a^dag(u) (fock.sector_lowerings) on sector-sized vectors;
 only the layers are written into a full-basis vector.  Functions of the
-excitation-number operator are realized by spectral calculus on each sector
-block with the eigenvalues rounded to integers, so weights like sqrt(N - n)
-carry no series truncation error; the blocks are exact, as N+ conserves the
-total and so has no entry between sectors, nor has any function of it.
+excitation-number operator N+ are sums f(j) P_j over the projectors onto j
+excitations, built sector by sector from the same blocks of a(u), with no
+eigendecomposition and nothing to round; N+ conserves the total, so neither
+it nor any function of it has an entry between sectors.
 """
 
 import math
@@ -36,19 +36,16 @@ from .fock import (
     create_op,
     dgamma,
     hartree_block,
-    number_op,
     pairing_raise,
     sector_lowerings,
 )
 from .hartree import mean_field, mu_of
-from .linalg import integer_spectral_function
 
 __all__ = [
     "ExcitationFrame",
     "apply_u_n",
     "apply_u_n_star",
     "dense_u_n",
-    "number_plus_op",
     "func_of_number_plus",
     "du_generator",
     "leading_part",
@@ -130,33 +127,37 @@ def dense_u_n(frame: ExcitationFrame, basis: OccupationBasis) -> np.ndarray:
     return _u_n(frame, np.eye(basis.sector_dim(frame.N), dtype=complex), basis)
 
 
-def number_plus_op(u: np.ndarray, basis: OccupationBasis) -> SparseOperator:
-    """Excitation number operator: total number minus condensate occupation."""
-    n_u = create_op(u, basis) @ annihilate_op(u, basis)
-    return number_op(basis) - n_u
-
-
-def _by_sector(op: SparseOperator, basis: OccupationBasis, func, top: int) -> np.ndarray:
-    # f(op) for an op that conserves the total: f of each nonempty sector block <= top
+def _by_sector(u, basis: OccupationBasis, top: int, weight) -> np.ndarray:
+    # sum_j weight(n, j) P_n[j] in each sector block n <= top, P_n[j] the
+    # projector of sector n onto j excitations (n - j quanta in u); for a unit
+    # u, a^dag(u) P_{n-1}[j] a(u) = (n - j) P_n[j] for j < n, and P_n[n] is
+    # 1 - sum_{j<n} P_n[j]
+    if abs(np.linalg.norm(u) - 1.0) > 1e-10:
+        raise ValueError("condensate mode must be unit norm to 1e-10")
+    low = sector_lowerings(u, basis, top)
+    up = [None] + [adjoint_block(b) for b in low[1:]]
     out = np.zeros((basis.size, basis.size), dtype=complex)
-    for n in range(min(top, basis.n_max) + 1):
+    P = []
+    for n in range(top + 1):
+        P = [up[n] @ (p @ low[n]) / (n - j) for j, p in enumerate(P)]
+        P.append(np.eye(basis.sector_dim(n)) - sum(P))
         s = basis.sector_slice(n)
-        if s.stop > s.start:
-            out[s, s] = integer_spectral_function(op.mat[s, s], func)
+        out[s, s] = sum(weight(n, j) * p for j, p in enumerate(P))
     return out
 
 
 def func_of_number_plus(u, basis: OccupationBasis, func) -> np.ndarray:
-    """Dense f(excitation number) by integer-rounded spectral calculus on each
-    sector block; entries between sectors are exactly 0."""
-    return _by_sector(number_plus_op(u, basis), basis, func, basis.n_max)
+    """Dense f(excitation number): sum_j f(j) times the projector onto j
+    excitations in each sector block, entries between sectors exactly 0.
+    Raises ValueError unless u is unit norm to 1e-10."""
+    return _by_sector(u, basis, basis.n_max, lambda n, j: func(j))
 
 
 def orthogonal_sector_projector(u, basis: OccupationBasis, n_cut: int) -> np.ndarray:
     """Dense projector onto condensate-orthogonal layers with total <= n_cut:
-    the kernel of a^dag(u) a(u) in each sector up to the cut, zero above it."""
-    n_u = create_op(u, basis) @ annihilate_op(u, basis)
-    return _by_sector(n_u, basis, lambda k: 1.0 if k == 0 else 0.0, n_cut)
+    the projector onto n excitations (no quantum in u) in each sector n up to
+    the cut, zero above it.  Raises ValueError unless u is unit norm to 1e-10."""
+    return _by_sector(u, basis, min(n_cut, basis.n_max), lambda n, j: float(j == n))
 
 
 def du_generator(frame: ExcitationFrame, udot: np.ndarray,

@@ -1,4 +1,5 @@
-"""Krylov propagation of hermitian generators and dense spectral helpers."""
+"""Krylov propagation of hermitian generators, with an exact dense propagator
+for small ones."""
 
 import numpy as np
 import scipy.linalg as sla
@@ -8,7 +9,6 @@ __all__ = [
     "krylov_expm",
     "propagate_substeps",
     "dense_propagator",
-    "integer_spectral_function",
 ]
 
 DENSE_FALLBACK_DIM = 500
@@ -99,17 +99,3 @@ class dense_propagator:
         coeff = self.evecs.conj().T @ v
         return self.evecs @ (np.exp(-1j * t * self.evals) * coeff)
 
-
-def integer_spectral_function(mat, func):
-    """Apply func to a dense hermitian matrix with (near) integer spectrum.
-
-    Eigenvalues are rounded to the nearest integer before applying func, so
-    occupation-count operators get exact weights like sqrt(max(N - n, 0)).
-    """
-    Hd = mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat)
-    w, U = np.linalg.eigh(Hd)
-    k = np.rint(w.real).astype(int)
-    if np.max(np.abs(w - k)) > 1e-8:
-        raise ValueError("matrix spectrum is not close to integers")
-    vals = np.array([func(int(x)) for x in k], dtype=complex)
-    return (U * vals) @ U.conj().T

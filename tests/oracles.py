@@ -3,7 +3,7 @@
 import numpy as np
 import scipy.sparse as sp
 
-from bogofluct.fock import SparseOperator
+from bogofluct.fock import OccupationBasis, SparseOperator, annihilate_op, create_op, number_op
 
 
 def two_body_general(B, basis) -> SparseOperator:
@@ -43,3 +43,24 @@ def checked_density(rho, tol=1e-10):
 def is_hermitian(op, tol=1e-12) -> bool:
     d = op.mat - op.mat.conj().T
     return abs(d).max() <= tol if d.nnz else True
+
+
+def number_plus_op(u: np.ndarray, basis: OccupationBasis) -> SparseOperator:
+    """Excitation number operator: total number minus condensate occupation."""
+    n_u = create_op(u, basis) @ annihilate_op(u, basis)
+    return number_op(basis) - n_u
+
+
+def integer_spectral_function(mat, func):
+    """Apply func to a dense hermitian matrix with (near) integer spectrum.
+
+    Eigenvalues are rounded to the nearest integer before applying func, so
+    occupation-count operators get exact weights like sqrt(max(N - n, 0)).
+    """
+    Hd = mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat)
+    w, U = np.linalg.eigh(Hd)
+    k = np.rint(w.real).astype(int)
+    if np.max(np.abs(w - k)) > 1e-8:
+        raise ValueError("matrix spectrum is not close to integers")
+    vals = np.array([func(int(x)) for x in k], dtype=complex)
+    return (U * vals) @ U.conj().T

@@ -57,6 +57,10 @@ def test_unknown_keys_rejected():
     {"output_times": [0.0, 2.0], "T": 1.0},
     {"N_list": []},
     {"output_times": []},
+    {"N_list": [4, 6.5, 8]},
+    {"N_list": "468"},
+    {"n_max": 12.9},
+    {"model": {"modes": 3.7}},
 ])
 def test_invalid_configs_rejected(patch):
     doc = json.loads(json.dumps(TINY))

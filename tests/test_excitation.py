@@ -14,7 +14,6 @@ from bogofluct.excitation import (
     dense_u_n,
     du_generator,
     func_of_number_plus,
-    number_plus_op,
     orthogonal_sector_projector,
 )
 from bogofluct.fock import (
@@ -30,10 +29,10 @@ from bogofluct.fock import (
     two_body_op,
 )
 from bogofluct.hartree import solve_hartree
-from bogofluct.linalg import integer_spectral_function
 from bogofluct.model import build_interaction, build_laplacian, build_lattice, gaussian_profile
 from bogofluct.nbody import build_hamiltonian, propagate_exact
 from bogofluct.verify import verify_algebra
+from oracles import integer_spectral_function, number_plus_op
 
 
 def setup_model(M, g=0.8):
@@ -408,7 +407,7 @@ def _whole_basis_projector(u, basis, n_cut):
 
 
 @pytest.mark.parametrize("M, n_max, N, zero_mode", [
-    (3, 6, 4, None), (3, 5, 5, 2), (4, 4, 3, None),
+    (3, 6, 4, None), (3, 5, 5, 2), (4, 4, 3, None), (4, 8, 6, None),
 ])
 def test_sector_spectral_calculus_matches_the_whole_basis_form(M, n_max, N, zero_mode):
     # N+ and a^dag(u) a(u) conserve the total, so taking functions of them
@@ -438,5 +437,7 @@ def test_func_of_number_plus_refuses_a_non_integer_spectrum():
     # with a mode of norm 1.1, N - a^dag a(u) has eigenvalues n - 1.21 k
     basis = enumerate_basis(3, 4)
     u = random_unit(np.random.default_rng(5), 3)
-    with pytest.raises(ValueError, match="not close to integers"):
+    with pytest.raises(ValueError, match="condensate mode must be unit norm"):
         func_of_number_plus(1.1 * u, basis, lambda k: float(k))
+    with pytest.raises(ValueError, match="condensate mode must be unit norm"):
+        orthogonal_sector_projector(1.1 * u, basis, 2)

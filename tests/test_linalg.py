@@ -6,10 +6,10 @@ import scipy.sparse as sp
 from bogofluct.linalg import (
     KrylovError,
     dense_propagator,
-    integer_spectral_function,
     krylov_expm,
     propagate_substeps,
 )
+from oracles import integer_spectral_function
 
 
 def random_hermitian(rng, n, scale=1.0):
