@@ -17,8 +17,11 @@ symmetric M x M matrix T and the scalar c instead of Fock amplitudes.  Each
 step applies the same frozen-midpoint exponential exp(-i tau H_mid) exactly,
 through the 2M x 2M matrix exponential of its Bogoliubov map; this is the
 untruncated dynamics, which the Krylov stepper reproduces up to the cut at
-n_max.  Its diagnostics rows are closed forms in T, and Fock amplitudes are
-built only at the output times, truncated at n_max.
+n_max.  The path works on the whole step grid at once: the generators of all
+midpoints and their exponentials are taken as one stack, a loop carries only
+the recurrence for (T, c), and the diagnostics rows are closed forms in the
+stacked T.  Fock amplitudes are built only at the output times, truncated at
+n_max.
 """
 
 import logging
@@ -42,7 +45,7 @@ from .fock import (
     quadratic_op,
     sector_to_dense,
 )
-from .hartree import HartreeTrajectory, mean_field, mu_of
+from .hartree import HartreeTrajectory, _field_and_gauge
 from .linalg import krylov_expm
 
 logger = logging.getLogger(__name__)
@@ -83,19 +86,19 @@ class Kernels:
 
 def build_kernels(u: np.ndarray, W: np.ndarray) -> Kernels:
     """Kernels from the condensate mode and interaction:
-    k1_bare[x,y] = u[x] W[x,y] conj(u[y]), k2_bare[x,y] = u[x] W[x,y] u[y]."""
+    k1_bare[x,y] = u[x] W[x,y] conj(u[y]), k2_bare[x,y] = u[x] W[x,y] u[y].
+    A stack of modes (leading axes) gives stacks of kernels."""
     u = np.asarray(u, dtype=complex)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-6:
+    if (abs(np.linalg.norm(u, axis=-1) - 1.0) > 1e-6).any():
         raise ValueError("condensate mode must be unit norm to 1e-6")
-    k1_bare = u[:, None] * W * np.conj(u)[None, :]
-    k2_bare = u[:, None] * W * u[None, :]
-    q = np.eye(len(u)) - np.outer(u, np.conj(u))
+    col, row = u[..., :, None], u[..., None, :]
+    k1_bare = col * W * np.conj(row)
+    k2_bare = col * W * row
+    q = np.eye(u.shape[-1]) - col * np.conj(row)
     k1 = q @ k1_bare @ q
-    k2 = q @ k2_bare @ q.T
-    k2 = 0.5 * (k2 + k2.T)
-    kern = Kernels(k1, k2, k1_bare, k2_bare, q)
-    logger.debug("pairing kernel Frobenius norm %.6e", kern.k2_frobenius)
-    return kern
+    k2 = q @ k2_bare @ np.swapaxes(q, -1, -2)
+    k2 = 0.5 * (k2 + np.swapaxes(k2, -1, -2))
+    return Kernels(k1, k2, k1_bare, k2_bare, q)
 
 
 @dataclass
@@ -108,14 +111,17 @@ class BogHamiltonian:
 
 
 def mean_field_hamiltonian(u, h0, W) -> np.ndarray:
-    """One-body part h = h0 + diag(W|u|^2) - mu(u)."""
-    return h0 + np.diag(mean_field(u, W)).astype(complex) - mu_of(u, W) * np.eye(len(u))
+    """One-body part h = h0 + diag(W|u|^2) - mu(u); a stack of modes (leading
+    axes) gives a stack of h."""
+    v, mu = _field_and_gauge(u, W)
+    eye = np.eye(np.shape(u)[-1], dtype=complex)
+    return h0 + v[..., :, None] * eye - mu[..., None, None] * eye
 
 
 def _generator_kernels(u, h0, W, projected: bool = True):
     # one-body matrix A = h + k1 and pairing kernel K = k2 of the generator
-    # dGamma(A) + pairing(K) at u, with h and the kernels; projected=False
-    # takes the bare kernels
+    # dGamma(A) + pairing(K) at u, or at each row of a stack of u, with h and
+    # the kernels; projected=False takes the bare kernels
     kern = build_kernels(u, W)
     h = mean_field_hamiltonian(u, h0, W)
     if projected:
@@ -132,6 +138,7 @@ def bogoliubov_hamiltonian(u, h0, W, basis: OccupationBasis,
     kernels (the frame tied to a coherent state).
     """
     A, K, h, kern = _generator_kernels(u, h0, W, projected)
+    logger.debug("pairing kernel Frobenius norm %.6e", kern.k2_frobenius)
     return BogHamiltonian(quadratic_op(A, K, basis), h, kern)
 
 
@@ -172,95 +179,116 @@ def _diag_row(t, phi: FockVector, u, energy_form):
             leakage, *profile]
 
 
-class _KrylovStepper:
-    """Fock amplitudes stepped by the Krylov exponential of the generator."""
+def _step_grid(t_grid, dt):
+    # every output interval in equal steps of about dt: the midpoint times,
+    # the step lengths and the step ends, the ends accumulated step by step,
+    # and for each output time the number of steps taken before it
+    mids, taus, ends, marks = [], [], [], []
+    t = 0.0
+    for t_target in t_grid:
+        if t_target < t - 1e-12:
+            raise ValueError("t_grid must be nondecreasing from zero")
+        span = t_target - t
+        n_sub = max(1, int(round(span / dt))) if span > 1e-14 else 0
+        step = span / n_sub if n_sub else 0.0
+        for _ in range(n_sub):
+            mids.append(t + 0.5 * step)
+            taus.append(step)
+            t += step
+            ends.append(t)
+        marks.append(len(ends))
+    return mids, taus, ends, marks
 
-    def __init__(self, phi0: FockVector, h0, W, projected, energy_form):
-        self.phi = phi0.copy()
-        self.h0, self.W, self.projected, self.energy_form = h0, W, projected, energy_form
 
-    def step(self, u_mid, tau):
-        gen = bogoliubov_hamiltonian(u_mid, self.h0, self.W, self.phi.basis,
-                                     projected=self.projected)
-        self.phi = FockVector(self.phi.basis,
-                              krylov_expm(gen.op.mat, self.phi.amplitudes, -1j * tau, tol=1e-12))
-
-    def row(self, t, u):
-        return _diag_row(t, self.phi, u, self.energy_form)
-
-    def state(self) -> FockVector:
-        return self.phi.copy()
-
-
-class _QuasiFreeStepper:
-    """The state c exp(1/2 a^dag T a^dag) vacuum, carried as the symmetric
-    M x M matrix T and the scalar c and stepped by the exact Bogoliubov map
-    of each frozen projected generator."""
-
-    def __init__(self, c, basis: OccupationBasis, h0, W):
-        self.T = np.zeros((basis.M, basis.M), dtype=complex)
-        self.c = complex(c)
-        self.basis, self.h0, self.W = basis, h0, W
-
-    def step(self, u_mid, tau):
-        # exp(-i tau H) acts on (a, a^dag) through the 2M x 2M exponential E;
-        # the state stays annihilated by a - T a^dag, which fixes the new T,
-        # and its vacuum amplitude gives c <- c exp(i tau trA/2)/sqrt(det P)
-        # (trA/2 is the normal-ordering constant of dGamma(A)).  The root is
-        # taken of det P exp(-i tau trA), which is 1 without pairing, so the
-        # principal branch holds however far tau trA turns the phase.
-        A, K, _, _ = _generator_kernels(u_mid, self.h0, self.W)
-        M = len(A)
-        E = sla.expm(1j * tau * np.block([[A, K], [-np.conj(K), -A.T]]))
-        P = E[:M, :M] - self.T @ E[M:, :M]
-        Q = E[:M, M:] - self.T @ E[M:, M:]
-        det = np.linalg.det(P) * np.exp(-1j * tau * np.trace(A))
+def _quasi_free_path(c, u_mid, taus, h0, W):
+    """(T, c) of the state c exp(1/2 a^dag T a^dag) vacuum before the first
+    step and after each, each step the exact Bogoliubov map of the projected
+    generator frozen at its midpoint mode.  A step off the principal branch
+    of the square root ends the path: it is returned up to that step, with
+    the error to raise once the steps before it have been checked."""
+    # exp(-i tau H) acts on (a, a^dag) through the 2M x 2M exponential E;
+    # the state stays annihilated by a - T a^dag, which fixes the new T,
+    # and its vacuum amplitude gives c <- c exp(i tau trA/2)/sqrt(det P)
+    # (trA/2 is the normal-ordering constant of dGamma(A)).  The root is
+    # taken of det P exp(-i tau trA), which is 1 without pairing, so the
+    # principal branch holds however far tau trA turns the phase.
+    M = len(h0)
+    Ts = np.zeros((len(taus) + 1, M, M), dtype=complex)
+    cs = np.full(len(taus) + 1, complex(c))
+    A, K, _, _ = _generator_kernels(u_mid, h0, W)
+    tau = np.asarray(taus)[:, None, None]
+    gen = np.block([[A, K], [-np.conj(K), -np.swapaxes(A, 1, 2)]])
+    E = sla.expm(1j * tau * gen)
+    turn = np.exp(-1j * tau[:, 0, 0] * np.trace(A, axis1=1, axis2=2))
+    T, c = Ts[0], cs[0]
+    for i, Ei in enumerate(E):
+        P = Ei[:M, :M] - T @ Ei[M:, :M]
+        Q = Ei[:M, M:] - T @ Ei[M:, M:]
+        det = np.linalg.det(P) * turn[i]
         if det.real <= 0.0:
-            raise RuntimeError(
+            return Ts[:i + 1], cs[:i + 1], RuntimeError(
                 f"quasi-free step has det P exp(-i tau trA) = {det:.3e}, off the "
                 "principal square-root branch; reduce dt"
             )
         T = -np.linalg.solve(P, Q)
-        self.T = 0.5 * (T + T.T)
-        self.c /= np.sqrt(det)
+        Ts[i + 1] = T = 0.5 * (T + T.T)
+        cs[i + 1] = c = c / np.sqrt(det)
+    return Ts, cs, None
 
-    def row(self, t, u):
-        # closed forms in T: gamma_ij = <a_i^dag a_j> = (G (1 - G)^-1)_ij with
-        # G = conj(T) T, whose eigenvalues are the squared singular values s_j
-        # of T; a(u) phi = a^dag(v) phi with v = u^dag T; the sector-2k weight
-        # is |c|^2 [z^k] prod_j (1 - s_j^2 z)^(-1/2), whose coefficients f_k
-        # follow from the power sums p_m = sum_j s_j^(2m) by
-        # k f_k = 1/2 sum_{m=1..k} p_m f_{k-m}
-        T, n_max = self.T, self.basis.n_max
-        M = len(T)
-        G = np.conj(T) @ T
-        gamma = G @ np.linalg.inv(np.eye(M) - G)
-        v = np.conj(u) @ T
-        tangency = math.sqrt(max(0.0, (np.vdot(v, v) + v @ gamma @ np.conj(v)).real))
-        s2 = np.linalg.eigvalsh(G)
-        p = (s2[None, :] ** np.arange(1, n_max // 2 + 1)[:, None]).sum(axis=1)
-        f = np.ones(n_max // 2 + 1)
-        for k in range(1, n_max // 2 + 1):
-            f[k] = p[:k] @ f[k - 1::-1] / (2 * k)
-        weights = np.zeros(n_max + 1)
-        weights[0::2] = abs(self.c) ** 2 * f
-        leakage = float(np.sum(weights[max(0, n_max - 1):]))
-        expect_energy = float(np.sum((np.eye(M) + self.h0) * gamma).real)
-        profile = [math.sqrt(weights[n]) if n <= n_max else 0.0 for n in range(7)]
-        return [t, math.sqrt(np.sum(weights)), tangency, float(np.trace(gamma).real),
-                expect_energy, leakage, *profile]
 
-    def state(self) -> FockVector:
-        """c sum_{k <= n_max/2} pairing_raise(T)^k vacuum / k!, the state cut
-        at n_max."""
-        raise_T = pairing_raise(self.T, self.basis).mat
-        layer = np.zeros(self.basis.size, dtype=complex)
-        layer[0] = self.c
-        amps = layer.copy()
-        for k in range(1, self.basis.n_max // 2 + 1):
-            layer = (raise_T @ layer) / k
-            amps += layer
-        return FockVector(self.basis, amps)
+def _quasi_free_rows(times, Ts, cs, u, h0, n_max):
+    """Diagnostics rows of the quasi-free states (Ts[r], cs[r]) at times[r],
+    with the condensate u[r], as one array."""
+    # closed forms in T: gamma_ij = <a_i^dag a_j> = (G (1 - G)^-1)_ij with
+    # G = conj(T) T, whose eigenvalues are the squared singular values s_j
+    # of T; a(u) phi = a^dag(v) phi with v = u^dag T; the sector-2k weight
+    # is |c|^2 [z^k] prod_j (1 - s_j^2 z)^(-1/2), whose coefficients f_k
+    # follow from the power sums p_m = sum_j s_j^(2m) by
+    # k f_k = 1/2 sum_{m=1..k} p_m f_{k-m}
+    M = Ts.shape[-1]
+    G = np.conj(Ts) @ Ts
+    gamma = G @ np.linalg.inv(np.eye(M) - G)
+    v = (np.conj(u)[:, None, :] @ Ts)[:, 0, :]
+    defect = (np.sum(np.abs(v) ** 2, axis=1)
+              + (v[:, None, :] @ gamma @ np.conj(v)[:, :, None])[:, 0, 0].real)
+    s2 = np.linalg.eigvalsh(G)
+    p = (s2[:, None, :] ** np.arange(1, n_max // 2 + 1)[None, :, None]).sum(axis=2)
+    f = np.ones((len(Ts), n_max // 2 + 1))
+    for k in range(1, n_max // 2 + 1):
+        f[:, k] = np.sum(p[:, :k] * f[:, k - 1::-1], axis=1) / (2 * k)
+    weights = np.zeros((len(Ts), n_max + 1))
+    weights[:, 0::2] = np.abs(cs)[:, None] ** 2 * f
+    profile = np.zeros((len(Ts), 7))
+    profile[:, :n_max + 1] = np.sqrt(weights[:, :7])
+    return np.column_stack([
+        times,
+        np.sqrt(np.sum(weights, axis=1)),
+        np.sqrt(np.maximum(0.0, defect)),
+        np.trace(gamma, axis1=1, axis2=2).real,
+        np.sum((np.eye(M) + h0) * gamma, axis=(1, 2)).real,
+        np.sum(weights[:, max(0, n_max - 1):], axis=1),
+        profile,
+    ])
+
+
+def _quasi_free_state(T, c, basis: OccupationBasis) -> FockVector:
+    """c sum_{k <= n_max/2} pairing_raise(T)^k vacuum / k!, the state cut at
+    n_max."""
+    raise_T = pairing_raise(T, basis).mat
+    layer = np.zeros(basis.size, dtype=complex)
+    layer[0] = c
+    amps = layer.copy()
+    for k in range(1, basis.n_max // 2 + 1):
+        layer = (raise_T @ layer) / k
+        amps += layer
+    return FockVector(basis, amps)
+
+
+def _tangency_abort(t, defect, tangency_tol):
+    return RuntimeError(
+        f"tangency defect {defect:.3e} at t={t:.4g} exceeds "
+        f"{tangency_tol:.1e}; increase n_max or reduce dt"
+    )
 
 
 def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
@@ -271,17 +299,17 @@ def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
     One step freezes the generator at the interpolated midpoint condensate and
     applies its exponential (an order-2 scheme).  The projected dynamics
     (projected=True) lives on the excitation space, so its initial state must
-    be tangent (defect at most 1e-8) and the run aborts when the tangency
-    defect grows beyond tangency_tol, which signals truncation or step-size
-    trouble; the bare-kernel dynamics has no such requirement.
+    be tangent (defect at most 1e-8) and the run aborts at the first step
+    whose tangency defect exceeds tangency_tol, which signals truncation or
+    step-size trouble; the bare-kernel dynamics has no such requirement.
 
     A projected run whose phi0 has its one nonzero amplitude at the vacuum
     stays quasi-free: it steps (T, c) with the exact Bogoliubov map of each
-    frozen generator, which is the untruncated dynamics, takes its
-    diagnostics rows in closed form (norm and leakage from the sector
-    weights up to n_max) and builds Fock amplitudes, cut at n_max, only at
-    the t_grid times.  Every other start steps Fock amplitudes with the
-    Krylov exponential on the full basis.
+    frozen generator, which is the untruncated dynamics, over the whole step
+    grid at once, takes its diagnostics rows in closed form (norm and leakage
+    from the sector weights up to n_max) and builds Fock amplitudes, cut at
+    n_max, only at the t_grid times.  Every other start steps Fock amplitudes
+    with the Krylov exponential on the full basis.
     """
     basis = phi0.basis
     if abs(phi0.norm() - 1.0) > 1e-9:
@@ -293,32 +321,38 @@ def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
     if t_grid is None:
         t_grid = np.array([traj.times[-1]])
     t_grid = np.asarray(t_grid, dtype=float)
+    mids, taus, ends, marks = _step_grid(t_grid, dt)
+    row_times = [0.0, *ends]
+    u_mid = traj.interpolate(np.asarray(mids))
+    u_rows = traj.interpolate(np.asarray(row_times))
     energy_form = dgamma(np.eye(basis.M) + h0, basis).mat
+    run = FluctuationRun(t_grid, [], energy_form)
     if projected and np.flatnonzero(phi0.amplitudes).tolist() == [0]:
-        stepper = _QuasiFreeStepper(phi0.amplitudes[0], basis, h0, W)
-    else:
-        stepper = _KrylovStepper(phi0, h0, W, projected, energy_form)
-    t = 0.0
-    states = []
-    run = FluctuationRun(t_grid, states, energy_form)
-    run.diagnostics.append(stepper.row(0.0, traj.u[0]))
-    for t_target in t_grid:
-        if t_target < t - 1e-12:
-            raise ValueError("t_grid must be nondecreasing from zero")
-        span = t_target - t
-        n_sub = max(1, int(round(span / dt))) if span > 1e-14 else 0
-        step = span / n_sub if n_sub else 0.0
-        for _ in range(n_sub):
-            stepper.step(traj.interpolate(t + 0.5 * step), step)
-            t += step
-            row = stepper.row(t, traj.interpolate(t))
+        Ts, cs, failure = _quasi_free_path(phi0.amplitudes[0], u_mid, taus, h0, W)
+        done = len(Ts)
+        rows = _quasi_free_rows(row_times[:done], Ts, cs, u_rows[:done], h0, basis.n_max)
+        over = np.flatnonzero(rows[:, 2] > tangency_tol)
+        if len(over):
+            raise _tangency_abort(row_times[over[0]], rows[over[0], 2], tangency_tol)
+        if failure is not None:
+            raise failure
+        run.diagnostics = rows.tolist()
+        run.states = [_quasi_free_state(Ts[m], cs[m], basis) for m in marks]
+        return run
+    phi = phi0.copy()
+    run.diagnostics.append(_diag_row(0.0, phi, u_rows[0], energy_form))
+    done = 0
+    for m in marks:
+        for i in range(done, m):
+            gen = bogoliubov_hamiltonian(u_mid[i], h0, W, basis, projected=projected)
+            phi = FockVector(basis, krylov_expm(gen.op.mat, phi.amplitudes, -1j * taus[i],
+                                                tol=1e-12))
+            row = _diag_row(ends[i], phi, u_rows[i + 1], energy_form)
             run.diagnostics.append(row)
             if projected and row[2] > tangency_tol:
-                raise RuntimeError(
-                    f"tangency defect {row[2]:.3e} at t={t:.4g} exceeds "
-                    f"{tangency_tol:.1e}; increase n_max or reduce dt"
-                )
-        states.append(stepper.state())
+                raise _tangency_abort(ends[i], row[2], tangency_tol)
+        done = m
+        run.states.append(phi.copy())
     return run
 
 

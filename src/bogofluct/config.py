@@ -4,6 +4,7 @@ lattice, interaction, initial data, time stepping, tolerances and output."""
 import copy
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -80,6 +81,15 @@ def _integer(value, name):
     return value
 
 
+def _number(value, name):
+    # JSON numbers only: "2.0" is an error, not 2.0, true is not 1.0, and
+    # NaN, infinities and integers past the float range are refused
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 class ExperimentConfig:
     """Validated convergence-experiment description.
 
@@ -115,11 +125,24 @@ class ExperimentConfig:
         _integer(self.model["modes"], "model.modes")
         self.u0_spec = resolved["u0"]
         self.phi0_spec = resolved["phi0"]
-        self.T = float(resolved["T"])
-        self.output_times = [float(t) for t in resolved["output_times"]]
-        self.dt_hartree = float(resolved["dt_hartree"])
-        self.dt_fock = float(resolved["dt_fock"])
-        self.dt_nbody = float(resolved["dt_nbody"])
+        self.T = _number(resolved["T"], "T")
+        self.output_times = [_number(t, "every output time") for t in resolved["output_times"]]
+        self.dt_hartree = _number(resolved["dt_hartree"], "dt_hartree")
+        self.dt_fock = _number(resolved["dt_fock"], "dt_fock")
+        self.dt_nbody = _number(resolved["dt_nbody"], "dt_nbody")
+        _number(self.model["spacing"], "model.spacing")
+        for key in ("center", "width"):
+            _number(self.u0_spec[key], f"u0.{key}")
+        params = self.model["interaction"]["params"]
+        for key in ("strength", "range", "c"):
+            if key in params:
+                _number(params[key], f"model.interaction.params.{key}")
+        if "values" in params:
+            if not isinstance(params["values"], list):
+                raise ValueError(f"model.interaction.params.values must be an array, "
+                                 f"got {params['values']!r}")
+            for v in params["values"]:
+                _number(v, "every model.interaction.params.values entry")
         self.tolerances = resolved["tolerances"]
         self.rate_gate = resolved["rate_gate"]
         self.output_dir = resolved["output_dir"]
@@ -153,7 +176,7 @@ class ExperimentConfig:
         if not isinstance(monotone, bool):
             raise ValueError(f"rate_gate.require_monotone must be true or false, got {monotone!r}")
         if self.rate_gate and "at_time" in self.rate_gate:
-            if float(self.rate_gate["at_time"]) not in self.output_times:
+            if _number(self.rate_gate["at_time"], "rate_gate.at_time") not in self.output_times:
                 raise ValueError(
                     f"rate_gate.at_time {self.rate_gate['at_time']} is not an output time"
                 )

@@ -2,7 +2,10 @@
 
 i u' = (h0 + diag(W |u|^2) - mu(u)) u with the gauge mu(u) chosen so the phase
 of u tracks the per-particle energy.  Integrated with classical RK4; the norm
-is measured, never enforced, so step-size problems surface as drift.
+is measured, never enforced, so step-size problems surface as drift.  The
+step loop holds only the four stages and the norm check: the gauge and the
+energy of every stored u are taken in one pass over the whole history after
+it, and the stored history is interpolated at any number of times at once.
 """
 
 import numpy as np
@@ -35,10 +38,18 @@ def hartree_energy(u: np.ndarray, h0: np.ndarray, W: np.ndarray) -> float:
     return kin + 0.5 * float(np.abs(u) ** 2 @ mean_field(u, W))
 
 
+def _field_and_gauge(u, W):
+    # one |u|^2 and one product with W give the mean field v and the gauge
+    # mu = (1/2) <|u|^2, v>, for one u or for each row of a stack
+    d = np.abs(u) ** 2
+    v = d @ W.T
+    return v, 0.5 * (d * v).sum(axis=-1)
+
+
 def _rhs(u, h0, W):
     # gauge re-evaluated from the stage's own u
-    v = mean_field(u, W)
-    return -1j * (h0 @ u + v * u - mu_of(u, W) * u)
+    v, mu = _field_and_gauge(u, W)
+    return -1j * (h0 @ u + (v - mu) * u)
 
 
 class HartreeTrajectory:
@@ -65,16 +76,17 @@ class HartreeTrajectory:
     def norms(self):
         return np.linalg.norm(self.u, axis=1)
 
-    def interpolate(self, t: float) -> np.ndarray:
-        """Unit-norm condensate at an arbitrary time in [0, T]."""
+    def interpolate(self, t):
+        """Unit-norm condensate at a time in [0, T], or one row per entry of a
+        1-D array of times; times outside [0, T] give the stored end points."""
         times = self.times
-        if t <= times[0]:
-            return self.u[0].copy()
-        if t >= times[-1]:
-            return self.u[-1].copy()
-        k = int(np.searchsorted(times, t, side="right") - 1)
-        h = times[k + 1] - times[k]
-        s = (t - times[k]) / h
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        if not np.isfinite(ts).all():
+            raise ValueError("interpolation times must be finite")
+        tc = np.clip(ts, times[0], times[-1])
+        k = np.minimum(np.searchsorted(times, tc, side="right") - 1, len(times) - 2)
+        h = (times[k + 1] - times[k])[:, None]
+        s = (tc - times[k])[:, None] / h
         h00 = (1 + 2 * s) * (1 - s) ** 2
         h10 = s * (1 - s) ** 2
         h01 = s**2 * (3 - 2 * s)
@@ -85,7 +97,10 @@ class HartreeTrajectory:
             + h01 * self.u[k + 1]
             + h11 * h * self.udot[k + 1]
         )
-        return val / np.linalg.norm(val)
+        out = val / np.sqrt(np.sum(val.real**2 + val.imag**2, axis=1))[:, None]
+        out[ts <= times[0]] = self.u[0]
+        out[ts >= times[-1]] = self.u[-1]
+        return out[0] if np.ndim(t) == 0 else out
 
     def interpolation_defect(self, t: float) -> float:
         """Residual of the Hartree equation at an interpolated time.
@@ -129,7 +144,8 @@ NORM_TOL = 1e-6
 def solve_hartree(u0, h0, W, T, dt) -> HartreeTrajectory:
     """RK4 integration of the gauged Hartree equation on [0, T].
 
-    Stores u, mu, energy and the exact derivative at every step.  Fails if the
+    Stores u, mu, energy and the exact derivative at every step; mu and the
+    energy are those of mu_of and hartree_energy.  Fails if the
     measured norm drift exceeds NORM_TOL, which signals that dt is too large.
     """
     u0 = np.asarray(u0, dtype=complex)
@@ -145,17 +161,12 @@ def solve_hartree(u0, h0, W, T, dt) -> HartreeTrajectory:
     M = u0.shape[0]
     u_hist = np.empty((n_steps + 1, M), dtype=complex)
     udot_hist = np.empty_like(u_hist)
-    mu_hist = np.empty(n_steps + 1)
-    e_hist = np.empty(n_steps + 1)
     u = u0.copy()
     for k in range(n_steps + 1):
         u_hist[k] = u
-        udot_hist[k] = _rhs(u, h0, W)
-        mu_hist[k] = mu_of(u, W)
-        e_hist[k] = hartree_energy(u, h0, W)
+        udot_hist[k] = k1 = _rhs(u, h0, W)
         if k == n_steps:
             break
-        k1 = udot_hist[k]
         k2 = _rhs(u + 0.5 * dt * k1, h0, W)
         k3 = _rhs(u + 0.5 * dt * k2, h0, W)
         k4 = _rhs(u + dt * k3, h0, W)
@@ -166,4 +177,7 @@ def solve_hartree(u0, h0, W, T, dt) -> HartreeTrajectory:
                 f"norm drift {drift:.3e} at t={times[k + 1]:.4g} exceeds {NORM_TOL:.1e}; "
                 f"reduce dt"
             )
-    return HartreeTrajectory(times, u_hist, udot_hist, mu_hist, e_hist, h0, W)
+    # energy <u, h0 u> + (1/2) <|u|^2, W |u|^2> = kinetic part + gauge
+    _, mu_hist = _field_and_gauge(u_hist, W)
+    kin = np.sum(np.conj(u_hist) * (u_hist @ np.asarray(h0).T), axis=1).real
+    return HartreeTrajectory(times, u_hist, udot_hist, mu_hist, kin + mu_hist, h0, W)

@@ -319,6 +319,21 @@ def test_projected_run_aborts_when_tangency_passes_its_bound():
                          tangency_tol=0.5 * reached)
 
 
+def test_tangency_abort_names_the_first_step_over_the_bound():
+    lat, h0, W = setup_model(3, g=1.5)
+    basis = enumerate_basis(3, 4)
+    traj = solve_hartree(bump(lat), h0, W, T=0.5, dt=0.001)
+    vac = FockVector.vacuum(basis)
+    grid = [0.2, 0.5]
+    rows = np.array(solve_bogoliubov(vac, traj, h0, W, dt=0.01, t_grid=grid).diagnostics)
+    bound = 0.5 * rows[:, 2].max()
+    first = np.flatnonzero(rows[:, 2] > bound)[0]
+    assert 1 < first < len(rows) - 1
+    with pytest.raises(RuntimeError, match="tangency defect") as err:
+        solve_bogoliubov(vac, traj, h0, W, dt=0.01, t_grid=grid, tangency_tol=bound)
+    assert f"tangency defect {rows[first, 2]:.3e} at t={rows[first, 0]:.4g} " in str(err.value)
+
+
 def test_bound_constants_are_the_smallest_psd_multiples():
     from bogofluct.bogoliubov import PSD_TOL
 
@@ -392,6 +407,18 @@ def test_quasi_free_run_carries_the_phase_of_the_vacuum():
         assert np.linalg.norm(got.amplitudes - phase * want.amplitudes) < 1e-14
     assert abs(run.states[0].amplitudes[0] / plain.states[0].amplitudes[0] - phase) < 1e-14
     assert np.max(np.abs(np.array(run.diagnostics) - np.array(plain.diagnostics))) < 1e-14
+
+
+def test_quasi_free_run_without_steps_returns_the_start():
+    lat, h0, W = setup_model(3, g=1.5)
+    basis = enumerate_basis(3, 8)
+    traj = solve_hartree(bump(lat), h0, W, T=0.3, dt=0.001)
+    start = FockVector(basis, np.exp(0.3j) * FockVector.vacuum(basis).amplitudes)
+    run = solve_bogoliubov(start, traj, h0, W, dt=0.01, t_grid=[0.0])
+    assert len(run.states) == 1 and len(run.diagnostics) == 1
+    assert run.states[0].amplitudes.tobytes() == start.amplitudes.tobytes()
+    want = _diag_row(0.0, start, traj.u[0], run.energy_form)
+    assert np.max(np.abs(np.array(run.diagnostics[0]) - want)) < 1e-15
 
 
 def test_bare_kernel_vacuum_run_is_the_krylov_loop_bit_for_bit():

@@ -61,12 +61,39 @@ def test_unknown_keys_rejected():
     {"N_list": "468"},
     {"n_max": 12.9},
     {"model": {"modes": 3.7}},
+    {"T": "2.0"},
+    {"T": float("inf")},
+    {"dt_fock": True},
+    {"dt_nbody": 10**400},
+    {"dt_hartree": float("nan")},
+    {"output_times": ["0.0", 0.5]},
+    {"model": {"spacing": "1.0"}},
+    {"u0": {"kind": "gaussian", "center": None}},
+    {"u0": {"kind": "gaussian", "width": [0.8]}},
+    {"model": {"interaction": {"kind": "gaussian", "params": {"strength": "1.0"}}}},
+    {"model": {"interaction": {"kind": "gaussian", "params": {"range": False}}}},
+    {"model": {"interaction": {"kind": "constant", "params": {"c": "0.3"}}}},
+    {"model": {"interaction": {"kind": "table", "params": {"values": [1.0, "0.5", 0.5]}}}},
+    {"model": {"interaction": {"kind": "table", "params": {"values": "155"}}}},
+    {"rate_gate": {"at_time": "0.5"}},
 ])
 def test_invalid_configs_rejected(patch):
     doc = json.loads(json.dumps(TINY))
     doc.update(patch)
     with pytest.raises(ValueError):
         ExperimentConfig(doc)
+
+
+def test_integer_valued_floats_are_accepted_and_recorded_as_given():
+    doc = json.loads(json.dumps(TINY))
+    doc.update({"T": 1, "output_times": [0, 0.5, 1], "dt_nbody": 1})
+    doc["model"]["interaction"] = {"kind": "table", "params": {"values": [1, 0.5, 0.5]}}
+    cfg = ExperimentConfig(doc)
+    assert cfg.T == 1.0 and isinstance(cfg.T, float)
+    assert cfg.output_times == [0.0, 0.5, 1.0] and cfg.dt_nbody == 1.0
+    resolved = json.loads(cfg.resolved_json())
+    assert resolved["T"] == 1 and isinstance(resolved["T"], int)
+    assert resolved["output_times"] == [0, 0.5, 1]
 
 
 def test_exact_sector_requirement():

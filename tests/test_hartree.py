@@ -131,6 +131,34 @@ def test_interpolation_accuracy_and_defect():
     assert np.linalg.norm(coarse.interpolate(coarse.times[37]) - coarse.u[37]) < 1e-9
 
 
+def test_interpolation_of_an_array_is_the_scalar_form_bit_for_bit():
+    lat, h0, W = setup_model(4, g=1.2)
+    traj = solve_hartree(bump(lat), h0, W, T=1.0, dt=0.01)
+    stored = traj.times[[0, 1, 37, -2, -1]]
+    interior = [0.0123, 0.5005, 0.777, 0.9999]
+    clamped = [-0.5, -1e-12, 1.0 + 1e-12, 3.0]
+    ts = np.concatenate([stored, interior, clamped])
+    rows = traj.interpolate(ts)
+    assert rows.shape == (len(ts), 4)
+    for t, row in zip(ts, rows):
+        assert row.tobytes() == traj.interpolate(float(t)).tobytes()
+    # the ends are the stored modes themselves, not renormalized
+    assert rows[-4].tobytes() == rows[-3].tobytes() == traj.u[0].tobytes()
+    assert rows[-2].tobytes() == rows[-1].tobytes() == traj.u[-1].tobytes()
+    assert traj.interpolate(ts[5:6]).shape == (1, 4)
+    assert traj.interpolate(np.array([])).shape == (0, 4)
+    with pytest.raises(ValueError, match="finite"):
+        traj.interpolate(np.array([0.5, np.nan]))
+
+
+def test_stored_gauge_and_energy_are_those_of_the_stored_modes():
+    lat, h0, W = setup_model(4, g=1.5)
+    traj = solve_hartree(bump(lat), h0, W, T=0.3, dt=0.001)
+    for u, mu, energy in zip(traj.u, traj.mu, traj.energy):
+        assert abs(mu - mu_of(u, W)) < 1e-14
+        assert abs(energy - hartree_energy(u, h0, W)) < 1e-14
+
+
 def test_rejects_bad_input_and_reports_drift():
     lat, h0, W = setup_model(3)
     with pytest.raises(ValueError):

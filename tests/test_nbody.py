@@ -117,6 +117,30 @@ def test_krylov_path_matches_dense_oracle():
     assert np.max(np.abs(kry - oracle)) < 1e-9
 
 
+def test_sector_between_the_crossover_and_500_states_takes_the_krylov_path(monkeypatch):
+    # 286 states: past the crossover the substepped Krylov path is cheaper
+    # than one dense eigendecomposition, and it must stay as exact
+    import bogofluct.nbody as nbody
+    from bogofluct.linalg import DENSE_FALLBACK_DIM, dense_propagator
+
+    lat = build_lattice(4, 1.0)
+    h0 = build_laplacian(lat)
+    W = build_interaction(lat, gaussian_profile(0.5, 1.0))
+    b = enumerate_basis(4, 10)
+    H = build_hamiltonian(h0, W, 10, b)
+    assert DENSE_FALLBACK_DIM <= b.sector_dim(10) < 500
+    psi0 = SectorVector(b, 10, random_unit(np.random.default_rng(7), b.sector_dim(10)))
+    times = [0.0, 0.25, 1.0]
+    oracle = dense_propagator(H.mat)
+
+    def refuse(_):
+        raise AssertionError("dense path taken")
+
+    monkeypatch.setattr(nbody, "dense_propagator", refuse)
+    for t, st in zip(times, propagate_exact(H, psi0, times, dt_max=0.05)):
+        assert np.max(np.abs(st.amplitudes - oracle.apply(psi0.amplitudes, t))) < 1e-12
+
+
 def test_norm_and_energy_conservation():
     lat = build_lattice(3, 1.0)
     h0 = build_laplacian(lat)
