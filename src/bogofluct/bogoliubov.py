@@ -20,8 +20,8 @@ untruncated dynamics, which the Krylov stepper reproduces up to the cut at
 n_max.  The path works on the whole step grid at once: the generators of all
 midpoints and their exponentials are taken as one stack, a loop carries only
 the recurrence for (T, c), and the diagnostics rows are closed forms in the
-stacked T.  Fock amplitudes are built only at the output times, truncated at
-n_max.
+stacked T.  Fock amplitudes are built only at the output times, cut at n_max,
+through sector blocks of the mode annihilators.
 """
 
 import logging
@@ -36,13 +36,15 @@ from .csvio import write_csv
 from .fock import (
     FockVector,
     OccupationBasis,
+    SectorVector,
     SparseOperator,
     annihilate_op,
     dense_to_sector,
     dgamma,
+    one_body_form,
     pairing_op,
-    pairing_raise,
     quadratic_op,
+    sector_mode_lowerings,
     sector_to_dense,
 )
 from .hartree import HartreeTrajectory, _field_and_gauge
@@ -149,12 +151,12 @@ def tangency_defect(phi: FockVector, u: np.ndarray) -> float:
 
 @dataclass
 class FluctuationRun:
-    """States at the requested grid times, the energy form dGamma(1 + h0) on
-    the full basis, and per-step diagnostics rows."""
+    """States at the requested grid times, the energy form, a function
+    v -> <v, dGamma(1 + h0) v>, and per-step diagnostics rows."""
 
     times: np.ndarray
     states: list
-    energy_form: sp.csr_matrix
+    energy_form: object
     diagnostics: list = field(default_factory=list)
 
     DIAG_COLUMNS = (
@@ -173,7 +175,7 @@ def _diag_row(t, phi: FockVector, u, energy_form):
     totals = phi.basis.totals()
     p = np.abs(phi.amplitudes) ** 2
     expect_n = float(totals @ p)
-    expect_energy = float(np.real(np.vdot(phi.amplitudes, energy_form @ phi.amplitudes)))
+    expect_energy = float(np.real(energy_form(phi.amplitudes)))
     profile = [float(sector_norms[n]) if n <= n_max else 0.0 for n in range(7)]
     return [t, phi.norm(), tangency_defect(phi, u), expect_n, expect_energy,
             leakage, *profile]
@@ -271,17 +273,21 @@ def _quasi_free_rows(times, Ts, cs, u, h0, n_max):
     ])
 
 
-def _quasi_free_state(T, c, basis: OccupationBasis) -> FockVector:
-    """c sum_{k <= n_max/2} pairing_raise(T)^k vacuum / k!, the state cut at
-    n_max."""
-    raise_T = pairing_raise(T, basis).mat
-    layer = np.zeros(basis.size, dtype=complex)
-    layer[0] = c
-    amps = layer.copy()
-    for k in range(1, basis.n_max // 2 + 1):
-        layer = (raise_T @ layer) / k
-        amps += layer
-    return FockVector(basis, amps)
+def _quasi_free_states(Ts, cs, basis: OccupationBasis) -> list:
+    """c sum_{k <= n_max/2} (1/2 a^dag T a^dag)^k vacuum / k! for each (T, c),
+    cut at n_max.  Each pair raising v -> 1/2 sum_ij T_ij a_i^dag a_j^dag v
+    goes through the sector blocks of the mode annihilators: x_j = a_j^dag v,
+    then 1/2 sum_i a_i^dag (sum_j T_ij x_j)."""
+    up = [None] + [sector_mode_lowerings(basis, n).T for n in range(1, basis.n_max + 1)]
+    states = []
+    for T, c in zip(Ts, cs):
+        amps = np.zeros(basis.size, dtype=complex)
+        amps[0] = c
+        for k in range(1, basis.n_max // 2 + 1):
+            x = up[2 * k - 1] @ np.kron(np.eye(basis.M), amps[basis.sector_slice(2 * k - 2), None])
+            amps[basis.sector_slice(2 * k)] = 0.5 * (up[2 * k] @ (x @ T.T).T.ravel()) / k
+        states.append(FockVector(basis, amps))
+    return states
 
 
 def _tangency_abort(t, defect, tangency_tol):
@@ -325,7 +331,7 @@ def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
     row_times = [0.0, *ends]
     u_mid = traj.interpolate(np.asarray(mids))
     u_rows = traj.interpolate(np.asarray(row_times))
-    energy_form = dgamma(np.eye(basis.M) + h0, basis).mat
+    energy_form = one_body_form(np.eye(basis.M) + h0, basis)
     run = FluctuationRun(t_grid, [], energy_form)
     if projected and np.flatnonzero(phi0.amplitudes).tolist() == [0]:
         Ts, cs, failure = _quasi_free_path(phi0.amplitudes[0], u_mid, taus, h0, W)
@@ -337,7 +343,7 @@ def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
         if failure is not None:
             raise failure
         run.diagnostics = rows.tolist()
-        run.states = [_quasi_free_state(Ts[m], cs[m], basis) for m in marks]
+        run.states = _quasi_free_states(Ts[marks], cs[marks], basis)
         return run
     phi = phi0.copy()
     run.diagnostics.append(_diag_row(0.0, phi, u_rows[0], energy_form))
@@ -374,9 +380,7 @@ def hierarchy_rhs(phi: FockVector, kern: Kernels, h_plus_k1: np.ndarray) -> Fock
     h1 = h_plus_k1
 
     psi1 = phi.sector(1).copy()
-    psi2 = sector_to_dense(_sector_view(phi, 2))
-    psi3 = sector_to_dense(_sector_view(phi, 3))
-    psi4 = sector_to_dense(_sector_view(phi, 4))
+    psi2, psi3, psi4 = (sector_to_dense(SectorVector(basis, n, phi.sector(n))) for n in (2, 3, 4))
     phi0 = phi.sector(0)[0]
 
     out0 = 0.5 * math.sqrt(2.0) * np.einsum("xy,xy->", k2c, psi2)
@@ -393,12 +397,6 @@ def hierarchy_rhs(phi: FockVector, kern: Kernels, h_plus_k1: np.ndarray) -> Fock
     amps[basis.sector_slice(1)] = out1
     amps[basis.sector_slice(2)] = dense_to_sector(out2, basis, 2).amplitudes
     return FockVector(basis, amps)
-
-
-def _sector_view(phi: FockVector, n: int):
-    from .fock import SectorVector
-
-    return SectorVector(phi.basis, n, phi.sector(n).copy())
 
 
 # smallest eigenvalue, relative to the matrix scale, still counted as >= 0

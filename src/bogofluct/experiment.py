@@ -153,7 +153,7 @@ class _Comparison:
             yield {
                 "time": t,
                 "err_norm": float(np.linalg.norm(delta)),
-                "err_energy_form": float(np.real(np.vdot(delta, self.run.energy_form @ delta))),
+                "err_energy_form": float(np.real(self.run.energy_form(delta))),
                 "trace_dist_k1": trace_distance(reduced_density(psi, 1), _condensate_density(u_t)),
                 "expect_Nplus": float(totals @ (np.abs(mapped.amplitudes) ** 2)),
                 "init_norm_deficit": deficit + abs(1.0 - cut_weight),

@@ -7,28 +7,27 @@ excitation data.
 
 Basis ordering: sectors by increasing total particle number; inside a
 sector, occupation vectors with the first mode filling first, i.e.
-(n,0,...), (n-1,1,0,...), ...  Creation amplitudes that would leave the
-truncation are dropped, which keeps every assembled operator a compression
-of its untruncated counterpart.
+(n,0,...), (n-1,1,0,...), ..., so an index is the sector offset plus a
+combinatorial rank.  Creation amplitudes that would leave the truncation are
+dropped, which keeps every assembled operator a compression of its
+untruncated counterpart.
 
-Quadratic operators are value refills of sparsity patterns cached on the
-basis (CSRPattern): one for the band-(-2, 0, 2) operators dGamma(A),
-pairing(K) and their sum, one for the band-(-1) annihilators a(f).  A pattern
-is built on first use, and the particle-number band of each of its term
-blocks is checked once, then; a fill only computes the values and writes
-them into those verified positions.  That build is the one place where the
-particle-number structure is checked: a SparseOperator is only a basis and a
-matrix, and the operators made without a pattern are diagonal (number_op,
-two_body_op).  Every ladder amplitude is the square root of the exact
-integer product of its bosonic factors, a filled operator stores no exact
-zero, and the diagonal block starts at sector 1, since dGamma(A) vanishes on
-the vacuum.
+The run path works on sector blocks cut from this basis: a(f) lowers the
+total by exactly one, so sector_lowerings and sector_mode_lowerings cut a(f)
+and the mode annihilators a_i into blocks from sector n to n-1, whose
+adjoints (adjoint_block) raise; one_body_block builds dGamma(A) on a sector.
 
-a(f) lowers the total by exactly one, so sector_lowerings cuts it into its
-blocks from sector n to n-1, and their adjoints (adjoint_block) are the
-raisings.  The condensate block construction (hartree_block) and the
-excitation map apply a(u) and a^dag(u) only through these blocks, on
-sector-sized vectors.
+Operators on the whole basis are value refills of sparsity patterns cached
+on the basis (CSRPattern): one for the annihilators a(f), whose block i
+holds a_i, and one for dGamma(A), pairing(K) and their sum, which only the
+Krylov fluctuation stepper and the dense identity checks use.  A pattern is
+built on first use, and the particle-number band of each of its term blocks
+is checked once, then; a fill only writes values into those positions.
+That build is the one place where the particle-number structure is checked:
+a SparseOperator is only a basis and a matrix.  Every ladder amplitude is
+the square root of the exact integer product of its bosonic factors, a
+filled operator stores no exact zero, and the diagonal block starts at
+sector 1, since dGamma(A) vanishes on the vacuum.
 """
 
 import math
@@ -47,30 +46,23 @@ __all__ = [
     "create_op",
     "annihilate_op",
     "sector_lowerings",
+    "sector_mode_lowerings",
     "adjoint_block",
     "dgamma",
+    "one_body_block",
+    "one_body_form",
     "number_op",
     "pairing_op",
     "quadratic_op",
     "two_body_op",
+    "two_body_diagonal",
     "sym_tensor",
     "hartree_block",
-    "project_out_mode",
     "sector_to_dense",
     "dense_to_sector",
 ]
 
 DEFAULT_MAX_STATES = 5_000_000
-
-
-def _compositions(n, m):
-    # all occupation vectors of n quanta in m modes, first mode filling first
-    if m == 1:
-        yield (n,)
-        return
-    for k in range(n, -1, -1):
-        for rest in _compositions(n - k, m - 1):
-            yield (k,) + rest
 
 
 class OccupationBasis:
@@ -81,29 +73,29 @@ class OccupationBasis:
             raise ValueError(f"need M >= 1 modes, got {M}")
         if n_max < 0:
             raise ValueError(f"need n_max >= 0, got {n_max}")
-        dim = sum(math.comb(n + M - 1, M - 1) for n in range(n_max + 1))
+        dim = math.comb(n_max + M, M)
         if dim > max_states:
             raise ValueError(
                 f"basis with M={M}, n_max={n_max} holds {dim} states, "
                 f"above the cap {max_states}"
             )
-        states = np.empty((dim, M), dtype=np.int64)
-        offsets = np.empty(n_max + 2, dtype=np.int64)
-        pos = 0
-        for n in range(n_max + 1):
-            offsets[n] = pos
-            for occ in _compositions(n, M):
-                states[pos] = occ
-                pos += 1
-        offsets[n_max + 1] = pos
+        # below[t, m]: occupation rows of m modes with total below t.  The
+        # rows of m + 1 modes with total t are t - s before each row of m
+        # modes with total s, s = 0..t: the first below[t + 1, m] rows
+        below = np.array([[math.comb(t + m - 1, m) if t else 0 for m in range(M + 1)]
+                          for t in range(n_max + 2)])
+        states = np.arange(n_max + 1)[:, None]
+        for m in range(1, M):
+            t = np.repeat(np.arange(n_max + 1), below[1:, m])
+            j = np.concatenate([np.arange(c) for c in below[1:, m]])
+            states = np.column_stack([t - states[j].sum(axis=1), states[j]])
         self.M = M
         self.n_max = n_max
         self.states = states
-        self.sector_offsets = offsets
+        self.sector_offsets = below[:, M]
         self.size = len(states)
+        self._below = below
         self._totals = None
-        self._keys = None
-        self._lowering = None
         self._quad_pattern = None
         self._low_pattern = None
 
@@ -127,21 +119,19 @@ class OccupationBasis:
         return self._totals
 
     def lookup(self, occ) -> np.ndarray:
-        """Basis indices of a stack of occupation rows, by one vectorized
-        search over fixed-width byte keys of the rows (keys sorted once)."""
-        if self._keys is None:
-            keys = _row_keys(self.states)
-            order = np.argsort(keys)
-            self._keys = (keys[order], order)
-        sorted_keys, order = self._keys
-        occ = np.asarray(occ)
+        """Basis indices of a stack of occupation rows s: with tail_i =
+        s_i + ... + s_{M-1}, the states before s are below[tail_0, M] of a
+        lower total and, for i >= 1, below[tail_i, M - i] that agree with s
+        on modes 0..i-2 and hold more in mode i-1."""
+        occ = np.asarray(occ, dtype=np.int64)
         if occ.ndim != 2 or occ.shape[1] != self.M:
             raise KeyError(f"occupation rows of shape {occ.shape}, basis has {self.M} modes")
-        want = _row_keys(occ)
-        pos = np.minimum(np.searchsorted(sorted_keys, want), self.size - 1)
-        if not np.all(sorted_keys[pos] == want):
+        tails = [occ[:, -1]]  # tails[m - 1] = tail_{M - m}
+        for i in range(self.M - 2, -1, -1):
+            tails.append(tails[-1] + occ[:, i])
+        if np.any(occ < 0) or np.any(tails[-1] > self.n_max):
             raise KeyError("occupation vector outside the truncated basis")
-        return order[pos]
+        return sum(self._below[tail, m] for m, tail in enumerate(tails, 1))
 
     def sector_factorials(self, n: int) -> np.ndarray:
         """Exact prod_i s_i! of each state s of sector n: int64 up to n = 20,
@@ -160,16 +150,6 @@ class OccupationBasis:
         local = self.lookup(occ) - self.sector_slice(n).start
         return local.reshape((self.M,) * n)
 
-    def mode_lowering(self, i: int) -> sp.csr_matrix:
-        """Sparse matrix of the mode annihilator a_i (cached)."""
-        if self._lowering is None:
-            self._lowering = [self._build_lowering(j) for j in range(self.M)]
-        return self._lowering[i]
-
-    def _build_lowering(self, i):
-        dst, src, amps = self.lowering_structure(i)
-        return sp.csr_matrix((amps, (dst, src)), shape=(self.size, self.size))
-
     def lowering_structure(self, i: int):
         """Index pattern (rows, cols, amps) of a_i: amplitude sqrt(n_i) from
         each state with n_i > 0."""
@@ -185,21 +165,22 @@ class OccupationBasis:
         whose total lies at least two below the truncation."""
         return self._ladder(up=(i, j))
 
-    def _ladder(self, down=(), up=()):
+    def _ladder(self, down=(), up=(), n=None):
         # index pattern (rows, cols, amps) of prod a_up^dag prod a_down: the
-        # sources are the states every a_down acts on whose image stays in
-        # the truncation; amps is sqrt of the exact integer product of the
-        # bosonic factors
-        occ = self.states.copy()
-        factor = np.ones(self.size, dtype=np.int64)
+        # sources are the states (of sector n, if given) every a_down acts
+        # on whose image stays in the truncation; amps is sqrt of the exact
+        # integer product of the bosonic factors
+        sl = slice(0, self.size) if n is None else self.sector_slice(n)
+        occ = self.states[sl].copy()
+        factor = np.ones(len(occ), dtype=np.int64)
         for j in down:
             factor *= occ[:, j]
             occ[:, j] -= 1
         for i in up:
             occ[:, i] += 1
             factor *= occ[:, i]
-        src = np.flatnonzero((factor > 0) & (self.totals() <= self.n_max + len(down) - len(up)))
-        return self.lookup(occ[src]), src, np.sqrt(factor[src].astype(float))
+        src = np.flatnonzero((factor > 0) & (self.totals()[sl] <= self.n_max + len(down) - len(up)))
+        return self.lookup(occ[src]), src + sl.start, np.sqrt(factor[src].astype(float))
 
     def quadratic_pattern(self) -> "CSRPattern":
         """CSR pattern of the band-(-2, 0, 2) quadratic operators (cached).
@@ -239,12 +220,6 @@ class OccupationBasis:
 
 def enumerate_basis(M: int, n_max: int, max_states: int = DEFAULT_MAX_STATES) -> OccupationBasis:
     return OccupationBasis(M, n_max, max_states)
-
-
-def _row_keys(occ) -> np.ndarray:
-    # one fixed-width byte string per occupation row; equal rows, equal keys
-    occ = np.ascontiguousarray(occ, dtype=np.int64)
-    return occ.view(np.dtype((np.void, occ.itemsize * occ.shape[1]))).ravel()
 
 
 def _check_band_entries(dn, band):
@@ -378,11 +353,6 @@ class SectorVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def embed(self) -> FockVector:
-        amps = np.zeros(self.basis.size, dtype=complex)
-        amps[self.basis.sector_slice(self.n)] = self.amplitudes
-        return FockVector(self.basis, amps)
-
 
 class SparseOperator:
     """Sparse operator on a truncated occupation basis: the basis and its
@@ -455,6 +425,20 @@ def sector_lowerings(f: np.ndarray, basis: OccupationBasis, top: int) -> list:
     return blocks
 
 
+def sector_mode_lowerings(basis: OccupationBasis, n: int) -> sp.csr_matrix:
+    """The blocks of the mode annihilators a_i from sector n to n-1, stacked:
+    row i * dim(n-1) + r is row r of a_i, in sector-local indices.  They are
+    cut from the rows of sector n-1 of the lowering pattern."""
+    pat = basis.lowering_pattern()
+    rows, cols = basis.sector_slice(n - 1), basis.sector_slice(n)
+    dim = rows.stop - rows.start
+    ptr = pat.indptr[rows.start:rows.stop + 1]
+    a, b = ptr[0], ptr[-1]
+    stacked = pat.block_of[a:b].astype(np.int64) * dim + np.repeat(np.arange(dim), np.diff(ptr))
+    return sp.csr_matrix((pat.amps[a:b], (stacked, pat.indices[a:b] - cols.start)),
+                         shape=(basis.M * dim, cols.stop - cols.start))
+
+
 def adjoint_block(block: sp.csr_matrix) -> sp.csc_matrix:
     """block.conj().T as one CSC matrix on the block's index arrays."""
     return sp.csc_matrix((block.data.conj(), block.indices, block.indptr),
@@ -469,12 +453,13 @@ def create_op(f: np.ndarray, basis: OccupationBasis) -> SparseOperator:
     return annihilate_op(f, basis).dag()
 
 
-def _one_body_values(A, basis):
+def _one_body_values(A, basis, states):
+    # "diag": sum_j s_j A_jj on each row s of states; ("hop", i, j): A_ij
     A = np.asarray(A, dtype=complex)
     M = basis.M
     if A.shape != (M, M):
         raise ValueError("one-body matrix has wrong shape")
-    values = {"diag": basis.states[basis.sector_offsets[1]:] @ np.diagonal(A)}
+    values = {"diag": states @ np.diagonal(A)}
     for i in range(M):
         for j in range(M):
             if i != j and A[i, j] != 0:
@@ -504,13 +489,43 @@ def _pair_values(K, basis, lower: bool):
 def dgamma(A: np.ndarray, basis: OccupationBasis) -> SparseOperator:
     """Second quantization of the one-body operator A: acts as sum_j A_j on
     each sector."""
-    mat = basis.quadratic_pattern().fill(_one_body_values(A, basis))
-    return SparseOperator(basis, mat)
+    values = _one_body_values(A, basis, basis.states[basis.sector_offsets[1]:])
+    return SparseOperator(basis, basis.quadratic_pattern().fill(values))
+
+
+def one_body_block(A: np.ndarray, basis: OccupationBasis, n: int) -> sp.csr_matrix:
+    """The block of dgamma(A) on sector n, in sector-local indices, built from
+    the states of the sector alone: its diagonal and its hop entries."""
+    sl = basis.sector_slice(n)
+    values = _one_body_values(A, basis, basis.states[sl])
+    local = np.arange(sl.stop - sl.start)
+    rows, cols, vals = [local], [local], [values.pop("diag")]
+    for (_, i, j), coeff in values.items():
+        dst, src, amps = basis._ladder(down=(j,), up=(i,), n=n)
+        rows.append(dst - sl.start)
+        cols.append(src - sl.start)
+        vals.append(coeff * amps)
+    mat = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(len(local), len(local)))
+    mat.eliminate_zeros()
+    return mat
+
+
+def one_body_form(A: np.ndarray, basis: OccupationBasis):
+    """The quadratic form v -> <v, dGamma(A) v> = sum_ij A_ij <a_i v, a_j v>
+    on full-basis amplitudes, from the M mode lowerings a_i in one matrix."""
+    low = sp.vstack([annihilate_op(e, basis).mat for e in np.eye(basis.M)], format="csr")
+
+    def form(v) -> complex:
+        X = (low @ v).reshape(basis.M, -1)
+        return complex(np.vdot(X, A @ X))
+
+    return form
 
 
 def quadratic_op(A: np.ndarray, K: np.ndarray, basis: OccupationBasis) -> SparseOperator:
     """dGamma(A) + pairing_op(K) in one fill of the quadratic pattern."""
-    values = _one_body_values(A, basis)
+    values = _one_body_values(A, basis, basis.states[basis.sector_offsets[1]:])
     values.update(_pair_values(K, basis, lower=True))
     return SparseOperator(basis, basis.quadratic_pattern().fill(values))
 
@@ -541,12 +556,18 @@ def two_body_op(W: np.ndarray, basis: OccupationBasis) -> SparseOperator:
     Diagonal in the occupation basis: on a state with occupations n it takes
     the value sum over particle pairs of W evaluated at their sites.
     """
+    vals = two_body_diagonal(W, basis.states)
+    return SparseOperator(basis, sp.diags(vals.astype(complex), format="csr"))
+
+
+def two_body_diagonal(W: np.ndarray, occ: np.ndarray) -> np.ndarray:
+    """Value of two_body_op(W) on each occupation row s of occ:
+    (1/2) sum_xy W[x,y] s_x (s_y - delta_xy)."""
     W = np.asarray(W)
     if np.max(np.abs(W - W.T)) > 1e-12:
         raise ValueError("two-body kernel is not symmetric")
-    S = basis.states.astype(float)
-    vals = 0.5 * (np.einsum("si,ij,sj->s", S, W, S) - S @ np.real(np.diag(W)))
-    return SparseOperator(basis, sp.diags(vals.astype(complex), format="csr"))
+    S = occ.astype(float)
+    return 0.5 * (np.einsum("si,ij,sj->s", S, W, S) - S @ np.real(np.diag(W)))
 
 
 def sym_tensor(psi_k: SectorVector, psi_l: SectorVector) -> SectorVector:
@@ -576,24 +597,6 @@ def sym_tensor(psi_k: SectorVector, psi_l: SectorVector) -> SectorVector:
     out = np.zeros(basis.sector_dim(n_out), dtype=complex)
     np.add.at(out, idx, vals.ravel())
     return SectorVector(basis, n_out, out)
-
-
-def project_out_mode(u: np.ndarray, vec: FockVector) -> FockVector:
-    """Project every sector onto the subspace with no quanta in the mode u.
-
-    Uses the normal-ordered form of the projector,
-    sum_k (-1)^k/k! a^dag(u)^k a(u)^k, evaluated Horner style; exact on the
-    truncated basis in any frame.
-    """
-    low = annihilate_op(u, vec.basis).mat
-    raise_u = low.conj().T.tocsr()
-    downs = [vec.amplitudes]
-    for _ in range(vec.basis.n_max):
-        downs.append(low @ downs[-1])
-    acc = downs[-1].copy()
-    for k in range(vec.basis.n_max - 1, -1, -1):
-        acc = downs[k] - (raise_u @ acc) / (k + 1)
-    return FockVector(vec.basis, acc)
 
 
 # largest ||a(u) phi_n|| / max(1, ||phi_n||) accepted as orthogonal to the

@@ -2,7 +2,9 @@
 
 Assembles the mean-field-scaled Hamiltonian, propagates with a Krylov or
 dense-spectral exponential, and computes reduced density matrices and trace
-distances between them.
+distances between them, all on sector blocks cut from the Fock basis: the
+Hamiltonian from the states of sector N alone, reduced densities through the
+sector blocks of the mode annihilators.
 """
 
 import math
@@ -11,12 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import OccupationBasis, SectorVector, dgamma, two_body_op
+from .fock import (OccupationBasis, SectorVector, one_body_block, sector_mode_lowerings,
+                   two_body_diagonal)
 from .linalg import DENSE_FALLBACK_DIM, dense_propagator, propagate_substeps
 
 __all__ = [
     "NBodyHamiltonian",
-    "fock_hamiltonian",
     "build_hamiltonian",
     "propagate_exact",
     "ReducedDensity",
@@ -25,30 +27,24 @@ __all__ = [
 ]
 
 
-def fock_hamiltonian(h0, W, N: int, basis: OccupationBasis):
-    """Second-quantized Hamiltonian dGamma(h0) + (1/(N-1)) two-body(W) on the
-    whole truncated basis; coincides with the N-body operator on sector N."""
-    if N < 2:
-        raise ValueError("mean-field coupling 1/(N-1) needs N >= 2")
-    return dgamma(h0, basis) + (1.0 / (N - 1)) * two_body_op(W, basis)
-
-
 @dataclass
 class NBodyHamiltonian:
     N: int
     basis: OccupationBasis
-    mat: sp.csr_matrix  # restricted to sector N
-    h0: np.ndarray
-    W: np.ndarray
+    mat: sp.csr_matrix  # on sector N
 
 
 def build_hamiltonian(h0, W, N: int, basis: OccupationBasis) -> NBodyHamiltonian:
-    """Restrict the second-quantized Hamiltonian to the N-particle sector."""
+    """The second-quantized Hamiltonian dGamma(h0) + (1/(N-1)) two-body(W)
+    on the N-particle sector alone: the one-body block of the sector, and
+    the pair energies of its states on the diagonal."""
     if basis.n_max < N:
         raise ValueError(f"basis truncation {basis.n_max} below N={N}")
-    full = fock_hamiltonian(h0, W, N, basis).mat
-    sl = basis.sector_slice(N)
-    return NBodyHamiltonian(N, basis, full[sl, sl].tocsr(), np.asarray(h0), np.asarray(W))
+    if N < 2:
+        raise ValueError("mean-field coupling 1/(N-1) needs N >= 2")
+    pair = two_body_diagonal(W, basis.states[basis.sector_slice(N)]).astype(complex)
+    mat = one_body_block(h0, basis, N) + sp.diags(pair * (1.0 / (N - 1)), format="csr")
+    return NBodyHamiltonian(N, basis, mat)
 
 
 def propagate_exact(H: NBodyHamiltonian, psi0: SectorVector, t_grid,
@@ -107,11 +103,12 @@ def reduced_density(psi: SectorVector, k: int) -> ReducedDensity:
         raise ValueError(f"order k={k} outside 1..{N}")
     basis = psi.basis
     # column j of cols is a_{m_1} ... a_{m_k} psi for the j-th mode tuple in
-    # C order; the ascending tuple of each state s gives its string, over
-    # sqrt(prod s_i!)
-    cols = psi.embed().amplitudes[:, None]
-    for _ in range(k):
-        cols = np.hstack([basis.mode_lowering(m) @ cols for m in range(basis.M)])
+    # C order, in sector N - k; the ascending tuple of each state s gives its
+    # string, over sqrt(prod s_i!)
+    cols = psi.amplitudes[:, None]
+    for n in range(N, N - k, -1):
+        low = (sector_mode_lowerings(basis, n) @ cols).reshape(basis.M, -1, cols.shape[1])
+        cols = low.transpose(1, 0, 2).reshape(low.shape[1], -1)
     _, first = np.unique(basis.tuple_states(k), return_index=True)
     lowered = (cols[:, first] / np.sqrt(basis.sector_factorials(k).astype(float))).T
     gram = lowered.conj() @ lowered.T  # gram[t, s] = <A_t psi, A_s psi>

@@ -3,7 +3,47 @@
 import numpy as np
 import scipy.sparse as sp
 
-from bogofluct.fock import OccupationBasis, SparseOperator, annihilate_op, create_op, number_op
+from bogofluct.fock import (
+    FockVector,
+    OccupationBasis,
+    SectorVector,
+    SparseOperator,
+    annihilate_op,
+    create_op,
+    number_op,
+)
+
+
+def embed(psi: SectorVector) -> FockVector:
+    """A sector vector as amplitudes over the whole basis, zero elsewhere."""
+    amps = np.zeros(psi.basis.size, dtype=complex)
+    amps[psi.basis.sector_slice(psi.n)] = psi.amplitudes
+    return FockVector(psi.basis, amps)
+
+
+def project_out_mode(u: np.ndarray, vec: FockVector) -> FockVector:
+    """Project every sector onto the subspace with no quanta in the mode u.
+
+    Uses the normal-ordered form of the projector,
+    sum_k (-1)^k/k! a^dag(u)^k a(u)^k, evaluated Horner style; exact on the
+    truncated basis in any frame.
+    """
+    low = annihilate_op(u, vec.basis).mat
+    raise_u = low.conj().T.tocsr()
+    downs = [vec.amplitudes]
+    for _ in range(vec.basis.n_max):
+        downs.append(low @ downs[-1])
+    acc = downs[-1].copy()
+    for k in range(vec.basis.n_max - 1, -1, -1):
+        acc = downs[k] - (raise_u @ acc) / (k + 1)
+    return FockVector(vec.basis, acc)
+
+
+def mode_lowering(basis: OccupationBasis, i: int) -> sp.csr_matrix:
+    """Sparse matrix of the mode annihilator a_i on the whole basis, built
+    from its index pattern alone."""
+    dst, src, amps = basis.lowering_structure(i)
+    return sp.csr_matrix((amps, (dst, src)), shape=(basis.size, basis.size))
 
 
 def two_body_general(B, basis) -> SparseOperator:
@@ -14,7 +54,7 @@ def two_body_general(B, basis) -> SparseOperator:
     if B.shape != (M, M, M, M):
         raise ValueError("two-body tensor has wrong shape")
     mat = sp.csr_matrix((basis.size, basis.size), dtype=complex)
-    lower = [basis.mode_lowering(i) for i in range(M)]
+    lower = [mode_lowering(basis, i) for i in range(M)]
     raiser = [L.conj().T.tocsr() for L in lower]
     for k in range(M):
         for l in range(M):

@@ -16,7 +16,7 @@ from bogofluct.bogoliubov import (
 from bogofluct.fock import FockVector, create_op, dgamma, enumerate_basis
 from bogofluct.hartree import solve_hartree
 from bogofluct.model import build_interaction, build_laplacian, build_lattice, constant_profile, gaussian_profile
-from oracles import is_hermitian
+from oracles import is_hermitian, mode_lowering
 
 
 def setup_model(M=3, g=1.0):
@@ -77,7 +77,7 @@ def _dense_double_sum_oracle(u, h0, W, basis):
     h = mean_field_hamiltonian(u, h0, W)
     A = h + kern.k1
     M = basis.M
-    lowers = [basis.mode_lowering(i).toarray() for i in range(M)]
+    lowers = [mode_lowering(basis, i).toarray() for i in range(M)]
     out = np.zeros((basis.size, basis.size), dtype=complex)
     for i in range(M):
         for j in range(M):

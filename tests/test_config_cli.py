@@ -461,6 +461,24 @@ def test_gronwall_constant_fits_the_growth_after_t0():
         assert row["expect_Nplus_plus1"] / base <= c * np.exp(c * row["time"]) + 1e-12
 
 
+def test_vacuum_run_never_builds_the_quadratic_pattern(monkeypatch):
+    # every operator of a vacuum-start run acts on sector blocks or through
+    # the lowering pattern; the full band-(-2, 0, 2) pattern is not built
+    from pathlib import Path
+
+    from bogofluct.config import load_config
+    from bogofluct.fock import OccupationBasis
+
+    def refuse(self):
+        raise AssertionError("quadratic_pattern() built on the run path")
+
+    monkeypatch.setattr(OccupationBasis, "quadratic_pattern", refuse)
+    cfg = load_config(Path(__file__).parent.parent / "demos" / "configs" / "desk_convergence.json")
+    rep = run_convergence(cfg, write=False)
+    assert rep.passed and not rep.failures
+    assert len(rep.rows) == len(cfg.N_list) * len(cfg.output_times)
+
+
 def test_gronwall_constant_refuses_a_ratio_with_no_finite_constant():
     from bogofluct.experiment import _gronwall_constant
 

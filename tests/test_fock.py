@@ -15,13 +15,12 @@ from bogofluct.fock import (
     hartree_block,
     number_op,
     pairing_op,
-    project_out_mode,
     sector_lowerings,
     sector_to_dense,
     sym_tensor,
     two_body_op,
 )
-from oracles import is_hermitian
+from oracles import embed, is_hermitian, project_out_mode
 
 
 def random_unit(rng, n):
@@ -320,7 +319,7 @@ def test_hartree_block_one_excitation_norm_and_isometry():
     # norm^2 of a mixed block = sum of layer norms^2
     phis[0] = SectorVector(b, 0, np.array([0.4 + 0.3j]))
     raw2 = rng.normal(size=b.sector_dim(2)) + 1j * rng.normal(size=b.sector_dim(2))
-    proj2 = project_out_mode(u, SectorVector(b, 2, raw2).embed())
+    proj2 = project_out_mode(u, embed(SectorVector(b, 2, raw2)))
     phis[2] = SectorVector(b, 2, proj2.sector(2))
     total = sum(p.norm() ** 2 for p in phis if p is not None)
     psi = hartree_block(u, phis, b)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from bogofluct.fock import SectorVector, dgamma, enumerate_basis, sym_tensor
+from bogofluct.fock import SectorVector, dgamma, enumerate_basis, sym_tensor, two_body_op
 from bogofluct.model import build_interaction, build_laplacian, build_lattice, constant_profile, gaussian_profile
 from bogofluct.nbody import (
     ReducedDensity,
@@ -13,7 +13,7 @@ from bogofluct.nbody import (
     reduced_density,
     trace_distance,
 )
-from oracles import checked_density
+from oracles import checked_density, embed, mode_lowering
 
 
 def random_unit(rng, n):
@@ -27,6 +27,22 @@ def condensate_state(u, N, basis):
     for _ in range(N - 1):
         out = sym_tensor(out, su)
     return SectorVector(basis, N, out.amplitudes / out.norm())
+
+
+@pytest.mark.parametrize("M,N,n_max", [(3, 5, 6), (4, 8, 8)])
+def test_sector_hamiltonian_is_the_full_basis_slice_byte_for_byte(M, N, n_max):
+    # built from the states of sector N alone, H_N is the sector-N block of
+    # the second-quantized Hamiltonian on the whole basis, entry for entry
+    lat = build_lattice(M, 1.0)
+    h0 = build_laplacian(lat)
+    W = build_interaction(lat, gaussian_profile(1.3, 0.9))
+    b = enumerate_basis(M, n_max)
+    sl = b.sector_slice(N)
+    ref = (dgamma(h0, b) + (1.0 / (N - 1)) * two_body_op(W, b)).mat[sl, sl]
+    got = build_hamiltonian(h0, W, N, b).mat
+    assert got.shape == ref.shape
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
 
 
 def test_free_case_is_dgamma():
@@ -226,14 +242,14 @@ def test_reduced_density_rejects_bad_order():
 def _per_state_reduced_density(psi, k):
     # reference: one normalized lowering string per k-sector state
     basis, N = psi.basis, psi.n
-    emb = psi.embed().amplitudes
+    emb = embed(psi).amplitudes
     sl = basis.sector_slice(k)
     lowered = np.empty((basis.sector_dim(k), basis.size), dtype=complex)
     for local, occ in enumerate(basis.states[sl]):
         op = None
         for mode, cnt in enumerate(occ):
             for _ in range(int(cnt)):
-                L = basis.mode_lowering(mode)
+                L = mode_lowering(basis, mode)
                 op = L if op is None else (L @ op)
         norm = math.sqrt(np.prod([math.factorial(int(c)) for c in occ]))
         lowered[local] = (op.tocsr() / norm) @ emb

@@ -2,13 +2,15 @@
 
 The fast path fills values into a sparsity pattern cached on the basis.  The
 oracle here builds the same operators from products of the mode annihilators
-L_i = basis.mode_lowering(i):
+L_i = oracles.mode_lowering(basis, i):
     dGamma(A) = sum_ij A_ij L_i^dag L_j,
     pairing(K) = (1/2) sum_ij K_ij L_i^dag L_j^dag + h.c.,
     a(f) = sum_i conj(f_i) L_i.
 A product of truncated matrices drops exactly the creation amplitudes that
 would leave the truncation, so the oracle matches on the edge sectors too.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -20,17 +22,20 @@ from bogofluct.fock import (
     create_op,
     dgamma,
     enumerate_basis,
+    one_body_form,
     pairing_op,
     pairing_raise,
     quadratic_op,
+    sector_mode_lowerings,
 )
+from oracles import mode_lowering
 
 SIZES = [(1, 4), (2, 3), (3, 1), (3, 4), (4, 5)]
 TOL = 1e-13
 
 
 def lowerings(basis):
-    return [basis.mode_lowering(i).toarray() for i in range(basis.M)]
+    return [mode_lowering(basis, i).toarray() for i in range(basis.M)]
 
 
 def oracle_dgamma(A, basis):
@@ -155,6 +160,19 @@ def test_pattern_checks_band_once_when_built():
 
 
 def test_vectorized_lookup_matches_row_dict():
+    # the rank against a brute-force dict of the tuples in basis order:
+    # total ascending, then the first mode filling first
+    for M, n_max in [(1, 5), (2, 0), (3, 6), (4, 8)]:
+        basis = enumerate_basis(M, n_max)
+        rows = sorted((occ for occ in itertools.product(range(n_max + 1), repeat=M)
+                       if sum(occ) <= n_max), key=lambda occ: (sum(occ), [-c for c in occ]))
+        brute = {occ: i for i, occ in enumerate(rows)}
+        assert [tuple(row) for row in basis.states.tolist()] == rows
+        assert basis.lookup(np.array(rows)).tolist() == [brute[occ] for occ in rows]
+        top = [n_max + 1] + [0] * (M - 1)
+        for bad in ([top], [[-1] + [0] * (M - 1)], [[0] * (M + 1)]):
+            with pytest.raises(KeyError):
+                basis.lookup(np.array(bad))
     basis = enumerate_basis(4, 6)
     row_dict = {tuple(row): i for i, row in enumerate(basis.states.tolist())}
     assert np.array_equal(basis.lookup(basis.states), np.arange(basis.size))
@@ -197,6 +215,28 @@ def test_no_constructor_stores_an_exact_zero(M, n_max):
     for op, ref in built:
         assert np.all(op.mat.data != 0)
         assert_matches(op, ref)
+
+
+@pytest.mark.parametrize("M,n_max", SIZES)
+def test_sector_mode_lowerings_stack_the_blocks_of_each_a_i(M, n_max):
+    basis = enumerate_basis(M, n_max)
+    for n in range(1, n_max + 1):
+        rows, cols = basis.sector_slice(n - 1), basis.sector_slice(n)
+        want = np.vstack([mode_lowering(basis, i).toarray()[rows, cols] for i in range(M)])
+        assert np.array_equal(sector_mode_lowerings(basis, n).toarray(), want)
+
+
+@pytest.mark.parametrize("M,n_max", [(2, 5), (3, 4), (4, 5)])
+def test_energy_form_is_the_dgamma_expectation(M, n_max):
+    # A is not Hermitian, so sum_ij A_ij <a_i v, a_j v> with i and j swapped
+    # would give another value
+    rng = np.random.default_rng(200 + 10 * M + n_max)
+    basis = enumerate_basis(M, n_max)
+    A, _K, _f = random_inputs(rng, M)
+    v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+    want = np.vdot(v, dgamma(A, basis).mat @ v)
+    assert abs(one_body_form(A, basis)(v) - want) <= 1e-13 * abs(want)
+    assert abs(one_body_form(A.T, basis)(v) - want) > 1e-3 * abs(want)
 
 
 def test_pattern_refuses_an_amplitude_below_one():
