@@ -16,14 +16,20 @@ only the layers are written into a full-basis vector.  Functions of the
 excitation-number operator N+ are sums f(j) P_j over the projectors onto j
 excitations, built sector by sector from the same blocks of a(u), with no
 eigendecomposition and nothing to round; N+ conserves the total, so neither
-it nor any function of it has an entry between sectors.
+it nor any function of it has an entry between sectors.  One pass of that
+recursion weights the projectors for every function a builder needs.
+
+The dense builders keep each ladder operator sparse and multiply it into
+those weights; each hermitian pair T + h.c. is formed once from T.  Both
+interaction remainders are written as sum_i b_i^dag (.) b_i over the lowerings
+b_i = a(Q e_i) of the condensate-orthogonal components: the cubic term of R1
+with a^dag(Q (W_i u)) inside, and R2 with dGamma(Q diag(W_i) Q) / (2(N-1)).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bogoliubov import build_kernels, mean_field_hamiltonian, tangency_defect
 from .fock import (
@@ -127,37 +133,38 @@ def dense_u_n(frame: ExcitationFrame, basis: OccupationBasis) -> np.ndarray:
     return _u_n(frame, np.eye(basis.sector_dim(frame.N), dtype=complex), basis)
 
 
-def _by_sector(u, basis: OccupationBasis, top: int, weight) -> np.ndarray:
-    # sum_j weight(n, j) P_n[j] in each sector block n <= top, P_n[j] the
-    # projector of sector n onto j excitations (n - j quanta in u); for a unit
-    # u, a^dag(u) P_{n-1}[j] a(u) = (n - j) P_n[j] for j < n, and P_n[n] is
-    # 1 - sum_{j<n} P_n[j]
+def _by_sector(u, basis: OccupationBasis, top: int, *weights) -> list:
+    # for each weight, sum_j weight(n, j) P_n[j] in each sector block n <= top,
+    # P_n[j] the projector of sector n onto j excitations (n - j quanta in u);
+    # for a unit u, a^dag(u) P_{n-1}[j] a(u) = (n - j) P_n[j] for j < n, and
+    # P_n[n] is 1 - sum_{j<n} P_n[j]; one recursion serves every weight
     if abs(np.linalg.norm(u) - 1.0) > 1e-10:
         raise ValueError("condensate mode must be unit norm to 1e-10")
     low = sector_lowerings(u, basis, top)
     up = [None] + [adjoint_block(b) for b in low[1:]]
-    out = np.zeros((basis.size, basis.size), dtype=complex)
+    outs = [np.zeros((basis.size, basis.size), dtype=complex) for _ in weights]
     P = []
     for n in range(top + 1):
         P = [up[n] @ (p @ low[n]) / (n - j) for j, p in enumerate(P)]
         P.append(np.eye(basis.sector_dim(n)) - sum(P))
         s = basis.sector_slice(n)
-        out[s, s] = sum(weight(n, j) * p for j, p in enumerate(P))
-    return out
+        for out, weight in zip(outs, weights):
+            out[s, s] = sum(weight(n, j) * p for j, p in enumerate(P))
+    return outs
 
 
 def func_of_number_plus(u, basis: OccupationBasis, func) -> np.ndarray:
     """Dense f(excitation number): sum_j f(j) times the projector onto j
     excitations in each sector block, entries between sectors exactly 0.
     Raises ValueError unless u is unit norm to 1e-10."""
-    return _by_sector(u, basis, basis.n_max, lambda n, j: func(j))
+    return _by_sector(u, basis, basis.n_max, lambda n, j: func(j))[0]
 
 
 def orthogonal_sector_projector(u, basis: OccupationBasis, n_cut: int) -> np.ndarray:
     """Dense projector onto condensate-orthogonal layers with total <= n_cut:
     the projector onto n excitations (no quantum in u) in each sector n up to
     the cut, zero above it.  Raises ValueError unless u is unit norm to 1e-10."""
-    return _by_sector(u, basis, min(n_cut, basis.n_max), lambda n, j: float(j == n))
+    return _by_sector(u, basis, min(n_cut, basis.n_max), lambda n, j: float(j == n))[0]
 
 
 def du_generator(frame: ExcitationFrame, udot: np.ndarray,
@@ -174,86 +181,72 @@ def du_generator(frame: ExcitationFrame, udot: np.ndarray,
         raise ValueError("condensate path does not preserve norm")
     v = frame.q @ (1j * udot)
     N = frame.N
-    sqrtN = func_of_number_plus(u, basis, lambda k: math.sqrt(max(N - k, 0)))
-    n_minus = func_of_number_plus(u, basis, lambda k: float(N - k))
-    a_v = annihilate_op(v, basis).toarray()
-    c_v = a_v.conj().T
-    c_u = create_op(u, basis).toarray()
+    sqrtN, n_minus = _by_sector(u, basis, basis.n_max,
+                                lambda n, k: math.sqrt(max(N - k, 0)),
+                                lambda n, k: float(N - k))
+    half = create_op(v, basis).mat @ sqrtN
     phase = np.vdot(1j * udot, u)
-    return c_u @ a_v - sqrtN @ a_v - c_v @ sqrtN - phase * n_minus
+    return ((create_op(u, basis) @ annihilate_op(v, basis)).toarray()
+            - (half + half.conj().T) - phase * n_minus)
 
 
 def _projected_lowering(frame: ExcitationFrame, basis: OccupationBasis):
-    # annihilators of the condensate-orthogonal components of each mode
+    # annihilators b_i = a(Q e_i) of the condensate-orthogonal components
     return [annihilate_op(frame.q[:, i], basis).mat for i in range(basis.M)]
+
+
+def _require_pairs(frame: ExcitationFrame):
+    if frame.N < 2:
+        raise ValueError("mean-field coupling 1/(N-1) of the remainders needs N >= 2")
 
 
 def assemble_r1(frame: ExcitationFrame, h0, W, basis: OccupationBasis) -> np.ndarray:
     """First remainder of the conjugated N-body Hamiltonian (dense).
 
-    Four term classes, each with its hermitian partner: the excess of the
-    condensate-projected mean-field/exchange one-body piece, the cubic
-    condensate current, the pairing weight correction, and the
-    one-condensate-leg cubic interaction.  The operator orderings are the ones
-    produced by conjugating the quartic interaction term class by term; the
-    subtraction identity against the dense conjugation pins them down.
+    R1 = dGamma(Q (m + k1 - mu) Q) (1 - Np)/(N-1) + [T + h.c.], with m the
+    mean field, k1 the bare exchange, mu the gauge and Np the excitation
+    number, and T the sum of
+      - the cubic condensate current -a^dag(Q m u) Np sqrt(N - Np)/(N-1),
+      - the pairing weight correction Pc (sqrt((N-Np)(N-Np-1))/(N-1) - 1),
+      - the one-condensate-leg cubic interaction X sqrt(N - Np)/(N-1),
+        X = sum_ij W[i,j] u[j] b_i^dag b_j^dag b_i
+          = sum_i b_i^dag a^dag(Q (W_i u)) b_i,  b_i = a(Q e_i).
+    The operator orderings are the ones produced by conjugating the quartic
+    interaction term class by term; the subtraction identity against the
+    dense conjugation pins them down.  Raises ValueError for N < 2.
     """
+    _require_pairs(frame)
     u, N, Q = frame.u, frame.N, frame.q
     m = mean_field(u, W)
     mu = mu_of(u, W)
     kern = build_kernels(u, W)
-
-    def f_np(func):
-        return func_of_number_plus(u, basis, func)
-
-    # excess one-body piece: dGamma(Q (mean-field + exchange - gauge) Q) (1 - Np)/(N-1)
+    d1, d2, d3, d4 = _by_sector(
+        u, basis, basis.n_max,
+        lambda n, k: (1.0 - k) / (N - 1),
+        lambda n, k: k * math.sqrt(max(N - k, 0)) / (N - 1),
+        lambda n, k: math.sqrt(max((N - k) * (N - k - 1), 0)) / (N - 1) - 1.0,
+        lambda n, k: math.sqrt(max(N - k, 0)) / (N - 1))
     one_body = Q @ (np.diag(m).astype(complex) + kern.k1_bare - mu * np.eye(basis.M)) @ Q
-    d1 = f_np(lambda k: (1.0 - k) / (N - 1))
-    r1 = dgamma(one_body, basis).toarray() @ d1
-
-    # cubic condensate current: -(a^dag(Q m u) D + D a(Q m u)),
-    # D = Np sqrt(N - Np)/(N-1)
-    f_star = Q @ (m * u)
-    d2 = f_np(lambda k: k * math.sqrt(max(N - k, 0)) / (N - 1))
-    c_f = create_op(f_star, basis).toarray()
-    r1 = r1 - (c_f @ d2 + d2 @ c_f.conj().T)
-
-    # pairing weight correction: Pc (sqrt((N-Np)(N-Np-1))/(N-1) - 1) + h.c.
-    pc = pairing_raise(kern.k2, basis).toarray()
-    d3 = f_np(lambda k: math.sqrt(max((N - k) * (N - k - 1), 0)) / (N - 1) - 1.0)
-    r1 = r1 + (pc @ d3 + d3 @ pc.conj().T)
-
-    # cubic interaction with one condensate leg:
-    # X = sum_ij W[i,j] u[j] b_i^dag b_j^dag b_i,  term X sqrt(N-Np)/(N-1) + h.c.
-    lows = _projected_lowering(frame, basis)
-    X = sp.csr_matrix((basis.size, basis.size), dtype=complex)
-    for i in range(basis.M):
-        bi_dag = lows[i].conj().T
-        for j in range(basis.M):
-            coeff = W[i, j] * u[j]
-            if coeff == 0:
-                continue
-            X = X + coeff * (bi_dag @ lows[j].conj().T @ lows[i])
-    d4 = f_np(lambda k: math.sqrt(max(N - k, 0)) / (N - 1))
-    Xd = X.toarray()
-    r1 = r1 + Xd @ d4 + d4 @ Xd.conj().T
-    return r1
+    X = sum(b.conj().T @ create_op(Q @ (W[i] * u), basis).mat @ b
+            for i, b in enumerate(_projected_lowering(frame, basis)))
+    half = (pairing_raise(kern.k2, basis).mat @ d3
+            - create_op(Q @ (m * u), basis).mat @ d2 + X @ d4)
+    return dgamma(one_body, basis).mat @ d1 + half + half.conj().T
 
 
 def assemble_r2(frame: ExcitationFrame, W, basis: OccupationBasis) -> SparseOperator:
     """Second remainder: the fully condensate-orthogonal quartic interaction,
-    (1/(2(N-1))) sum_ij W[i,j] b_i^dag b_j^dag b_i b_j."""
-    lows = _projected_lowering(frame, basis)
-    mat = sp.csr_matrix((basis.size, basis.size), dtype=complex)
-    for i in range(basis.M):
-        for j in range(basis.M):
-            if W[i, j] == 0:
-                continue
-            mat = mat + W[i, j] * (
-                lows[i].conj().T @ lows[j].conj().T @ lows[i] @ lows[j]
-            )
-    mat = mat / (2.0 * (frame.N - 1))
-    return SparseOperator(basis, mat.tocsr())
+    (1/(2(N-1))) sum_ij W[i,j] b_i^dag b_j^dag b_i b_j
+    = (1/(2(N-1))) sum_i b_i^dag dGamma(Q diag(W_i) Q) b_i,  b_i = a(Q e_i).
+
+    The second form uses b_i b_j = b_j b_i, exact on the truncated basis
+    because lowering never leaves it.  Raises ValueError for N < 2.
+    """
+    _require_pairs(frame)
+    Q = frame.q
+    mat = sum(b.conj().T @ dgamma(Q @ np.diag(W[i]) @ Q, basis).mat @ b
+              for i, b in enumerate(_projected_lowering(frame, basis)))
+    return SparseOperator(basis, (mat / (2.0 * (frame.N - 1))).tocsr())
 
 
 def leading_part(frame: ExcitationFrame, h0, W, basis: OccupationBasis) -> np.ndarray:
@@ -266,25 +259,19 @@ def leading_part(frame: ExcitationFrame, h0, W, basis: OccupationBasis) -> np.nd
     kern = build_kernels(u, W)
     h = mean_field_hamiltonian(u, h0, W)
     e = float(np.vdot(u, h @ u).real)
-
-    out = N * e * np.eye(basis.size, dtype=complex)
-    out += dgamma(Q @ (h + kern.k1 - e * np.eye(basis.M)) @ Q, basis).toarray()
-
-    qhu = Q @ (h @ u)
     sqrtN = func_of_number_plus(u, basis, lambda k: math.sqrt(max(N - k, 0)))
-    c_qhu = create_op(qhu, basis).toarray()
-    out += c_qhu @ sqrtN + sqrtN @ c_qhu.conj().T
-
-    pc = pairing_raise(kern.k2, basis).toarray()
-    out += pc + pc.conj().T
-    return out
+    half = create_op(Q @ (h @ u), basis).mat @ sqrtN + pairing_raise(kern.k2, basis).toarray()
+    out = dgamma(Q @ (h + kern.k1 - e * np.eye(basis.M)) @ Q, basis).toarray()
+    out[np.diag_indices(basis.size)] += N * e
+    return out + half + half.conj().T
 
 
 def conjugated_hamiltonian(frame: ExcitationFrame, h0, W,
                            basis: OccupationBasis) -> np.ndarray:
     """Dense right side of the conjugation identity on the excitation layers:
     leading_part + R1 + R2; equals the conjugated N-body Hamiltonian on the
-    condensate-orthogonal layers with total at most N.
+    condensate-orthogonal layers with total at most N.  Raises ValueError
+    for N < 2.
     """
     out = leading_part(frame, h0, W, basis)
     out += assemble_r1(frame, h0, W, basis)

@@ -109,16 +109,16 @@ def _conjugation_identities(frame, basis, U, sl, rng, ctx):
     M = basis.M
     f = frame.q @ (rng.normal(size=M) + 1j * rng.normal(size=M))
     g = frame.q @ (rng.normal(size=M) + 1j * rng.normal(size=M))
-    c_u = create_op(u, basis).toarray()
-    a_u = annihilate_op(u, basis).toarray()
-    c_f = create_op(f, basis).toarray()
-    a_f = annihilate_op(f, basis).toarray()
-    a_g = annihilate_op(g, basis).toarray()
+    c_u = create_op(u, basis).mat
+    a_u = annihilate_op(u, basis).mat
+    c_f = create_op(f, basis).mat
+    a_f = annihilate_op(f, basis).mat
+    a_g = annihilate_op(g, basis).mat
     sqrtN = func_of_number_plus(u, basis, lambda k: math.sqrt(max(N - k, 0)))
     n_minus = func_of_number_plus(u, basis, lambda k: float(N - k))
 
     def resid(op, rhs):
-        return float(np.max(np.abs(op[sl, sl] - U.conj().T @ rhs @ U)))
+        return float(np.max(np.abs(op[sl, sl].toarray() - U.conj().T @ rhs @ U)))
 
     pairs = [
         ("conjugation: condensate counter", c_u @ a_u, n_minus),

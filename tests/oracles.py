@@ -1,8 +1,12 @@
 """Independent constructions and checks that only the tests use."""
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
+from bogofluct.bogoliubov import build_kernels
+from bogofluct.excitation import func_of_number_plus
 from bogofluct.fock import (
     FockVector,
     OccupationBasis,
@@ -10,8 +14,11 @@ from bogofluct.fock import (
     SparseOperator,
     annihilate_op,
     create_op,
+    dgamma,
     number_op,
+    pairing_raise,
 )
+from bogofluct.hartree import mean_field, mu_of
 
 
 def embed(psi: SectorVector) -> FockVector:
@@ -104,3 +111,54 @@ def integer_spectral_function(mat, func):
         raise ValueError("matrix spectrum is not close to integers")
     vals = np.array([func(int(x)) for x in k], dtype=complex)
     return (U * vals) @ U.conj().T
+
+
+def dense_assemble_r1(frame, h0, W, basis) -> np.ndarray:
+    """First remainder from full-basis dense matrices: one func_of_number_plus
+    per weight, each hermitian partner written out, and the cubic term X as
+    the explicit double sum over (i, j)."""
+    u, N, Q = frame.u, frame.N, frame.q
+    m = mean_field(u, W)
+    mu = mu_of(u, W)
+    kern = build_kernels(u, W)
+
+    def f_np(func):
+        return func_of_number_plus(u, basis, func)
+
+    one_body = Q @ (np.diag(m).astype(complex) + kern.k1_bare - mu * np.eye(basis.M)) @ Q
+    d1 = f_np(lambda k: (1.0 - k) / (N - 1))
+    r1 = dgamma(one_body, basis).toarray() @ d1
+
+    c_f = create_op(Q @ (m * u), basis).toarray()
+    d2 = f_np(lambda k: k * math.sqrt(max(N - k, 0)) / (N - 1))
+    r1 = r1 - (c_f @ d2 + d2 @ c_f.conj().T)
+
+    pc = pairing_raise(kern.k2, basis).toarray()
+    d3 = f_np(lambda k: math.sqrt(max((N - k) * (N - k - 1), 0)) / (N - 1) - 1.0)
+    r1 = r1 + (pc @ d3 + d3 @ pc.conj().T)
+
+    # X = sum_ij W[i,j] u[j] b_i^dag b_j^dag b_i, b_i = a(Q e_i)
+    lows = [annihilate_op(Q[:, i], basis).mat for i in range(basis.M)]
+    X = sp.csr_matrix((basis.size, basis.size), dtype=complex)
+    for i in range(basis.M):
+        for j in range(basis.M):
+            coeff = W[i, j] * u[j]
+            if coeff != 0:
+                X = X + coeff * (lows[i].conj().T @ lows[j].conj().T @ lows[i])
+    d4 = f_np(lambda k: math.sqrt(max(N - k, 0)) / (N - 1))
+    Xd = X.toarray()
+    return r1 + Xd @ d4 + d4 @ Xd.conj().T
+
+
+def dense_du_generator(frame, udot, basis) -> np.ndarray:
+    """Derivative generator from full-basis dense matrices, one
+    func_of_number_plus per function of the excitation number."""
+    u, N = frame.u, frame.N
+    udot = np.asarray(udot, dtype=complex)
+    v = frame.q @ (1j * udot)
+    sqrtN = func_of_number_plus(u, basis, lambda k: math.sqrt(max(N - k, 0)))
+    n_minus = func_of_number_plus(u, basis, lambda k: float(N - k))
+    a_v = annihilate_op(v, basis).toarray()
+    c_u = create_op(u, basis).toarray()
+    phase = np.vdot(1j * udot, u)
+    return c_u @ a_v - sqrtN @ a_v - a_v.conj().T @ sqrtN - phase * n_minus

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bogofluct.bogoliubov import bogoliubov_hamiltonian
 from bogofluct.excitation import (
@@ -14,6 +15,7 @@ from bogofluct.excitation import (
     dense_u_n,
     du_generator,
     func_of_number_plus,
+    leading_part,
     orthogonal_sector_projector,
 )
 from bogofluct.fock import (
@@ -31,7 +33,14 @@ from bogofluct.hartree import solve_hartree
 from bogofluct.model import build_interaction, build_laplacian, build_lattice, gaussian_profile
 from bogofluct.nbody import build_hamiltonian, propagate_exact
 from bogofluct.verify import verify_algebra
-from oracles import embed, integer_spectral_function, number_plus_op, project_out_mode
+from oracles import (
+    dense_assemble_r1,
+    dense_du_generator,
+    embed,
+    integer_spectral_function,
+    number_plus_op,
+    project_out_mode,
+)
 
 
 def setup_model(M, g=0.8):
@@ -438,3 +447,78 @@ def test_func_of_number_plus_refuses_a_non_integer_spectrum():
         func_of_number_plus(1.1 * u, basis, lambda k: float(k))
     with pytest.raises(ValueError, match="condensate mode must be unit norm"):
         orthogonal_sector_projector(1.1 * u, basis, 2)
+
+
+def _norm_preserving_velocity(rng, u):
+    # -i A u with A hermitian: Re <u, du/dt> = 0
+    A = rng.normal(size=(len(u), len(u))) + 1j * rng.normal(size=(len(u), len(u)))
+    return -1j * (A + A.conj().T) @ u
+
+
+@pytest.mark.parametrize("M, n_max", [(3, 4), (4, 8)])
+@pytest.mark.parametrize("N", [2, 5])
+def test_builders_match_the_dense_full_basis_oracles(M, n_max, N):
+    # the one-pass sparse builders against the dense assembly with one
+    # projector pass per weight and the explicit double sum for X
+    _, h0, W = setup_model(M, g=1.1)
+    basis = enumerate_basis(M, n_max)
+    rng = np.random.default_rng(90 + 7 * M + N)
+    frame = ExcitationFrame(random_unit(rng, M), N)
+    udot = _norm_preserving_velocity(rng, frame.u)
+    r1 = assemble_r1(frame, h0, W, basis)
+    assert np.max(np.abs(r1 - dense_assemble_r1(frame, h0, W, basis))) < 1e-13
+    G = du_generator(frame, udot, basis)
+    assert np.max(np.abs(G - dense_du_generator(frame, udot, basis))) < 1e-13
+
+
+@pytest.mark.parametrize("M, n_max", [(3, 4), (4, 8)])
+def test_one_projector_pass_equals_one_pass_per_weight(M, n_max):
+    from bogofluct.excitation import _by_sector
+
+    basis = enumerate_basis(M, n_max)
+    u = random_unit(np.random.default_rng(100 + M), M)
+    weights = (lambda n, j: math.sqrt(max(5 - j, 0)), lambda n, j: float(j == n),
+               lambda n, j: (1.0 - j) / 4, lambda n, j: j * math.sqrt(max(5 - j, 0)) / 4)
+    for top in (n_max, 2):
+        together = _by_sector(u, basis, top, *weights)
+        assert len(together) == len(weights)
+        for weight, got in zip(weights, together):
+            assert np.array_equal(got, _by_sector(u, basis, top, weight)[0])
+
+
+def test_remainders_refuse_a_single_particle():
+    # the remainders carry the mean-field coupling 1/(N-1); the map itself
+    # is defined for N = 1
+    _, h0, W = setup_model(3)
+    basis = enumerate_basis(3, 4)
+    frame = ExcitationFrame(random_unit(np.random.default_rng(11), 3), 1)
+    U = dense_u_n(frame, basis)
+    assert np.max(np.abs(U.conj().T @ U - np.eye(basis.sector_dim(1)))) < 1e-12
+    for build in (lambda: assemble_r1(frame, h0, W, basis),
+                  lambda: assemble_r2(frame, W, basis),
+                  lambda: conjugated_hamiltonian(frame, h0, W, basis)):
+        with pytest.raises(ValueError, match=r"1/\(N-1\)"):
+            build()
+
+
+def test_dense_builders_return_plain_arrays():
+    # a sparse operand added to a dense one gives np.matrix; every builder
+    # must hand back an ndarray, and R2 a CSR matrix
+    _, h0, W = setup_model(3)
+    basis = enumerate_basis(3, 4)
+    rng = np.random.default_rng(12)
+    frame = ExcitationFrame(random_unit(rng, 3), 3)
+    udot = _norm_preserving_velocity(rng, frame.u)
+    built = {
+        "leading_part": leading_part(frame, h0, W, basis),
+        "assemble_r1": assemble_r1(frame, h0, W, basis),
+        "du_generator": du_generator(frame, udot, basis),
+        "conjugated_hamiltonian": conjugated_hamiltonian(frame, h0, W, basis),
+        "func_of_number_plus": func_of_number_plus(frame.u, basis, lambda k: float(k)),
+        "orthogonal_sector_projector": orthogonal_sector_projector(frame.u, basis, 2),
+    }
+    for name, got in built.items():
+        assert type(got) is np.ndarray, name
+        assert got.shape == (basis.size, basis.size), name
+    r2 = assemble_r2(frame, W, basis).mat
+    assert sp.issparse(r2) and r2.format == "csr"
