@@ -37,7 +37,7 @@ f /= np.linalg.norm(f) / 0.9
 wop = weyl_op(f, basis)
 displaced = wop.matrix @ FockVector.vacuum(basis).amplitudes
 series = coherent_state(f, basis).amplitudes
-nexp = np.real(np.vdot(displaced, number_op(basis).mat @ displaced))
+nexp = np.real(np.vdot(displaced, number_op(basis) @ displaced))
 print(f"displacement size |f|^2 = {np.linalg.norm(f)**2:.4f}")
 print(f"displaced vacuum vs series: max deviation {np.max(np.abs(displaced - series)):.2e}")
 print(f"mean quanta of the coherent state: {nexp:.6f}")

@@ -33,7 +33,6 @@ from .fock import (
     FockVector,
     OccupationBasis,
     SectorVector,
-    SparseOperator,
     annihilate_op,
     create_op,
     dgamma,

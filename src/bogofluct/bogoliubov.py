@@ -37,7 +37,6 @@ from .fock import (
     FockVector,
     OccupationBasis,
     SectorVector,
-    SparseOperator,
     annihilate_op,
     dense_to_sector,
     dgamma,
@@ -107,7 +106,7 @@ def build_kernels(u: np.ndarray, W: np.ndarray) -> Kernels:
 class BogHamiltonian:
     """Quadratic generator dGamma(h + k1) + pairing(k2) on a truncated basis."""
 
-    op: SparseOperator
+    op: sp.csr_matrix
     h: np.ndarray
     kernels: Kernels
 
@@ -146,7 +145,7 @@ def bogoliubov_hamiltonian(u, h0, W, basis: OccupationBasis,
 
 def tangency_defect(phi: FockVector, u: np.ndarray) -> float:
     """How far phi strays from the excitation space: ||a(u) phi||."""
-    return float(np.linalg.norm(annihilate_op(u, phi.basis).mat @ phi.amplitudes))
+    return float(np.linalg.norm(annihilate_op(u, phi.basis) @ phi.amplitudes))
 
 
 @dataclass
@@ -351,7 +350,7 @@ def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
     for m in marks:
         for i in range(done, m):
             gen = bogoliubov_hamiltonian(u_mid[i], h0, W, basis, projected=projected)
-            phi = FockVector(basis, krylov_expm(gen.op.mat, phi.amplitudes, -1j * taus[i],
+            phi = FockVector(basis, krylov_expm(gen.op, phi.amplitudes, -1j * taus[i],
                                                 tol=1e-12))
             row = _diag_row(ends[i], phi, u_rows[i + 1], energy_form)
             run.diagnostics.append(row)
@@ -443,7 +442,7 @@ def verify_bog_bounds(u, h0, W, basis: OccupationBasis) -> dict:
     )
 
     nmat = sp.diags(nvals).tocsr()
-    comm = 1j * (bog.op.mat @ nmat - nmat @ bog.op.mat)
+    comm = 1j * (bog.op @ nmat - nmat @ bog.op)
     commd = comm.toarray()
     cbound = 2.0 * k2_f * np.diag(nvals + 1.0)
     commutator_margin = min(

@@ -57,7 +57,7 @@ def weyl_op(f: np.ndarray, basis: OccupationBasis) -> WeylOperator:
     tail = _poisson_tail(lam, basis.n_max)
     if tail > TAIL_TOL:
         raise ValueError(f"coherent tail {tail:.3e} beyond truncation exceeds {TAIL_TOL:.1e}")
-    a_f = annihilate_op(f, basis).mat
+    a_f = annihilate_op(f, basis)
     gen = (a_f.conj().T - a_f).toarray()
     return WeylOperator(f, sla.expm(gen))
 

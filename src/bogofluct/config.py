@@ -4,6 +4,7 @@ lattice, interaction, initial data, time stepping, tolerances and output."""
 import copy
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -90,6 +91,34 @@ def _number(value, name):
     return float(value)
 
 
+def _positive(value, name):
+    # a zero width, range or step, or a zero or negative tolerance, would
+    # only fail deep inside the run
+    number = _number(value, name)
+    if number <= 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return number
+
+
+def _numbers(value, name):
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be an array, got {value!r}")
+    return [_number(v, f"every entry of {name}") for v in value]
+
+
+def _check_sectors(sectors):
+    # phi0.sectors: {"n": [[re, im], ...]}, n a canonical sector number, so
+    # "01" cannot alias sector 1
+    if not isinstance(sectors, dict):
+        raise ValueError(f"phi0.sectors must be an object, got {sectors!r}")
+    for key, rows in sectors.items():
+        if not (isinstance(key, str) and re.fullmatch(r"0|[1-9][0-9]*", key)):
+            raise ValueError(f"phi0.sectors key {key!r} is not a sector number")
+        if not isinstance(rows, list) or any(
+                len(_numbers(row, "a phi0.sectors row")) != 2 for row in rows):
+            raise ValueError(f"phi0.sectors[{key!r}] must be an array of [re, im] rows")
+
+
 class ExperimentConfig:
     """Validated convergence-experiment description.
 
@@ -125,35 +154,42 @@ class ExperimentConfig:
         _integer(self.model["modes"], "model.modes")
         self.u0_spec = resolved["u0"]
         self.phi0_spec = resolved["phi0"]
-        self.T = _number(resolved["T"], "T")
+        self.T = _positive(resolved["T"], "T")
         self.output_times = [_number(t, "every output time") for t in resolved["output_times"]]
-        self.dt_hartree = _number(resolved["dt_hartree"], "dt_hartree")
-        self.dt_fock = _number(resolved["dt_fock"], "dt_fock")
-        self.dt_nbody = _number(resolved["dt_nbody"], "dt_nbody")
-        _number(self.model["spacing"], "model.spacing")
-        for key in ("center", "width"):
-            _number(self.u0_spec[key], f"u0.{key}")
+        self.dt_hartree = _positive(resolved["dt_hartree"], "dt_hartree")
+        self.dt_fock = _positive(resolved["dt_fock"], "dt_fock")
+        self.dt_nbody = _positive(resolved["dt_nbody"], "dt_nbody")
+        _positive(self.model["spacing"], "model.spacing")
+        if self.model["potential"] is not None:
+            _numbers(self.model["potential"], "model.potential")
+        _number(self.u0_spec["center"], "u0.center")
+        _positive(self.u0_spec["width"], "u0.width")
+        if "index" in self.u0_spec:
+            index = _integer(self.u0_spec["index"], "u0.index")
+            if not 0 <= index < self.model["modes"]:
+                raise ValueError(f"u0.index must lie in 0..{self.model['modes'] - 1}, "
+                                 f"got {index}")
+        for key in ("re", "im"):
+            if key in self.u0_spec:
+                _numbers(self.u0_spec[key], f"u0.{key}")
+        if "sectors" in self.phi0_spec:
+            _check_sectors(self.phi0_spec["sectors"])
         params = self.model["interaction"]["params"]
-        for key in ("strength", "range", "c"):
+        for key in ("strength", "c"):
             if key in params:
                 _number(params[key], f"model.interaction.params.{key}")
+        if "range" in params:
+            _positive(params["range"], "model.interaction.params.range")
         if "values" in params:
-            if not isinstance(params["values"], list):
-                raise ValueError(f"model.interaction.params.values must be an array, "
-                                 f"got {params['values']!r}")
-            for v in params["values"]:
-                _number(v, "every model.interaction.params.values entry")
+            _numbers(params["values"], "model.interaction.params.values")
+        for key, tol in resolved["tolerances"].items():
+            _positive(tol, f"tolerances.{key}")
         self.tolerances = resolved["tolerances"]
         self.rate_gate = resolved["rate_gate"]
         self.output_dir = resolved["output_dir"]
         self._validate()
 
     def _validate(self):
-        if self.T <= 0:
-            raise ValueError("horizon T must be positive")
-        for name in ("dt_hartree", "dt_fock", "dt_nbody"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
         if not self.N_list:
             raise ValueError("N_list must name at least one N")
         if not self.output_times:
@@ -169,8 +205,7 @@ class ExperimentConfig:
         band = (self.rate_gate or {}).get("band")
         if band is not None and not (
                 isinstance(band, (list, tuple)) and len(band) == 2
-                and all(isinstance(v, (int, float)) and math.isfinite(v) for v in band)
-                and band[0] <= band[1]):
+                and _number(band[0], "rate_gate.band") <= _number(band[1], "rate_gate.band")):
             raise ValueError(f"rate_gate.band must be two finite numbers lo <= hi, got {band!r}")
         monotone = (self.rate_gate or {}).get("require_monotone", False)
         if not isinstance(monotone, bool):
@@ -232,7 +267,7 @@ class ExperimentConfig:
         kind = spec["kind"]
         if kind == "basis":
             u = np.zeros(lattice.M, dtype=complex)
-            u[int(spec["index"])] = 1.0
+            u[spec["index"]] = 1.0
             return u
         if kind == "gaussian":
             center = float(spec.get("center", 0.0))

@@ -30,13 +30,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .bogoliubov import build_kernels, mean_field_hamiltonian, tangency_defect
 from .fock import (
     FockVector,
     OccupationBasis,
     SectorVector,
-    SparseOperator,
     adjoint_block,
     annihilate_op,
     create_op,
@@ -184,7 +184,7 @@ def du_generator(frame: ExcitationFrame, udot: np.ndarray,
     sqrtN, n_minus = _by_sector(u, basis, basis.n_max,
                                 lambda n, k: math.sqrt(max(N - k, 0)),
                                 lambda n, k: float(N - k))
-    half = create_op(v, basis).mat @ sqrtN
+    half = create_op(v, basis) @ sqrtN
     phase = np.vdot(1j * udot, u)
     return ((create_op(u, basis) @ annihilate_op(v, basis)).toarray()
             - (half + half.conj().T) - phase * n_minus)
@@ -192,7 +192,7 @@ def du_generator(frame: ExcitationFrame, udot: np.ndarray,
 
 def _projected_lowering(frame: ExcitationFrame, basis: OccupationBasis):
     # annihilators b_i = a(Q e_i) of the condensate-orthogonal components
-    return [annihilate_op(frame.q[:, i], basis).mat for i in range(basis.M)]
+    return [annihilate_op(frame.q[:, i], basis) for i in range(basis.M)]
 
 
 def _require_pairs(frame: ExcitationFrame):
@@ -227,14 +227,14 @@ def assemble_r1(frame: ExcitationFrame, h0, W, basis: OccupationBasis) -> np.nda
         lambda n, k: math.sqrt(max((N - k) * (N - k - 1), 0)) / (N - 1) - 1.0,
         lambda n, k: math.sqrt(max(N - k, 0)) / (N - 1))
     one_body = Q @ (np.diag(m).astype(complex) + kern.k1_bare - mu * np.eye(basis.M)) @ Q
-    X = sum(b.conj().T @ create_op(Q @ (W[i] * u), basis).mat @ b
+    X = sum(b.conj().T @ create_op(Q @ (W[i] * u), basis) @ b
             for i, b in enumerate(_projected_lowering(frame, basis)))
-    half = (pairing_raise(kern.k2, basis).mat @ d3
-            - create_op(Q @ (m * u), basis).mat @ d2 + X @ d4)
-    return dgamma(one_body, basis).mat @ d1 + half + half.conj().T
+    half = (pairing_raise(kern.k2, basis) @ d3
+            - create_op(Q @ (m * u), basis) @ d2 + X @ d4)
+    return dgamma(one_body, basis) @ d1 + half + half.conj().T
 
 
-def assemble_r2(frame: ExcitationFrame, W, basis: OccupationBasis) -> SparseOperator:
+def assemble_r2(frame: ExcitationFrame, W, basis: OccupationBasis) -> sp.csr_matrix:
     """Second remainder: the fully condensate-orthogonal quartic interaction,
     (1/(2(N-1))) sum_ij W[i,j] b_i^dag b_j^dag b_i b_j
     = (1/(2(N-1))) sum_i b_i^dag dGamma(Q diag(W_i) Q) b_i,  b_i = a(Q e_i).
@@ -244,9 +244,9 @@ def assemble_r2(frame: ExcitationFrame, W, basis: OccupationBasis) -> SparseOper
     """
     _require_pairs(frame)
     Q = frame.q
-    mat = sum(b.conj().T @ dgamma(Q @ np.diag(W[i]) @ Q, basis).mat @ b
+    mat = sum(b.conj().T @ dgamma(Q @ np.diag(W[i]) @ Q, basis) @ b
               for i, b in enumerate(_projected_lowering(frame, basis)))
-    return SparseOperator(basis, (mat / (2.0 * (frame.N - 1))).tocsr())
+    return (mat / (2.0 * (frame.N - 1))).tocsr()
 
 
 def leading_part(frame: ExcitationFrame, h0, W, basis: OccupationBasis) -> np.ndarray:
@@ -260,7 +260,7 @@ def leading_part(frame: ExcitationFrame, h0, W, basis: OccupationBasis) -> np.nd
     h = mean_field_hamiltonian(u, h0, W)
     e = float(np.vdot(u, h @ u).real)
     sqrtN = func_of_number_plus(u, basis, lambda k: math.sqrt(max(N - k, 0)))
-    half = create_op(Q @ (h @ u), basis).mat @ sqrtN + pairing_raise(kern.k2, basis).toarray()
+    half = create_op(Q @ (h @ u), basis) @ sqrtN + pairing_raise(kern.k2, basis).toarray()
     out = dgamma(Q @ (h + kern.k1 - e * np.eye(basis.M)) @ Q, basis).toarray()
     out[np.diag_indices(basis.size)] += N * e
     return out + half + half.conj().T

@@ -17,14 +17,15 @@ total by exactly one, so sector_lowerings and sector_mode_lowerings cut a(f)
 and the mode annihilators a_i into blocks from sector n to n-1, whose
 adjoints (adjoint_block) raise; one_body_block builds dGamma(A) on a sector.
 
-Operators on the whole basis are value refills of sparsity patterns cached
-on the basis (CSRPattern): one for the annihilators a(f), whose block i
-holds a_i, and one for dGamma(A), pairing(K) and their sum, which only the
-Krylov fluctuation stepper and the dense identity checks use.  A pattern is
-built on first use, and the particle-number band of each of its term blocks
-is checked once, then; a fill only writes values into those positions.
-That build is the one place where the particle-number structure is checked:
-a SparseOperator is only a basis and a matrix.  Every ladder amplitude is
+Operators on the whole basis are scipy CSR matrices in basis order.  The
+ladder and quadratic ones are value refills of sparsity patterns cached on
+the basis (CSRPattern): one for the annihilators a(f), whose block i holds
+a_i, and one for dGamma(A), pairing(K) and their sum, which only the Krylov
+fluctuation stepper and the dense identity checks use.  A pattern is built
+on first use, and the particle-number band of each of its term blocks is
+checked once, then; a fill only writes values into those positions.  That
+build is the one place where the particle-number structure is checked;
+number_op and two_body_op are diagonal.  Every ladder amplitude is
 the square root of the exact integer product of its bosonic factors, a
 filled operator stores no exact zero, and the diagonal block starts at
 sector 1, since dGamma(A) vanishes on the vacuum.
@@ -42,7 +43,6 @@ __all__ = [
     "CSRPattern",
     "FockVector",
     "SectorVector",
-    "SparseOperator",
     "create_op",
     "annihilate_op",
     "sector_lowerings",
@@ -53,6 +53,7 @@ __all__ = [
     "one_body_form",
     "number_op",
     "pairing_op",
+    "pairing_raise",
     "quadratic_op",
     "two_body_op",
     "two_body_diagonal",
@@ -354,66 +355,24 @@ class SectorVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-class SparseOperator:
-    """Sparse operator on a truncated occupation basis: the basis and its
-    CSR matrix.
-
-    The particle-number structure is checked in one place, CSRPattern, when
-    a quadratic or annihilator pattern is built; the other constructions
-    (diagonal matrices, products of ladder operators) change the particle
-    number as their index structure dictates.
-    """
-
-    def __init__(self, basis, mat):
-        self.basis = basis
-        self.mat = mat
-
-    def apply(self, vec: FockVector) -> FockVector:
-        return FockVector(vec.basis, self.mat @ vec.amplitudes)
-
-    def dag(self) -> "SparseOperator":
-        return SparseOperator(self.basis, self.mat.conj().T.tocsr())
-
-    def __add__(self, other):
-        return SparseOperator(self.basis, (self.mat + other.mat).tocsr())
-
-    def __sub__(self, other):
-        return SparseOperator(self.basis, (self.mat - other.mat).tocsr())
-
-    def __mul__(self, scalar):
-        return SparseOperator(self.basis, self.mat * scalar)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return SparseOperator(self.basis, (self.mat @ other.mat).tocsr())
-
-    def toarray(self) -> np.ndarray:
-        return self.mat.toarray()
-
-    def __repr__(self):
-        return f"SparseOperator(size={self.mat.shape[0]}, nnz={self.mat.nnz})"
-
-
-def annihilate_op(f: np.ndarray, basis: OccupationBasis) -> SparseOperator:
+def annihilate_op(f: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
     """a(f) = sum_i conj(f_i) a_i, antilinear in f."""
     f = np.asarray(f, dtype=complex)
     if f.shape != (basis.M,):
         raise ValueError("one-particle vector has wrong length")
     values = {i: np.conj(f[i]) for i in range(basis.M) if f[i] != 0}
-    mat = basis.lowering_pattern().fill(values)
-    return SparseOperator(basis, mat)
+    return basis.lowering_pattern().fill(values)
 
 
 def sector_lowerings(f: np.ndarray, basis: OccupationBasis, top: int) -> list:
-    """Blocks of annihilate_op(f, basis).mat from sector n to n-1 at index n,
+    """Blocks of annihilate_op(f, basis) from sector n to n-1 at index n,
     n = 1..top (index 0 is None); adjoint_block(low[n]) raises sector n-1 to n.
 
     a(f) lowers the total by exactly one (checked when its pattern is built),
     so the rows of sector n-1 hold only columns of sector n, and each block
     is a slice of the CSR arrays, shifted to sector-local indices.
     """
-    low = annihilate_op(f, basis).mat
+    low = annihilate_op(f, basis)
     off = [int(o) for o in basis.sector_offsets]
     blocks = [None]
     for n in range(1, top + 1):
@@ -445,12 +404,12 @@ def adjoint_block(block: sp.csr_matrix) -> sp.csc_matrix:
                          shape=block.shape[::-1])
 
 
-def create_op(f: np.ndarray, basis: OccupationBasis) -> SparseOperator:
+def create_op(f: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
     """a^dag(f), the exact adjoint of annihilate_op(f); linear in f.
 
     Amplitudes that would land above the truncation are dropped.
     """
-    return annihilate_op(f, basis).dag()
+    return annihilate_op(f, basis).conj().T.tocsr()
 
 
 def _one_body_values(A, basis, states):
@@ -486,11 +445,11 @@ def _pair_values(K, basis, lower: bool):
     return values
 
 
-def dgamma(A: np.ndarray, basis: OccupationBasis) -> SparseOperator:
+def dgamma(A: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
     """Second quantization of the one-body operator A: acts as sum_j A_j on
     each sector."""
     values = _one_body_values(A, basis, basis.states[basis.sector_offsets[1]:])
-    return SparseOperator(basis, basis.quadratic_pattern().fill(values))
+    return basis.quadratic_pattern().fill(values)
 
 
 def one_body_block(A: np.ndarray, basis: OccupationBasis, n: int) -> sp.csr_matrix:
@@ -514,7 +473,7 @@ def one_body_block(A: np.ndarray, basis: OccupationBasis, n: int) -> sp.csr_matr
 def one_body_form(A: np.ndarray, basis: OccupationBasis):
     """The quadratic form v -> <v, dGamma(A) v> = sum_ij A_ij <a_i v, a_j v>
     on full-basis amplitudes, from the M mode lowerings a_i in one matrix."""
-    low = sp.vstack([annihilate_op(e, basis).mat for e in np.eye(basis.M)], format="csr")
+    low = sp.vstack([annihilate_op(e, basis) for e in np.eye(basis.M)], format="csr")
 
     def form(v) -> complex:
         X = (low @ v).reshape(basis.M, -1)
@@ -523,33 +482,33 @@ def one_body_form(A: np.ndarray, basis: OccupationBasis):
     return form
 
 
-def quadratic_op(A: np.ndarray, K: np.ndarray, basis: OccupationBasis) -> SparseOperator:
+def quadratic_op(A: np.ndarray, K: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
     """dGamma(A) + pairing_op(K) in one fill of the quadratic pattern."""
     values = _one_body_values(A, basis, basis.states[basis.sector_offsets[1]:])
     values.update(_pair_values(K, basis, lower=True))
-    return SparseOperator(basis, basis.quadratic_pattern().fill(values))
+    return basis.quadratic_pattern().fill(values)
 
 
-def number_op(basis: OccupationBasis) -> SparseOperator:
-    return SparseOperator(basis, sp.diags(basis.totals().astype(complex), format="csr"))
+def number_op(basis: OccupationBasis) -> sp.csr_matrix:
+    return sp.diags(basis.totals().astype(complex), format="csr")
 
 
-def pairing_op(K: np.ndarray, basis: OccupationBasis) -> SparseOperator:
+def pairing_op(K: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
     """Hermitian pairing operator (1/2) sum_xy K[x,y] a_x^dag a_y^dag + h.c.
 
     K must be symmetric; the operator changes particle number by +-2.
     """
     values = _pair_values(K, basis, lower=True)
-    return SparseOperator(basis, basis.quadratic_pattern().fill(values))
+    return basis.quadratic_pattern().fill(values)
 
 
-def pairing_raise(K: np.ndarray, basis: OccupationBasis) -> SparseOperator:
+def pairing_raise(K: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
     """Creation half of the pairing operator, (1/2) sum K[x,y] a_x^dag a_y^dag."""
     values = _pair_values(K, basis, lower=False)
-    return SparseOperator(basis, basis.quadratic_pattern().fill(values))
+    return basis.quadratic_pattern().fill(values)
 
 
-def two_body_op(W: np.ndarray, basis: OccupationBasis) -> SparseOperator:
+def two_body_op(W: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
     """Normal-ordered density-density interaction
     (1/2) sum_xy W[x,y] a_x^dag a_y^dag a_y a_x.
 
@@ -557,7 +516,7 @@ def two_body_op(W: np.ndarray, basis: OccupationBasis) -> SparseOperator:
     the value sum over particle pairs of W evaluated at their sites.
     """
     vals = two_body_diagonal(W, basis.states)
-    return SparseOperator(basis, sp.diags(vals.astype(complex), format="csr"))
+    return sp.diags(vals.astype(complex), format="csr")
 
 
 def two_body_diagonal(W: np.ndarray, occ: np.ndarray) -> np.ndarray:

@@ -109,11 +109,11 @@ def _conjugation_identities(frame, basis, U, sl, rng, ctx):
     M = basis.M
     f = frame.q @ (rng.normal(size=M) + 1j * rng.normal(size=M))
     g = frame.q @ (rng.normal(size=M) + 1j * rng.normal(size=M))
-    c_u = create_op(u, basis).mat
-    a_u = annihilate_op(u, basis).mat
-    c_f = create_op(f, basis).mat
-    a_f = annihilate_op(f, basis).mat
-    a_g = annihilate_op(g, basis).mat
+    c_u = create_op(u, basis)
+    a_u = annihilate_op(u, basis)
+    c_f = create_op(f, basis)
+    a_f = annihilate_op(f, basis)
+    a_g = annihilate_op(g, basis)
     sqrtN = func_of_number_plus(u, basis, lambda k: math.sqrt(max(N - k, 0)))
     n_minus = func_of_number_plus(u, basis, lambda k: float(N - k))
 
@@ -170,7 +170,7 @@ def _hierarchy_identity(basis, h0, W, u, rng, ctx):
         v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
         v = v / np.linalg.norm(v)
         rhs = hierarchy_rhs(FockVector(basis, v), kern, h + kern.k1)
-        full = bog.op.mat @ v
+        full = bog.op @ v
         top = basis.sector_offsets[3]
         worst = max(worst, float(np.max(np.abs(rhs.amplitudes[:top] - full[:top]))))
     return [IdentityCheck("coupled system matches generator (sectors 0-2)", ctx, worst, 1e-10)]

@@ -11,7 +11,6 @@ from bogofluct.fock import (
     FockVector,
     OccupationBasis,
     SectorVector,
-    SparseOperator,
     annihilate_op,
     create_op,
     dgamma,
@@ -35,7 +34,7 @@ def project_out_mode(u: np.ndarray, vec: FockVector) -> FockVector:
     sum_k (-1)^k/k! a^dag(u)^k a(u)^k, evaluated Horner style; exact on the
     truncated basis in any frame.
     """
-    low = annihilate_op(u, vec.basis).mat
+    low = annihilate_op(u, vec.basis)
     raise_u = low.conj().T.tocsr()
     downs = [vec.amplitudes]
     for _ in range(vec.basis.n_max):
@@ -53,7 +52,7 @@ def mode_lowering(basis: OccupationBasis, i: int) -> sp.csr_matrix:
     return sp.csr_matrix((amps, (dst, src)), shape=(basis.size, basis.size))
 
 
-def two_body_general(B, basis) -> SparseOperator:
+def two_body_general(B, basis) -> sp.csr_matrix:
     """(1/2) sum_{ijkl} B[i,j,k,l] a_i^dag a_j^dag a_k a_l for a full two-body
     coefficient tensor, as products of the mode ladder matrices."""
     M = basis.M
@@ -73,7 +72,7 @@ def two_body_general(B, basis) -> SparseOperator:
                         continue
                     Cmat = Cmat + B[i, j, k, l] * (raiser[i] @ raiser[j])
             mat = mat + 0.5 * (Cmat @ lowpair)
-    return SparseOperator(basis, mat.tocsr())
+    return mat.tocsr()
 
 
 def checked_density(rho, tol=1e-10):
@@ -88,11 +87,11 @@ def checked_density(rho, tol=1e-10):
 
 
 def is_hermitian(op, tol=1e-12) -> bool:
-    d = op.mat - op.mat.conj().T
+    d = op - op.conj().T
     return abs(d).max() <= tol if d.nnz else True
 
 
-def number_plus_op(u: np.ndarray, basis: OccupationBasis) -> SparseOperator:
+def number_plus_op(u: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
     """Excitation number operator: total number minus condensate occupation."""
     n_u = create_op(u, basis) @ annihilate_op(u, basis)
     return number_op(basis) - n_u
@@ -138,7 +137,7 @@ def dense_assemble_r1(frame, h0, W, basis) -> np.ndarray:
     r1 = r1 + (pc @ d3 + d3 @ pc.conj().T)
 
     # X = sum_ij W[i,j] u[j] b_i^dag b_j^dag b_i, b_i = a(Q e_i)
-    lows = [annihilate_op(Q[:, i], basis).mat for i in range(basis.M)]
+    lows = [annihilate_op(Q[:, i], basis) for i in range(basis.M)]
     X = sp.csr_matrix((basis.size, basis.size), dtype=complex)
     for i in range(basis.M):
         for j in range(basis.M):

@@ -101,7 +101,7 @@ def test_criterion_1_master_algebra_identity():
         rng = np.random.default_rng(100 + M)
         u = random_unit(rng, M)
         frame = ExcitationFrame(u, N)
-        HN = (dgamma(h0, basis) + (1.0 / (N - 1)) * two_body_op(W, basis)).mat
+        HN = (dgamma(h0, basis) + (1.0 / (N - 1)) * two_body_op(W, basis))
         sl = basis.sector_slice(N)
         U = dense_u_n(frame, basis)
         B = conjugated_hamiltonian(frame, h0, W, basis)
@@ -150,7 +150,7 @@ def test_criterion_3_hierarchy_equals_hamiltonian(desk_model):
     for _ in range(100):
         v = random_unit(rng, basis.size)
         rhs = hierarchy_rhs(FockVector(basis, v), kern, h1)
-        worst = max(worst, float(np.max(np.abs(rhs.amplitudes[:top] - (bog.op.mat @ v)[:top]))))
+        worst = max(worst, float(np.max(np.abs(rhs.amplitudes[:top] - (bog.op @ v)[:top]))))
     record(3, "hierarchy = Hamiltonian", worst <= 1e-10,
            f"max residual over 100 random states {worst:.3e} <= 1e-10")
 
@@ -245,8 +245,8 @@ def test_criterion_8_operator_inequality_suite(desk_model):
     pairing_margin = min(np.linalg.eigvalsh(bound - pair)[0],
                          np.linalg.eigvalsh(bound + pair)[0])
 
-    nmat = number_op(basis).mat
-    comm = (1j * (bog.op.mat @ nmat - nmat @ bog.op.mat)).toarray()
+    nmat = number_op(basis)
+    comm = (1j * (bog.op @ nmat - nmat @ bog.op)).toarray()
     cbound = 2.0 * k2f * np.diag(nvals + 1.0)
     comm_margin = min(np.linalg.eigvalsh(cbound - comm)[0],
                       np.linalg.eigvalsh(cbound + comm)[0])
@@ -292,7 +292,7 @@ def test_criterion_10_coherent_comparison(desk_model):
     displaced = wop.matrix @ FockVector.vacuum(basis).amplitudes
     series = coherent_state(f, basis).amplitudes
     series_err = float(np.max(np.abs(displaced - series)))
-    nexp = float(np.real(np.vdot(displaced, number_op(basis).mat @ displaced)))
+    nexp = float(np.real(np.vdot(displaced, number_op(basis) @ displaced)))
     count_err = abs(nexp - float(np.linalg.norm(f)) ** 2)
 
     small = enumerate_basis(3, 8)

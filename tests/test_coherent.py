@@ -37,7 +37,7 @@ def test_weyl_vacuum_matches_closed_form_and_counting():
     displaced = w.matrix @ vac
     series = coherent_state(f, basis).amplitudes
     assert np.max(np.abs(displaced - series)) < 1e-8
-    nexp = np.real(np.vdot(displaced, number_op(basis).mat @ displaced))
+    nexp = np.real(np.vdot(displaced, number_op(basis) @ displaced))
     assert abs(nexp - np.linalg.norm(f) ** 2) < 1e-8
 
 
@@ -86,7 +86,7 @@ def test_weyl_shifts_ladder_operators():
     g = 0.5 * (rng.normal(size=2) + 1j * rng.normal(size=2))
     h = rng.normal(size=2) + 1j * rng.normal(size=2)
     w = weyl_op(g, basis)
-    cdag = create_op(h, basis).mat.toarray()
+    cdag = create_op(h, basis).toarray()
     conj = w.matrix.conj().T @ cdag @ w.matrix
     shift = np.vdot(g, h)
     safe = basis.sector_offsets[5]  # sectors 0..4
@@ -99,8 +99,8 @@ def test_unprojected_generator_free_case_and_gap():
     basis = enumerate_basis(3, 4)
     u = bump(lat)
     W0 = np.zeros((3, 3))
-    a = bogoliubov_hamiltonian(u, h0, W0, basis).op.mat
-    b = unprojected_hamiltonian(u, h0, W0, basis).op.mat
+    a = bogoliubov_hamiltonian(u, h0, W0, basis).op
+    b = unprojected_hamiltonian(u, h0, W0, basis).op
     assert abs(a - b).max() < 1e-14
 
     lat, h0, W = setup_model(3, g=1.2)
@@ -152,7 +152,7 @@ def test_only_the_projected_run_requires_a_tangent_start():
     lat, h0, W = setup_model(3, g=1.2)
     basis = enumerate_basis(3, 6)
     traj = solve_hartree(bump(lat), h0, W, T=0.2, dt=0.001)
-    start = create_op(traj.u[0], basis).apply(FockVector.vacuum(basis))
+    start = FockVector(basis, create_op(traj.u[0], basis) @ FockVector.vacuum(basis).amplitudes)
     bare = solve_coherent_fluct(start.copy(), traj, h0, W, dt=0.01, t_grid=[0.1, 0.2])
     assert len(bare.states) == 2
     assert abs(bare.states[-1].norm() - 1.0) < 1e-8

@@ -76,6 +76,15 @@ def test_unknown_keys_rejected():
     {"model": {"interaction": {"kind": "table", "params": {"values": [1.0, "0.5", 0.5]}}}},
     {"model": {"interaction": {"kind": "table", "params": {"values": "155"}}}},
     {"rate_gate": {"at_time": "0.5"}},
+    {"tolerances": {"tangency": "1e-6"}},
+    {"tolerances": {"leakage": float("nan")}},
+    {"tolerances": {"initial_error": -1e-8}},
+    {"tolerances": {"bog_norm_drift": 0}},
+    {"tolerances": {"hartree_norm_drift": True}},
+    {"model": {"spacing": 0}},
+    {"u0": {"kind": "gaussian", "width": 0}},
+    {"u0": {"kind": "gaussian", "width": -0.8}},
+    {"model": {"interaction": {"kind": "gaussian", "params": {"range": 0}}}},
 ])
 def test_invalid_configs_rejected(patch):
     doc = json.loads(json.dumps(TINY))
@@ -501,7 +510,8 @@ def test_typos_in_kind_sections_rejected(section, patch):
 
 
 @pytest.mark.parametrize("band", [5, [0.5], [-0.3, -0.7], [-0.7, float("nan")],
-                                  [-0.7, float("inf")], ["-0.7", -0.3]])
+                                  [-0.7, float("inf")], ["-0.7", -0.3], [True, 2],
+                                  [-0.7, False]])
 def test_malformed_rate_band_rejected_at_load(band):
     # a band that is not two finite numbers lo <= hi used to load and fail
     # only after the whole run
@@ -518,6 +528,56 @@ def test_table_condensate_and_point_band_still_load():
     doc["rate_gate"] = {"band": [-1, -1]}
     cfg = ExperimentConfig(doc)
     assert np.array_equal(cfg.condensate(cfg.lattice()), [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("section,value,match", [
+    ("u0", {"kind": "basis", "index": 1.7}, "u0.index"),
+    ("u0", {"kind": "basis", "index": "1"}, "u0.index"),
+    ("u0", {"kind": "basis", "index": True}, "u0.index"),
+    ("u0", {"kind": "basis", "index": 3}, "u0.index"),
+    ("u0", {"kind": "basis", "index": 99}, "u0.index"),
+    ("u0", {"kind": "basis", "index": -1}, "u0.index"),
+    ("u0", {"kind": "table", "re": [1.0, "0", 0.0]}, "u0.re"),
+    ("u0", {"kind": "table", "re": [True, False, False]}, "u0.re"),
+    ("u0", {"kind": "table", "re": 1.0}, "u0.re"),
+    ("u0", {"kind": "table", "re": [1.0, 0.0, 0.0], "im": [0.0, float("nan"), 0.0]}, "u0.im"),
+    ("model", {"potential": [0.0, "0.5", 0.0]}, "model.potential"),
+    ("model", {"potential": [False, True, False]}, "model.potential"),
+    ("model", {"potential": [0.0, float("nan"), 0.0]}, "model.potential"),
+    ("model", {"potential": 0.5}, "model.potential"),
+    ("phi0", {"kind": "table", "sectors": [[[1.0, 0.0]]]}, "phi0.sectors"),
+    ("phi0", {"kind": "table", "sectors": {"0": [["1", 0.0]]}}, "phi0.sectors"),
+    ("phi0", {"kind": "table", "sectors": {"0": [[True, False]]}}, "phi0.sectors"),
+    ("phi0", {"kind": "table", "sectors": {"0": [[1.0, float("inf")]]}}, "phi0.sectors"),
+    ("phi0", {"kind": "table", "sectors": {"0": [[1.0, 0.0, 0.0]]}}, "phi0.sectors"),
+    ("phi0", {"kind": "table", "sectors": {"0": [1.0, 0.0]}}, "phi0.sectors"),
+    ("phi0", {"kind": "table", "sectors": {"x": [[1.0, 0.0]]}}, "phi0.sectors"),
+    ("phi0", {"kind": "table", "sectors": {"01": [[1.0, 0.0]]}}, "phi0.sectors"),
+    ("phi0", {"kind": "table", "sectors": {"-1": [[1.0, 0.0]]}}, "phi0.sectors"),
+])
+def test_condensate_and_excitation_tables_checked_at_load(section, value, match):
+    # each of these used to load and then select the wrong mode or sector,
+    # or fail only when the run read the table
+    doc = json.loads(json.dumps(TINY))
+    doc[section] = dict(doc.get(section, {}), **value)
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig(doc)
+
+
+def test_last_basis_mode_and_integer_tables_load():
+    doc = json.loads(json.dumps(TINY))
+    doc["u0"] = {"kind": "basis", "index": 2}
+    doc["model"]["potential"] = [0, 1, 0]
+    doc["phi0"] = {"kind": "table", "sectors": {"0": [[1, 0]]}}
+    cfg = ExperimentConfig(doc)
+    lat = cfg.lattice()
+    u0 = cfg.condensate(lat)
+    assert np.array_equal(u0, [0.0, 0.0, 1.0])
+    assert cfg.one_body(lat)[1, 1] == 3.0
+    from bogofluct.fock import enumerate_basis
+
+    phis = cfg.excitations(u0, enumerate_basis(3, 4))
+    assert phis[0].amplitudes.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("flag", ["false", 1, 0, None, [True]])

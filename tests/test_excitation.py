@@ -26,6 +26,10 @@ from bogofluct.fock import (
     dgamma,
     enumerate_basis,
     hartree_block,
+    number_op,
+    pairing_op,
+    pairing_raise,
+    quadratic_op,
     sym_tensor,
     two_body_op,
 )
@@ -84,7 +88,7 @@ def test_map_output_is_tangent_sector_by_sector():
     u = random_unit(rng, 3)
     psi = SectorVector(basis, 4, random_unit(rng, basis.sector_dim(4)))
     phi = apply_u_n(ExcitationFrame(u, 4), psi)
-    low = annihilate_op(u, basis).mat
+    low = annihilate_op(u, basis)
     assert np.linalg.norm(low @ phi.amplitudes) < 1e-10
     assert abs(phi.norm() - 1.0) < 1e-12
 
@@ -123,7 +127,7 @@ def test_star_round_trip_and_domain_checks():
     # non-tangent inputs are rejected
     from bogofluct.fock import create_op
 
-    bad = create_op(u, basis).apply(vac)
+    bad = FockVector(vac.basis, create_op(u, basis) @ vac.amplitudes)
     with pytest.raises(ValueError):
         apply_u_n_star(frame, bad)
     # weight above sector N is rejected
@@ -165,7 +169,7 @@ def test_r1_r2_vanish_without_interaction():
     frame = ExcitationFrame(random_unit(rng, 3), 3)
     W0 = np.zeros((3, 3))
     assert np.max(np.abs(assemble_r1(frame, h0, W0, basis))) < 1e-14
-    assert assemble_r2(frame, W0, basis).mat.nnz == 0
+    assert assemble_r2(frame, W0, basis).nnz == 0
 
 
 def test_r2_kills_single_excitation():
@@ -174,7 +178,7 @@ def test_r2_kills_single_excitation():
     rng = np.random.default_rng(7)
     u = random_unit(rng, 3)
     frame = ExcitationFrame(u, 3)
-    r2 = assemble_r2(frame, W, basis).mat
+    r2 = assemble_r2(frame, W, basis)
     # any one-quantum state is annihilated: the term needs two excitations
     for a in range(basis.sector_dim(1)):
         v = np.zeros(basis.size, dtype=complex)
@@ -293,7 +297,7 @@ def test_master_identity_with_interaction_variants():
         rng = np.random.default_rng(11)
         u = random_unit(rng, 2)
         frame = ExcitationFrame(u, 3)
-        HN = (dgamma(h0, basis) + 0.5 * two_body_op(W, basis)).mat
+        HN = (dgamma(h0, basis) + 0.5 * two_body_op(W, basis))
         sl = basis.sector_slice(3)
         U = dense_u_n(frame, basis)
         B = conjugated_hamiltonian(frame, h0, W, basis)
@@ -307,7 +311,7 @@ def _projected_layer(u, psi, j):
     low = annihilate_op(u, psi.basis)
     vec = embed(psi)
     for _ in range(k):
-        vec = low.apply(vec)
+        vec = FockVector(vec.basis, low @ vec.amplitudes)
     vec = FockVector(psi.basis, vec.amplitudes / math.sqrt(math.factorial(k)))
     return project_out_mode(u, vec).sector(j)
 
@@ -348,7 +352,7 @@ def test_dense_map_columns_equal_mapped_unit_vectors(M, n_max, N):
 def _full_basis_u_n(u, N, amps, basis):
     # the map on full-basis vectors or column blocks, every product with the
     # whole a(u) or a^dag(u)
-    low = annihilate_op(u, basis).mat
+    low = annihilate_op(u, basis)
     raise_u = low.conj().T.tocsr()
     downs = [amps]
     for _ in range(N):
@@ -366,7 +370,7 @@ def _full_basis_u_n(u, N, amps, basis):
 
 def _full_basis_hartree_block(u, phis, basis):
     # sum_n a^dag(u)^(N-n)/sqrt((N-n)!) phi_n with full-basis raisings
-    raise_u = annihilate_op(u, basis).mat.conj().T.tocsr()
+    raise_u = annihilate_op(u, basis).conj().T.tocsr()
     N = len(phis) - 1
     total = np.zeros(basis.size, dtype=complex)
     for n, phi in enumerate(phis):
@@ -406,7 +410,7 @@ def test_sector_blocks_equal_the_full_basis_products(M, n_max, N, zero_mode):
 def _whole_basis_projector(u, basis, n_cut):
     # the whole-basis construction: the kernel of a^dag(u) a(u), cut to
     # totals <= n_cut from both sides
-    zero_u = integer_spectral_function((create_op(u, basis) @ annihilate_op(u, basis)).mat,
+    zero_u = integer_spectral_function(create_op(u, basis) @ annihilate_op(u, basis),
                                        lambda k: 1.0 if k == 0 else 0.0)
     cut = np.diag((basis.totals() <= n_cut).astype(float))
     return cut @ zero_u @ cut
@@ -427,7 +431,7 @@ def test_sector_spectral_calculus_matches_the_whole_basis_form(M, n_max, N, zero
         u /= np.linalg.norm(u)
     totals = basis.totals()
     off = totals[:, None] != totals[None, :]
-    n_plus = number_plus_op(u, basis).mat
+    n_plus = number_plus_op(u, basis)
     for func in (lambda k: math.sqrt(max(N - k, 0)), lambda k: float(N - k),
                  lambda k: k * math.sqrt(max(N - k, 0))):
         got = func_of_number_plus(u, basis, func)
@@ -503,7 +507,7 @@ def test_remainders_refuse_a_single_particle():
 
 def test_dense_builders_return_plain_arrays():
     # a sparse operand added to a dense one gives np.matrix; every builder
-    # must hand back an ndarray, and R2 a CSR matrix
+    # must hand back an ndarray, and every operator builder a CSR matrix
     _, h0, W = setup_model(3)
     basis = enumerate_basis(3, 4)
     rng = np.random.default_rng(12)
@@ -520,5 +524,20 @@ def test_dense_builders_return_plain_arrays():
     for name, got in built.items():
         assert type(got) is np.ndarray, name
         assert got.shape == (basis.size, basis.size), name
-    r2 = assemble_r2(frame, W, basis).mat
-    assert sp.issparse(r2) and r2.format == "csr"
+    f = random_unit(rng, 3)
+    K = np.outer(f, f)
+    operators = {
+        "annihilate_op": annihilate_op(f, basis),
+        "create_op": create_op(f, basis),
+        "dgamma": dgamma(h0, basis),
+        "quadratic_op": quadratic_op(h0, K, basis),
+        "number_op": number_op(basis),
+        "pairing_op": pairing_op(K, basis),
+        "pairing_raise": pairing_raise(K, basis),
+        "two_body_op": two_body_op(W, basis),
+        "assemble_r2": assemble_r2(frame, W, basis),
+        "bogoliubov_hamiltonian.op": bogoliubov_hamiltonian(frame.u, h0, W, basis).op,
+    }
+    for name, op in operators.items():
+        assert isinstance(op, sp.csr_matrix), name
+        assert op.shape == (basis.size, basis.size), name

@@ -52,7 +52,7 @@ def full_basis_krylov(phi0, traj, h0, W, dt, t_grid):
         step = (t_target - t) / n_sub
         for _ in range(n_sub):
             gen = bogoliubov_hamiltonian(traj.interpolate(t + 0.5 * step), h0, W, phi0.basis)
-            amps = krylov_expm(gen.op.mat, amps, -1j * step, tol=1e-12)
+            amps = krylov_expm(gen.op, amps, -1j * step, tol=1e-12)
             t += step
         out.append(amps.copy())
     return out
@@ -72,7 +72,7 @@ def vacuum_plus_pair_start(basis, u0, rng):
     # orthogonal to the condensate
     q = np.eye(basis.M) - np.outer(u0, np.conj(u0))
     X = random_complex(rng, basis.M, basis.M)
-    pair = pairing_raise(q @ (X + X.T) @ q.T, basis).apply(FockVector.vacuum(basis))
+    pair = FockVector(basis, pairing_raise(q @ (X + X.T) @ q.T, basis) @ FockVector.vacuum(basis).amplitudes)
     amps = pair.amplitudes / pair.norm()
     amps[0] = 1.0
     return FockVector(basis, amps / np.linalg.norm(amps))

@@ -110,9 +110,9 @@ def test_refill_returns_first_matrix_exactly():
         (create_op, f1, f2),
         (lambda AK, b: quadratic_op(*AK, b), (A1, K1), (A2, K2)),
     ]:
-        ref = snapshot(build(first, basis).mat)
-        assert snapshot(build(second, basis).mat) != ref
-        assert snapshot(build(first, basis).mat) == ref
+        ref = snapshot(build(first, basis))
+        assert snapshot(build(second, basis)) != ref
+        assert snapshot(build(first, basis)) == ref
 
 
 def test_in_place_changes_do_not_reach_the_next_fill():
@@ -121,14 +121,14 @@ def test_in_place_changes_do_not_reach_the_next_fill():
     A, K, f = random_inputs(rng, 3)
     for build in (lambda: dgamma(A, basis), lambda: annihilate_op(f, basis),
                   lambda: quadratic_op(A, K, basis), lambda: pairing_raise(K, basis)):
-        ref = snapshot(build().mat)
-        mat = build().mat
+        ref = snapshot(build())
+        mat = build()
         mat.data[::2] = 0.0
         mat.eliminate_zeros()
-        mat = build().mat
+        mat = build()
         mat.indices[:] = 0
         mat.indptr[:] = 0
-        assert snapshot(build().mat) == ref
+        assert snapshot(build()) == ref
 
 
 def test_zero_coefficients_leave_blocks_out():
@@ -136,17 +136,17 @@ def test_zero_coefficients_leave_blocks_out():
     A = np.zeros((3, 3), dtype=complex)
     A[0, 1] = 1.0
     # only the hop a_0^dag a_1 is stored: the diagonal is zero everywhere
-    assert dgamma(A, basis).mat.nnz == basis.hop_structure(0, 1)[0].size
-    assert quadratic_op(np.zeros((3, 3)), np.zeros((3, 3)), basis).mat.nnz == 0
+    assert dgamma(A, basis).nnz == basis.hop_structure(0, 1)[0].size
+    assert quadratic_op(np.zeros((3, 3)), np.zeros((3, 3)), basis).nnz == 0
     # the vacuum diagonal entry of dGamma is an exact zero and is dropped
-    d = dgamma(np.eye(3), basis).mat
+    d = dgamma(np.eye(3), basis)
     assert d.nnz == basis.size - 1 and d[0, 0] == 0
     # a coefficient 0.5 * K that underflows to zero: the Hermitian sum and
     # the creation half both drop the zeros
     K = np.zeros((3, 3))
     K[0, 0] = 5e-324
-    assert pairing_op(K, basis).mat.nnz == 0
-    assert pairing_raise(K, basis).mat.nnz == 0
+    assert pairing_op(K, basis).nnz == 0
+    assert pairing_raise(K, basis).nnz == 0
 
 
 def test_pattern_checks_band_once_when_built():
@@ -213,7 +213,7 @@ def test_no_constructor_stores_an_exact_zero(M, n_max):
                   for B in (A, A_cancel)]
     built += [(annihilate_op(f, basis), low), (create_op(f, basis), low.conj().T)]
     for op, ref in built:
-        assert np.all(op.mat.data != 0)
+        assert np.all(op.data != 0)
         assert_matches(op, ref)
 
 
@@ -234,7 +234,7 @@ def test_energy_form_is_the_dgamma_expectation(M, n_max):
     basis = enumerate_basis(M, n_max)
     A, _K, _f = random_inputs(rng, M)
     v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-    want = np.vdot(v, dgamma(A, basis).mat @ v)
+    want = np.vdot(v, dgamma(A, basis) @ v)
     assert abs(one_body_form(A, basis)(v) - want) <= 1e-13 * abs(want)
     assert abs(one_body_form(A.T, basis)(v) - want) > 1e-3 * abs(want)
 
