@@ -36,15 +36,14 @@ from .csvio import write_csv
 from .fock import (
     FockVector,
     OccupationBasis,
-    SectorVector,
+    _from_dense,
+    _to_dense,
     annihilate_op,
-    dense_to_sector,
     dgamma,
     one_body_form,
     pairing_op,
     quadratic_op,
     sector_mode_lowerings,
-    sector_to_dense,
 )
 from .hartree import HartreeTrajectory, _field_and_gauge
 from .linalg import krylov_expm
@@ -361,7 +360,8 @@ def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
     return run
 
 
-def hierarchy_rhs(phi: FockVector, kern: Kernels, h_plus_k1: np.ndarray) -> FockVector:
+def hierarchy_rhs(basis: OccupationBasis, amps, kern: Kernels,
+                  h_plus_k1: np.ndarray) -> np.ndarray:
     """Time derivative (times i) of the lowest three sectors, written directly
     from the coupled sector system.
 
@@ -369,33 +369,39 @@ def hierarchy_rhs(phi: FockVector, kern: Kernels, h_plus_k1: np.ndarray) -> Fock
     is fed from two sectors above through conj(k2), and from two below through
     k2.  The coupling weights are the pair-counting square roots fixed by the
     quadratic generator itself: (1/2)sqrt((n+1)(n+2)) downward and the matching
-    injection upward.  Needs sectors up to 4 present in the basis.
+    injection upward.  amps is a stack of states, shape (..., basis.size); the
+    result has the same shape and is zero above sector 2.  Needs sectors up to
+    4 present in the basis.
     """
-    basis = phi.basis
     if basis.n_max < 4:
         raise ValueError("hierarchy needs sectors up to 4")
+    amps = np.asarray(amps)
+    if amps.shape[-1] != basis.size:
+        raise ValueError(f"amplitudes of shape {amps.shape}, basis has {basis.size} states")
     k2 = kern.k2
     k2c = np.conj(k2)
     h1 = h_plus_k1
+    tuples = {n: basis.tuple_states(n) for n in (2, 3, 4)}
 
-    psi1 = phi.sector(1).copy()
-    psi2, psi3, psi4 = (sector_to_dense(SectorVector(basis, n, phi.sector(n))) for n in (2, 3, 4))
-    phi0 = phi.sector(0)[0]
+    psi1 = amps[..., basis.sector_slice(1)]
+    psi2, psi3, psi4 = (_to_dense(amps[..., basis.sector_slice(n)], basis, n, tuples[n])
+                        for n in (2, 3, 4))
+    phi0 = amps[..., 0, None, None]
 
-    out0 = 0.5 * math.sqrt(2.0) * np.einsum("xy,xy->", k2c, psi2)
+    out0 = 0.5 * math.sqrt(2.0) * np.einsum("xy,...xy->...", k2c, psi2)
 
-    out1 = h1 @ psi1
-    out1 = out1 + 0.5 * math.sqrt(6.0) * np.einsum("yz,xyz->x", k2c, psi3)
+    out1 = np.einsum("xa,...a->...x", h1, psi1)
+    out1 = out1 + 0.5 * math.sqrt(6.0) * np.einsum("yz,...xyz->...x", k2c, psi3)
 
-    out2 = np.einsum("xa,ay->xy", h1, psi2) + np.einsum("yb,xb->xy", h1, psi2)
+    out2 = np.einsum("xa,...ay->...xy", h1, psi2) + np.einsum("yb,...xb->...xy", h1, psi2)
     out2 = out2 + 0.5 * math.sqrt(2.0) * k2 * phi0
-    out2 = out2 + 0.5 * math.sqrt(12.0) * np.einsum("zw,xyzw->xy", k2c, psi4)
+    out2 = out2 + 0.5 * math.sqrt(12.0) * np.einsum("zw,...xyzw->...xy", k2c, psi4)
 
-    amps = np.zeros(basis.size, dtype=complex)
-    amps[basis.sector_slice(0)] = out0
-    amps[basis.sector_slice(1)] = out1
-    amps[basis.sector_slice(2)] = dense_to_sector(out2, basis, 2).amplitudes
-    return FockVector(basis, amps)
+    out = np.zeros(amps.shape, dtype=complex)
+    out[..., 0] = out0
+    out[..., basis.sector_slice(1)] = out1
+    out[..., basis.sector_slice(2)] = _from_dense(out2, basis, 2, tuples[2])
+    return out
 
 
 # smallest eigenvalue, relative to the matrix scale, still counted as >= 0

@@ -15,7 +15,7 @@ import sys
 
 from .config import load_config
 from .experiment import compare_coherent, fit_rate, run_convergence, run_single
-from .verify import DEFAULT_SIZES, verify_algebra
+from .verify import DEFAULT_SIZES, skipped_identities, verify_algebra
 
 
 def _cmd_run(args):
@@ -54,13 +54,17 @@ def _size_token(tok):
 
 
 def _cmd_verify(args):
-    checks = verify_algebra(tuple(args.sizes) if args.sizes else DEFAULT_SIZES)
-    width = max(len(c.name) for c in checks)
+    sizes = tuple(args.sizes) if args.sizes else DEFAULT_SIZES
+    checks = verify_algebra(sizes)
+    skipped = skipped_identities(sizes)
+    width = max(len(name) for name in [c.name for c in checks] + [s[0] for s in skipped])
     all_ok = True
     for c in checks:
         mark = "PASS" if c.ok else "FAIL"
         all_ok = all_ok and c.ok
         print(f"{mark}  {c.name:<{width}}  [{c.context}]  residual={c.residual:.3e} tol={c.tol:.1e}")
+    for name, context, reason in skipped:  # not evaluated, so not a failure
+        print(f"SKIP  {name:<{width}}  [{context}]  {reason}")
     print("all identities hold" if all_ok else "IDENTITY FAILURES PRESENT")
     return 0 if all_ok else 1
 

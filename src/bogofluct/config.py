@@ -64,6 +64,15 @@ NESTED_KEYS = {
     ("rate_gate",): {"band", "require_monotone", "at_time"},
 }
 
+# the kinds of each section with a kind, and the keys each kind reads (the
+# interaction's from its params)
+KINDS = {
+    "model.interaction": {"zero": (), "constant": ("c",), "gaussian": ("strength",),
+                          "table": ("values",)},
+    "u0": {"basis": ("index",), "gaussian": (), "table": ("re",)},
+    "phi0": {"vacuum": (), "table": ("sectors",)},
+}
+
 
 def _merge(base, override):
     out = copy.deepcopy(base)
@@ -106,14 +115,27 @@ def _numbers(value, name):
     return [_number(v, f"every entry of {name}") for v in value]
 
 
-def _check_sectors(sectors):
-    # phi0.sectors: {"n": [[re, im], ...]}, n a canonical sector number, so
-    # "01" cannot alias sector 1
+def _check_kind(name, kind, keys):
+    # an unknown kind, or a missing key its kind reads, would only fail when
+    # the run reads the section
+    kinds = KINDS[name]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValueError(f"unknown {name} kind {kind!r}, expected one of {sorted(kinds)}")
+    missing = [key for key in kinds[kind] if key not in keys]
+    if missing:
+        raise ValueError(f"{name} kind {kind!r} needs {', '.join(missing)}")
+
+
+def _check_sectors(sectors, n_max):
+    # phi0.sectors: {"n": [[re, im], ...]}, n a canonical sector number no
+    # larger than n_max, so "01" cannot alias sector 1
     if not isinstance(sectors, dict):
         raise ValueError(f"phi0.sectors must be an object, got {sectors!r}")
     for key, rows in sectors.items():
         if not (isinstance(key, str) and re.fullmatch(r"0|[1-9][0-9]*", key)):
             raise ValueError(f"phi0.sectors key {key!r} is not a sector number")
+        if int(key) > n_max:
+            raise ValueError(f"phi0.sectors key {key!r} lies above n_max={n_max}")
         if not isinstance(rows, list) or any(
                 len(_numbers(row, "a phi0.sectors row")) != 2 for row in rows):
             raise ValueError(f"phi0.sectors[{key!r}] must be an array of [re, im] rows")
@@ -172,9 +194,12 @@ class ExperimentConfig:
         for key in ("re", "im"):
             if key in self.u0_spec:
                 _numbers(self.u0_spec[key], f"u0.{key}")
-        if "sectors" in self.phi0_spec:
-            _check_sectors(self.phi0_spec["sectors"])
         params = self.model["interaction"]["params"]
+        _check_kind("model.interaction", self.model["interaction"]["kind"], params)
+        _check_kind("u0", self.u0_spec["kind"], self.u0_spec)
+        _check_kind("phi0", self.phi0_spec["kind"], self.phi0_spec)
+        if "sectors" in self.phi0_spec:
+            _check_sectors(self.phi0_spec["sectors"], self.n_max)
         for key in ("strength", "c"):
             if key in params:
                 _number(params[key], f"model.interaction.params.{key}")

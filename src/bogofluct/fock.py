@@ -605,8 +605,7 @@ def sector_to_dense(psi: SectorVector) -> np.ndarray:
         raise ValueError("dense sector tensor would be too large")
     if n == 0:
         return np.full((), psi.amplitudes[0])
-    weight = np.sqrt((basis.sector_factorials(n) / math.factorial(n)).astype(float))
-    return (psi.amplitudes * weight)[basis.tuple_states(n)]
+    return _to_dense(psi.amplitudes, basis, n, basis.tuple_states(n))
 
 
 def dense_to_sector(T: np.ndarray, basis: OccupationBasis, n: int) -> SectorVector:
@@ -614,7 +613,20 @@ def dense_to_sector(T: np.ndarray, basis: OccupationBasis, n: int) -> SectorVect
     each state's ascending mode tuple."""
     if n == 0:
         return SectorVector(basis, 0, np.array([complex(T)]))
-    _, first = np.unique(basis.tuple_states(n), return_index=True)
-    weight = np.sqrt((math.factorial(n) / basis.sector_factorials(n)).astype(float))
-    return SectorVector(basis, n, np.asarray(T).ravel()[first] * weight)
+    return SectorVector(basis, n, _from_dense(np.asarray(T), basis, n, basis.tuple_states(n)))
 
+
+def _to_dense(amps, basis: OccupationBasis, n: int, tuples: np.ndarray) -> np.ndarray:
+    # sector_to_dense on a stack of sector-n amplitudes (..., sector_dim(n)),
+    # giving (..., M, ..., M); tuples is basis.tuple_states(n), passed in so a
+    # caller converting several stacks builds it once
+    weight = np.sqrt((basis.sector_factorials(n) / math.factorial(n)).astype(float))
+    return (amps * weight)[..., tuples]
+
+
+def _from_dense(T: np.ndarray, basis: OccupationBasis, n: int, tuples: np.ndarray) -> np.ndarray:
+    # dense_to_sector on a stack of tensors (..., M, ..., M), giving the
+    # amplitudes (..., sector_dim(n))
+    _, first = np.unique(tuples, return_index=True)
+    weight = np.sqrt((math.factorial(n) / basis.sector_factorials(n)).astype(float))
+    return T.reshape(T.shape[:T.ndim - n] + (-1,))[..., first] * weight

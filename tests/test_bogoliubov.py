@@ -241,22 +241,22 @@ def test_hierarchy_examples():
     # from the vacuum: the scalar layer is frozen, the two-quantum layer is
     # sourced by the pairing kernel with the generator's own injection weight
     vac = FockVector.vacuum(basis)
-    rhs = hierarchy_rhs(vac, kern, h1)
-    assert abs(rhs.amplitudes[0]) == 0.0
+    rhs = hierarchy_rhs(basis, vac.amplitudes, kern, h1)
+    assert abs(rhs[0]) == 0.0
     bog = bogoliubov_hamiltonian(u, h0, W, basis)
     full = bog.op @ vac.amplitudes
     sl2 = basis.sector_slice(2)
-    assert np.max(np.abs(rhs.amplitudes[sl2] - full[sl2])) < 1e-14
-    assert np.linalg.norm(rhs.amplitudes[sl2]) > 1e-3
+    assert np.max(np.abs(rhs[sl2] - full[sl2])) < 1e-14
+    assert np.linalg.norm(rhs[sl2]) > 1e-3
 
     # no pairing kernel: each layer evolves independently with the one-body part
     kern0 = build_kernels(u, np.zeros((3, 3)))
     h10 = mean_field_hamiltonian(u, np.asarray(h0), np.zeros((3, 3))) + kern0.k1
     v = FockVector(basis, random_unit(rng, basis.size))
-    rhs0 = hierarchy_rhs(v, kern0, h10)
+    rhs0 = hierarchy_rhs(basis, v.amplitudes, kern0, h10)
     ref = dgamma(h10, basis) @ v.amplitudes
     top = basis.sector_offsets[3]
-    assert np.max(np.abs(rhs0.amplitudes[:top] - ref[:top])) < 1e-12
+    assert np.max(np.abs(rhs0[:top] - ref[:top])) < 1e-12
 
 
 def test_hierarchy_matches_generator_on_random_states():
@@ -270,10 +270,44 @@ def test_hierarchy_matches_generator_on_random_states():
     top = basis.sector_offsets[3]
     for _ in range(100):
         v = random_unit(rng, basis.size)
-        rhs = hierarchy_rhs(FockVector(basis, v), kern, h1)
+        rhs = hierarchy_rhs(basis, v, kern, h1)
         full = bog.op @ v
-        assert np.max(np.abs(rhs.amplitudes[:top] - full[:top])) < 1e-10
+        assert np.max(np.abs(rhs[:top] - full[:top])) < 1e-10
 
+
+
+@pytest.mark.parametrize("M,n_max", [(2, 5), (3, 6), (4, 6)])
+def test_stacked_hierarchy_equals_per_state_calls(M, n_max):
+    lat, h0, W = setup_model(M, g=0.9)
+    basis = enumerate_basis(M, n_max)
+    rng = np.random.default_rng(11 + M)
+    u = random_unit(rng, M)
+    kern = build_kernels(u, W)
+    h1 = mean_field_hamiltonian(u, h0, W) + kern.k1
+    V = np.array([random_unit(rng, basis.size) for _ in range(12)])
+    stacked = hierarchy_rhs(basis, V, kern, h1)
+    assert stacked.shape == V.shape
+    for v, row in zip(V, stacked):
+        assert np.max(np.abs(row - hierarchy_rhs(basis, v, kern, h1))) <= 1e-14
+    # a stack of stacks keeps its leading axes
+    grid = hierarchy_rhs(basis, V.reshape(3, 4, basis.size), kern, h1)
+    assert np.max(np.abs(grid.reshape(V.shape) - stacked)) <= 1e-14
+    with pytest.raises(ValueError, match="amplitudes of shape"):
+        hierarchy_rhs(basis, V[:, :-1], kern, h1)
+
+
+def test_block_draw_matches_sequential_draws():
+    # the identity suite draws its 100 states as one (100, 2, size) block;
+    # numpy fills it in C order, so the states and the generator state after
+    # the draw are those of 100 successive real and imaginary draws
+    size = enumerate_basis(3, 5).size
+    block, seq = np.random.default_rng(3), np.random.default_rng(3)
+    draws = block.normal(size=(100, 2, size))
+    for k in range(100):
+        assert np.array_equal(draws[k, 0], seq.normal(size=size))
+        assert np.array_equal(draws[k, 1], seq.normal(size=size))
+    assert block.bit_generator.state == seq.bit_generator.state
+    assert block.normal() == seq.normal()
 
 # --------------------------------------------------------------------- bounds
 

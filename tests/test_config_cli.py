@@ -295,6 +295,11 @@ def test_cli_verify_algebra(capsys):
     text = capsys.readouterr().out
     assert code == 0
     assert "all identities hold" in text
+    # n_max = 3 is too low for the coupled system, and the table says so
+    skips = [line for line in text.splitlines() if line.startswith("SKIP")]
+    assert len(skips) == 1
+    assert "coupled system matches generator" in skips[0]
+    assert "[M=2,N=2,n_max=3]" in skips[0] and skips[0].endswith("needs n_max >= 4")
 
 
 def test_cli_compare_coherent(tmp_path, capsys):
@@ -560,6 +565,32 @@ def test_condensate_and_excitation_tables_checked_at_load(section, value, match)
     # or fail only when the run read the table
     doc = json.loads(json.dumps(TINY))
     doc[section] = dict(doc.get(section, {}), **value)
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig(doc)
+
+
+@pytest.mark.parametrize("patch,match", [
+    ({"u0": {"kind": "gausian"}}, "unknown u0 kind 'gausian'"),
+    ({"u0": {"kind": "basis"}}, "u0 kind 'basis' needs index"),
+    ({"u0": {"kind": "table"}}, "u0 kind 'table' needs re"),
+    ({"phi0": {"kind": "tabel"}}, "unknown phi0 kind 'tabel'"),
+    ({"phi0": {"kind": "table"}}, "phi0 kind 'table' needs sectors"),
+    ({"phi0": {"kind": "table", "sectors": {"8": [[1.0, 0.0]]}}},
+     "phi0.sectors key '8' lies above n_max=7"),
+    ({"model": {"interaction": {"kind": "contant"}}}, "unknown model.interaction kind"),
+    ({"model": {"interaction": {"kind": "constant"}}}, "model.interaction kind 'constant' needs c"),
+    ({"model": {"interaction": {"kind": "table"}}}, "model.interaction kind 'table' needs values"),
+], ids=["u0 kind", "u0 index", "u0 re", "phi0 kind", "phi0 sectors", "sector above n_max",
+        "interaction kind", "interaction c", "interaction values"])
+def test_config_kinds_and_their_keys_checked_at_load(patch, match):
+    # each of these used to load and fail only when the run read the section,
+    # most of them with a bare KeyError
+    doc = json.loads(json.dumps(TINY))
+    for section, value in patch.items():
+        if section == "model":
+            doc["model"]["interaction"] = value["interaction"]
+        else:
+            doc[section] = value
     with pytest.raises(ValueError, match=match):
         ExperimentConfig(doc)
 

@@ -72,6 +72,33 @@ def test_identity_suite_all_pass():
         assert check.ok, f"{check.name} [{check.context}]: {check.residual:.3e} > {check.tol:.1e}"
 
 
+
+def test_identity_suite_work_counts(monkeypatch):
+    # per size: one block hierarchy call when n_max >= 4, and four projector
+    # passes (the conjugation rules, leading_part, assemble_r1 and
+    # du_generator); one Hartree solve per lattice size M
+    import bogofluct.excitation as excitation
+    import bogofluct.verify as verify
+
+    calls = {"hierarchy_rhs": 0, "solve_hartree": 0, "_by_sector": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(verify, "hierarchy_rhs")
+    counted(verify, "solve_hartree")
+    counted(excitation, "_by_sector")
+    monkeypatch.setattr(verify, "_by_sector", excitation._by_sector)
+    sizes = ((2, 2, 3), (2, 3, 4), (3, 3, 4), (3, 4, 4))
+    checks = verify.verify_algebra(sizes)
+    assert all(c.ok for c in checks)
+    assert calls == {"hierarchy_rhs": 3, "solve_hartree": 2, "_by_sector": 4 * len(sizes)}
+
 def test_condensate_maps_to_vacuum():
     basis = enumerate_basis(3, 4)
     rng = np.random.default_rng(0)
