@@ -6,7 +6,8 @@ Subcommands:
   compare-coherent  projected vs bare-kernel fluctuation evolution
   rate              least-squares rate fit of an existing report.csv
 
-Exit code 0 only when every configured tolerance gate (or identity) passes.
+Exit code 0 only when every configured tolerance gate (or identity) passes;
+a config that does not load is a usage error (exit code 2).
 """
 
 import argparse
@@ -18,8 +19,16 @@ from .experiment import compare_coherent, fit_rate, run_convergence, run_single
 from .verify import DEFAULT_SIZES, skipped_identities, verify_algebra
 
 
+def _config(path):
+    """A config file that loads; one that does not is a usage error."""
+    try:
+        return load_config(path)
+    except (OSError, ValueError) as exc:  # JSON decode errors are ValueErrors
+        raise argparse.ArgumentTypeError(f"{path!r} does not load: {exc}") from None
+
+
 def _cmd_run(args):
-    cfg = load_config(args.config)
+    cfg = args.config
     report = run_convergence(cfg)
     for name, val, bound, ok in report.gates:
         value = "none" if val is None else f"{val:.6g}"
@@ -34,7 +43,7 @@ def _cmd_run(args):
 
 
 def _cmd_run_single(args):
-    cfg = load_config(args.config)
+    cfg = args.config
     series, summary = run_single(cfg, args.N)
     print(f"max err_norm over series: {summary['max_err_norm']:.6g}")
     print(f"fitted growth constant for <N+1>: {summary['gronwall_constant']:.6g}")
@@ -70,7 +79,7 @@ def _cmd_verify(args):
 
 
 def _cmd_compare(args):
-    cfg = load_config(args.config)
+    cfg = args.config
     rows = compare_coherent(cfg)
     for row in rows:
         print(f"t={row['time']:g}: |projected - bare| = {row['gap_norm']:.6g}")
@@ -107,11 +116,11 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="run the convergence experiment")
-    p.add_argument("config")
+    p.add_argument("config", type=_config)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("run-single", help="full diagnostics for one N")
-    p.add_argument("config")
+    p.add_argument("config", type=_config)
     p.add_argument("N", type=int)
     p.set_defaults(func=_cmd_run_single)
 
@@ -121,7 +130,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("compare-coherent", help="projected vs bare-kernel runs")
-    p.add_argument("config")
+    p.add_argument("config", type=_config)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("rate", help="fit a decay rate from a report.csv")

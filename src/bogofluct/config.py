@@ -51,19 +51,6 @@ DEFAULTS = {
     "output_dir": "bogofluct_out",
 }
 
-# keys allowed inside the nested sections, by path from the top; a section
-# with kinds allows the union of its kinds' keys, because _merge carries the
-# default kind's keys into every kind
-NESTED_KEYS = {
-    ("model",): set(DEFAULTS["model"]),
-    ("model", "interaction"): {"kind", "params"},
-    ("model", "interaction", "params"): {"strength", "range", "c", "values"},
-    ("u0",): {"kind", "index", "center", "width", "re", "im"},
-    ("phi0",): {"kind", "sectors"},
-    ("tolerances",): set(DEFAULTS["tolerances"]),
-    ("rate_gate",): {"band", "require_monotone", "at_time"},
-}
-
 # the kinds of each section with a kind, and the keys each kind reads (the
 # interaction's from its params)
 KINDS = {
@@ -88,7 +75,6 @@ def _integer(value, name):
     # JSON integers only: 6.5 or "6" is an error, not 6, and true is not 1
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def _number(value, name):
@@ -103,143 +89,176 @@ def _number(value, name):
 def _positive(value, name):
     # a zero width, range or step, or a zero or negative tolerance, would
     # only fail deep inside the run
-    number = _number(value, name)
-    if number <= 0:
+    if _number(value, name) <= 0:
         raise ValueError(f"{name} must be positive, got {value!r}")
-    return number
 
 
-def _numbers(value, name):
-    if not isinstance(value, list):
-        raise ValueError(f"{name} must be an array, got {value!r}")
-    return [_number(v, f"every entry of {name}") for v in value]
+def _array_of(check):
+    def array(value, name):
+        if not isinstance(value, list):
+            raise ValueError(f"{name} must be an array, got {value!r}")
+        for entry in value:
+            check(entry, f"every entry of {name}")
+        return value
+    return array
 
 
-def _check_kind(name, kind, keys):
-    # an unknown kind, or a missing key its kind reads, would only fail when
-    # the run reads the section
-    kinds = KINDS[name]
-    if not isinstance(kind, str) or kind not in kinds:
-        raise ValueError(f"unknown {name} kind {kind!r}, expected one of {sorted(kinds)}")
-    missing = [key for key in kinds[kind] if key not in keys]
-    if missing:
-        raise ValueError(f"{name} kind {kind!r} needs {', '.join(missing)}")
+_integers, _numbers = _array_of(_integer), _array_of(_number)
 
 
-def _check_sectors(sectors, n_max):
-    # phi0.sectors: {"n": [[re, im], ...]}, n a canonical sector number no
-    # larger than n_max, so "01" cannot alias sector 1
-    if not isinstance(sectors, dict):
-        raise ValueError(f"phi0.sectors must be an object, got {sectors!r}")
-    for key, rows in sectors.items():
+def _kind(value, name):
+    section = name.removesuffix(".kind")
+    if not isinstance(value, str) or value not in KINDS[section]:
+        raise ValueError(f"unknown {section} kind {value!r}, "
+                         f"expected one of {sorted(KINDS[section])}")
+
+
+def _sectors(value, name):
+    # {"n": [[re, im], ...]}, n a canonical sector number, so "01" cannot
+    # alias sector 1
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {value!r}")
+    for key, rows in value.items():
         if not (isinstance(key, str) and re.fullmatch(r"0|[1-9][0-9]*", key)):
-            raise ValueError(f"phi0.sectors key {key!r} is not a sector number")
-        if int(key) > n_max:
-            raise ValueError(f"phi0.sectors key {key!r} lies above n_max={n_max}")
+            raise ValueError(f"{name} key {key!r} is not a sector number")
         if not isinstance(rows, list) or any(
-                len(_numbers(row, "a phi0.sectors row")) != 2 for row in rows):
-            raise ValueError(f"phi0.sectors[{key!r}] must be an array of [re, im] rows")
+                len(_numbers(row, f"{name}[{key!r}]")) != 2 for row in rows):
+            raise ValueError(f"{name}[{key!r}] must be an array of [re, im] rows")
+
+
+def _band(value, name):
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and _number(value[0], name) <= _number(value[1], name)):
+        raise ValueError(f"{name} must be two finite numbers lo <= hi, got {value!r}")
+
+
+def _boolean(value, name):
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
+def _nonempty_string(value, name):
+    if not (isinstance(value, str) and value):
+        raise ValueError(f"{name} must be a non-empty string, got {value!r}")
+
+
+# the check of every key a document may hold, by section; a key outside its
+# section's table is a typo, and a key whose default is null may be null
+CHECKS = {
+    "model": {
+        "modes": _integer,
+        "spacing": _positive,
+        "interaction": {
+            "kind": _kind,
+            "params": {"strength": _number, "range": _positive, "c": _number,
+                       "values": _numbers},
+        },
+        "potential": _numbers,
+    },
+    "N_list": _integers,
+    "n_max": _integer,
+    "u0": {"kind": _kind, "index": _integer, "center": _number, "width": _positive,
+           "re": _numbers, "im": _numbers},
+    "phi0": {"kind": _kind, "sectors": _sectors},
+    "T": _positive,
+    "output_times": _numbers,
+    "dt_hartree": _positive,
+    "dt_fock": _positive,
+    "dt_nbody": _positive,
+    "tolerances": dict.fromkeys(DEFAULTS["tolerances"], _positive),
+    "rate_gate": {"band": _band, "require_monotone": _boolean, "at_time": _number},
+    "output_dir": _nonempty_string,
+}
+NULLABLE = {"model.potential", "rate_gate"}
+
+
+def _check(section, checks, name=""):
+    if not isinstance(section, dict):
+        raise ValueError(f"config section {name or '(top level)'} must be an object")
+    unknown = set(section) - set(checks)
+    if unknown:
+        raise ValueError(f"unknown config keys{' in ' + name if name else ''}: {sorted(unknown)}")
+    for key, value in section.items():
+        path = f"{name}.{key}" if name else key
+        if value is None and path in NULLABLE:
+            continue
+        if isinstance(checks[key], dict):
+            _check(value, checks[key], path)
+        else:
+            checks[key](value, path)
 
 
 class ExperimentConfig:
     """Validated convergence-experiment description.
 
-    Unknown keys are rejected so typos fail fast; every default is resolved at
-    load time and the resolved document is what gets written next to the
-    outputs for provenance.
+    Every key is checked at load, and every rule between keys that needs only
+    the document; unknown keys are rejected so typos fail fast. Every default
+    is resolved at load time and the resolved document is what gets written
+    next to the outputs for provenance.
     """
 
     def __init__(self, raw: dict):
-        unknown = set(raw) - set(DEFAULTS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        resolved = _merge(DEFAULTS, raw)
-        for path, known in NESTED_KEYS.items():  # parents come first
-            section = resolved
-            for key in path:
-                section = section[key]
-            name = ".".join(path)
-            if section is None and name == "rate_gate":
-                continue
-            if not isinstance(section, dict):
-                raise ValueError(f"config section {name} must be an object")
-            unknown = set(section) - known
-            if unknown:
-                raise ValueError(f"unknown config keys in {name}: {sorted(unknown)}")
-        for key in ("N_list", "output_times"):
-            if not isinstance(resolved[key], list):
-                raise ValueError(f"{key} must be an array, got {resolved[key]!r}")
-        self.raw = resolved
-        self.model = resolved["model"]
-        self.N_list = [_integer(n, "every N") for n in resolved["N_list"]]
-        self.n_max = _integer(resolved["n_max"], "n_max")
-        _integer(self.model["modes"], "model.modes")
-        self.u0_spec = resolved["u0"]
-        self.phi0_spec = resolved["phi0"]
-        self.T = _positive(resolved["T"], "T")
-        self.output_times = [_number(t, "every output time") for t in resolved["output_times"]]
-        self.dt_hartree = _positive(resolved["dt_hartree"], "dt_hartree")
-        self.dt_fock = _positive(resolved["dt_fock"], "dt_fock")
-        self.dt_nbody = _positive(resolved["dt_nbody"], "dt_nbody")
-        _positive(self.model["spacing"], "model.spacing")
-        if self.model["potential"] is not None:
-            _numbers(self.model["potential"], "model.potential")
-        _number(self.u0_spec["center"], "u0.center")
-        _positive(self.u0_spec["width"], "u0.width")
-        if "index" in self.u0_spec:
-            index = _integer(self.u0_spec["index"], "u0.index")
-            if not 0 <= index < self.model["modes"]:
-                raise ValueError(f"u0.index must lie in 0..{self.model['modes'] - 1}, "
-                                 f"got {index}")
-        for key in ("re", "im"):
-            if key in self.u0_spec:
-                _numbers(self.u0_spec[key], f"u0.{key}")
-        params = self.model["interaction"]["params"]
-        _check_kind("model.interaction", self.model["interaction"]["kind"], params)
-        _check_kind("u0", self.u0_spec["kind"], self.u0_spec)
-        _check_kind("phi0", self.phi0_spec["kind"], self.phi0_spec)
-        if "sectors" in self.phi0_spec:
-            _check_sectors(self.phi0_spec["sectors"], self.n_max)
-        for key in ("strength", "c"):
-            if key in params:
-                _number(params[key], f"model.interaction.params.{key}")
-        if "range" in params:
-            _positive(params["range"], "model.interaction.params.range")
-        if "values" in params:
-            _numbers(params["values"], "model.interaction.params.values")
-        for key, tol in resolved["tolerances"].items():
-            _positive(tol, f"tolerances.{key}")
-        self.tolerances = resolved["tolerances"]
-        self.rate_gate = resolved["rate_gate"]
-        self.output_dir = resolved["output_dir"]
-        self._validate()
-
-    def _validate(self):
-        if not self.N_list:
+        _check(raw, CHECKS)
+        doc = _merge(DEFAULTS, raw)
+        model, u0, phi0, gate = doc["model"], doc["u0"], doc["phi0"], doc["rate_gate"]
+        interaction, params = model["interaction"], model["interaction"]["params"]
+        M, n_max, N_list = model["modes"], doc["n_max"], doc["N_list"]
+        T, times = float(doc["T"]), [float(t) for t in doc["output_times"]]
+        if not N_list:
             raise ValueError("N_list must name at least one N")
-        if not self.output_times:
+        if not times:
             raise ValueError("output_times must name at least one time")
-        if sorted(self.N_list) != self.N_list or len(set(self.N_list)) != len(self.N_list):
+        if sorted(N_list) != N_list or len(set(N_list)) != len(N_list):
             raise ValueError("N_list must be strictly increasing")
-        if min(self.N_list) < 2:
+        if min(N_list) < 2:
             raise ValueError("every N must be at least 2")
-        if any(t < 0 or t > self.T + 1e-12 for t in self.output_times):
+        if any(t < 0 or t > T + 1e-12 for t in times):
             raise ValueError("output times must lie in [0, T]")
-        if sorted(self.output_times) != self.output_times:
+        if sorted(times) != times:
             raise ValueError("output times must be nondecreasing")
-        band = (self.rate_gate or {}).get("band")
-        if band is not None and not (
-                isinstance(band, (list, tuple)) and len(band) == 2
-                and _number(band[0], "rate_gate.band") <= _number(band[1], "rate_gate.band")):
-            raise ValueError(f"rate_gate.band must be two finite numbers lo <= hi, got {band!r}")
-        monotone = (self.rate_gate or {}).get("require_monotone", False)
-        if not isinstance(monotone, bool):
-            raise ValueError(f"rate_gate.require_monotone must be true or false, got {monotone!r}")
-        if self.rate_gate and "at_time" in self.rate_gate:
-            if _number(self.rate_gate["at_time"], "rate_gate.at_time") not in self.output_times:
-                raise ValueError(
-                    f"rate_gate.at_time {self.rate_gate['at_time']} is not an output time"
-                )
+        if gate and "at_time" in gate and float(gate["at_time"]) not in times:
+            raise ValueError(f"rate_gate.at_time {gate['at_time']} is not an output time")
+        for name, spec, keys in [("model.interaction", interaction, params),
+                                 ("u0", u0, u0), ("phi0", phi0, phi0)]:
+            missing = [key for key in KINDS[name][spec["kind"]] if key not in keys]
+            if missing:
+                raise ValueError(f"{name} kind {spec['kind']!r} needs {', '.join(missing)}")
+        if M < 2:
+            raise ValueError(f"model.modes must be at least 2, got {M}")
+        if model["potential"] is not None and len(model["potential"]) != M:
+            raise ValueError(f"model.potential needs one entry per mode ({M})")
+        if interaction["kind"] == "table":
+            values = params["values"]
+            if len(values) != M:
+                raise ValueError(f"model.interaction.params.values needs one entry per "
+                                 f"displacement ({M})")
+            if any(abs(values[k] - values[-k % M]) > 1e-12 for k in range(M)):
+                raise ValueError("model.interaction.params.values is not even under reflection")
+        if "index" in u0 and not 0 <= u0["index"] < M:
+            raise ValueError(f"u0.index must lie in 0..{M - 1}, got {u0['index']}")
+        if u0["kind"] == "table":
+            for key in ("re", "im"):
+                if key in u0 and len(u0[key]) != M:
+                    raise ValueError(f"u0.{key} needs one entry per mode ({M})")
+            if abs(math.hypot(*u0["re"], *u0.get("im", ())) - 1.0) > 1e-10:
+                raise ValueError("u0.re and u0.im must be normalized to 1e-10")
+        for key in phi0.get("sectors", {}):
+            if int(key) > n_max:
+                raise ValueError(f"phi0.sectors key {key!r} lies above n_max={n_max}")
+        if phi0["kind"] == "table":
+            for key, rows in phi0["sectors"].items():
+                dim = math.comb(int(key) + M - 1, M - 1)
+                if len(rows) != dim:
+                    raise ValueError(f"phi0.sectors[{key!r}] needs {dim} rows, one per state "
+                                     f"of sector {key}, got {len(rows)}")
+            total = math.fsum(r * r + i * i for rows in phi0["sectors"].values() for r, i in rows)
+            if abs(total - 1.0) > 1e-8:
+                raise ValueError(f"phi0.sectors have total weight {total}, need 1 +- 1e-8")
+        self.raw, self.model, self.u0_spec, self.phi0_spec = doc, model, u0, phi0
+        self.N_list, self.n_max, self.T, self.output_times = list(N_list), n_max, T, times
+        self.dt_hartree, self.dt_fock, self.dt_nbody = (
+            float(doc[key]) for key in ("dt_hartree", "dt_fock", "dt_nbody"))
+        self.tolerances, self.rate_gate, self.output_dir = doc["tolerances"], gate, doc["output_dir"]
 
     def require_exact_sectors(self, N=None):
         need = max(self.N_list) if N is None else N
@@ -249,89 +268,53 @@ class ExperimentConfig:
             )
 
     def lattice(self) -> ModeBasis:
-        return build_lattice(self.model["modes"], float(self.model["spacing"]))
+        return build_lattice(self.model["modes"], self.model["spacing"])
 
     def one_body(self, lattice: ModeBasis) -> np.ndarray:
         h0 = build_laplacian(lattice)
-        pot = self.model.get("potential")
-        if pot is not None:
-            pot = np.asarray(pot, dtype=float)
-            if pot.shape != (lattice.M,):
-                raise ValueError("potential table must have one entry per mode")
-            h0 = h0 + np.diag(pot).astype(complex)
+        if self.model["potential"] is not None:
+            h0 = h0 + np.diag(np.asarray(self.model["potential"], dtype=float)).astype(complex)
         return h0
 
     def interaction(self, lattice: ModeBasis) -> np.ndarray:
-        spec = self.model["interaction"]
-        kind = spec["kind"]
-        params = spec.get("params", {})
+        kind, params = self.model["interaction"]["kind"], self.model["interaction"]["params"]
         if kind == "zero":
-            return build_interaction(lattice, constant_profile(0.0))
-        if kind == "constant":
-            return build_interaction(lattice, constant_profile(float(params["c"])))
-        if kind == "gaussian":
-            return build_interaction(
-                lattice,
-                gaussian_profile(float(params["strength"]), float(params.get("range", 1.0))),
-            )
-        if kind == "table":
-            values = [float(v) for v in params["values"]]
-            M = lattice.M
-            if len(values) != M:
-                raise ValueError("interaction table needs one value per displacement")
-            for k in range(M):
-                if abs(values[k] - values[(M - k) % M]) > 1e-12:
-                    raise ValueError("interaction table is not even under reflection")
+            w = constant_profile(0.0)
+        elif kind == "constant":
+            w = constant_profile(params["c"])
+        elif kind == "gaussian":
+            w = gaussian_profile(params["strength"], params["range"])
+        else:  # a table with one value per displacement
             def w(r):
-                return values[int(round(abs(r) / lattice.spacing)) % M]
-            return build_interaction(lattice, w)
-        raise ValueError(f"unknown interaction kind {kind!r}")
+                return params["values"][round(abs(r) / lattice.spacing) % lattice.M]
+        return build_interaction(lattice, w)
 
     def condensate(self, lattice: ModeBasis) -> np.ndarray:
         spec = self.u0_spec
-        kind = spec["kind"]
-        if kind == "basis":
+        if spec["kind"] == "basis":
             u = np.zeros(lattice.M, dtype=complex)
             u[spec["index"]] = 1.0
             return u
-        if kind == "gaussian":
-            center = float(spec.get("center", 0.0))
-            width = float(spec.get("width", 1.0))
+        if spec["kind"] == "gaussian":
             length = lattice.M * lattice.spacing
-            d = np.abs(lattice.positions - center)
+            d = np.abs(lattice.positions - spec["center"])
             d = np.minimum(d, length - d)
-            u = np.exp(-(d**2) / (2.0 * width**2)).astype(complex)
+            u = np.exp(-(d**2) / (2.0 * spec["width"] ** 2)).astype(complex)
             return u / np.linalg.norm(u)
-        if kind == "table":
-            u = np.asarray(spec["re"], dtype=float) + 1j * np.asarray(
-                spec.get("im", np.zeros(lattice.M)), dtype=float
-            )
-            nrm = np.linalg.norm(u)
-            if abs(nrm - 1.0) > 1e-10:
-                raise ValueError("condensate table must be normalized to 1e-10")
-            return u
-        raise ValueError(f"unknown condensate kind {kind!r}")
+        return np.asarray(spec["re"], dtype=float) + 1j * np.asarray(
+            spec.get("im", np.zeros(lattice.M)), dtype=float)
 
     def excitations(self, u0: np.ndarray, basis: OccupationBasis):
-        """Initial excitation layers (phi_n) as sector vectors; normalized and
-        orthogonal to the condensate, as the convergence statement requires."""
-        spec = self.phi0_spec
-        kind = spec["kind"]
+        """Initial excitation layers (phi_n) as sector vectors; load has
+        checked their shapes and total weight, and the orthogonality to the
+        condensate is checked here, on the basis."""
         phis = [None] * (basis.n_max + 1)
-        if kind == "vacuum":
+        if self.phi0_spec["kind"] == "vacuum":
             phis[0] = SectorVector(basis, 0, np.array([1.0 + 0.0j]))
-        elif kind == "table":
-            for key, rows in spec["sectors"].items():
-                n = int(key)
-                if n > basis.n_max:
-                    raise ValueError(f"phi_{n} beyond truncation {basis.n_max}")
-                amps = np.array([complex(r, im) for r, im in rows])
-                phis[n] = SectorVector(basis, n, amps)
         else:
-            raise ValueError(f"unknown excitation kind {kind!r}")
-        total = math.fsum((p.norm() ** 2 if p is not None else 0.0) for p in phis)
-        if abs(total - 1.0) > 1e-8:
-            raise ValueError(f"excitation layers have total weight {total}, need 1 +- 1e-8")
+            for key, rows in self.phi0_spec["sectors"].items():
+                phis[int(key)] = SectorVector(basis, int(key),
+                                              np.array([complex(r, im) for r, im in rows]))
         hartree_block(u0, phis, basis)  # refuses a layer not orthogonal to u0
         return phis
 

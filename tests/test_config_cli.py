@@ -85,6 +85,9 @@ def test_unknown_keys_rejected():
     {"u0": {"kind": "gaussian", "width": 0}},
     {"u0": {"kind": "gaussian", "width": -0.8}},
     {"model": {"interaction": {"kind": "gaussian", "params": {"range": 0}}}},
+    {"output_dir": 5},
+    {"output_dir": None},
+    {"output_dir": ""},
 ])
 def test_invalid_configs_rejected(patch):
     doc = json.loads(json.dumps(TINY))
@@ -559,6 +562,13 @@ def test_table_condensate_and_point_band_still_load():
     ("phi0", {"kind": "table", "sectors": {"x": [[1.0, 0.0]]}}, "phi0.sectors"),
     ("phi0", {"kind": "table", "sectors": {"01": [[1.0, 0.0]]}}, "phi0.sectors"),
     ("phi0", {"kind": "table", "sectors": {"-1": [[1.0, 0.0]]}}, "phi0.sectors"),
+    ("u0", {"kind": "table", "re": [1.0, 0.0]}, "u0.re"),
+    ("u0", {"kind": "table", "re": [1.0, 0.0, 0.0, 0.0]}, "u0.re"),
+    ("u0", {"kind": "table", "re": [1.0, 0.0, 0.0], "im": [0.0, 0.0]}, "u0.im"),
+    ("phi0", {"kind": "table", "sectors": {"1": [[1.0, 0.0]]}}, "phi0.sectors"),
+    ("phi0", {"kind": "table", "sectors": {"0": []}}, "phi0.sectors"),
+    ("model", {"modes": 1}, "model.modes"),
+    ("model", {"modes": 0}, "model.modes"),
 ])
 def test_condensate_and_excitation_tables_checked_at_load(section, value, match):
     # each of these used to load and then select the wrong mode or sector,
@@ -637,3 +647,87 @@ def test_cli_verify_refuses_a_bad_size(token, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument --sizes" in err and repr(token) in err
+
+
+@pytest.mark.parametrize("patch,match", [
+    ({"model": {"potential": [0.0, 0.5]}}, "model.potential"),
+    ({"model": {"interaction": {"kind": "table", "params": {"values": [1.0, 0.5]}}}},
+     "model.interaction.params.values"),
+    ({"model": {"interaction": {"kind": "table", "params": {"values": [1.0, 0.5, 0.4]}}}},
+     "not even under reflection"),
+    ({"u0": {"kind": "table", "re": [0.6, 0.6, 0.6]}}, "normalized"),
+    ({"u0": {"kind": "table", "re": [0.6, 0.0, 0.0], "im": [0.0, 0.8, 0.1]}}, "normalized"),
+    ({"phi0": {"kind": "table", "sectors": {"0": [[0.9, 0.0]]}}}, "total weight"),
+    ({"phi0": {"kind": "table", "sectors": {"0": [[0.8, 0.0]], "1": [[0.6, 0.0]] * 3}}},
+     "total weight"),
+], ids=["potential length", "interaction table length", "interaction table not even",
+        "u0 table norm", "u0 table norm with im", "phi0 weight", "phi0 weight over sectors"])
+def test_every_document_check_runs_at_load(patch, match):
+    # each of these used to load and fail only when a builder ran, after the
+    # load; now the document alone refuses it
+    doc = json.loads(json.dumps(TINY))
+    for section, value in patch.items():
+        doc[section] = dict(doc.get(section, {}), **value)
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig(doc)
+
+
+def _key_paths(tree, prefix=""):
+    # every key at every depth, phi0.sectors counted as one value
+    for key, value in tree.items():
+        yield prefix + key
+        if isinstance(value, dict) and prefix + key != "phi0.sectors":
+            yield from _key_paths(value, prefix + key + ".")
+
+
+def test_every_default_has_a_check_and_every_check_a_reachable_key():
+    from bogofluct.config import CHECKS, DEFAULTS
+
+    checked = set(_key_paths(CHECKS))
+    assert set(_key_paths(DEFAULTS)) <= checked
+    # documents that load and, between them, set every key a kind can read
+    doc = json.loads(json.dumps(TINY))
+    doc["model"]["potential"] = [0.0, 0.5, 0.0]
+    doc["model"]["interaction"] = {"kind": "table", "params": {"values": [1.0, 0.5, 0.5]}}
+    doc["u0"] = {"kind": "table", "re": [1.0, 0.0, 0.0], "im": [0.0, 0.0, 0.0]}
+    doc["phi0"] = {"kind": "table", "sectors": {"0": [[1.0, 0.0]]}}
+    doc["rate_gate"] = {"band": [-0.7, -0.3], "require_monotone": True, "at_time": 0.5}
+    other = json.loads(json.dumps(TINY))
+    other["model"]["interaction"] = {"kind": "constant", "params": {"c": 0.3}}
+    other["u0"] = {"kind": "basis", "index": 1}
+    reached = set()
+    for raw in (doc, other):
+        reached |= set(_key_paths(ExperimentConfig(raw).raw))
+    assert checked == reached
+
+
+@pytest.mark.parametrize("command", [["run", "CONFIG"], ["run-single", "CONFIG", "4"],
+                                     ["compare-coherent", "CONFIG"]])
+@pytest.mark.parametrize("text,match", [
+    ('{"nmax": 4}', "unknown config keys"),
+    ('{"T": ', "Expecting value"),
+    (None, "No such file"),
+], ids=["typo", "not JSON", "no file"])
+def test_cli_refuses_a_config_that_does_not_load(tmp_path, capsys, command, text, match):
+    # a refused config is a usage error (exit 2), not a traceback with the
+    # exit code of a failed gate
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main([str(path) if arg == "CONFIG" else arg for arg in command])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    assert "argument config" in line and match in line
+
+
+def test_cli_lets_errors_raised_during_the_run_propagate(tmp_path, monkeypatch):
+    import bogofluct.cli as cli
+
+    def broken(cfg):
+        raise ValueError("raised inside the run")
+
+    monkeypatch.setattr(cli, "run_convergence", broken)
+    with pytest.raises(ValueError, match="raised inside the run"):
+        main(["run", str(write_config(tmp_path))])
