@@ -7,7 +7,7 @@ Subcommands:
   rate              least-squares rate fit of an existing report.csv
 
 Exit code 0 only when every configured tolerance gate (or identity) passes;
-a config that does not load is a usage error (exit code 2).
+a config or report that does not load is a usage error (exit code 2).
 """
 
 import argparse
@@ -24,6 +24,15 @@ def _config(path):
     try:
         return load_config(path)
     except (OSError, ValueError) as exc:  # JSON decode errors are ValueErrors
+        raise argparse.ArgumentTypeError(f"{path!r} does not load: {exc}") from None
+
+
+def _report(path):
+    """The rows of a report that loads; one that does not is a usage error."""
+    try:
+        with open(path) as fh:
+            return list(csv.DictReader(fh))
+    except (OSError, ValueError) as exc:  # undecodable bytes are ValueErrors
         raise argparse.ArgumentTypeError(f"{path!r} does not load: {exc}") from None
 
 
@@ -88,16 +97,13 @@ def _cmd_compare(args):
 
 
 def _cmd_rate(args):
-    with open(args.report) as fh:
-        rows = list(csv.DictReader(fh))
-    times = sorted({float(r["time"]) for r in rows if float(r["time"]) > 0.0})
+    times = sorted({float(r["time"]) for r in args.report if float(r["time"]) > 0.0})
     if args.time is not None:
         times = [args.time]
     status = 0
     for t in times:
-        sub = [(int(r["N"]), float(r["err_norm"])) for r in rows
-               if abs(float(r["time"]) - t) < 1e-12]
-        sub.sort()
+        sub = sorted((int(r["N"]), float(r["err_norm"])) for r in args.report
+                     if abs(float(r["time"]) - t) < 1e-12)
         try:
             fit = fit_rate([e for _, e in sub], [n for n, _ in sub])
             print(f"t={t:g}: slope={fit.slope:.4f} stderr={fit.stderr:.4f} "
@@ -134,7 +140,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("rate", help="fit a decay rate from a report.csv")
-    p.add_argument("report")
+    p.add_argument("report", type=_report)
     p.add_argument("--time", type=float, default=None)
     p.set_defaults(func=_cmd_rate)
 

@@ -204,18 +204,13 @@ class ExperimentConfig:
         interaction, params = model["interaction"], model["interaction"]["params"]
         M, n_max, N_list = model["modes"], doc["n_max"], doc["N_list"]
         T, times = float(doc["T"]), [float(t) for t in doc["output_times"]]
-        if not N_list:
-            raise ValueError("N_list must name at least one N")
-        if not times:
-            raise ValueError("output_times must name at least one time")
-        if sorted(N_list) != N_list or len(set(N_list)) != len(N_list):
-            raise ValueError("N_list must be strictly increasing")
+        for key, seq in (("N_list", N_list), ("output_times", times)):
+            if not seq or sorted(set(seq)) != seq:
+                raise ValueError(f"{key} must be a nonempty, strictly increasing array")
         if min(N_list) < 2:
             raise ValueError("every N must be at least 2")
         if any(t < 0 or t > T + 1e-12 for t in times):
             raise ValueError("output times must lie in [0, T]")
-        if sorted(times) != times:
-            raise ValueError("output times must be nondecreasing")
         if gate and "at_time" in gate and float(gate["at_time"]) not in times:
             raise ValueError(f"rate_gate.at_time {gate['at_time']} is not an output time")
         for name, spec, keys in [("model.interaction", interaction, params),

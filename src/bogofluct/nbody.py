@@ -1,10 +1,10 @@
 """Exact N-boson dynamics on the symmetric N-particle sector.
 
-Assembles the mean-field-scaled Hamiltonian, propagates with a Krylov or
-dense-spectral exponential, and computes reduced density matrices and trace
-distances between them, all on sector blocks cut from the Fock basis: the
-Hamiltonian from the states of sector N alone, reduced densities through the
-sector blocks of the mode annihilators.
+Assembles the mean-field-scaled Hamiltonian, propagates with one Chebyshev
+series per span, and computes reduced density matrices and trace distances
+between them, all on sector blocks cut from the Fock basis: the Hamiltonian
+from the states of sector N alone, reduced densities through the sector
+blocks of the mode annihilators.
 """
 
 import math
@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from .fock import (OccupationBasis, SectorVector, one_body_block, sector_mode_lowerings,
                    two_body_diagonal)
-from .linalg import DENSE_FALLBACK_DIM, dense_propagator, propagate_substeps
+from .linalg import ChebyshevPropagator
 
 __all__ = [
     "NBodyHamiltonian",
@@ -51,9 +51,9 @@ def propagate_exact(H: NBodyHamiltonian, psi0: SectorVector, t_grid,
                     dt_max: float = 0.1):
     """States at the grid times under the time-independent N-body Hamiltonian.
 
-    Uses one dense eigendecomposition below DENSE_FALLBACK_DIM states and a
-    substepped Krylov exponential above; any norm drift beyond 1e-9 per unit
-    time raises instead of being silently renormalized.
+    Each span of at most dt_max is one Chebyshev series, exact to round-off;
+    any norm drift beyond 1e-9 per unit time raises instead of being silently
+    renormalized.
     """
     if psi0.n != H.N:
         raise ValueError(f"initial state lives in sector {psi0.n}, expected {H.N}")
@@ -62,25 +62,16 @@ def propagate_exact(H: NBodyHamiltonian, psi0: SectorVector, t_grid,
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) < 0):
         raise ValueError("time grid must be nondecreasing")
-    dim = H.mat.shape[0]
-    out = []
-    if dim < DENSE_FALLBACK_DIM:
-        prop = dense_propagator(H.mat)
-        for t in t_grid:
-            out.append(SectorVector(H.basis, H.N, prop.apply(psi0.amplitudes, t)))
-    else:
-        v = psi0.amplitudes.copy()
-        t_prev = 0.0
-        for t in t_grid:
-            v = propagate_substeps(H.mat, v, t - t_prev, dt_max, tol=1e-12)
-            t_prev = t
-            out.append(SectorVector(H.basis, H.N, v.copy()))
-    for t, psi in zip(t_grid, out):
-        drift = abs(psi.norm() - 1.0)
+    prop = ChebyshevPropagator(H.mat)
+    v, out = psi0.amplitudes, []
+    for t_prev, t in zip(np.r_[0.0, t_grid], t_grid):
+        n_span = max(1, math.ceil((t - t_prev) / dt_max))
+        for _ in range(n_span):
+            v = prop.apply(v, (t - t_prev) / n_span)
+        out.append(SectorVector(H.basis, H.N, v))
+        drift = abs(out[-1].norm() - 1.0)
         if drift > 1e-9 * (1.0 + abs(t)):
-            raise RuntimeError(
-                f"propagation norm drift {drift:.3e} at t={t:.4g} exceeds budget"
-            )
+            raise RuntimeError(f"propagation norm drift {drift:.3e} at t={t:.4g} exceeds budget")
     return out
 
 

@@ -88,6 +88,7 @@ def test_unknown_keys_rejected():
     {"output_dir": 5},
     {"output_dir": None},
     {"output_dir": ""},
+    {"output_times": [0.0, 0.25, 0.25, 0.5]},
 ])
 def test_invalid_configs_rejected(patch):
     doc = json.loads(json.dumps(TINY))
@@ -720,6 +721,19 @@ def test_cli_refuses_a_config_that_does_not_load(tmp_path, capsys, command, text
     err = capsys.readouterr().err
     (line,) = [line for line in err.splitlines() if "error:" in line]
     assert "argument config" in line and match in line
+
+
+@pytest.mark.parametrize("name,match", [("missing.csv", "No such file"),
+                                        (".", "Is a directory")])
+def test_cli_rate_refuses_a_report_that_does_not_read(tmp_path, capsys, name, match):
+    # an unreadable report is a usage error (exit 2), not a traceback with the
+    # exit code of a failed fit
+    with pytest.raises(SystemExit) as exc:
+        main(["rate", str(tmp_path / name)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    assert "argument report" in line and match in line
 
 
 def test_cli_lets_errors_raised_during_the_run_propagate(tmp_path, monkeypatch):

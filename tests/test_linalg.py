@@ -3,12 +3,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from bogofluct.linalg import (
-    KrylovError,
-    dense_propagator,
-    krylov_expm,
-    propagate_substeps,
-)
+from bogofluct.linalg import ChebyshevPropagator, KrylovError, krylov_expm
 from oracles import integer_spectral_function
 
 
@@ -55,20 +50,37 @@ def test_krylov_raises_instead_of_degrading():
     v /= np.linalg.norm(v)
     with pytest.raises(KrylovError):
         krylov_expm(H, v, -5.0j, tol=1e-12, m_max=12)
-    # the substepped wrapper handles the same generator fine once the step
-    # resolves the spectral radius
-    dt_max = 2.0 / np.linalg.norm(H, 2)
-    out = propagate_substeps(H, v, 1.5, dt_max=dt_max, tol=1e-12, m_max=30)
-    want = sla.expm(-1.5j * H) @ v
-    assert np.linalg.norm(out - want) < 1e-7
 
 
-def test_dense_propagator_is_exact():
+def test_chebyshev_series_is_exact():
     rng = np.random.default_rng(4)
     H = random_hermitian(rng, 25)
     v = rng.normal(size=25) + 1j * rng.normal(size=25)
-    prop = dense_propagator(H)
-    assert np.linalg.norm(prop.apply(v, 1.7) - sla.expm(-1.7j * H) @ v) < 1e-12
+    prop = ChebyshevPropagator(sp.csr_matrix(H))
+    for t in (1e-6, 0.3, 1.7):
+        assert np.linalg.norm(prop.apply(v, t) - sla.expm(-1j * t * H) @ v) < 1e-12
+
+
+def test_chebyshev_series_needs_no_substep():
+    # a step the Krylov subspace cannot take at its default m_max: the series
+    # takes it in one call, to round-off, over a Gershgorin spread above 100
+    rng = np.random.default_rng(3)
+    H = random_hermitian(rng, 60)
+    v = rng.normal(size=60) + 1j * rng.normal(size=60)
+    v /= np.linalg.norm(v)
+    with pytest.raises(KrylovError):
+        krylov_expm(H, v, -2.0j, tol=1e-12)
+    prop = ChebyshevPropagator(sp.csr_matrix(H))
+    assert prop.half_width * 2.0 > 100
+    assert np.linalg.norm(prop.apply(v, 2.0) - sla.expm(-2.0j * H) @ v) < 1e-12
+
+
+def test_chebyshev_series_on_a_zero_width_interval_is_the_phase():
+    v = np.random.default_rng(5).normal(size=7) + 0j
+    prop = ChebyshevPropagator(0.9 * sp.identity(7, dtype=complex, format="csr"))
+    assert prop.half_width == 0.0
+    for t in (0.0, 0.3, 2.0):
+        assert np.array_equal(prop.apply(v, t), np.exp(-1j * 0.9 * t) * v)
 
 
 def test_integer_spectral_function():

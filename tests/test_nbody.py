@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.sparse.linalg import expm_multiply
 
 from bogofluct.fock import SectorVector, dgamma, enumerate_basis, sym_tensor, two_body_op
 from bogofluct.model import build_interaction, build_laplacian, build_lattice, constant_profile, gaussian_profile
@@ -116,45 +117,24 @@ def test_propagate_matches_dense_expm_oracle():
     assert np.max(np.abs(st.amplitudes - oracle)) < 1e-9
 
 
-def test_krylov_path_matches_dense_oracle():
-    # a sector large enough to skip the dense fallback
-    from bogofluct.linalg import propagate_substeps
-
+@pytest.mark.parametrize("N", [6, 12])
+def test_propagate_matches_expm_multiply_at_any_span(N):
+    # sectors of 84 and 455 states, on either side of the size where a dense
+    # eigendecomposition once took over: one path, exact to round-off, and
+    # the same states whether a series spans 0.05 or a whole output interval
     lat = build_lattice(4, 1.0)
     h0 = build_laplacian(lat)
     W = build_interaction(lat, gaussian_profile(1.5, 1.0))
-    b = enumerate_basis(4, 12)
-    H = build_hamiltonian(h0, W, 12, b)  # sector dim 455
-    rng = np.random.default_rng(5)
-    psi0 = SectorVector(b, 12, random_unit(rng, b.sector_dim(12)))
-    t = 0.7
-    kry = propagate_substeps(H.mat, psi0.amplitudes, t, dt_max=0.1)
-    oracle = sla.expm(-1j * t * H.mat.toarray()) @ psi0.amplitudes
-    assert np.max(np.abs(kry - oracle)) < 1e-9
-
-
-def test_sector_between_the_crossover_and_500_states_takes_the_krylov_path(monkeypatch):
-    # 286 states: past the crossover the substepped Krylov path is cheaper
-    # than one dense eigendecomposition, and it must stay as exact
-    import bogofluct.nbody as nbody
-    from bogofluct.linalg import DENSE_FALLBACK_DIM, dense_propagator
-
-    lat = build_lattice(4, 1.0)
-    h0 = build_laplacian(lat)
-    W = build_interaction(lat, gaussian_profile(0.5, 1.0))
-    b = enumerate_basis(4, 10)
-    H = build_hamiltonian(h0, W, 10, b)
-    assert DENSE_FALLBACK_DIM <= b.sector_dim(10) < 500
-    psi0 = SectorVector(b, 10, random_unit(np.random.default_rng(7), b.sector_dim(10)))
-    times = [0.0, 0.25, 1.0]
-    oracle = dense_propagator(H.mat)
-
-    def refuse(_):
-        raise AssertionError("dense path taken")
-
-    monkeypatch.setattr(nbody, "dense_propagator", refuse)
-    for t, st in zip(times, propagate_exact(H, psi0, times, dt_max=0.05)):
-        assert np.max(np.abs(st.amplitudes - oracle.apply(psi0.amplitudes, t))) < 1e-12
+    b = enumerate_basis(4, N)
+    H = build_hamiltonian(h0, W, N, b)
+    psi0 = SectorVector(b, N, random_unit(np.random.default_rng(5), b.sector_dim(N)))
+    times = [0.0, 0.25, 0.5, 1.0]
+    oracle = expm_multiply(-1j * H.mat, psi0.amplitudes, start=0.0, stop=1.0, num=5)
+    short = propagate_exact(H, psi0, times, dt_max=0.05)
+    whole = propagate_exact(H, psi0, times, dt_max=max(times))
+    for want, st, one in zip(oracle[[0, 1, 2, 4]], short, whole):
+        assert np.max(np.abs(st.amplitudes - want)) < 1e-12
+        assert np.max(np.abs(st.amplitudes - one.amplitudes)) < 1e-12
 
 
 def test_norm_and_energy_conservation():
