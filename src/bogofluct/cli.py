@@ -28,10 +28,15 @@ def _config(path):
 
 
 def _report(path):
-    """The rows of a report that loads; one that does not is a usage error."""
+    """The (N, time, err_norm) rows of a report; a file that does not read, lacks
+    one of these columns or holds a value that does not parse is a usage error."""
     try:
         with open(path) as fh:
-            return list(csv.DictReader(fh))
+            reader = csv.DictReader(fh, restval="")  # a short row fails to parse
+            missing = sorted({"N", "time", "err_norm"} - set(reader.fieldnames or ()))
+            if missing:
+                raise ValueError(f"no column {', '.join(missing)}")
+            return [(int(r["N"]), float(r["time"]), float(r["err_norm"])) for r in reader]
     except (OSError, ValueError) as exc:  # undecodable bytes are ValueErrors
         raise argparse.ArgumentTypeError(f"{path!r} does not load: {exc}") from None
 
@@ -97,13 +102,12 @@ def _cmd_compare(args):
 
 
 def _cmd_rate(args):
-    times = sorted({float(r["time"]) for r in args.report if float(r["time"]) > 0.0})
+    times = sorted({t for _, t, _ in args.report if t > 0.0})
     if args.time is not None:
         times = [args.time]
     status = 0
     for t in times:
-        sub = sorted((int(r["N"]), float(r["err_norm"])) for r in args.report
-                     if abs(float(r["time"]) - t) < 1e-12)
+        sub = sorted((N, err) for N, time, err in args.report if abs(time - t) < 1e-12)
         try:
             fit = fit_rate([e for _, e in sub], [n for n, _ in sub])
             print(f"t={t:g}: slope={fit.slope:.4f} stderr={fit.stderr:.4f} "

@@ -736,6 +736,20 @@ def test_cli_rate_refuses_a_report_that_does_not_read(tmp_path, capsys, name, ma
     assert "argument report" in line and match in line
 
 
+@pytest.mark.parametrize("text,match", [("a,b\n1,2\n", "no column N, err_norm, time"),
+                                        ("N,time,err_norm\n6,0.5,abc\n", "'abc'"),
+                                        ("N,time,err_norm\n6,0.5\n", "convert")])
+def test_cli_rate_refuses_a_file_that_is_not_a_report(tmp_path, capsys, text, match):
+    path = tmp_path / "report.csv"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["rate", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    assert "argument report" in line and match in line
+
+
 def test_cli_lets_errors_raised_during_the_run_propagate(tmp_path, monkeypatch):
     import bogofluct.cli as cli
 

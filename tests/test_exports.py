@@ -4,7 +4,10 @@ of its exports."""
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -29,3 +32,13 @@ def test_exports_match_public_definitions(module):
               and obj.__module__ == module.__name__]
     missing = [name for name in public if name not in module.__all__]
     assert not missing, missing
+
+
+def test_package_import_leaves_out_the_slow_scipy_modules():
+    # scipy.integrate and scipy.special each add to every run's start-up time
+    src = os.path.dirname(os.path.dirname(bogofluct.__file__))
+    code = ("import sys, bogofluct, bogofluct.cli, bogofluct.verify; "
+            "print(sorted({'scipy.integrate', 'scipy.special'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
