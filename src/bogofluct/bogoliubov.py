@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .csvio import write_csv
@@ -46,7 +45,7 @@ from .fock import (
     sector_mode_lowerings,
 )
 from .hartree import HartreeTrajectory, _field_and_gauge
-from .linalg import krylov_expm
+from .linalg import _expm_stack, krylov_expm
 
 logger = logging.getLogger(__name__)
 
@@ -218,7 +217,7 @@ def _quasi_free_path(c, u_mid, taus, h0, W):
     A, K, _, _ = _generator_kernels(u_mid, h0, W)
     tau = np.asarray(taus)[:, None, None]
     gen = np.block([[A, K], [-np.conj(K), -np.swapaxes(A, 1, 2)]])
-    E = sla.expm(1j * tau * gen)
+    E = _expm_stack(1j * tau * gen)
     turn = np.exp(-1j * tau[:, 0, 0] * np.trace(A, axis1=1, axis2=2))
     T, c = Ts[0], cs[0]
     for i, Ei in enumerate(E):
@@ -434,10 +433,12 @@ def verify_bog_bounds(u, h0, W, basis: OccupationBasis) -> dict:
     nvals = basis.totals().astype(float)
 
     # c_up = lambda_max(H, E) on the vacuum complement,
-    # c_low = -lambda_min(H - dGamma(h0), N + 1)
-    c_up = max(0.0, float(sla.eigh(Hd[1:, 1:], energy_form[1:, 1:], eigvals_only=True)[-1]))
-    c_low = max(0.0, float(-sla.eigh(Hd - kinetic_form, np.diag(nvals + 1.0),
-                                     eigvals_only=True)[0]))
+    # c_low = -lambda_min(H - dGamma(h0), N + 1), each pencil (A, L L^dag)
+    # reduced by its Cholesky factor L to the hermitian L^-1 A L^-dag
+    inv_l = np.linalg.inv(np.linalg.cholesky(energy_form[1:, 1:]))
+    c_up = max(0.0, float(np.linalg.eigvalsh(inv_l @ Hd[1:, 1:] @ inv_l.conj().T)[-1]))
+    d = 1.0 / np.sqrt(nvals + 1.0)  # L^-1 of the diagonal N + 1
+    c_low = max(0.0, float(-np.linalg.eigvalsh(d[:, None] * (Hd - kinetic_form) * d)[0]))
 
     k2_f = bog.kernels.k2_frobenius
     pair = pairing_op(bog.kernels.k2, basis).toarray()

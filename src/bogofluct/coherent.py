@@ -5,7 +5,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .bogoliubov import BogHamiltonian, FluctuationRun, bogoliubov_hamiltonian, solve_bogoliubov
 from .fock import FockVector, OccupationBasis, annihilate_op
@@ -58,8 +57,9 @@ def weyl_op(f: np.ndarray, basis: OccupationBasis) -> WeylOperator:
     if tail > TAIL_TOL:
         raise ValueError(f"coherent tail {tail:.3e} beyond truncation exceeds {TAIL_TOL:.1e}")
     a_f = annihilate_op(f, basis)
-    gen = (a_f.conj().T - a_f).toarray()
-    return WeylOperator(f, sla.expm(gen))
+    # exp(gen) = exp(-i H) for the hermitian H = i gen
+    w, V = np.linalg.eigh(1j * (a_f.conj().T - a_f).toarray())
+    return WeylOperator(f, (V * np.exp(-1j * w)) @ V.conj().T)
 
 
 def coherent_state(f: np.ndarray, basis: OccupationBasis) -> FockVector:

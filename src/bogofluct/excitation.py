@@ -9,8 +9,8 @@ algebraic identities at small sizes.
 The forward map is applied frame-free: component j of the image is the
 zero-condensate-occupation projection P0 of a(u)^(N-j)/sqrt((N-j)!) applied
 to the sector-N state, which is exact on the truncated basis.  One chain of
-N lowerings a(u)^m psi serves every layer, and each layer is one Horner pass
-of the normal-ordered series for P0 over it.  Every product is with a sector
+N lowerings a(u)^m psi serves every layer, and the layers' Horner passes of
+the normal-ordered series for P0 run stacked.  Every product is with a sector
 block of a(u) or a^dag(u) (fock.sector_lowerings) on sector-sized vectors;
 only the layers are written into a full-basis vector.  Functions of the
 excitation-number operator N+ are sums f(j) P_j over the projectors onto j
@@ -95,17 +95,22 @@ def _u_n(frame: ExcitationFrame, amps: np.ndarray, basis: OccupationBasis) -> np
     # apply_u_n on sector-N amplitudes: a (dim,) vector or a (dim, cols) block
     low = sector_lowerings(frame.u, basis, frame.N)
     up = [None] + [adjoint_block(b) for b in low[1:]]  # up[n] raises sector n-1 to n
+    N, cols = frame.N, amps.shape[1:]
     downs = [amps]  # downs[m] = a(u)^m psi, in sector N - m
-    for n in range(frame.N, 0, -1):
+    for n in range(N, 0, -1):
         downs.append(low[n] @ downs[-1])
-    out = np.zeros((basis.size,) + amps.shape[1:], dtype=complex)
-    for j in range(frame.N + 1):
-        # P0 = sum_m (-1)^m/m! a^dag(u)^m a(u)^m on a(u)^k psi, k = N - j
-        k = frame.N - j
-        acc = downs[-1]
-        for m in range(j - 1, -1, -1):
-            acc = downs[k + m] - (up[j - m] @ acc) / (m + 1)
-        out[basis.sector_slice(j)] = acc / math.sqrt(math.factorial(k))
+    out = np.zeros((basis.size,) + cols, dtype=complex)
+    out[basis.sector_slice(0)] = downs[N] / math.sqrt(math.factorial(N))
+    # layer j is P0 = sum_m (-1)^m/m! a^dag(u)^m a(u)^m on a(u)^(N-j) psi, by Horner:
+    # step s of every layer j >= s raises into sector s, divides by j - s + 1 and
+    # subtracts from a(u)^(N-s) psi, so layers s..N are stacked and raised at once
+    acc = np.repeat(downs[N][:, None], N, axis=1)
+    for s in range(1, N + 1):
+        raised = (up[s] @ acc.reshape(len(acc), -1)).reshape((-1, N - s + 1) + cols)
+        div = np.arange(1.0, N - s + 2).reshape((-1,) + (1,) * len(cols))
+        acc = downs[N - s][:, None] - raised / div
+        out[basis.sector_slice(s)] = acc[:, 0] / math.sqrt(math.factorial(N - s))
+        acc = acc[:, 1:]
     return out
 
 

@@ -370,10 +370,21 @@ def sector_lowerings(f: np.ndarray, basis: OccupationBasis, top: int) -> list:
 
     a(f) lowers the total by exactly one (checked when its pattern is built),
     so the rows of sector n-1 hold only columns of sector n, and each block
-    is a slice of the CSR arrays, shifted to sector-local indices.
+    is a slice of the CSR arrays, shifted to sector-local indices.  Only the
+    rows of sectors below top are filled, by the rule of CSRPattern.fill.
     """
-    low = annihilate_op(f, basis)
+    f = np.asarray(f, dtype=complex)
+    if f.shape != (basis.M,):
+        raise ValueError("one-particle vector has wrong length")
+    pat = basis.lowering_pattern()
     off = [int(o) for o in basis.sector_offsets]
+    rows, end = off[top], int(pat.indptr[off[top]])
+    data = np.take(np.conj(f), pat.block_of[:end])
+    data *= pat.amps[:end]
+    low = sp.csr_matrix((data, pat.indices[:end].copy(), pat.indptr[:rows + 1].copy()),
+                        shape=(rows, basis.size))
+    if not np.all(f):
+        low.eliminate_zeros()
     blocks = [None]
     for n in range(1, top + 1):
         ptr = low.indptr[off[n - 1]:off[n] + 1]

@@ -1,10 +1,10 @@
-"""Exponentials of hermitian generators: Lanczos for the fluctuation steps,
-and one Chebyshev series per span for a time-independent sparse H."""
+"""Matrix exponentials in numpy alone: Lanczos for the fluctuation steps, one
+Chebyshev series per span for a time-independent sparse H, and a scaled
+Taylor polynomial for a stack of small dense matrices."""
 
 import math
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 __all__ = [
@@ -68,8 +68,31 @@ def _tridiag_exp_col(alpha, beta, z):
     # first column of exp(z*T) for the real symmetric tridiagonal T
     if len(alpha) == 1:
         return np.array([np.exp(z * alpha[0])])
-    w, U = sla.eigh_tridiagonal(alpha, beta)
+    w, U = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
     return U @ (np.exp(z * w) * U[0].conj())
+
+
+def _expm_stack(A):
+    # exp of each matrix of a (k, n, n) stack (Moler and Van Loan, SIAM Rev. 45,
+    # 3 (2003)): one scale 2^-s brings the largest 1-norm theta to at most 1/2,
+    # Horner evaluates the Taylor polynomial of the least degree m with
+    # theta^(m+1)/(m+1)! <= eps/4 there, and s squarings undo the scale
+    theta = float(np.abs(A).sum(axis=-2).max(initial=0.0))
+    if not math.isfinite(theta):
+        raise ValueError("matrix exponential of a stack with a non-finite entry")
+    s = math.ceil(math.log2(theta)) + 1 if theta > 0.5 else 0
+    X, theta = A * 2.0**-s, theta * 2.0**-s
+    m, tail = 0, theta
+    while tail > 0.25 * np.finfo(float).eps:
+        m += 1
+        tail *= theta / (m + 1)
+    eye = np.eye(A.shape[-1])
+    E = np.broadcast_to(eye, A.shape).astype(A.dtype)
+    for k in range(m, 0, -1):
+        E = eye + X @ E / k
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 class ChebyshevPropagator:

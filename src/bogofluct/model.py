@@ -7,7 +7,6 @@ where dist is the minimal-image distance on the ring.
 """
 
 import numpy as np
-import scipy.linalg as sla
 
 __all__ = [
     "ModeBasis",
@@ -107,15 +106,15 @@ def relative_bound_constant(W: np.ndarray, h0: np.ndarray) -> float:
     by the interaction profile seen from one site.
 
     Always finite on a lattice; recorded as a diagnostic for how singular the
-    interaction is relative to the kinetic operator.
+    interaction is relative to the kinetic operator.  Raises ValueError
+    unless I + h0 is positive definite.
     """
     assert_hermitian(h0, name="h0")
-    M = h0.shape[0]
-    B = np.eye(M) + h0
-    evals = np.linalg.eigvalsh(B)
-    if evals[0] <= -1e-12:
-        raise ValueError("I + h0 is not positive semidefinite")
-    profile = W[:, 0].astype(float)
-    D2 = np.diag(profile**2).astype(complex)
-    lam = sla.eigh(D2, B, eigvals_only=True)
+    evals, V = np.linalg.eigh(np.eye(h0.shape[0]) + h0)
+    if evals[0] <= 0.0:
+        raise ValueError("I + h0 is not positive definite")
+    # the pencil (D^2, I + h0) has the eigenvalues of D (I + h0)^-1 D,
+    # which is G diag(1/evals) G^dag with G = D V
+    G = W[:, 0].astype(float)[:, None] * V
+    lam = np.linalg.eigvalsh((G / evals) @ G.conj().T)
     return float(max(lam[-1], 0.0))

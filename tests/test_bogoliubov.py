@@ -391,6 +391,24 @@ def test_bound_constants_are_the_smallest_psd_multiples():
     assert lowest(H - K + 0.999 * rep["c_low"] * number) < -PSD_TOL * scale
 
 
+@pytest.mark.parametrize("M, n_max, g", [(3, 4, 1.0), (4, 5, 2.0)])
+def test_bound_constants_match_the_generalized_eigenproblems(M, n_max, g):
+    import scipy.linalg as sla
+
+    lat, h0, W = setup_model(M, g=g)
+    basis = enumerate_basis(M, n_max)
+    u = random_unit(np.random.default_rng(M), M)
+    rep = verify_bog_bounds(u, h0, W, basis)
+    H = bogoliubov_hamiltonian(u, h0, W, basis).op.toarray()
+    E = dgamma(np.eye(M) + h0, basis).toarray()
+    K = dgamma(h0, basis).toarray()
+    c_up = sla.eigh(H[1:, 1:], E[1:, 1:], eigvals_only=True)[-1]
+    c_low = -sla.eigh(H - K, np.diag(basis.totals() + 1.0), eigvals_only=True)[0]
+    assert c_up > 0.0 and c_low > 0.0
+    assert abs(rep["c_up"] - c_up) <= 1e-12 * c_up
+    assert abs(rep["c_low"] - c_low) <= 1e-12 * c_low
+
+
 def test_bound_report_refuses_an_indefinite_energy_form():
     lat, h0, W = setup_model(3, g=1.0)
     with pytest.raises(ValueError, match="not positive definite"):

@@ -5,7 +5,7 @@ import pytest
 
 from bogofluct.bogoliubov import bogoliubov_hamiltonian, solve_bogoliubov
 from bogofluct.coherent import coherent_state, solve_coherent_fluct, unprojected_hamiltonian, weyl_op
-from bogofluct.fock import FockVector, create_op, enumerate_basis, number_op
+from bogofluct.fock import FockVector, annihilate_op, create_op, enumerate_basis, number_op
 from bogofluct.hartree import solve_hartree
 from bogofluct.model import build_interaction, build_laplacian, build_lattice, gaussian_profile
 
@@ -25,6 +25,16 @@ def test_weyl_zero_displacement_is_identity():
     basis = enumerate_basis(2, 6)
     w = weyl_op(np.zeros(2), basis)
     assert np.max(np.abs(w.matrix - np.eye(basis.size))) < 1e-12
+
+
+def test_weyl_matches_the_dense_exponential():
+    import scipy.linalg as sla
+
+    basis = enumerate_basis(3, 10)
+    f = np.array([0.4, -0.3j, 0.2 + 0.1j])
+    a_f = annihilate_op(f, basis)
+    want = sla.expm((a_f.conj().T - a_f).toarray())
+    assert np.max(np.abs(weyl_op(f, basis).matrix - want)) < 1e-12
 
 
 def test_weyl_vacuum_matches_closed_form_and_counting():

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from bogofluct.linalg import ChebyshevPropagator, KrylovError, krylov_expm
+from bogofluct.linalg import ChebyshevPropagator, KrylovError, _expm_stack, krylov_expm
 from oracles import integer_spectral_function
 
 
@@ -81,6 +81,29 @@ def test_chebyshev_series_on_a_zero_width_interval_is_the_phase():
     assert prop.half_width == 0.0
     for t in (0.0, 0.3, 2.0):
         assert np.array_equal(prop.apply(v, t), np.exp(-1j * 0.9 * t) * v)
+
+
+@pytest.mark.parametrize("norm", [1e-3, 1.0, 10.0, 100.0])
+def test_taylor_stack_exponential_matches_scipy(norm):
+    # the largest 1-norm of the stack is norm (no squaring at 1e-3, then one,
+    # five and eight), and the smaller matrices share its scale
+    rng = np.random.default_rng(7)
+    A = rng.normal(size=(6, 8, 8)) + 1j * rng.normal(size=(6, 8, 8))
+    A *= (norm * np.linspace(0.1, 1.0, 6) / np.abs(A).sum(axis=1).max(axis=1))[:, None, None]
+    for Ak, got in zip(A, _expm_stack(A)):
+        want = sla.expm(Ak)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_taylor_stack_exponential_of_zero_and_of_one_matrix():
+    assert np.array_equal(_expm_stack(np.zeros((3, 5, 5), dtype=complex)),
+                          np.broadcast_to(np.eye(5), (3, 5, 5)))
+    H = random_hermitian(np.random.default_rng(8), 6)
+    got = _expm_stack(-0.7j * H[None])
+    assert got.shape == (1, 6, 6)
+    assert np.linalg.norm(got[0] - sla.expm(-0.7j * H)) < 1e-12
+    with pytest.raises(ValueError, match="non-finite"):
+        _expm_stack(np.full((1, 2, 2), np.nan))
 
 
 def test_integer_spectral_function():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from bogofluct.model import (
     build_interaction,
@@ -109,3 +110,22 @@ def test_relative_bound_quadratic_scaling():
     c1 = relative_bound_constant(W, h0)
     c2 = relative_bound_constant(3.0 * W, h0)
     assert abs(c2 - 9.0 * c1) < 1e-10 * max(1.0, c2)
+
+
+def test_relative_bound_matches_the_generalized_eigenproblem():
+    rng = np.random.default_rng(11)
+    for M, spacing, g in ((4, 1.0, 1.0), (5, 0.7, 2.3), (8, 0.5, 0.6)):
+        lat = build_lattice(M, spacing)
+        W = build_interaction(lat, gaussian_profile(g, 1.0))
+        R = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
+        for h0 in (build_laplacian(lat), build_laplacian(lat) + 0.3 * R @ R.conj().T):
+            D2 = np.diag(W[:, 0] ** 2).astype(complex)
+            want = sla.eigh(D2, np.eye(M) + h0, eigvals_only=True)[-1]
+            assert abs(relative_bound_constant(W, h0) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("diag", [[-1.0, -1.0, -1.0], [-1.0, 0.5, 0.5]])
+def test_relative_bound_refuses_a_singular_energy_form(diag):
+    W = build_interaction(build_lattice(3, 1.0), gaussian_profile(1.0, 1.0))
+    with pytest.raises(ValueError, match=r"I \+ h0 is not positive definite"):
+        relative_bound_constant(W, np.diag(diag).astype(complex))
