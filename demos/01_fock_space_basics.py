@@ -3,14 +3,13 @@
 
 Builds a small periodic lattice, enumerates the occupation basis, and checks
 the ladder-operator algebra numerically: canonical commutators, bosonic
-enhancement factors, and the closed-form symmetric tensor product.
+enhancement factors, and the norms of two-quantum states.
 """
 
 import numpy as np
 
 from bogofluct import (
     FockVector,
-    SectorVector,
     annihilate_op,
     build_laplacian,
     build_lattice,
@@ -18,7 +17,6 @@ from bogofluct import (
     dgamma,
     enumerate_basis,
     number_op,
-    sym_tensor,
 )
 
 lattice = build_lattice(M=3, spacing=1.0)
@@ -53,15 +51,15 @@ counted = number_op(basis) @ two.amplitudes
 idx = basis.index((2, 0, 0))
 print(f"number operator on the (2,0,0) component: {counted[idx]/two.amplitudes[idx]:.1f} quanta")
 
-# the symmetric tensor product in occupation coordinates: u (x)s u has norm
-# sqrt(2), while gluing orthogonal factors preserves norms
+# two quanta in one mode carry the bosonic sqrt(2): a+(u)^2 vac has norm
+# sqrt(2), while quanta in orthogonal modes keep unit norm
 u = rng.normal(size=3) + 1j * rng.normal(size=3)
 u /= np.linalg.norm(u)
-su = SectorVector(basis, 1, u)
-uu = sym_tensor(su, su)
 v = rng.normal(size=3) + 1j * rng.normal(size=3)
 v -= u * np.vdot(u, v)
 v /= np.linalg.norm(v)
-uv = sym_tensor(su, SectorVector(basis, 1, v))
-print(f"\n|u (x)s u| = {uu.norm():.6f}   (sqrt(2) = {np.sqrt(2):.6f})")
-print(f"|u (x)s v| = {uv.norm():.6f}   for v orthogonal to u (isometric regime)")
+cu = create_op(u, basis)
+uu = cu @ (cu @ vac.amplitudes)
+uv = cu @ (create_op(v, basis) @ vac.amplitudes)
+print(f"\n|a+(u)^2 vac|     = {np.linalg.norm(uu):.6f}   (sqrt(2) = {np.sqrt(2):.6f})")
+print(f"|a+(u) a+(v) vac| = {np.linalg.norm(uv):.6f}   for v orthogonal to u")

@@ -14,7 +14,7 @@ from bogofluct import (
     apply_u_n,
     apply_u_n_star,
     enumerate_basis,
-    sym_tensor,
+    hartree_block,
     verify_algebra,
 )
 
@@ -25,12 +25,9 @@ u /= np.linalg.norm(u)
 N = 4
 frame = ExcitationFrame(u, N)
 
-# the pure condensate maps to the vacuum
-su = SectorVector(basis, 1, u)
-power = su
-for _ in range(N - 1):
-    power = sym_tensor(power, su)
-psi = SectorVector(basis, N, power.amplitudes / power.norm())
+# the pure condensate a+(u)^N vac / sqrt(N!) maps to the vacuum
+vacuum = SectorVector(basis, 0, np.ones(1, dtype=complex))
+psi = hartree_block(u, [vacuum] + [None] * N, basis)
 phi = apply_u_n(frame, psi)
 print(f"condensate power -> vacuum amplitude: {phi.amplitudes[0]:.12f}")
 print(f"residual weight elsewhere: {np.linalg.norm(phi.amplitudes[1:]):.2e}")

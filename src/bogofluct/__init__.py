@@ -7,16 +7,13 @@ how fast the exact dynamics approaches the quadratic one as N grows.
 """
 
 from .bogoliubov import (
-    BogHamiltonian,
     Kernels,
     bogoliubov_hamiltonian,
     build_kernels,
     hierarchy_rhs,
     solve_bogoliubov,
     tangency_defect,
-    verify_bog_bounds,
 )
-from .coherent import coherent_state, solve_coherent_fluct, unprojected_hamiltonian, weyl_op
 from .config import ExperimentConfig, load_config
 from .excitation import (
     ExcitationFrame,
@@ -40,7 +37,6 @@ from .fock import (
     hartree_block,
     number_op,
     pairing_op,
-    sym_tensor,
     two_body_op,
 )
 from .hartree import HartreeTrajectory, hartree_energy, mean_field, mu_of, solve_hartree

@@ -3,8 +3,7 @@
 Builds the time-dependent one-body and pairing kernels from the condensate
 mode, assembles the quadratic generator on the truncated Fock basis, steps the
 fluctuation state with a midpoint-frozen exponential (an order-2 scheme),
-exposes the low-sector coupled system as an independent cross-check, and
-verifies the finite-dimensional operator inequalities the dynamics relies on.
+and exposes the low-sector coupled system as an independent cross-check.
 
 Every term of the generator changes the number of excitations by 0 (the
 one-body part dGamma(h + k1)) or by +-2 (pair creation and annihilation
@@ -38,9 +37,7 @@ from .fock import (
     _from_dense,
     _to_dense,
     annihilate_op,
-    dgamma,
     one_body_form,
-    pairing_op,
     quadratic_op,
     sector_mode_lowerings,
 )
@@ -52,14 +49,12 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "Kernels",
     "build_kernels",
-    "BogHamiltonian",
     "bogoliubov_hamiltonian",
     "mean_field_hamiltonian",
     "FluctuationRun",
     "solve_bogoliubov",
     "hierarchy_rhs",
     "tangency_defect",
-    "verify_bog_bounds",
 ]
 
 
@@ -100,15 +95,6 @@ def build_kernels(u: np.ndarray, W: np.ndarray) -> Kernels:
     return Kernels(k1, k2, k1_bare, k2_bare, q)
 
 
-@dataclass
-class BogHamiltonian:
-    """Quadratic generator dGamma(h + k1) + pairing(k2) on a truncated basis."""
-
-    op: sp.csr_matrix
-    h: np.ndarray
-    kernels: Kernels
-
-
 def mean_field_hamiltonian(u, h0, W) -> np.ndarray:
     """One-body part h = h0 + diag(W|u|^2) - mu(u); a stack of modes (leading
     axes) gives a stack of h."""
@@ -119,26 +105,27 @@ def mean_field_hamiltonian(u, h0, W) -> np.ndarray:
 
 def _generator_kernels(u, h0, W, projected: bool = True):
     # one-body matrix A = h + k1 and pairing kernel K = k2 of the generator
-    # dGamma(A) + pairing(K) at u, or at each row of a stack of u, with h and
-    # the kernels; projected=False takes the bare kernels
+    # dGamma(A) + pairing(K) at u, or at each row of a stack of u, with the
+    # kernels; projected=False takes the bare kernels
     kern = build_kernels(u, W)
     h = mean_field_hamiltonian(u, h0, W)
     if projected:
-        return h + kern.k1, kern.k2, h, kern
-    return h + kern.k1_bare, kern.k2_bare, h, kern
+        return h + kern.k1, kern.k2, kern
+    return h + kern.k1_bare, kern.k2_bare, kern
 
 
 def bogoliubov_hamiltonian(u, h0, W, basis: OccupationBasis,
-                           projected: bool = True) -> BogHamiltonian:
-    """Assemble the quadratic generator for fluctuations around u.
+                           projected: bool = True) -> sp.csr_matrix:
+    """Assemble the quadratic generator dGamma(h + k1) + pairing(k2) for
+    fluctuations around u, as the CSR matrix quadratic_op fills.
 
     With projected=True the condensate-projected kernels enter (the frame
     tied to an N-particle product state); projected=False keeps the bare
     kernels (the frame tied to a coherent state).
     """
-    A, K, h, kern = _generator_kernels(u, h0, W, projected)
+    A, K, kern = _generator_kernels(u, h0, W, projected)
     logger.debug("pairing kernel Frobenius norm %.6e", kern.k2_frobenius)
-    return BogHamiltonian(quadratic_op(A, K, basis), h, kern)
+    return quadratic_op(A, K, basis)
 
 
 def tangency_defect(phi: FockVector, u: np.ndarray) -> float:
@@ -214,7 +201,7 @@ def _quasi_free_path(c, u_mid, taus, h0, W):
     M = len(h0)
     Ts = np.zeros((len(taus) + 1, M, M), dtype=complex)
     cs = np.full(len(taus) + 1, complex(c))
-    A, K, _, _ = _generator_kernels(u_mid, h0, W)
+    A, K, _ = _generator_kernels(u_mid, h0, W)
     tau = np.asarray(taus)[:, None, None]
     gen = np.block([[A, K], [-np.conj(K), -np.swapaxes(A, 1, 2)]])
     E = _expm_stack(1j * tau * gen)
@@ -348,7 +335,7 @@ def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
     for m in marks:
         for i in range(done, m):
             gen = bogoliubov_hamiltonian(u_mid[i], h0, W, basis, projected=projected)
-            phi = FockVector(basis, krylov_expm(gen.op, phi.amplitudes, -1j * taus[i],
+            phi = FockVector(basis, krylov_expm(gen, phi.amplitudes, -1j * taus[i],
                                                 tol=1e-12))
             row = _diag_row(ends[i], phi, u_rows[i + 1], energy_form)
             run.diagnostics.append(row)
@@ -401,68 +388,3 @@ def hierarchy_rhs(basis: OccupationBasis, amps, kern: Kernels,
     out[..., basis.sector_slice(1)] = out1
     out[..., basis.sector_slice(2)] = _from_dense(out2, basis, 2, tuples[2])
     return out
-
-
-# smallest eigenvalue, relative to the matrix scale, still counted as >= 0
-PSD_TOL = 1e-10
-
-
-def verify_bog_bounds(u, h0, W, basis: OccupationBasis) -> dict:
-    """Finite-dimensional operator inequalities for the quadratic generator.
-
-    Computes the smallest constants with
-      c_up * dGamma(I + h0) - H >= 0   on the vacuum complement, and
-      H - dGamma(h0) + c_low (N+1) >= 0,
-    as extreme eigenvalues of two generalized eigenproblems, and checks the
-    pairing and number-commutator bounds with the explicit Frobenius-norm
-    constants.  I + h0 must be positive definite.  The vacuum is excluded
-    from the upper bound because the pairing term couples it to two-quantum
-    states with a fixed amplitude while the energy form vanishes on it, so no
-    finite multiple dominates there (the untruncated bound carries an
-    additive constant for the same reason).  Dense eigensolves; refuses large
-    bases.
-    """
-    if basis.size > 5000:
-        raise ValueError("verification basis too large (limit 5000 states)")
-    if np.linalg.eigvalsh(np.eye(basis.M) + h0)[0] <= 0.0:
-        raise ValueError("I + h0 is not positive definite")
-    bog = bogoliubov_hamiltonian(u, h0, W, basis)
-    Hd = bog.op.toarray()
-    energy_form = dgamma(np.eye(basis.M) + h0, basis).toarray()
-    kinetic_form = dgamma(h0, basis).toarray()
-    nvals = basis.totals().astype(float)
-
-    # c_up = lambda_max(H, E) on the vacuum complement,
-    # c_low = -lambda_min(H - dGamma(h0), N + 1), each pencil (A, L L^dag)
-    # reduced by its Cholesky factor L to the hermitian L^-1 A L^-dag
-    inv_l = np.linalg.inv(np.linalg.cholesky(energy_form[1:, 1:]))
-    c_up = max(0.0, float(np.linalg.eigvalsh(inv_l @ Hd[1:, 1:] @ inv_l.conj().T)[-1]))
-    d = 1.0 / np.sqrt(nvals + 1.0)  # L^-1 of the diagonal N + 1
-    c_low = max(0.0, float(-np.linalg.eigvalsh(d[:, None] * (Hd - kinetic_form) * d)[0]))
-
-    k2_f = bog.kernels.k2_frobenius
-    pair = pairing_op(bog.kernels.k2, basis).toarray()
-    bound = k2_f * np.diag(nvals + 2.0)
-    pairing_margin = min(
-        float(np.linalg.eigvalsh(bound - pair)[0]),
-        float(np.linalg.eigvalsh(bound + pair)[0]),
-    )
-
-    nmat = sp.diags(nvals).tocsr()
-    comm = 1j * (bog.op @ nmat - nmat @ bog.op)
-    commd = comm.toarray()
-    cbound = 2.0 * k2_f * np.diag(nvals + 1.0)
-    commutator_margin = min(
-        float(np.linalg.eigvalsh(cbound - commd)[0]),
-        float(np.linalg.eigvalsh(cbound + commd)[0]),
-    )
-
-    return {
-        "c_up": c_up,
-        "c_low": c_low,
-        "k2_frobenius": k2_f,
-        "pairing_margin": pairing_margin,
-        "commutator_margin": commutator_margin,
-        "pairing_ok": pairing_margin >= -PSD_TOL * max(1.0, k2_f * (basis.n_max + 2)),
-        "commutator_ok": commutator_margin >= -PSD_TOL * max(1.0, 2 * k2_f * (basis.n_max + 1)),
-    }

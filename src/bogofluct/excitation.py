@@ -58,7 +58,6 @@ __all__ = [
     "conjugated_hamiltonian",
     "assemble_r1",
     "assemble_r2",
-    "orthogonal_sector_projector",
 ]
 
 
@@ -163,13 +162,6 @@ def func_of_number_plus(u, basis: OccupationBasis, func) -> np.ndarray:
     excitations in each sector block, entries between sectors exactly 0.
     Raises ValueError unless u is unit norm to 1e-10."""
     return _by_sector(u, basis, basis.n_max, lambda n, j: func(j))[0]
-
-
-def orthogonal_sector_projector(u, basis: OccupationBasis, n_cut: int) -> np.ndarray:
-    """Dense projector onto condensate-orthogonal layers with total <= n_cut:
-    the projector onto n excitations (no quantum in u) in each sector n up to
-    the cut, zero above it.  Raises ValueError unless u is unit norm to 1e-10."""
-    return _by_sector(u, basis, min(n_cut, basis.n_max), lambda n, j: float(j == n))[0]
 
 
 def du_generator(frame: ExcitationFrame, udot: np.ndarray,

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bogoliubov import solve_bogoliubov
-from .coherent import solve_coherent_fluct
 from .config import ExperimentConfig
 from .csvio import write_csv
 from .excitation import ExcitationFrame, apply_u_n
@@ -347,7 +346,7 @@ def compare_coherent(cfg: ExperimentConfig, write=True):
     if times[0] != 0.0:
         times = [0.0] + times
     proj = solve_bogoliubov(vac.copy(), traj, h0, W, cfg.dt_fock, t_grid=times)
-    bare = solve_coherent_fluct(vac.copy(), traj, h0, W, cfg.dt_fock, t_grid=times)
+    bare = solve_bogoliubov(vac.copy(), traj, h0, W, cfg.dt_fock, t_grid=times, projected=False)
     rows = []
     for k, t in enumerate(times):
         gap = float(np.linalg.norm(proj.states[k].amplitudes - bare.states[k].amplitudes))

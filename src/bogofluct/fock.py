@@ -1,7 +1,7 @@
 """Symmetric Fock space over M modes truncated at total particle number n_max.
 
 Occupation bases, ladder operators, second quantization, pairing and two-body
-operators, symmetric tensor products, and the condensate block construction
+operators, and the condensate block construction
 sum_n a^dag(u)^(N-n)/sqrt((N-n)!) phi_n used to build N-particle states from
 excitation data.
 
@@ -57,7 +57,6 @@ __all__ = [
     "quadratic_op",
     "two_body_op",
     "two_body_diagonal",
-    "sym_tensor",
     "hartree_block",
     "sector_to_dense",
     "dense_to_sector",
@@ -538,35 +537,6 @@ def two_body_diagonal(W: np.ndarray, occ: np.ndarray) -> np.ndarray:
         raise ValueError("two-body kernel is not symmetric")
     S = occ.astype(float)
     return 0.5 * (np.einsum("si,ij,sj->s", S, W, S) - S @ np.real(np.diag(W)))
-
-
-def sym_tensor(psi_k: SectorVector, psi_l: SectorVector) -> SectorVector:
-    """Symmetric tensor product of two sector vectors.
-
-    In occupation coordinates the permutation sum collapses to the closed form
-    (s (+) t) with coefficient sqrt(prod_i binom(s_i + t_i, s_i)); the
-    exponential-cost permutation formula is kept as a test oracle only.
-    Note the product is not an isometry in general: u (x)_s u has norm sqrt(2).
-    """
-    if psi_k.basis is not psi_l.basis:
-        raise ValueError("sector vectors live on different bases")
-    basis = psi_k.basis
-    n_out = psi_k.n + psi_l.n
-    if n_out > basis.n_max:
-        raise ValueError(f"product sector {n_out} exceeds truncation {basis.n_max}")
-    nz_k = np.flatnonzero(psi_k.amplitudes)
-    nz_l = np.flatnonzero(psi_l.amplitudes)
-    sum_occ = (basis.states[basis.sector_slice(psi_k.n)][nz_k, None]
-               + basis.states[basis.sector_slice(psi_l.n)][nz_l])
-    idx = basis.lookup(sum_occ.reshape(-1, basis.M)) - basis.sector_slice(n_out).start
-    # prod_i binom(s_i + t_i, s_i) = F(s + t) / (F(s) F(t)), F = prod_i s_i!
-    coeff = (basis.sector_factorials(n_out)[idx].reshape(len(nz_k), len(nz_l))
-             // basis.sector_factorials(psi_k.n)[nz_k, None]
-             // basis.sector_factorials(psi_l.n)[nz_l])
-    vals = psi_k.amplitudes[nz_k, None] * psi_l.amplitudes[nz_l] * np.sqrt(coeff.astype(float))
-    out = np.zeros(basis.sector_dim(n_out), dtype=complex)
-    np.add.at(out, idx, vals.ravel())
-    return SectorVector(basis, n_out, out)
 
 
 # largest ||a(u) phi_n|| / max(1, ||phi_n||) accepted as orthogonal to the

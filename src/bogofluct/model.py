@@ -16,7 +16,6 @@ __all__ = [
     "relative_bound_constant",
     "gaussian_profile",
     "constant_profile",
-    "assert_hermitian",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -95,7 +94,7 @@ def constant_profile(c: float):
     return w
 
 
-def assert_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "operator"):
+def _assert_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "operator"):
     dev = np.max(np.abs(mat - mat.conj().T))
     if dev > tol:
         raise ValueError(f"{name} is not hermitian (max deviation {dev:.3e})")
@@ -109,7 +108,7 @@ def relative_bound_constant(W: np.ndarray, h0: np.ndarray) -> float:
     interaction is relative to the kinetic operator.  Raises ValueError
     unless I + h0 is positive definite.
     """
-    assert_hermitian(h0, name="h0")
+    _assert_hermitian(h0, name="h0")
     evals, V = np.linalg.eigh(np.eye(h0.shape[0]) + h0)
     if evals[0] <= 0.0:
         raise ValueError("I + h0 is not positive definite")

@@ -185,7 +185,7 @@ def _hierarchy_identity(basis, h0, W, u, rng, ctx):
         return []
     kern = build_kernels(u, W)
     h = mean_field_hamiltonian(u, h0, W)
-    bog = bogoliubov_hamiltonian(u, h0, W, basis)
+    gen = bogoliubov_hamiltonian(u, h0, W, basis)
     # 100 random unit states as one block, drawn in the order of 100
     # successive real and imaginary draws; each row is normalized on its own,
     # as a single draw is, so each row equals that state drawn alone, bit for bit
@@ -193,7 +193,7 @@ def _hierarchy_identity(basis, h0, W, u, rng, ctx):
     V = draws[:, 0] + 1j * draws[:, 1]
     V /= np.array([np.linalg.norm(v) for v in V])[:, None]
     rhs = hierarchy_rhs(basis, V, kern, h + kern.k1)
-    full = (bog.op @ V.T).T
+    full = (gen @ V.T).T
     top = basis.sector_offsets[3]
     worst = float(np.max(np.abs(rhs[:, :top] - full[:, :top])))
     return [IdentityCheck(HIERARCHY_IDENTITY, ctx, worst, 1e-10)]

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from bogofluct.bogoliubov import build_kernels
-from bogofluct.excitation import func_of_number_plus
+from bogofluct.bogoliubov import bogoliubov_hamiltonian, build_kernels
+from bogofluct.excitation import _by_sector, func_of_number_plus
 from bogofluct.fock import (
     FockVector,
     OccupationBasis,
@@ -15,6 +15,7 @@ from bogofluct.fock import (
     create_op,
     dgamma,
     number_op,
+    pairing_op,
     pairing_raise,
 )
 from bogofluct.hartree import mean_field, mu_of
@@ -161,3 +162,151 @@ def dense_du_generator(frame, udot, basis) -> np.ndarray:
     c_u = create_op(u, basis).toarray()
     phase = np.vdot(1j * udot, u)
     return c_u @ a_v - sqrtN @ a_v - a_v.conj().T @ sqrtN - phase * n_minus
+
+
+def sym_tensor(psi_k: SectorVector, psi_l: SectorVector) -> SectorVector:
+    """Symmetric tensor product of two sector vectors.
+
+    In occupation coordinates the permutation sum collapses to the closed form
+    (s (+) t) with coefficient sqrt(prod_i binom(s_i + t_i, s_i)), in place
+    of the exponential-cost permutation formula.
+    Note the product is not an isometry in general: u (x)_s u has norm sqrt(2).
+    """
+    if psi_k.basis is not psi_l.basis:
+        raise ValueError("sector vectors live on different bases")
+    basis = psi_k.basis
+    n_out = psi_k.n + psi_l.n
+    if n_out > basis.n_max:
+        raise ValueError(f"product sector {n_out} exceeds truncation {basis.n_max}")
+    nz_k = np.flatnonzero(psi_k.amplitudes)
+    nz_l = np.flatnonzero(psi_l.amplitudes)
+    sum_occ = (basis.states[basis.sector_slice(psi_k.n)][nz_k, None]
+               + basis.states[basis.sector_slice(psi_l.n)][nz_l])
+    idx = basis.lookup(sum_occ.reshape(-1, basis.M)) - basis.sector_slice(n_out).start
+    # prod_i binom(s_i + t_i, s_i) = F(s + t) / (F(s) F(t)), F = prod_i s_i!
+    coeff = (basis.sector_factorials(n_out)[idx].reshape(len(nz_k), len(nz_l))
+             // basis.sector_factorials(psi_k.n)[nz_k, None]
+             // basis.sector_factorials(psi_l.n)[nz_l])
+    vals = psi_k.amplitudes[nz_k, None] * psi_l.amplitudes[nz_l] * np.sqrt(coeff.astype(float))
+    out = np.zeros(basis.sector_dim(n_out), dtype=complex)
+    np.add.at(out, idx, vals.ravel())
+    return SectorVector(basis, n_out, out)
+
+
+def orthogonal_sector_projector(u, basis: OccupationBasis, n_cut: int) -> np.ndarray:
+    """Dense projector onto condensate-orthogonal layers with total <= n_cut:
+    the projector onto n excitations (no quantum in u) in each sector n up to
+    the cut, zero above it.  Raises ValueError unless u is unit norm to 1e-10."""
+    return _by_sector(u, basis, min(n_cut, basis.n_max), lambda n, j: float(j == n))[0]
+
+
+def _poisson_tail(lam: float, n_max: int) -> float:
+    # mass of the coherent occupation distribution beyond the truncation
+    if lam == 0.0:
+        return 0.0
+    term = math.exp(-lam)
+    total = term
+    for n in range(1, n_max + 1):
+        term *= lam / n
+        total += term
+    return max(0.0, 1.0 - total)
+
+
+# largest coherent-state mass beyond the truncation that weyl_op accepts
+TAIL_TOL = 1e-8
+
+
+def weyl_op(f: np.ndarray, basis: OccupationBasis) -> np.ndarray:
+    """Dense displacement unitary exp(a^dag(f) - a(f)) on the truncated basis;
+    rejects f whose coherent tail leaks past the truncation by more than
+    TAIL_TOL.
+
+    Unitary on states whose displaced image stays inside the truncation; the
+    safe core is roughly total occupation below n_max - (|f|^2 + 6|f|).
+    """
+    f = np.asarray(f, dtype=complex)
+    lam = float(np.linalg.norm(f)) ** 2
+    if lam > basis.n_max / 4:
+        raise ValueError(f"displacement too large: |f|^2={lam:.3g} > n_max/4")
+    tail = _poisson_tail(lam, basis.n_max)
+    if tail > TAIL_TOL:
+        raise ValueError(f"coherent tail {tail:.3e} beyond truncation exceeds {TAIL_TOL:.1e}")
+    a_f = annihilate_op(f, basis)
+    # exp(gen) = exp(-i H) for the hermitian H = i gen
+    w, V = np.linalg.eigh(1j * (a_f.conj().T - a_f).toarray())
+    return (V * np.exp(-1j * w)) @ V.conj().T
+
+
+def coherent_state(f: np.ndarray, basis: OccupationBasis) -> FockVector:
+    """Closed-form amplitudes exp(-|f|^2/2) prod f_i^{s_i}/sqrt(s_i!)."""
+    f = np.asarray(f, dtype=complex)
+    lam = float(np.linalg.norm(f)) ** 2
+    F = np.concatenate([basis.sector_factorials(n) for n in range(basis.n_max + 1)])
+    amps = np.prod(f ** basis.states, axis=1) / np.sqrt(F.astype(float))
+    return FockVector(basis, math.exp(-lam / 2) * amps)
+
+
+# smallest eigenvalue, relative to the matrix scale, still counted as >= 0
+PSD_TOL = 1e-10
+
+
+def verify_bog_bounds(u, h0, W, basis: OccupationBasis) -> dict:
+    """Finite-dimensional operator inequalities for the quadratic generator.
+
+    Computes the smallest constants with
+      c_up * dGamma(I + h0) - H >= 0   on the vacuum complement, and
+      H - dGamma(h0) + c_low (N+1) >= 0,
+    as extreme eigenvalues of two generalized eigenproblems, and checks the
+    pairing and number-commutator bounds with the explicit Frobenius-norm
+    constants.  I + h0 must be positive definite.  The vacuum is excluded
+    from the upper bound because the pairing term couples it to two-quantum
+    states with a fixed amplitude while the energy form vanishes on it, so no
+    finite multiple dominates there (the untruncated bound carries an
+    additive constant for the same reason).  Dense eigensolves; refuses large
+    bases.
+    """
+    if basis.size > 5000:
+        raise ValueError("verification basis too large (limit 5000 states)")
+    if np.linalg.eigvalsh(np.eye(basis.M) + h0)[0] <= 0.0:
+        raise ValueError("I + h0 is not positive definite")
+    gen = bogoliubov_hamiltonian(u, h0, W, basis)
+    kern = build_kernels(u, W)
+    Hd = gen.toarray()
+    energy_form = dgamma(np.eye(basis.M) + h0, basis).toarray()
+    kinetic_form = dgamma(h0, basis).toarray()
+    nvals = basis.totals().astype(float)
+
+    # c_up = lambda_max(H, E) on the vacuum complement,
+    # c_low = -lambda_min(H - dGamma(h0), N + 1), each pencil (A, L L^dag)
+    # reduced by its Cholesky factor L to the hermitian L^-1 A L^-dag
+    inv_l = np.linalg.inv(np.linalg.cholesky(energy_form[1:, 1:]))
+    c_up = max(0.0, float(np.linalg.eigvalsh(inv_l @ Hd[1:, 1:] @ inv_l.conj().T)[-1]))
+    d = 1.0 / np.sqrt(nvals + 1.0)  # L^-1 of the diagonal N + 1
+    c_low = max(0.0, float(-np.linalg.eigvalsh(d[:, None] * (Hd - kinetic_form) * d)[0]))
+
+    k2_f = kern.k2_frobenius
+    pair = pairing_op(kern.k2, basis).toarray()
+    bound = k2_f * np.diag(nvals + 2.0)
+    pairing_margin = min(
+        float(np.linalg.eigvalsh(bound - pair)[0]),
+        float(np.linalg.eigvalsh(bound + pair)[0]),
+    )
+
+    nmat = sp.diags(nvals).tocsr()
+    comm = 1j * (gen @ nmat - nmat @ gen)
+    commd = comm.toarray()
+    cbound = 2.0 * k2_f * np.diag(nvals + 1.0)
+    commutator_margin = min(
+        float(np.linalg.eigvalsh(cbound - commd)[0]),
+        float(np.linalg.eigvalsh(cbound + commd)[0]),
+    )
+
+    return {
+        "c_up": c_up,
+        "c_low": c_low,
+        "k2_frobenius": k2_f,
+        "pairing_margin": pairing_margin,
+        "commutator_margin": commutator_margin,
+        "pairing_ok": pairing_margin >= -PSD_TOL * max(1.0, k2_f * (basis.n_max + 2)),
+        "commutator_ok": commutator_margin >= -PSD_TOL * max(1.0, 2 * k2_f * (basis.n_max + 1)),
+    }

@@ -11,12 +11,11 @@ from bogofluct.bogoliubov import (
     mean_field_hamiltonian,
     solve_bogoliubov,
     tangency_defect,
-    verify_bog_bounds,
 )
 from bogofluct.fock import FockVector, create_op, dgamma, enumerate_basis
 from bogofluct.hartree import solve_hartree
 from bogofluct.model import build_interaction, build_laplacian, build_lattice, constant_profile, gaussian_profile
-from oracles import is_hermitian, mode_lowering
+from oracles import PSD_TOL, is_hermitian, mode_lowering, verify_bog_bounds
 
 
 def setup_model(M=3, g=1.0):
@@ -94,7 +93,7 @@ def test_generator_matches_double_sum_oracle():
     u = random_unit(rng, 2)
     bog = bogoliubov_hamiltonian(u, h0, W, basis)
     oracle = _dense_double_sum_oracle(u, h0, W, basis)
-    assert np.max(np.abs(bog.op.toarray() - oracle)) < 1e-12
+    assert np.max(np.abs(bog.toarray() - oracle)) < 1e-12
 
 
 def test_generator_free_case_and_vacuum_expectation():
@@ -103,12 +102,12 @@ def test_generator_free_case_and_vacuum_expectation():
     u = bump(lat)
     bog = bogoliubov_hamiltonian(u, h0, np.zeros((3, 3)), basis)
     ref = dgamma(h0, basis)
-    assert abs(bog.op - ref).max() < 1e-12
+    assert abs(bog - ref).max() < 1e-12
     lat, h0, W = setup_model(3, g=1.3)
     bog = bogoliubov_hamiltonian(bump(lat), h0, W, basis)
     vac = FockVector.vacuum(basis).amplitudes
-    assert abs(np.vdot(vac, bog.op @ vac)) < 1e-14
-    assert is_hermitian(bog.op, 1e-12)
+    assert abs(np.vdot(vac, bog @ vac)) < 1e-14
+    assert is_hermitian(bog, 1e-12)
 
 
 # ------------------------------------------------------------------- stepping
@@ -244,7 +243,7 @@ def test_hierarchy_examples():
     rhs = hierarchy_rhs(basis, vac.amplitudes, kern, h1)
     assert abs(rhs[0]) == 0.0
     bog = bogoliubov_hamiltonian(u, h0, W, basis)
-    full = bog.op @ vac.amplitudes
+    full = bog @ vac.amplitudes
     sl2 = basis.sector_slice(2)
     assert np.max(np.abs(rhs[sl2] - full[sl2])) < 1e-14
     assert np.linalg.norm(rhs[sl2]) > 1e-3
@@ -271,7 +270,7 @@ def test_hierarchy_matches_generator_on_random_states():
     for _ in range(100):
         v = random_unit(rng, basis.size)
         rhs = hierarchy_rhs(basis, v, kern, h1)
-        full = bog.op @ v
+        full = bog @ v
         assert np.max(np.abs(rhs[:top] - full[:top])) < 1e-10
 
 
@@ -369,13 +368,11 @@ def test_tangency_abort_names_the_first_step_over_the_bound():
 
 
 def test_bound_constants_are_the_smallest_psd_multiples():
-    from bogofluct.bogoliubov import PSD_TOL
-
     lat, h0, W = setup_model(3, g=1.0)
     basis = enumerate_basis(3, 4)
     u = random_unit(np.random.default_rng(6), 3)
     rep = verify_bog_bounds(u, h0, W, basis)
-    H = bogoliubov_hamiltonian(u, h0, W, basis).op.toarray()
+    H = bogoliubov_hamiltonian(u, h0, W, basis).toarray()
     E = dgamma(np.eye(3) + h0, basis).toarray()
     K = dgamma(h0, basis).toarray()
     number = np.diag(basis.totals() + 1.0)
@@ -399,7 +396,7 @@ def test_bound_constants_match_the_generalized_eigenproblems(M, n_max, g):
     basis = enumerate_basis(M, n_max)
     u = random_unit(np.random.default_rng(M), M)
     rep = verify_bog_bounds(u, h0, W, basis)
-    H = bogoliubov_hamiltonian(u, h0, W, basis).op.toarray()
+    H = bogoliubov_hamiltonian(u, h0, W, basis).toarray()
     E = dgamma(np.eye(M) + h0, basis).toarray()
     K = dgamma(h0, basis).toarray()
     c_up = sla.eigh(H[1:, 1:], E[1:, 1:], eigvals_only=True)[-1]
@@ -491,7 +488,7 @@ def test_bare_kernel_vacuum_run_is_the_krylov_loop_bit_for_bit():
         for _ in range(n_sub):
             gen = bogoliubov_hamiltonian(traj.interpolate(t + 0.5 * step), h0, W, basis,
                                          projected=False)
-            amps = krylov_expm(gen.op, amps, -1j * step, tol=1e-12)
+            amps = krylov_expm(gen, amps, -1j * step, tol=1e-12)
             t += step
         assert state.amplitudes.tobytes() == amps.tobytes()
 

@@ -1,13 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from bogofluct.bogoliubov import bogoliubov_hamiltonian, solve_bogoliubov
-from bogofluct.coherent import coherent_state, solve_coherent_fluct, unprojected_hamiltonian, weyl_op
+from bogofluct.config import ExperimentConfig
+from bogofluct.experiment import compare_coherent
 from bogofluct.fock import FockVector, annihilate_op, create_op, enumerate_basis, number_op
 from bogofluct.hartree import solve_hartree
 from bogofluct.model import build_interaction, build_laplacian, build_lattice, gaussian_profile
+from oracles import coherent_state, weyl_op
 
 
 def setup_model(M=3, g=1.0):
@@ -24,7 +27,7 @@ def bump(lat, width=1.0):
 def test_weyl_zero_displacement_is_identity():
     basis = enumerate_basis(2, 6)
     w = weyl_op(np.zeros(2), basis)
-    assert np.max(np.abs(w.matrix - np.eye(basis.size))) < 1e-12
+    assert np.max(np.abs(w - np.eye(basis.size))) < 1e-12
 
 
 def test_weyl_matches_the_dense_exponential():
@@ -34,7 +37,7 @@ def test_weyl_matches_the_dense_exponential():
     f = np.array([0.4, -0.3j, 0.2 + 0.1j])
     a_f = annihilate_op(f, basis)
     want = sla.expm((a_f.conj().T - a_f).toarray())
-    assert np.max(np.abs(weyl_op(f, basis).matrix - want)) < 1e-12
+    assert np.max(np.abs(weyl_op(f, basis) - want)) < 1e-12
 
 
 def test_weyl_vacuum_matches_closed_form_and_counting():
@@ -44,7 +47,7 @@ def test_weyl_vacuum_matches_closed_form_and_counting():
     assert np.linalg.norm(f) ** 2 <= basis.n_max / 4
     w = weyl_op(f, basis)
     vac = FockVector.vacuum(basis).amplitudes
-    displaced = w.matrix @ vac
+    displaced = w @ vac
     series = coherent_state(f, basis).amplitudes
     assert np.max(np.abs(displaced - series)) < 1e-8
     nexp = np.real(np.vdot(displaced, number_op(basis) @ displaced))
@@ -72,7 +75,7 @@ def test_weyl_unitary_on_safe_core():
         v = np.zeros(basis.size, dtype=complex)
         raw = rng.normal(size=safe) + 1j * rng.normal(size=safe)
         v[:safe] = raw / np.linalg.norm(raw)
-        assert abs(np.linalg.norm(w.matrix @ v) - 1.0) < 1e-8
+        assert abs(np.linalg.norm(w @ v) - 1.0) < 1e-8
 
 
 def test_weyl_composition_law():
@@ -82,8 +85,8 @@ def test_weyl_composition_law():
     g = 0.4 * (rng.normal(size=2) + 1j * rng.normal(size=2))
     wf, wg, wfg = weyl_op(f, basis), weyl_op(g, basis), weyl_op(f + g, basis)
     phase = np.exp(-1j * np.imag(np.vdot(f, g)))
-    lhs = (wf.matrix @ wg.matrix) @ FockVector.vacuum(basis).amplitudes
-    rhs = phase * (wfg.matrix @ FockVector.vacuum(basis).amplitudes)
+    lhs = (wf @ wg) @ FockVector.vacuum(basis).amplitudes
+    rhs = phase * (wfg @ FockVector.vacuum(basis).amplitudes)
     assert np.linalg.norm(lhs - rhs) < 1e-7
 
 
@@ -97,7 +100,7 @@ def test_weyl_shifts_ladder_operators():
     h = rng.normal(size=2) + 1j * rng.normal(size=2)
     w = weyl_op(g, basis)
     cdag = create_op(h, basis).toarray()
-    conj = w.matrix.conj().T @ cdag @ w.matrix
+    conj = w.conj().T @ cdag @ w
     shift = np.vdot(g, h)
     safe = basis.sector_offsets[5]  # sectors 0..4
     block = (conj - cdag - shift * np.eye(basis.size))[:safe, :safe]
@@ -109,14 +112,14 @@ def test_unprojected_generator_free_case_and_gap():
     basis = enumerate_basis(3, 4)
     u = bump(lat)
     W0 = np.zeros((3, 3))
-    a = bogoliubov_hamiltonian(u, h0, W0, basis).op
-    b = unprojected_hamiltonian(u, h0, W0, basis).op
+    a = bogoliubov_hamiltonian(u, h0, W0, basis)
+    b = bogoliubov_hamiltonian(u, h0, W0, basis, projected=False)
     assert abs(a - b).max() < 1e-14
 
     lat, h0, W = setup_model(3, g=1.2)
     u = bump(lat)
-    a = bogoliubov_hamiltonian(u, h0, W, basis).op.toarray()
-    b = unprojected_hamiltonian(u, h0, W, basis).op.toarray()
+    a = bogoliubov_hamiltonian(u, h0, W, basis).toarray()
+    b = bogoliubov_hamiltonian(u, h0, W, basis, projected=False).toarray()
     assert np.max(np.abs(a - b)) > 1e-3
 
 
@@ -141,7 +144,8 @@ def test_coherent_run_free_case_keeps_vacuum():
     W0 = np.zeros((3, 3))
     basis = enumerate_basis(3, 4)
     traj = solve_hartree(bump(lat), h0, W0, T=1.0, dt=0.001)
-    run = solve_coherent_fluct(FockVector.vacuum(basis), traj, h0, W0, dt=0.01, t_grid=[1.0])
+    run = solve_bogoliubov(FockVector.vacuum(basis), traj, h0, W0, dt=0.01, t_grid=[1.0],
+                           projected=False)
     assert abs(run.states[0].amplitudes[0] - 1.0) < 1e-12
 
 
@@ -151,7 +155,7 @@ def test_projected_and_bare_dynamics_separate():
     traj = solve_hartree(bump(lat), h0, W, T=1.0, dt=0.001)
     vac = FockVector.vacuum(basis)
     proj = solve_bogoliubov(vac.copy(), traj, h0, W, dt=0.002, t_grid=[1.0])
-    bare = solve_coherent_fluct(vac.copy(), traj, h0, W, dt=0.002, t_grid=[1.0])
+    bare = solve_bogoliubov(vac.copy(), traj, h0, W, dt=0.002, t_grid=[1.0], projected=False)
     gap = np.linalg.norm(proj.states[0].amplitudes - bare.states[0].amplitudes)
     assert gap > 1e-3
     assert abs(bare.states[0].norm() - 1.0) < 1e-8
@@ -163,7 +167,8 @@ def test_only_the_projected_run_requires_a_tangent_start():
     basis = enumerate_basis(3, 6)
     traj = solve_hartree(bump(lat), h0, W, T=0.2, dt=0.001)
     start = FockVector(basis, create_op(traj.u[0], basis) @ FockVector.vacuum(basis).amplitudes)
-    bare = solve_coherent_fluct(start.copy(), traj, h0, W, dt=0.01, t_grid=[0.1, 0.2])
+    bare = solve_bogoliubov(start.copy(), traj, h0, W, dt=0.01, t_grid=[0.1, 0.2],
+                            projected=False)
     assert len(bare.states) == 2
     assert abs(bare.states[-1].norm() - 1.0) < 1e-8
     assert bare.diagnostics[0][2] > 0.5  # tangency column, far above any bound
@@ -193,3 +198,45 @@ def test_coherent_state_matches_the_per_state_reference(M, n_max):
     for g in (f, np.concatenate([[0.0], f[1:]])):
         got = coherent_state(g, basis).amplitudes
         assert np.max(np.abs(got - _per_state_coherent_amplitudes(g.astype(complex), basis))) <= 1e-15
+
+
+COMPARISON = {
+    "model": {"modes": 3, "spacing": 1.0,
+              "interaction": {"kind": "gaussian", "params": {"strength": 1.2, "range": 1.0}}},
+    "u0": {"kind": "gaussian", "center": 0.0, "width": 0.8},
+    "N_list": [3, 4],
+    "n_max": 6,
+    "T": 0.5,
+    "output_times": [0.0, 0.25, 0.5],
+    "dt_hartree": 0.002,
+    "dt_fock": 0.01,
+    "dt_nbody": 0.1,
+}
+
+
+@pytest.mark.parametrize("interaction", ["gaussian", "zero"])
+def test_compare_coherent_rows_are_the_projected_and_bare_runs(interaction):
+    doc = json.loads(json.dumps(COMPARISON))
+    if interaction == "zero":
+        doc["model"]["interaction"] = {"kind": "zero"}
+    cfg = ExperimentConfig(doc)
+    rows = compare_coherent(cfg, write=False)
+
+    lattice = cfg.lattice()
+    h0, W, u0 = cfg.one_body(lattice), cfg.interaction(lattice), cfg.condensate(lattice)
+    traj = solve_hartree(u0, h0, W, cfg.T, cfg.dt_hartree)
+    vac = FockVector.vacuum(enumerate_basis(lattice.M, cfg.n_max))
+    times = cfg.output_times
+    proj = solve_bogoliubov(vac.copy(), traj, h0, W, cfg.dt_fock, t_grid=times)
+    bare = solve_bogoliubov(vac.copy(), traj, h0, W, cfg.dt_fock, t_grid=times, projected=False)
+
+    assert [row["time"] for row in rows] == times
+    assert rows[0]["gap_norm"] == 0.0
+    for row, p, b in zip(rows, proj.states, bare.states):
+        pn, bn = p.sector_norms(), b.sector_norms()
+        assert [row[f"proj_sector_{n}"] for n in range(7)] == pn[:7].tolist()
+        assert [row[f"bare_sector_{n}"] for n in range(7)] == bn[:7].tolist()
+    if interaction == "zero":
+        assert max(row["gap_norm"] for row in rows) <= 1e-12
+    else:
+        assert rows[-1]["gap_norm"] > 1e-3

@@ -3,6 +3,7 @@ the module defines, so nothing the package uses across modules is left out
 of its exports."""
 
 import importlib
+import importlib.util
 import inspect
 import os
 import pkgutil
@@ -32,6 +33,20 @@ def test_exports_match_public_definitions(module):
               and obj.__module__ == module.__name__]
     missing = [name for name in public if name not in module.__all__]
     assert not missing, missing
+
+
+# what only the tests use lives in tests/oracles.py, outside the package
+TEST_ONLY = ("BogHamiltonian", "WeylOperator", "weyl_op", "_poisson_tail", "TAIL_TOL",
+             "coherent_state", "unprojected_hamiltonian", "solve_coherent_fluct",
+             "verify_bog_bounds", "PSD_TOL", "sym_tensor", "orthogonal_sector_projector",
+             "assert_hermitian")
+
+
+def test_test_only_helpers_are_not_in_the_package():
+    assert importlib.util.find_spec("bogofluct.coherent") is None
+    found = [(m.__name__, name) for m in (bogofluct, *MODULES)
+             for name in TEST_ONLY if hasattr(m, name)]
+    assert not found, found
 
 
 SRC = os.path.dirname(os.path.dirname(bogofluct.__file__))

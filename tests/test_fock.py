@@ -17,10 +17,9 @@ from bogofluct.fock import (
     pairing_op,
     sector_lowerings,
     sector_to_dense,
-    sym_tensor,
     two_body_op,
 )
-from oracles import embed, is_hermitian, project_out_mode
+from oracles import embed, is_hermitian, project_out_mode, sym_tensor
 
 
 def random_unit(rng, n):

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 from scipy.sparse.linalg import expm_multiply
 
-from bogofluct.fock import SectorVector, dgamma, enumerate_basis, sym_tensor, two_body_op
+from bogofluct.fock import SectorVector, dgamma, enumerate_basis, two_body_op
 from bogofluct.model import build_interaction, build_laplacian, build_lattice, constant_profile, gaussian_profile
 from bogofluct.nbody import (
     ReducedDensity,
@@ -14,7 +14,7 @@ from bogofluct.nbody import (
     reduced_density,
     trace_distance,
 )
-from oracles import checked_density, embed, mode_lowering
+from oracles import checked_density, embed, mode_lowering, sym_tensor
 
 
 def random_unit(rng, n):

@@ -52,7 +52,7 @@ def full_basis_krylov(phi0, traj, h0, W, dt, t_grid):
         step = (t_target - t) / n_sub
         for _ in range(n_sub):
             gen = bogoliubov_hamiltonian(traj.interpolate(t + 0.5 * step), h0, W, phi0.basis)
-            amps = krylov_expm(gen.op, amps, -1j * step, tol=1e-12)
+            amps = krylov_expm(gen, amps, -1j * step, tol=1e-12)
             t += step
         out.append(amps.copy())
     return out

@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bogofluct.bogoliubov import bogoliubov_hamiltonian
+from bogofluct.bogoliubov import bogoliubov_hamiltonian, build_kernels, mean_field_hamiltonian
 from bogofluct.fock import (
     CSRPattern,
     annihilate_op,
@@ -90,10 +90,12 @@ def test_generator_matches_lowering_oracle(M, n_max):
     W = rng.normal(size=(M, M))
     for projected in (True, False):
         gen = bogoliubov_hamiltonian(u, h0 + h0.T, W + W.T, basis, projected=projected)
-        k1 = gen.kernels.k1 if projected else gen.kernels.k1_bare
-        k2 = gen.kernels.k2 if projected else gen.kernels.k2_bare
+        kern = build_kernels(u, W + W.T)
+        h = mean_field_hamiltonian(u, h0 + h0.T, W + W.T)
+        k1 = kern.k1 if projected else kern.k1_bare
+        k2 = kern.k2 if projected else kern.k2_bare
         up = oracle_raise(k2, basis)
-        assert_matches(gen.op, oracle_dgamma(gen.h + k1, basis) + up + up.conj().T)
+        assert_matches(gen, oracle_dgamma(h + k1, basis) + up + up.conj().T)
 
 
 def test_refill_returns_first_matrix_exactly():
