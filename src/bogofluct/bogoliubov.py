@@ -193,33 +193,40 @@ def _quasi_free_path(c, u_mid, taus, h0, W):
     of the square root ends the path: it is returned up to that step, with
     the error to raise once the steps before it have been checked."""
     # exp(-i tau H) acts on (a, a^dag) through the 2M x 2M exponential E;
-    # the state stays annihilated by a - T a^dag, which fixes the new T,
-    # and its vacuum amplitude gives c <- c exp(i tau trA/2)/sqrt(det P)
-    # (trA/2 is the normal-ordering constant of dGamma(A)).  The root is
-    # taken of det P exp(-i tau trA), which is 1 without pairing, so the
-    # principal branch holds however far tau trA turns the phase.
+    # the state after n steps is annihilated by the rows of [P_n | Q_n], the
+    # top M rows of E_1 ... E_n (the vacuum's [1 | 0] carried along), so
+    # T_n = -P_n^-1 Q_n.  Step n's P is P_(n-1)^-1 P_n, and its vacuum
+    # amplitude gives c <- c exp(i tau trA/2)/sqrt(det P) (trA/2 is the
+    # normal-ordering constant of dGamma(A)).  The root is taken of
+    # det P exp(-i tau trA), which is 1 without pairing, so the principal
+    # branch holds however far tau trA turns the phase.
     M = len(h0)
-    Ts = np.zeros((len(taus) + 1, M, M), dtype=complex)
-    cs = np.full(len(taus) + 1, complex(c))
     A, K, _ = _generator_kernels(u_mid, h0, W)
     tau = np.asarray(taus)[:, None, None]
     gen = np.block([[A, K], [-np.conj(K), -np.swapaxes(A, 1, 2)]])
     E = _expm_stack(1j * tau * gen)
-    turn = np.exp(-1j * tau[:, 0, 0] * np.trace(A, axis1=1, axis2=2))
-    T, c = Ts[0], cs[0]
-    for i, Ei in enumerate(E):
-        P = Ei[:M, :M] - T @ Ei[M:, :M]
-        Q = Ei[:M, M:] - T @ Ei[M:, M:]
-        det = np.linalg.det(P) * turn[i]
-        if det.real <= 0.0:
-            return Ts[:i + 1], cs[:i + 1], RuntimeError(
-                f"quasi-free step has det P exp(-i tau trA) = {det:.3e}, off the "
-                "principal square-root branch; reduce dt"
-            )
-        T = -np.linalg.solve(P, Q)
-        Ts[i + 1] = T = 0.5 * (T + T.T)
-        cs[i + 1] = c = c / np.sqrt(det)
-    return Ts, cs, None
+    # inclusive prefix products by doubling: after the pass with shift d,
+    # E[n] is the product of the steps max(0, n - 2d + 1) .. n
+    shift = 1
+    while shift < len(E):
+        E[shift:] = E[:-shift] @ E[shift:]
+        shift *= 2
+    P, Q = E[:, :M, :M], E[:, :M, M:]
+    dets = np.linalg.det(P)
+    det = dets / np.concatenate([[1.0], dets[:-1]]) * np.exp(
+        -1j * tau[:, 0, 0] * np.trace(A, axis1=1, axis2=2))
+    off = np.flatnonzero(det.real <= 0.0)
+    done = off[0] if len(off) else len(det)
+    Ts = np.zeros((done + 1, M, M), dtype=complex)
+    T = -np.linalg.solve(P[:done], Q[:done])
+    Ts[1:] = 0.5 * (T + np.swapaxes(T, 1, 2))
+    cs = np.concatenate([[complex(c)], c / np.cumprod(np.sqrt(det[:done]))])
+    if done == len(det):
+        return Ts, cs, None
+    return Ts, cs, RuntimeError(
+        f"quasi-free step has det P exp(-i tau trA) = {det[done]:.3e}, off the "
+        "principal square-root branch; reduce dt"
+    )
 
 
 def _quasi_free_rows(times, Ts, cs, u, h0, n_max):

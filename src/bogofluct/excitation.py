@@ -16,14 +16,17 @@ only the layers are written into a full-basis vector.  Functions of the
 excitation-number operator N+ are sums f(j) P_j over the projectors onto j
 excitations, built sector by sector from the same blocks of a(u), with no
 eigendecomposition and nothing to round; N+ conserves the total, so neither
-it nor any function of it has an entry between sectors.  One pass of that
-recursion weights the projectors for every function a builder needs.
+it nor any function of it has an entry between sectors, and each is kept as
+a sparse block-diagonal matrix: sum_n d_n^2 stored entries for the sector
+dimensions d_n, in place of size^2.  One pass of that recursion weights the
+projectors for every function a builder needs.
 
-The dense builders keep each ladder operator sparse and multiply it into
-those weights; each hermitian pair T + h.c. is formed once from T.  Both
-interaction remainders are written as sum_i b_i^dag (.) b_i over the lowerings
-b_i = a(Q e_i) of the condensate-orthogonal components: the cubic term of R1
-with a^dag(Q (W_i u)) inside, and R2 with dGamma(Q diag(W_i) Q) / (2(N-1)).
+The dense builders keep each ladder operator sparse, multiply it into those
+block-diagonal weights and make the sum dense once; each hermitian pair
+T + h.c. is formed once from T.  Both interaction remainders are written as
+sum_i b_i^dag (.) b_i over the lowerings b_i = a(Q e_i) of the
+condensate-orthogonal components: the cubic term of R1 with a^dag(Q (W_i u))
+inside, and R2 with dGamma(Q diag(W_i) Q) / (2(N-1)).
 """
 
 import math
@@ -138,30 +141,45 @@ def dense_u_n(frame: ExcitationFrame, basis: OccupationBasis) -> np.ndarray:
 
 
 def _by_sector(u, basis: OccupationBasis, top: int, *weights) -> list:
-    # for each weight, sum_j weight(n, j) P_n[j] in each sector block n <= top,
-    # P_n[j] the projector of sector n onto j excitations (n - j quanta in u);
-    # for a unit u, a^dag(u) P_{n-1}[j] a(u) = (n - j) P_n[j] for j < n, and
-    # P_n[n] is 1 - sum_{j<n} P_n[j]; one recursion serves every weight
+    # for each weight, the CSR matrix of sum_j weight(n, j) P_n[j] in each
+    # sector block n <= top, rows above top empty, P_n[j] the projector of
+    # sector n onto j excitations (n - j quanta in u); for a unit u,
+    # a^dag(u) P_{n-1}[j] a(u) = (n - j) P_n[j] for j < n, and P_n[n] is
+    # 1 - sum_{j<n} P_n[j]; one recursion serves every weight.  The term is
+    # up (up P)^dag, as P is hermitian, so no sparse block sits on the right
+    # of a dense one
     if abs(np.linalg.norm(u) - 1.0) > 1e-10:
         raise ValueError("condensate mode must be unit norm to 1e-10")
     low = sector_lowerings(u, basis, top)
     up = [None] + [adjoint_block(b) for b in low[1:]]
-    outs = [np.zeros((basis.size, basis.size), dtype=complex) for _ in weights]
+    blocks = [[] for _ in weights]
     P = []
     for n in range(top + 1):
-        P = [up[n] @ (p @ low[n]) / (n - j) for j, p in enumerate(P)]
+        P = [up[n] @ (up[n] @ p).conj().T / (n - j) for j, p in enumerate(P)]
         P.append(np.eye(basis.sector_dim(n)) - sum(P))
-        s = basis.sector_slice(n)
-        for out, weight in zip(outs, weights):
-            out[s, s] = sum(weight(n, j) * p for j, p in enumerate(P))
-    return outs
+        for block, weight in zip(blocks, weights):
+            block.append(sum(weight(n, j) * p for j, p in enumerate(P)))
+    # sector n holds rows and columns off[n]..off[n+1]-1, each of its rows
+    # the d_n columns of the block, stored row by row
+    off = basis.sector_offsets[:top + 2]
+    dims = np.diff(off)
+    indices = np.concatenate([np.tile(np.arange(o, o + d), d) for o, d in zip(off, dims)])
+    indptr = np.full(basis.size + 1, len(indices))
+    indptr[:off[-1] + 1] = np.concatenate([[0], np.cumsum(np.repeat(dims, dims))])
+    return [sp.csr_matrix((np.concatenate([b.ravel() for b in block]), indices, indptr),
+                          shape=(basis.size, basis.size)) for block in blocks]
 
 
 def func_of_number_plus(u, basis: OccupationBasis, func) -> np.ndarray:
     """Dense f(excitation number): sum_j f(j) times the projector onto j
     excitations in each sector block, entries between sectors exactly 0.
     Raises ValueError unless u is unit norm to 1e-10."""
-    return _by_sector(u, basis, basis.n_max, lambda n, j: func(j))[0]
+    return _by_sector(u, basis, basis.n_max, lambda n, j: func(j))[0].toarray()
+
+
+def _root_weight(N):
+    # sqrt(N - N+) by excitation count k
+    return lambda n, k: math.sqrt(max(N - k, 0))
 
 
 def du_generator(frame: ExcitationFrame, udot: np.ndarray,
@@ -178,13 +196,12 @@ def du_generator(frame: ExcitationFrame, udot: np.ndarray,
         raise ValueError("condensate path does not preserve norm")
     v = frame.q @ (1j * udot)
     N = frame.N
-    sqrtN, n_minus = _by_sector(u, basis, basis.n_max,
-                                lambda n, k: math.sqrt(max(N - k, 0)),
+    sqrtN, n_minus = _by_sector(u, basis, basis.n_max, _root_weight(N),
                                 lambda n, k: float(N - k))
     half = create_op(v, basis) @ sqrtN
     phase = np.vdot(1j * udot, u)
-    return ((create_op(u, basis) @ annihilate_op(v, basis)).toarray()
-            - (half + half.conj().T) - phase * n_minus)
+    return (create_op(u, basis) @ annihilate_op(v, basis)
+            - (half + half.conj().T) - phase * n_minus).toarray()
 
 
 def _projected_lowering(frame: ExcitationFrame, basis: OccupationBasis):
@@ -195,6 +212,14 @@ def _projected_lowering(frame: ExcitationFrame, basis: OccupationBasis):
 def _require_pairs(frame: ExcitationFrame):
     if frame.N < 2:
         raise ValueError("mean-field coupling 1/(N-1) of the remainders needs N >= 2")
+
+
+def _r1_weights(N):
+    # d1..d4 of assemble_r1 by excitation count k
+    return (lambda n, k: (1.0 - k) / (N - 1),
+            lambda n, k: k * math.sqrt(max(N - k, 0)) / (N - 1),
+            lambda n, k: math.sqrt(max((N - k) * (N - k - 1), 0)) / (N - 1) - 1.0,
+            lambda n, k: math.sqrt(max(N - k, 0)) / (N - 1))
 
 
 def assemble_r1(frame: ExcitationFrame, h0, W, basis: OccupationBasis) -> np.ndarray:
@@ -213,16 +238,16 @@ def assemble_r1(frame: ExcitationFrame, h0, W, basis: OccupationBasis) -> np.nda
     dense conjugation pins them down.  Raises ValueError for N < 2.
     """
     _require_pairs(frame)
-    u, N, Q = frame.u, frame.N, frame.q
+    d = _by_sector(frame.u, basis, basis.n_max, *_r1_weights(frame.N))
+    return _r1(frame, W, basis, *d).toarray()
+
+
+def _r1(frame, W, basis, d1, d2, d3, d4) -> sp.csr_matrix:
+    # assemble_r1 on the weights d1..d4 of one projector pass
+    u, Q = frame.u, frame.q
     m = mean_field(u, W)
     mu = mu_of(u, W)
     kern = build_kernels(u, W)
-    d1, d2, d3, d4 = _by_sector(
-        u, basis, basis.n_max,
-        lambda n, k: (1.0 - k) / (N - 1),
-        lambda n, k: k * math.sqrt(max(N - k, 0)) / (N - 1),
-        lambda n, k: math.sqrt(max((N - k) * (N - k - 1), 0)) / (N - 1) - 1.0,
-        lambda n, k: math.sqrt(max(N - k, 0)) / (N - 1))
     one_body = Q @ (np.diag(m).astype(complex) + kern.k1_bare - mu * np.eye(basis.M)) @ Q
     X = sum(b.conj().T @ create_op(Q @ (W[i] * u), basis) @ b
             for i, b in enumerate(_projected_lowering(frame, basis)))
@@ -252,15 +277,19 @@ def leading_part(frame: ExcitationFrame, h0, W, basis: OccupationBasis) -> np.nd
     N e + dGamma(Q(h + k1 - e)Q) + [a^dag(Q h u) sqrt(N - Np) + h.c.]
     + pairing(k2), with h the mean-field Hamiltonian and e = <u, h u>.
     """
+    sqrtN = _by_sector(frame.u, basis, basis.n_max, _root_weight(frame.N))[0]
+    return _leading(frame, h0, W, basis, sqrtN).toarray()
+
+
+def _leading(frame, h0, W, basis, sqrtN) -> sp.csr_matrix:
+    # leading_part on the sqrt(N - Np) of one projector pass
     u, N, Q = frame.u, frame.N, frame.q
     kern = build_kernels(u, W)
     h = mean_field_hamiltonian(u, h0, W)
     e = float(np.vdot(u, h @ u).real)
-    sqrtN = func_of_number_plus(u, basis, lambda k: math.sqrt(max(N - k, 0)))
-    half = create_op(Q @ (h @ u), basis) @ sqrtN + pairing_raise(kern.k2, basis).toarray()
-    out = dgamma(Q @ (h + kern.k1 - e * np.eye(basis.M)) @ Q, basis).toarray()
-    out[np.diag_indices(basis.size)] += N * e
-    return out + half + half.conj().T
+    half = create_op(Q @ (h @ u), basis) @ sqrtN + pairing_raise(kern.k2, basis)
+    return (dgamma(Q @ (h + kern.k1 - e * np.eye(basis.M)) @ Q, basis)
+            + N * e * sp.identity(basis.size, format="csr") + half + half.conj().T)
 
 
 def conjugated_hamiltonian(frame: ExcitationFrame, h0, W,
@@ -270,7 +299,8 @@ def conjugated_hamiltonian(frame: ExcitationFrame, h0, W,
     condensate-orthogonal layers with total at most N.  Raises ValueError
     for N < 2.
     """
-    out = leading_part(frame, h0, W, basis)
-    out += assemble_r1(frame, h0, W, basis)
-    out += assemble_r2(frame, W, basis).toarray()
-    return out
+    _require_pairs(frame)
+    sqrtN, *d = _by_sector(frame.u, basis, basis.n_max, _root_weight(frame.N),
+                           *_r1_weights(frame.N))
+    return (_leading(frame, h0, W, basis, sqrtN) + _r1(frame, W, basis, *d)
+            + assemble_r2(frame, W, basis)).toarray()

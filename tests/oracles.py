@@ -5,7 +5,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from bogofluct.bogoliubov import bogoliubov_hamiltonian, build_kernels
+from bogofluct.bogoliubov import _generator_kernels, bogoliubov_hamiltonian, build_kernels
 from bogofluct.excitation import _by_sector, func_of_number_plus
 from bogofluct.fock import (
     FockVector,
@@ -19,6 +19,7 @@ from bogofluct.fock import (
     pairing_raise,
 )
 from bogofluct.hartree import mean_field, mu_of
+from bogofluct.linalg import _expm_stack
 
 
 def embed(psi: SectorVector) -> FockVector:
@@ -197,7 +198,32 @@ def orthogonal_sector_projector(u, basis: OccupationBasis, n_cut: int) -> np.nda
     """Dense projector onto condensate-orthogonal layers with total <= n_cut:
     the projector onto n excitations (no quantum in u) in each sector n up to
     the cut, zero above it.  Raises ValueError unless u is unit norm to 1e-10."""
-    return _by_sector(u, basis, min(n_cut, basis.n_max), lambda n, j: float(j == n))[0]
+    top = min(n_cut, basis.n_max)
+    return _by_sector(u, basis, top, lambda n, j: float(j == n))[0].toarray()
+
+
+def sequential_quasi_free_path(c, u_mid, taus, h0, W):
+    """(T, c) of the quasi-free vacuum run step by step: each step's
+    exponential E maps T to -P^-1 Q with P = E_aa - T E_ba, Q = E_ab - T E_bb,
+    and c to c / sqrt(det P exp(-i tau trA)); stops before the first step off
+    the principal square-root branch."""
+    M = len(h0)
+    A, K, _ = _generator_kernels(u_mid, h0, W)
+    tau = np.asarray(taus)[:, None, None]
+    gen = np.block([[A, K], [-np.conj(K), -np.swapaxes(A, 1, 2)]])
+    E = _expm_stack(1j * tau * gen)
+    turn = np.exp(-1j * tau[:, 0, 0] * np.trace(A, axis1=1, axis2=2))
+    Ts, cs = [np.zeros((M, M), dtype=complex)], [complex(c)]
+    for i, Ei in enumerate(E):
+        P = Ei[:M, :M] - Ts[-1] @ Ei[M:, :M]
+        Q = Ei[:M, M:] - Ts[-1] @ Ei[M:, M:]
+        det = np.linalg.det(P) * turn[i]
+        if det.real <= 0.0:
+            break
+        T = -np.linalg.solve(P, Q)
+        Ts.append(0.5 * (T + T.T))
+        cs.append(cs[-1] / np.sqrt(det))
+    return np.array(Ts), np.array(cs)
 
 
 def _poisson_tail(lam: float, n_max: int) -> float:

@@ -1,10 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bogofluct.bogoliubov import (
     _diag_row,
+    _quasi_free_path,
+    _step_grid,
     bogoliubov_hamiltonian,
     build_kernels,
     hierarchy_rhs,
@@ -12,10 +15,17 @@ from bogofluct.bogoliubov import (
     solve_bogoliubov,
     tangency_defect,
 )
+from bogofluct.config import load_config
 from bogofluct.fock import FockVector, create_op, dgamma, enumerate_basis
 from bogofluct.hartree import solve_hartree
 from bogofluct.model import build_interaction, build_laplacian, build_lattice, constant_profile, gaussian_profile
-from oracles import PSD_TOL, is_hermitian, mode_lowering, verify_bog_bounds
+from oracles import (
+    PSD_TOL,
+    is_hermitian,
+    mode_lowering,
+    sequential_quasi_free_path,
+    verify_bog_bounds,
+)
 
 
 def setup_model(M=3, g=1.0):
@@ -505,6 +515,35 @@ def test_quasi_free_phase_ignores_the_one_body_trace():
     final = run.states[0].amplitudes
     assert abs(final[0] - 1.0) < 1e-12
     assert np.linalg.norm(final[1:]) == 0.0
+
+
+@pytest.mark.parametrize("case", ["paper_scale", "strong", "off_branch"])
+def test_quasi_free_path_matches_the_sequential_recurrence(case):
+    # the prefix-product path against the step-by-step recurrence: on the
+    # shipped paper-scale config; at g = 30, T = 3, M = 3, where the top
+    # singular value of T reaches 0.98; and at g = 100, dt = 0.15, where
+    # step 9 of 20 leaves the principal branch and both stop before it
+    if case == "paper_scale":
+        cfg = load_config(Path(__file__).resolve().parents[1] / "demos" / "configs"
+                          / "paper_scale.json")
+        lat = cfg.lattice()
+        h0, W = cfg.one_body(lat), cfg.interaction(lat)
+        traj = solve_hartree(cfg.condensate(lat), h0, W, cfg.T, cfg.dt_hartree)
+        dt, grid = cfg.dt_fock, cfg.output_times
+    else:
+        lat, h0, W = setup_model(3, g=30.0 if case == "strong" else 100.0)
+        traj = solve_hartree(bump(lat), h0, W, T=3.0, dt=0.001)
+        dt, grid = (0.01 if case == "strong" else 0.15), [3.0]
+    mids, taus, _, _ = _step_grid(np.asarray(grid), dt)
+    u_mid = traj.interpolate(np.asarray(mids))
+    Ts, cs, failure = _quasi_free_path(np.exp(0.4j), u_mid, taus, h0, W)
+    want_T, want_c = sequential_quasi_free_path(np.exp(0.4j), u_mid, taus, h0, W)
+    assert len(Ts) == len(cs) == len(want_T)
+    assert (failure is None) == (len(Ts) == len(taus) + 1) == (case != "off_branch")
+    assert np.max(np.abs(Ts - want_T)) < 1e-13
+    assert np.max(np.abs(cs - want_c)) < 1e-13
+    if case == "strong":
+        assert np.linalg.norm(Ts[-1], 2) > 0.98
 
 
 def test_quasi_free_step_off_the_principal_branch_is_refused():

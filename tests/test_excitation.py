@@ -74,8 +74,8 @@ def test_identity_suite_all_pass():
 
 
 def test_identity_suite_work_counts(monkeypatch):
-    # per size: one block hierarchy call when n_max >= 4, and four projector
-    # passes (the conjugation rules, leading_part, assemble_r1 and
+    # per size: one block hierarchy call when n_max >= 4, and three projector
+    # passes (the conjugation rules, conjugated_hamiltonian and
     # du_generator); one Hartree solve per lattice size M
     import bogofluct.excitation as excitation
     import bogofluct.verify as verify
@@ -97,7 +97,7 @@ def test_identity_suite_work_counts(monkeypatch):
     sizes = ((2, 2, 3), (2, 3, 4), (3, 3, 4), (3, 4, 4))
     checks = verify.verify_algebra(sizes)
     assert all(c.ok for c in checks)
-    assert calls == {"hierarchy_rhs": 3, "solve_hartree": 2, "_by_sector": 4 * len(sizes)}
+    assert calls == {"hierarchy_rhs": 3, "solve_hartree": 2, "_by_sector": 3 * len(sizes)}
 
 def test_condensate_maps_to_vacuum():
     basis = enumerate_basis(3, 4)
@@ -490,7 +490,8 @@ def _norm_preserving_velocity(rng, u):
 @pytest.mark.parametrize("N", [2, 5])
 def test_builders_match_the_dense_full_basis_oracles(M, n_max, N):
     # the one-pass sparse builders against the dense assembly with one
-    # projector pass per weight and the explicit double sum for X
+    # projector pass per weight and the explicit double sum for X, and the
+    # one-pass sum of the conjugated Hamiltonian against its three builders
     _, h0, W = setup_model(M, g=1.1)
     basis = enumerate_basis(M, n_max)
     rng = np.random.default_rng(90 + 7 * M + N)
@@ -500,6 +501,9 @@ def test_builders_match_the_dense_full_basis_oracles(M, n_max, N):
     assert np.max(np.abs(r1 - dense_assemble_r1(frame, h0, W, basis))) < 1e-13
     G = du_generator(frame, udot, basis)
     assert np.max(np.abs(G - dense_du_generator(frame, udot, basis))) < 1e-13
+    # conjugated_hamiltonian's one pass against the builders' own passes
+    parts = leading_part(frame, h0, W, basis) + r1 + assemble_r2(frame, W, basis).toarray()
+    assert np.max(np.abs(conjugated_hamiltonian(frame, h0, W, basis) - parts)) < 1e-13
 
 
 @pytest.mark.parametrize("M, n_max", [(3, 4), (4, 8)])
@@ -514,7 +518,49 @@ def test_one_projector_pass_equals_one_pass_per_weight(M, n_max):
         together = _by_sector(u, basis, top, *weights)
         assert len(together) == len(weights)
         for weight, got in zip(weights, together):
-            assert np.array_equal(got, _by_sector(u, basis, top, weight)[0])
+            assert np.array_equal(got.toarray(), _by_sector(u, basis, top, weight)[0].toarray())
+
+
+@pytest.mark.parametrize("M, n_max", [(3, 4), (4, 8)])
+def test_functions_of_the_excitation_number_are_stored_by_sector(M, n_max):
+    # one CSR matrix per weight, holding exactly the sector blocks up to top
+    # (sum of d_n^2 stored entries, rows above top empty), equal there to the
+    # whole-basis spectral calculus of N+
+    from bogofluct.excitation import _by_sector
+
+    basis = enumerate_basis(M, n_max)
+    u = random_unit(np.random.default_rng(110 + M), M)
+    n_plus = number_plus_op(u, basis)
+    funcs = (lambda k: math.sqrt(max(5 - k, 0)), lambda k: k * math.sqrt(max(5 - k, 0)) / 4)
+    for top in (n_max, 2):
+        end = basis.sector_offsets[top + 1]
+        cut = np.diag((basis.totals() <= top).astype(float))
+        got = _by_sector(u, basis, top, *(lambda n, j, f=f: f(j) for f in funcs))
+        for func, mat in zip(funcs, got):
+            assert isinstance(mat, sp.csr_matrix)
+            assert mat.nnz == sum(basis.sector_dim(n) ** 2 for n in range(top + 1))
+            assert np.all(mat.indptr[end:] == mat.nnz)
+            rows = np.repeat(np.arange(basis.size), np.diff(mat.indptr))
+            assert np.array_equal(basis.totals()[rows], basis.totals()[mat.indices])
+            want = cut @ integer_spectral_function(n_plus, func) @ cut
+            assert np.max(np.abs(mat.toarray() - want)) < 1e-12
+
+
+def test_identity_suite_memory_peak():
+    # functions of N+ are kept by sector block and the builders' dense sums
+    # are formed once, so the suite at the verify_dense benchmark's sizes
+    # stays far below the 40.7 MB that full-basis dense storage needed
+    import tracemalloc
+
+    sizes = ((2, 3, 4), (3, 3, 4), (3, 6, 8), (4, 5, 6), (4, 6, 8))
+    tracemalloc.start()
+    try:
+        checks = verify_algebra(sizes, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.ok for c in checks)
+    assert peak < 30e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 def test_remainders_refuse_a_single_particle():
