@@ -143,7 +143,7 @@ class _Comparison:
         deficit = abs(1.0 - psi0.norm())
         psi0.amplitudes = psi0.amplitudes / psi0.norm()
         H = build_hamiltonian(self.h0, self.W, N, basis)
-        states = propagate_exact(H, psi0, self.times, dt_max=self.cfg.dt_nbody)
+        states = propagate_exact(H, psi0, self.times)
         totals = basis.totals()
         for t, psi, phi in zip(self.times, states, self.run.states):
             u_t = self.traj.interpolate(t)

@@ -102,7 +102,9 @@ class ChebyshevPropagator:
     exp(-i t H) v = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(at) T_k(X) v and
     X = (H - c)/a (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)),
     cut where the Bessel tail bound falls below round-off: exact at any t,
-    and e^{-ict} v on a zero-width interval (H = c).
+    and e^{-ict} v on a zero-width interval (H = c).  The n terms cost n
+    products with H; their coefficients come from one FFT of length 2n, so
+    the memory beyond a few vectors is O(n) however long the span.
     """
 
     def __init__(self, H):
@@ -123,13 +125,19 @@ class ChebyshevPropagator:
         n, log_tail = max(2, math.ceil(abs(x))), math.log(0.25 * np.finfo(float).eps)
         while n * math.log(0.5 * abs(x)) - math.lgamma(n + 1) > log_tail:
             n += 1
-        # the coefficients (2 - delta_k0) (-i)^k J_k(x) of exp(-ixs) on [-1, 1],
-        # from its values at n Chebyshev nodes, which alias in only terms k > n
-        theta = np.pi * (np.arange(n) + 0.5) / n
-        coef = np.cos(np.outer(np.arange(n), theta)) @ np.exp(-1j * x * np.cos(theta)) * (2.0 / n)
+        coef = _exp_coefficients(x, n)
         prev, cur = v, 0.5 * (self.twice_scaled @ v)
         out = 0.5 * coef[0] * prev + coef[1] * cur
         for ck in coef[2:]:
             prev, cur = cur, self.twice_scaled @ cur - prev
             out += ck * cur
         return np.exp(-1j * self.center * t) * out
+
+
+def _exp_coefficients(x, n):
+    # the coefficients (2 - delta_k0) (-i)^k J_k(x) of exp(-ixs) on [-1, 1],
+    # from its values at n Chebyshev nodes, which alias in only terms k > n:
+    # (2/n) sum_j f_j cos(k theta_j), a DCT-II taken by one FFT of the even
+    # extension, in O(n log n) time and O(n) memory at any span
+    f = np.exp(-1j * x * np.cos(np.pi * (np.arange(n) + 0.5) / n))
+    return np.fft.fft(np.r_[f, f[::-1]])[:n] * np.exp(-0.5j * np.pi * np.arange(n) / n) / n

@@ -162,15 +162,15 @@ def _derivative_identity(traj, N, basis, ctx):
     uc = traj.u[center] / np.linalg.norm(traj.u[center])
     frame = ExcitationFrame(uc, N)
     G = du_generator(frame, traj.udot[center], basis)
-    Uc = dense_u_n(frame, basis)
-    residuals = []
+    target = (-1j) * G @ dense_u_n(frame, basis)
+    fds, residuals = [], []
     for steps in (40, 20):
         up = traj.u[center + steps] / np.linalg.norm(traj.u[center + steps])
         um = traj.u[center - steps] / np.linalg.norm(traj.u[center - steps])
         Up = dense_u_n(ExcitationFrame(up, N), basis)
         Um = dense_u_n(ExcitationFrame(um, N), basis)
-        fd = (Up - Um) / (2 * steps * DERIVATIVE_DT)
-        residuals.append(float(np.max(np.abs(fd - (-1j) * G @ Uc))))
+        fds.append((Up - Um) / (2 * steps * DERIVATIVE_DT))
+        residuals.append(float(np.max(np.abs(fds[-1] - target))))
     ratio_check = IdentityCheck(
         "derivative identity O(delta^2) gain", ctx,
         # want residual(2*delta)/residual(delta) >= 3.5, i.e. zero margin left
@@ -179,7 +179,12 @@ def _derivative_identity(traj, N, basis, ctx):
     abs_check = IdentityCheck(
         "derivative identity residual at delta=2e-3", ctx, residuals[1],
         100.0 * delta**2)
-    return [abs_check, ratio_check]
+    # Richardson's (4 fd(delta) - fd(2 delta))/3 is fourth order: its
+    # residual sits orders of magnitude below the central difference's
+    richardson_check = IdentityCheck(
+        "derivative identity Richardson residual", ctx,
+        float(np.max(np.abs((4.0 * fds[1] - fds[0]) / 3.0 - target))), 1e-6)
+    return [abs_check, ratio_check, richardson_check]
 
 
 def _hierarchy_identity(basis, h0, W, u, rng, ctx):

@@ -99,6 +99,14 @@ def number_plus_op(u: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
     return number_op(basis) - n_u
 
 
+def node_sum_coefficients(x: float, n: int) -> np.ndarray:
+    """The n Chebyshev coefficients of exp(-ixs) on [-1, 1] as direct sums
+    (2/n) sum_j f(theta_j) cos(k theta_j) over the n Chebyshev nodes, with
+    the n x n cosine table written out."""
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    return np.cos(np.outer(np.arange(n), theta)) @ np.exp(-1j * x * np.cos(theta)) * (2.0 / n)
+
+
 def integer_spectral_function(mat, func):
     """Apply func to a dense hermitian matrix with (near) integer spectrum.
 

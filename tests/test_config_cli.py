@@ -396,6 +396,17 @@ def test_rate_gate_band_fails_when_missed_or_not_evaluated(tmp_path, at_time, ev
     assert (gate["value"] is not None) == evaluated
 
 
+def test_dt_nbody_is_accepted_and_inert(tmp_path):
+    # the exact propagation takes one series per output interval, so the
+    # step key changes no output byte; it goes when load refuses the key
+    outputs = []
+    for dt in (0.05, 1.0):
+        out = tmp_path / f"dt{dt}"
+        run_convergence(ExperimentConfig(dict(GATE_CASE, dt_nbody=dt, output_dir=str(out))))
+        outputs.append([(out / name).read_bytes() for name in ("report.csv", "rates.csv", "gates.json")])
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_reports_unevaluated_rate_gate(tmp_path, capsys):
     doc = dict(GATE_CASE, rate_gate={"band": [5, 6], "at_time": 0.0},
                output_dir=str(tmp_path / "o"))

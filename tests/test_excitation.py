@@ -73,6 +73,23 @@ def test_identity_suite_all_pass():
 
 
 
+def test_richardson_row_catches_a_generator_error_the_others_miss(monkeypatch):
+    # a relative error of 1e-6 in the derivative generator moves the
+    # delta = 2e-3 residual by under 5%, inside its O(delta^2) truncation
+    # error; the fourth-order Richardson residual reads it at about 3-5e-6
+    import bogofluct.verify as verify
+
+    du_generator = verify.du_generator
+    monkeypatch.setattr(verify, "du_generator",
+                        lambda *args: (1.0 + 1e-6) * du_generator(*args))
+    rows = {}
+    for check in verify.verify_algebra():
+        rows.setdefault(check.name, []).append(check.ok)
+    assert rows["derivative identity residual at delta=2e-3"] == [True, True]
+    assert rows["derivative identity O(delta^2) gain"] == [True, True]
+    assert rows["derivative identity Richardson residual"] == [False, False]
+
+
 def test_identity_suite_work_counts(monkeypatch):
     # per size: one block hierarchy call when n_max >= 4, and three projector
     # passes (the conjugation rules, conjugated_hamiltonian and

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from bogofluct.linalg import ChebyshevPropagator, KrylovError, _expm_stack, krylov_expm
-from oracles import integer_spectral_function
+from bogofluct.linalg import (ChebyshevPropagator, KrylovError, _exp_coefficients, _expm_stack,
+                              krylov_expm)
+from oracles import integer_spectral_function, node_sum_coefficients
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -73,6 +76,36 @@ def test_chebyshev_series_needs_no_substep():
     prop = ChebyshevPropagator(sp.csr_matrix(H))
     assert prop.half_width * 2.0 > 100
     assert np.linalg.norm(prop.apply(v, 2.0) - sla.expm(-2.0j * H) @ v) < 1e-12
+
+
+def test_chebyshev_series_over_a_long_span_in_little_memory():
+    # |x| = a t above 3,000: one series of over 3,000 terms, exact to
+    # round-off against the eigendecomposition, while the memory it takes
+    # stays at a few vectors and the O(n) coefficients (node sums through an
+    # n x n cosine table peak above 400 MiB here)
+    rng = np.random.default_rng(3)
+    H = random_hermitian(rng, 60)
+    v = rng.normal(size=60) + 1j * rng.normal(size=60)
+    v /= np.linalg.norm(v)
+    prop = ChebyshevPropagator(sp.csr_matrix(H))
+    t = 50.0
+    assert prop.half_width * t > 3000
+    tracemalloc.start()
+    try:
+        got = prop.apply(v, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    w, U = np.linalg.eigh(H)
+    want = U @ (np.exp(-1j * t * w) * (U.conj().T @ v))
+    assert np.linalg.norm(got - want) < 1e-11
+    assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize("n", [21, 45, 560, 2700])
+def test_fft_coefficients_match_the_node_sums(n):
+    for x in (0.9 * n, -0.7 * n):
+        assert np.max(np.abs(_exp_coefficients(x, n) - node_sum_coefficients(x, n))) < 1e-13
 
 
 def test_chebyshev_series_on_a_zero_width_interval_is_the_phase():

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -120,8 +121,9 @@ def test_propagate_matches_dense_expm_oracle():
 @pytest.mark.parametrize("N", [6, 12])
 def test_propagate_matches_expm_multiply_at_any_span(N):
     # sectors of 84 and 455 states, on either side of the size where a dense
-    # eigendecomposition once took over: one path, exact to round-off, and
-    # the same states whether a series spans 0.05 or a whole output interval
+    # eigendecomposition once took over: one series per grid interval, exact
+    # to round-off, and the same states at the output times whether the grid
+    # steps every 0.05 or is the output grid itself
     lat = build_lattice(4, 1.0)
     h0 = build_laplacian(lat)
     W = build_interaction(lat, gaussian_profile(1.5, 1.0))
@@ -130,11 +132,37 @@ def test_propagate_matches_expm_multiply_at_any_span(N):
     psi0 = SectorVector(b, N, random_unit(np.random.default_rng(5), b.sector_dim(N)))
     times = [0.0, 0.25, 0.5, 1.0]
     oracle = expm_multiply(-1j * H.mat, psi0.amplitudes, start=0.0, stop=1.0, num=5)
-    short = propagate_exact(H, psi0, times, dt_max=0.05)
-    whole = propagate_exact(H, psi0, times, dt_max=max(times))
+    fine = np.linspace(0.0, 1.0, 21)
+    assert np.array_equal(fine[[0, 5, 10, 20]], times)
+    short = [propagate_exact(H, psi0, fine)[i] for i in (0, 5, 10, 20)]
+    whole = propagate_exact(H, psi0, times)
     for want, st, one in zip(oracle[[0, 1, 2, 4]], short, whole):
         assert np.max(np.abs(st.amplitudes - want)) < 1e-12
         assert np.max(np.abs(st.amplitudes - one.amplitudes)) < 1e-12
+
+
+def test_one_series_per_output_interval(monkeypatch):
+    # paper_scale: one ChebyshevPropagator.apply per output time and N, 20 in
+    # all, whatever dt_nbody says
+    from pathlib import Path
+
+    from bogofluct.config import load_config
+    from bogofluct.experiment import run_convergence
+    from bogofluct.linalg import ChebyshevPropagator
+
+    calls = []  # the propagator of each call, kept alive so ids stay distinct
+    apply = ChebyshevPropagator.apply
+
+    def counted(self, v, t):
+        calls.append(self)
+        return apply(self, v, t)
+
+    monkeypatch.setattr(ChebyshevPropagator, "apply", counted)
+    cfg = load_config(Path(__file__).resolve().parents[1] / "demos" / "configs" / "paper_scale.json")
+    run_convergence(cfg, write=False)
+    per_n = Counter(map(id, calls))
+    assert sorted(per_n.values()) == [len(cfg.output_times)] * len(cfg.N_list)
+    assert len(calls) == 20
 
 
 def test_norm_and_energy_conservation():
