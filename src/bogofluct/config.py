@@ -310,7 +310,9 @@ class ExperimentConfig:
             for key, rows in self.phi0_spec["sectors"].items():
                 phis[int(key)] = SectorVector(basis, int(key),
                                               np.array([complex(r, im) for r, im in rows]))
-        hartree_block(u0, phis, basis)  # refuses a layer not orthogonal to u0
+        # refuses a layer not orthogonal to u0, raising no further than the top layer
+        top = max(n for n, phi in enumerate(phis) if phi is not None)
+        hartree_block(u0, phis[:top + 1], basis)
         return phis
 
     def resolved_json(self) -> str:

@@ -40,7 +40,6 @@ from .fock import (
     FockVector,
     OccupationBasis,
     SectorVector,
-    adjoint_block,
     annihilate_op,
     create_op,
     dgamma,
@@ -95,8 +94,7 @@ def apply_u_n(frame: ExcitationFrame, psi: SectorVector) -> FockVector:
 
 def _u_n(frame: ExcitationFrame, amps: np.ndarray, basis: OccupationBasis) -> np.ndarray:
     # apply_u_n on sector-N amplitudes: a (dim,) vector or a (dim, cols) block
-    low = sector_lowerings(frame.u, basis, frame.N)
-    up = [None] + [adjoint_block(b) for b in low[1:]]  # up[n] raises sector n-1 to n
+    low, up = sector_lowerings(frame.u, basis, frame.N)  # up[n] raises sector n-1 to n
     N, cols = frame.N, amps.shape[1:]
     downs = [amps]  # downs[m] = a(u)^m psi, in sector N - m
     for n in range(N, 0, -1):
@@ -150,8 +148,7 @@ def _by_sector(u, basis: OccupationBasis, top: int, *weights) -> list:
     # of a dense one
     if abs(np.linalg.norm(u) - 1.0) > 1e-10:
         raise ValueError("condensate mode must be unit norm to 1e-10")
-    low = sector_lowerings(u, basis, top)
-    up = [None] + [adjoint_block(b) for b in low[1:]]
+    _, up = sector_lowerings(u, basis, top)
     blocks = [[] for _ in weights]
     P = []
     for n in range(top + 1):

@@ -14,8 +14,9 @@ untruncated counterpart.
 
 The run path works on sector blocks cut from this basis: a(f) lowers the
 total by exactly one, so sector_lowerings and sector_mode_lowerings cut a(f)
-and the mode annihilators a_i into blocks from sector n to n-1, whose
-adjoints (adjoint_block) raise; one_body_block builds dGamma(A) on a sector.
+and the mode annihilators a_i into blocks from sector n to n-1;
+sector_lowerings also gives the adjoints, which raise; one_body_block builds
+dGamma(A) on a sector.
 
 Operators on the whole basis are scipy CSR matrices in basis order.  The
 ladder and quadratic ones are value refills of sparsity patterns cached on
@@ -47,7 +48,6 @@ __all__ = [
     "annihilate_op",
     "sector_lowerings",
     "sector_mode_lowerings",
-    "adjoint_block",
     "dgamma",
     "one_body_block",
     "one_body_form",
@@ -363,9 +363,10 @@ def annihilate_op(f: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
     return basis.lowering_pattern().fill(values)
 
 
-def sector_lowerings(f: np.ndarray, basis: OccupationBasis, top: int) -> list:
-    """Blocks of annihilate_op(f, basis) from sector n to n-1 at index n,
-    n = 1..top (index 0 is None); adjoint_block(low[n]) raises sector n-1 to n.
+def sector_lowerings(f: np.ndarray, basis: OccupationBasis, top: int) -> tuple:
+    """(low, up): low[n] is the block of annihilate_op(f, basis) from sector n
+    to n-1 and up[n] = low[n]^dag raises sector n-1 to n, n = 1..top (index 0
+    is None in both); up[n] is a CSC matrix on low[n]'s index arrays.
 
     a(f) lowers the total by exactly one (checked when its pattern is built),
     so the rows of sector n-1 hold only columns of sector n, and each block
@@ -391,7 +392,8 @@ def sector_lowerings(f: np.ndarray, basis: OccupationBasis, top: int) -> list:
         blocks.append(sp.csr_matrix(
             (low.data[a:b], low.indices[a:b] - off[n], ptr - a),
             shape=(off[n] - off[n - 1], off[n + 1] - off[n])))
-    return blocks
+    return blocks, [None] + [sp.csc_matrix((b.data.conj(), b.indices, b.indptr),
+                                           shape=b.shape[::-1]) for b in blocks[1:]]
 
 
 def sector_mode_lowerings(basis: OccupationBasis, n: int) -> sp.csr_matrix:
@@ -406,12 +408,6 @@ def sector_mode_lowerings(basis: OccupationBasis, n: int) -> sp.csr_matrix:
     stacked = pat.block_of[a:b].astype(np.int64) * dim + np.repeat(np.arange(dim), np.diff(ptr))
     return sp.csr_matrix((pat.amps[a:b], (stacked, pat.indices[a:b] - cols.start)),
                          shape=(basis.M * dim, cols.stop - cols.start))
-
-
-def adjoint_block(block: sp.csr_matrix) -> sp.csc_matrix:
-    """block.conj().T as one CSC matrix on the block's index arrays."""
-    return sp.csc_matrix((block.data.conj(), block.indices, block.indptr),
-                         shape=block.shape[::-1])
 
 
 def create_op(f: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
@@ -555,7 +551,7 @@ def hartree_block(u: np.ndarray, phis, basis: OccupationBasis,
     N = len(phis) - 1
     if N > basis.n_max:
         raise ValueError(f"target sector {N} exceeds truncation {basis.n_max}")
-    low = sector_lowerings(u, basis, N)
+    low, up = sector_lowerings(u, basis, N)
     total = np.zeros(basis.sector_dim(N), dtype=complex)
     for n, phi in enumerate(phis):
         if phi is None:
@@ -569,7 +565,7 @@ def hartree_block(u: np.ndarray, phis, basis: OccupationBasis,
         if n >= 1 and np.linalg.norm(low[n] @ w) > orth_tol * max(1.0, nrm):
             raise ValueError(f"phi_{n} is not orthogonal to the condensate mode")
         for k in range(1, N - n + 1):
-            w = (adjoint_block(low[n + k]) @ w) / math.sqrt(k)
+            w = (up[n + k] @ w) / math.sqrt(k)
         total += w
     return SectorVector(basis, N, total)
 

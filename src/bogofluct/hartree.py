@@ -5,8 +5,9 @@ of u tracks the per-particle energy.  Integrated by Chebyshev-Picard
 collocation (Clenshaw and Norton, Comput. J. 6, 88 (1963)) on chunks of whole
 stored steps, one stacked right-hand side per Picard sweep; the norm is
 measured, never enforced, so step-size problems surface as drift.  The
-derivative, gauge and energy of every stored u are taken in one pass over the
-whole history, which is interpolated at any number of times at once.
+trajectory keeps each chunk's Chebyshev polynomial, which gives u at any number
+of times at once; the derivative, gauge and energy of every stored u are taken
+in one pass over the whole history.
 """
 
 import numpy as np
@@ -57,12 +58,13 @@ def _rhs(u, h0, W):
 class HartreeTrajectory:
     """Stored condensate history u(t) with gauges, energies and derivatives.
 
-    Between stored times, u is interpolated by a componentwise cubic Hermite
-    polynomial and renormalized; the derivative data for the Hermite form is
-    the exact equation right-hand side at the stored points.
+    Between stored times, u is the collocation polynomial of its chunk,
+    renormalized: coef[j] holds the Chebyshev coefficients of the chunk that
+    starts at starts[j] and spans `span`.  udot, the equation right-hand side
+    at the stored points, is kept for verify's derivative identity and demo 02.
     """
 
-    def __init__(self, times, u, udot, mu, energy, h0, W):
+    def __init__(self, times, u, udot, mu, energy, h0, W, coef, starts, span):
         self.times = np.asarray(times)
         self.u = np.asarray(u)
         self.udot = np.asarray(udot)
@@ -70,6 +72,7 @@ class HartreeTrajectory:
         self.energy = np.asarray(energy)
         self.h0 = h0
         self.W = W
+        self.coef, self.starts, self.span = coef, starts, span
 
     @property
     def dt(self):
@@ -78,6 +81,11 @@ class HartreeTrajectory:
     def norms(self):
         return np.linalg.norm(self.u, axis=1)
 
+    def _chunk(self, t):
+        # chunk index and its Chebyshev variable in [-1, 1] for each time
+        j = np.searchsorted(self.starts, t, side="right") - 1
+        return j, 2 * (t - self.starts[j]) / self.span - 1
+
     def interpolate(self, t):
         """Unit-norm condensate at a time in [0, T], or one row per entry of a
         1-D array of times; times outside [0, T] give the stored end points."""
@@ -85,49 +93,27 @@ class HartreeTrajectory:
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         if not np.isfinite(ts).all():
             raise ValueError("interpolation times must be finite")
-        tc = np.clip(ts, times[0], times[-1])
-        k = np.minimum(np.searchsorted(times, tc, side="right") - 1, len(times) - 2)
-        h = (times[k + 1] - times[k])[:, None]
-        s = (tc - times[k])[:, None] / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s**2 * (3 - 2 * s)
-        h11 = s**2 * (s - 1)
-        val = (
-            h00 * self.u[k]
-            + h10 * h * self.udot[k]
-            + h01 * self.u[k + 1]
-            + h11 * h * self.udot[k + 1]
-        )
+        j, x = self._chunk(np.clip(ts, times[0], times[-1]))
+        # Clenshaw on the real and imaginary parts, elementwise so each row is its scalar form
+        c, x = self.coef[j].view(float), x[:, None]
+        b1, b2, x2 = c[:, -1], 0.0, 2 * x
+        for k in range(c.shape[1] - 2, 0, -1):
+            b1, b2 = c[:, k] + x2 * b1 - b2, b1
+        val = (c[:, 0] + x * b1 - b2).view(complex)
         out = val / np.sqrt(np.sum(val.real**2 + val.imag**2, axis=1))[:, None]
         out[ts <= times[0]] = self.u[0]
         out[ts >= times[-1]] = self.u[-1]
         return out[0] if np.ndim(t) == 0 else out
 
     def interpolation_defect(self, t: float) -> float:
-        """Residual of the Hartree equation at an interpolated time.
-
-        Compares the Hermite derivative against the equation right-hand side
-        evaluated on the interpolated u; zero at stored points up to rounding.
-        """
-        times = self.times
-        if not times[0] < t < times[-1]:
+        """Residual of the Hartree equation at an interpolated time: the
+        derivative of the chunk polynomial against the right-hand side on the
+        interpolated u; zero outside (0, T)."""
+        if not self.times[0] < t < self.times[-1]:
             return 0.0
-        k = int(np.searchsorted(times, t, side="right") - 1)
-        h = times[k + 1] - times[k]
-        s = (t - times[k]) / h
-        d00 = (6 * s**2 - 6 * s) / h
-        d10 = 3 * s**2 - 4 * s + 1
-        d01 = (6 * s - 6 * s**2) / h
-        d11 = 3 * s**2 - 2 * s
-        der = (
-            d00 * self.u[k]
-            + d10 * self.udot[k]
-            + d01 * self.u[k + 1]
-            + d11 * self.udot[k + 1]
-        )
-        ui = self.interpolate(t)
-        return float(np.linalg.norm(der - _rhs(ui, self.h0, self.W)))
+        j, x = self._chunk(t)
+        der = cheb.chebval(x, cheb.chebder(self.coef[j])) * (2 / self.span)
+        return float(np.linalg.norm(der - _rhs(self.interpolate(t), self.h0, self.W)))
 
     def write_csv(self, path):
         """Columns: time, re/im of each amplitude, mu, energy, norm."""
@@ -179,7 +165,9 @@ def solve_hartree(u0, h0, W, T, dt) -> HartreeTrajectory:
     E = cheb.chebvander(np.arange(1, m + 1) * (2 / m) - 1, DEGREE) @ to_coef
     u_hist = np.empty((n_steps + 1, u0.shape[0]), dtype=complex)
     u_hist[0] = u0
-    for a in range(0, n_steps, m):
+    starts = range(0, n_steps, m)
+    coef = np.empty((len(starts), DEGREE + 1, u0.shape[0]), dtype=complex)
+    for j, a in enumerate(starts):
         U, last = np.tile(u_hist[a], (DEGREE + 1, 1)), np.inf
         for _ in range(MAX_SWEEPS):
             new = u_hist[a] + Q @ _rhs(U, h0, W)
@@ -191,6 +179,7 @@ def solve_hartree(u0, h0, W, T, dt) -> HartreeTrajectory:
             raise RuntimeError(f"collocation update {update:.3e} on the chunk at t={times[a]:.4g} "
                                f"stopped shrinking; reduce dt")
         u_hist[a + 1:a + m + 1] = E[:n_steps - a] @ new
+        coef[j] = to_coef @ new
     drift = np.abs(np.linalg.norm(u_hist, axis=1) - 1.0)
     k = int(np.argmax(drift))
     if drift[k] > NORM_TOL:
@@ -199,4 +188,5 @@ def solve_hartree(u0, h0, W, T, dt) -> HartreeTrajectory:
     # energy <u, h0 u> + (1/2) <|u|^2, W |u|^2> = kinetic part + gauge
     _, mu_hist = _field_and_gauge(u_hist, W)
     kin = np.sum(np.conj(u_hist) * (u_hist @ h0.T), axis=1).real
-    return HartreeTrajectory(times, u_hist, _rhs(u_hist, h0, W), mu_hist, kin + mu_hist, h0, W)
+    return HartreeTrajectory(times, u_hist, _rhs(u_hist, h0, W), mu_hist, kin + mu_hist, h0, W,
+                             coef, times[:n_steps:m], m * dt)

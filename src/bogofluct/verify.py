@@ -173,8 +173,8 @@ def _derivative_identity(traj, N, basis, ctx):
         residuals.append(float(np.max(np.abs(fds[-1] - target))))
     ratio_check = IdentityCheck(
         "derivative identity O(delta^2) gain", ctx,
-        # want residual(2*delta)/residual(delta) >= 3.5, i.e. zero margin left
-        max(0.0, 3.5 - residuals[0] / max(residuals[1], 1e-300)), 0.0)
+        # want residual(delta)/residual(2*delta) <= 1/3.5; inf when residual(2*delta) is 0
+        residuals[1] / residuals[0] if residuals[0] > 0 else math.inf, 1 / 3.5)
     delta = 20 * DERIVATIVE_DT
     abs_check = IdentityCheck(
         "derivative identity residual at delta=2e-3", ctx, residuals[1],

@@ -442,6 +442,31 @@ def test_phi0_table_orthogonality_bound_matches_the_block_builder():
                 ExperimentConfig(doc).excitations(u0, basis)
 
 
+def test_phi0_table_is_refused_when_only_its_highest_layer_is_not_orthogonal():
+    from bogofluct.fock import enumerate_basis
+
+    doc = json.loads(json.dumps(TINY))
+    cfg = ExperimentConfig(doc)
+    u0 = cfg.condensate(cfg.lattice())
+    basis = enumerate_basis(3, 6)
+    v = np.array([-np.conj(u0[1]), np.conj(u0[0]), 0.0])
+    v /= np.linalg.norm(v)
+    layer2 = np.random.default_rng(27).normal(size=basis.sector_dim(2))
+    layer2 *= 0.3 / np.linalg.norm(layer2)
+    doc["phi0"] = {"kind": "table", "sectors": {
+        "0": [[float(np.sqrt(1.0 - 0.18)), 0.0]],
+        "1": [[float(x.real), float(x.imag)] for x in 0.3 * v],
+        "2": [[float(x), 0.0] for x in layer2],
+    }}
+    with pytest.raises(ValueError, match="phi_2 is not orthogonal"):
+        ExperimentConfig(doc).excitations(u0, basis)
+    # without that layer the table loads
+    del doc["phi0"]["sectors"]["2"]
+    doc["phi0"]["sectors"]["0"] = [[float(np.sqrt(1.0 - 0.09)), 0.0]]
+    phis = ExperimentConfig(doc).excitations(u0, basis)
+    assert len(phis) == basis.n_max + 1 and phis[2] is None
+
+
 @pytest.mark.parametrize("error", [RuntimeError, KrylovError])
 def test_numerical_failure_is_filed_for_its_n(monkeypatch, error):
     import bogofluct.experiment as experiment

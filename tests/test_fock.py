@@ -344,13 +344,14 @@ def test_sector_lowerings_are_the_sector_blocks_of_a(M, n_max, zero_mode):
         u /= np.linalg.norm(u)
     full = annihilate_op(u, b)
     dense = full.toarray()
-    low = sector_lowerings(u, b, n_max)
-    assert len(low) == n_max + 1 and low[0] is None
+    low, up = sector_lowerings(u, b, n_max)
+    assert len(low) == len(up) == n_max + 1 and low[0] is None and up[0] is None
     for n in range(1, n_max + 1):
         block = dense[b.sector_slice(n - 1), b.sector_slice(n)]
         assert np.array_equal(low[n].toarray(), block)
+        assert np.array_equal(up[n].toarray(), low[n].conj().T.toarray())
     assert sum(blk.nnz for blk in low[1:]) == full.nnz
-    assert sector_lowerings(u, b, 0) == [None]
+    assert sector_lowerings(u, b, 0) == ([None], [None])
 
 
 # ------------------------------------------- occupation multiplicities (bases)

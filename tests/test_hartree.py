@@ -160,6 +160,25 @@ def test_interpolation_of_an_array_is_the_scalar_form_bit_for_bit():
         traj.interpolate(np.array([0.5, np.nan]))
 
 
+def test_interpolation_between_stored_times_is_independent_of_dt():
+    # between stored times u is the chunk's collocation polynomial, so a
+    # coarse dt_hartree agrees with a fine solve to round-off, not to O(dt^4)
+    lat, h0, W = setup_model(4, g=2.0)
+    u0 = bump(lat)
+    ref = solve_hartree(u0, h0, W, T=1.0, dt=5e-5)
+    idx = np.arange(7, len(ref.times) - 1, 97)
+    for dt in (0.01, 0.002):
+        traj = solve_hartree(u0, h0, W, T=1.0, dt=dt)
+        assert np.abs(traj.interpolate(ref.times[idx]) - ref.u[idx]).max() < 1e-14
+
+
+def test_interpolation_defect_is_the_collocation_residual():
+    lat, h0, W = setup_model(4, g=2.0)
+    traj = solve_hartree(bump(lat), h0, W, T=1.0, dt=0.01)
+    ts = np.linspace(0.0, 1.0, 2002)[1:-1]
+    assert max(traj.interpolation_defect(t) for t in ts) < 1e-11
+
+
 def test_stored_gauge_and_energy_are_those_of_the_stored_modes():
     lat, h0, W = setup_model(4, g=1.5)
     traj = solve_hartree(bump(lat), h0, W, T=0.3, dt=0.001)
