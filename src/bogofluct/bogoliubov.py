@@ -23,7 +23,6 @@ stacked T.  Fock amplitudes are built only at the output times, cut at n_max,
 through sector blocks of the mode annihilators.
 """
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -43,8 +42,6 @@ from .fock import (
 )
 from .hartree import HartreeTrajectory, _field_and_gauge
 from .linalg import _expm_stack, krylov_expm
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "Kernels",
@@ -123,8 +120,7 @@ def bogoliubov_hamiltonian(u, h0, W, basis: OccupationBasis,
     tied to an N-particle product state); projected=False keeps the bare
     kernels (the frame tied to a coherent state).
     """
-    A, K, kern = _generator_kernels(u, h0, W, projected)
-    logger.debug("pairing kernel Frobenius norm %.6e", kern.k2_frobenius)
+    A, K, _ = _generator_kernels(u, h0, W, projected)
     return quadratic_op(A, K, basis)
 
 

@@ -45,6 +45,7 @@ from .fock import (
     dgamma,
     hartree_block,
     pairing_raise,
+    quadratic_op,
     sector_lowerings,
 )
 from .hartree import mean_field, mu_of
@@ -284,8 +285,8 @@ def _leading(frame, h0, W, basis, sqrtN) -> sp.csr_matrix:
     kern = build_kernels(u, W)
     h = mean_field_hamiltonian(u, h0, W)
     e = float(np.vdot(u, h @ u).real)
-    half = create_op(Q @ (h @ u), basis) @ sqrtN + pairing_raise(kern.k2, basis)
-    return (dgamma(Q @ (h + kern.k1 - e * np.eye(basis.M)) @ Q, basis)
+    half = create_op(Q @ (h @ u), basis) @ sqrtN
+    return (quadratic_op(Q @ (h + kern.k1 - e * np.eye(basis.M)) @ Q, kern.k2, basis)
             + N * e * sp.identity(basis.size, format="csr") + half + half.conj().T)
 
 

@@ -20,16 +20,19 @@ dGamma(A) on a sector.
 
 Operators on the whole basis are scipy CSR matrices in basis order.  The
 ladder and quadratic ones are value refills of sparsity patterns cached on
-the basis (CSRPattern): one for the annihilators a(f), whose block i holds
-a_i, and one for dGamma(A), pairing(K) and their sum, which only the Krylov
-fluctuation stepper and the dense identity checks use.  A pattern is built
-on first use, and the particle-number band of each of its term blocks is
-checked once, then; a fill only writes values into those positions.  That
-build is the one place where the particle-number structure is checked;
-number_op and two_body_op are diagonal.  Every ladder amplitude is
-the square root of the exact integer product of its bosonic factors, a
-filled operator stores no exact zero, and the diagonal block starts at
-sector 1, since dGamma(A) vanishes on the vacuum.
+the basis (CSRPattern) by one rule: a fill passes a coefficient array per
+named family of blocks, and each stored value is one coefficient times one
+amplitude.  a(f) fills the lowering pattern's one family, "a", with conj(f),
+so an entry's slot is its mode; dGamma(A), pairing(K) and their sum, which
+only the Krylov fluctuation stepper and the dense identity checks use, fill
+the four of the quadratic pattern.  A pattern is built on first use, and
+the particle-number band of each of its term blocks is checked once, then;
+a fill only writes values into those positions.  That build is the one
+place where the particle-number structure is checked; number_op and
+two_body_op are diagonal.  Every ladder amplitude is the square root of the
+exact integer product of its bosonic factors, a filled operator stores no
+exact zero, and the diagonal family starts at sector 1, since dGamma(A)
+vanishes on the vacuum.
 """
 
 import math
@@ -185,32 +188,30 @@ class OccupationBasis:
     def quadratic_pattern(self) -> "CSRPattern":
         """CSR pattern of the band-(-2, 0, 2) quadratic operators (cached).
 
-        Blocks in term order: "diag" (from sector 1 on), ("hop", i, j) for
-        i != j, ("raise", i, j) and ("lower", i, j) for i <= j.  The index
-        patterns are built here and kept only inside the CSR pattern.
+        Families: "diag", one slot per state from sector 1 on; "hop", a
+        block per i != j, row-major as A[~eye] (at M = 1 an empty block);
+        "raise" and "lower", a block per i <= j in np.triu_indices order.
+        The index patterns are built here and kept only inside the pattern.
         """
         if self._quad_pattern is None:
             rows = np.arange(self.sector_offsets[1], self.size)
-            blocks = [("diag", rows, rows, None, 0)]
-            for i in range(self.M):
-                for j in range(self.M):
-                    if i != j:
-                        blocks.append((("hop", i, j), *self.hop_structure(i, j), 0))
-            pairs = {(i, j): self.pair_structure(i, j)
-                     for i in range(self.M) for j in range(i, self.M)}
-            for (i, j), (dst, src, amps) in pairs.items():
-                blocks.append((("raise", i, j), dst, src, amps, 2))
-            for (i, j), (dst, src, amps) in pairs.items():
-                blocks.append((("lower", i, j), src, dst, amps, -2))
-            self._quad_pattern = CSRPattern(self, blocks)
+            hops = [("hop", *self.hop_structure(i, j), 0) for i, j in _off_diagonal(self.M)]
+            pairs = [self.pair_structure(i, j) for i, j in zip(*np.triu_indices(self.M))]
+            self._quad_pattern = CSRPattern(self, [
+                ("diag", rows, rows, None, 0),
+                *(hops or [("hop", rows[:0], rows[:0], None, 0)]),
+                *(("raise", dst, src, amps, 2) for dst, src, amps in pairs),
+                *(("lower", src, dst, amps, -2) for dst, src, amps in pairs),
+            ])
         return self._quad_pattern
 
     def lowering_pattern(self) -> "CSRPattern":
-        """CSR pattern of the band-(-1) annihilators a(f) (cached); block i
-        holds the entries of a_i."""
+        """CSR pattern of the band-(-1) annihilators a(f) (cached): one family
+        "a" with a block per mode i, the entries of a_i, so the slot of an
+        entry is its mode."""
         if self._low_pattern is None:
             self._low_pattern = CSRPattern(self, [
-                (i, *self.lowering_structure(i), -1) for i in range(self.M)
+                ("a", *self.lowering_structure(i), -1) for i in range(self.M)
             ])
         return self._low_pattern
 
@@ -222,84 +223,85 @@ def enumerate_basis(M: int, n_max: int, max_states: int = DEFAULT_MAX_STATES) ->
     return OccupationBasis(M, n_max, max_states)
 
 
-def _check_band_entries(dn, band):
-    bad = ~np.isin(dn, np.asarray(band))
-    if np.any(bad):
-        seen = sorted(set(int(v) for v in dn[bad]))
-        raise ValueError(f"operator moves particle number by {seen}, declared {band}")
+def _off_diagonal(M):
+    # the pairs (i, j), i != j, of M modes, row-major: the order of A[~eye]
+    return zip(*np.nonzero(~np.eye(M, dtype=bool)))
 
 
 class CSRPattern:
     """Sorted CSR index arrays of a fixed list of term blocks on one basis.
 
-    Each block is (key, rows, cols, amps, band): one index pattern, its
-    amplitudes (None for a block whose values a fill passes in full) and the
-    particle-number change it makes.  Every band is verified once, here.  The
+    Each block is (family, rows, cols, amps, band): one index pattern, its
+    amplitudes and the particle-number change it makes, verified once, here.
+    A family's blocks are consecutive and number its coefficient slots: one
+    per block, or one per entry with amplitude 1 where amps is None.  The
     blocks must not overlap, so every stored value is one term, never a sum,
     and no amplitude may lie below 1, so a nonzero coefficient never makes a
-    zero entry.  The pattern has one layout, built here; a fill writes
-    values into it and hands out fresh index arrays, so the cached ones are
-    never shared mutably.
+    zero entry.  The pattern has one layout, built here; a fill writes values
+    into it and hands out fresh index arrays, so the cached ones are never
+    shared mutably.
     """
 
     def __init__(self, basis: OccupationBasis, blocks):
         rows = np.concatenate([b[1] for b in blocks])
         cols = np.concatenate([b[2] for b in blocks])
         totals = basis.totals()
-        for key, r, c, amps, band in blocks:
-            _check_band_entries(totals[r] - totals[c], (band,))
-            if amps is not None and np.any(amps < 1.0):
-                raise ValueError(f"block {key} has an amplitude below 1")
+        self.families = {}  # family -> (first slot, end slot)
+        # slots of the smallest dtype from the start: no int64 copy of them
+        widths = [len(b[1]) if b[3] is None else 1 for b in blocks]
+        dtype = np.min_scalar_type(sum(widths))
+        slots, amps, n_slots = [], [], 0
+        for (family, r, c, a, band), width in zip(blocks, widths):
+            dn = totals[r] - totals[c]
+            if np.any(dn != band):
+                raise ValueError(f"block of family {family!r} moves particle number by "
+                                 f"{sorted(set(dn[dn != band].tolist()))}, declared {band}")
+            if a is not None and np.any(a < 1.0):
+                raise ValueError(f"block of family {family!r} has an amplitude below 1")
+            start, end = self.families.get(family, (n_slots, n_slots))
+            if end != n_slots:
+                raise ValueError(f"the blocks of family {family!r} are not consecutive")
+            slots.append(np.arange(n_slots, n_slots + len(r), dtype=dtype) if a is None
+                         else np.full(len(r), n_slots, dtype=dtype))
+            amps.append(np.ones(len(r)) if a is None else a)
+            n_slots += width
+            self.families[family] = (start, n_slots)
         order = np.lexsort((cols, rows))
         r_sorted, c_sorted = rows[order], cols[order]
         if np.any((np.diff(r_sorted) == 0) & (np.diff(c_sorted) == 0)):
             raise ValueError("term blocks overlap; values would need summing")
         n = basis.size
         self.shape = (n, n)
+        self.n_slots = n_slots
         idx = np.int32 if max(len(rows), n) < 2**31 else np.int64
-        self.block = {b[0]: k for k, b in enumerate(blocks)}
-        sizes = [len(b[1]) for b in blocks]
-        pos = np.empty(len(rows), dtype=np.int64)
-        pos[order] = np.arange(len(rows))
-        starts = np.cumsum([0] + sizes)
-        self.slots = {
-            k: pos[starts[k]:starts[k + 1]] for k, b in enumerate(blocks) if b[3] is None
-        }
-        # block number and amplitude of each stored entry, in CSR order
-        self.block_of = np.repeat(
-            np.arange(len(blocks), dtype=np.min_scalar_type(len(blocks))), sizes)[order]
-        self.amps = np.concatenate([np.zeros(s) if b[3] is None else b[3]
-                                    for s, b in zip(sizes, blocks)])[order]
+        # slot and amplitude of each stored entry, in CSR order
+        self.slot = np.concatenate(slots)[order]
+        self.amps = np.concatenate(amps)[order]
         self.indices = c_sorted.astype(idx)
         self.indptr = np.zeros(n + 1, dtype=idx)
         np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
 
-    def fill(self, values: dict) -> sp.csr_matrix:
-        """CSR matrix of the blocks named in values; the others are 0.
-
-        A scalar values[key] multiplies the block's amplitudes (as
-        ``coeff * amps``); an array is the block's values in term order.
-        Exact zeros are not stored.  They can only come from a block left
-        out, a zero scalar or a zero in an array, so only then is the
-        matrix compacted.
+    def fill(self, values: dict, rows: int = None) -> sp.csr_matrix:
+        """CSR matrix of the first rows rows (all by default) of the families
+        named in values, each an array of one coefficient per slot; the
+        others are 0.  Every stored value is coeff[slot] * amps.  Exact zeros
+        are not stored.  They can only come from a zero coefficient, a family
+        left out included, so only then is the matrix compacted.
         """
-        coeff = np.zeros(len(self.block), dtype=complex)
-        has_zero = len(values) < len(self.block)
-        full = []
-        for key, val in values.items():
-            k = self.block[key]
-            if np.ndim(val):
-                full.append((k, val))
-                has_zero = has_zero or not np.all(val)
-            else:
-                coeff[k] = val
-                has_zero = has_zero or val == 0
-        data = np.take(coeff, self.block_of)
-        data *= self.amps
-        for k, val in full:
-            data[self.slots[k]] = val
-        mat = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
-        if has_zero:
+        coeff = np.zeros(self.n_slots, dtype=complex)
+        for family, val in values.items():
+            start, end = self.families[family]  # KeyError: no such family
+            if np.shape(val) != (end - start,):
+                raise ValueError(f"family {family!r} takes {end - start} coefficients, "
+                                 f"got shape {np.shape(val)}")
+            coeff[start:end] = val
+        rows = self.shape[0] if rows is None else rows
+        end = self.indptr[rows]
+        data = np.take(coeff, self.slot[:end])
+        data *= self.amps[:end]
+        mat = sp.csr_matrix((data, self.indices[:end].copy(), self.indptr[:rows + 1].copy()),
+                            shape=(rows, self.shape[1]))
+        if not np.all(coeff):
             mat.eliminate_zeros()
         return mat
 
@@ -356,11 +358,7 @@ class SectorVector:
 
 def annihilate_op(f: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
     """a(f) = sum_i conj(f_i) a_i, antilinear in f."""
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (basis.M,):
-        raise ValueError("one-particle vector has wrong length")
-    values = {i: np.conj(f[i]) for i in range(basis.M) if f[i] != 0}
-    return basis.lowering_pattern().fill(values)
+    return basis.lowering_pattern().fill({"a": np.conj(f)})
 
 
 def sector_lowerings(f: np.ndarray, basis: OccupationBasis, top: int) -> tuple:
@@ -371,20 +369,10 @@ def sector_lowerings(f: np.ndarray, basis: OccupationBasis, top: int) -> tuple:
     a(f) lowers the total by exactly one (checked when its pattern is built),
     so the rows of sector n-1 hold only columns of sector n, and each block
     is a slice of the CSR arrays, shifted to sector-local indices.  Only the
-    rows of sectors below top are filled, by the rule of CSRPattern.fill.
+    rows of sectors below top are filled.
     """
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (basis.M,):
-        raise ValueError("one-particle vector has wrong length")
-    pat = basis.lowering_pattern()
     off = [int(o) for o in basis.sector_offsets]
-    rows, end = off[top], int(pat.indptr[off[top]])
-    data = np.take(np.conj(f), pat.block_of[:end])
-    data *= pat.amps[:end]
-    low = sp.csr_matrix((data, pat.indices[:end].copy(), pat.indptr[:rows + 1].copy()),
-                        shape=(rows, basis.size))
-    if not np.all(f):
-        low.eliminate_zeros()
+    low = basis.lowering_pattern().fill({"a": np.conj(f)}, rows=off[top])
     blocks = [None]
     for n in range(1, top + 1):
         ptr = low.indptr[off[n - 1]:off[n] + 1]
@@ -405,7 +393,7 @@ def sector_mode_lowerings(basis: OccupationBasis, n: int) -> sp.csr_matrix:
     dim = rows.stop - rows.start
     ptr = pat.indptr[rows.start:rows.stop + 1]
     a, b = ptr[0], ptr[-1]
-    stacked = pat.block_of[a:b].astype(np.int64) * dim + np.repeat(np.arange(dim), np.diff(ptr))
+    stacked = pat.slot[a:b].astype(np.int64) * dim + np.repeat(np.arange(dim), np.diff(ptr))
     return sp.csr_matrix((pat.amps[a:b], (stacked, pat.indices[a:b] - cols.start)),
                          shape=(basis.M * dim, cols.stop - cols.start))
 
@@ -418,44 +406,36 @@ def create_op(f: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
     return annihilate_op(f, basis).conj().T.tocsr()
 
 
+def _square(X, basis, what):
+    # X as a complex M x M matrix; a scalar fills it
+    X = np.asarray(X, dtype=complex)
+    if X.shape not in ((), (basis.M, basis.M)):
+        raise ValueError(f"{what} has wrong shape")
+    return np.broadcast_to(X, (basis.M, basis.M))
+
+
 def _one_body_values(A, basis, states):
-    # "diag": sum_j s_j A_jj on each row s of states; ("hop", i, j): A_ij
-    A = np.asarray(A, dtype=complex)
-    M = basis.M
-    if A.shape != (M, M):
-        raise ValueError("one-body matrix has wrong shape")
-    values = {"diag": states @ np.diagonal(A)}
-    for i in range(M):
-        for j in range(M):
-            if i != j and A[i, j] != 0:
-                values[("hop", i, j)] = A[i, j]
-    return values
+    # "diag": sum_j s_j A_jj on each row s of states; "hop": A_ij, i != j
+    A = _square(A, basis, "one-body matrix")
+    return {"diag": states @ np.diagonal(A), "hop": A[~np.eye(basis.M, dtype=bool)]}
 
 
 def _pair_values(K, basis, lower: bool):
-    # raise block (i, j) holds 0.5 * coeff * amps, lower block its conjugate
-    # conj(0.5 * coeff) * amps; the Hermitian sum (lower) needs a symmetric
-    # kernel, the creation half takes any
-    K = np.asarray(K, dtype=complex)
+    # "raise" holds 0.5 * (K_ij + K_ji) for i < j and 0.5 * K_ii, "lower"
+    # the conjugates; the Hermitian sum (lower) needs a symmetric kernel, the
+    # creation half takes any
+    K = _square(K, basis, "pairing kernel")
     if lower and np.max(np.abs(K - K.T)) > 1e-12:
         raise ValueError("pairing kernel is not symmetric")
-    values = {}
-    for i in range(basis.M):
-        for j in range(i, basis.M):
-            coeff = K[i, j] if i == j else K[i, j] + K[j, i]
-            if coeff == 0:
-                continue
-            values[("raise", i, j)] = 0.5 * coeff
-            if lower:
-                values[("lower", i, j)] = np.conj(0.5 * coeff)
-    return values
+    i, j = np.triu_indices(basis.M)
+    up = 0.5 * np.where(i == j, K[i, j], K[i, j] + K[j, i])
+    return {"raise": up, "lower": np.conj(up)} if lower else {"raise": up}
 
 
 def dgamma(A: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
     """Second quantization of the one-body operator A: acts as sum_j A_j on
     each sector."""
-    values = _one_body_values(A, basis, basis.states[basis.sector_offsets[1]:])
-    return basis.quadratic_pattern().fill(values)
+    return quadratic_op(A, 0, basis)
 
 
 def one_body_block(A: np.ndarray, basis: OccupationBasis, n: int) -> sp.csr_matrix:
@@ -464,12 +444,13 @@ def one_body_block(A: np.ndarray, basis: OccupationBasis, n: int) -> sp.csr_matr
     sl = basis.sector_slice(n)
     values = _one_body_values(A, basis, basis.states[sl])
     local = np.arange(sl.stop - sl.start)
-    rows, cols, vals = [local], [local], [values.pop("diag")]
-    for (_, i, j), coeff in values.items():
-        dst, src, amps = basis._ladder(down=(j,), up=(i,), n=n)
-        rows.append(dst - sl.start)
-        cols.append(src - sl.start)
-        vals.append(coeff * amps)
+    rows, cols, vals = [local], [local], [values["diag"]]
+    for (i, j), coeff in zip(_off_diagonal(basis.M), values["hop"]):
+        if coeff != 0:
+            dst, src, amps = basis._ladder(down=(j,), up=(i,), n=n)
+            rows.append(dst - sl.start)
+            cols.append(src - sl.start)
+            vals.append(coeff * amps)
     mat = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                         shape=(len(local), len(local)))
     mat.eliminate_zeros()
@@ -489,7 +470,8 @@ def one_body_form(A: np.ndarray, basis: OccupationBasis):
 
 
 def quadratic_op(A: np.ndarray, K: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
-    """dGamma(A) + pairing_op(K) in one fill of the quadratic pattern."""
+    """dGamma(A) + pairing_op(K) in one fill of the quadratic pattern; a
+    scalar 0 for A or K leaves that part out."""
     values = _one_body_values(A, basis, basis.states[basis.sector_offsets[1]:])
     values.update(_pair_values(K, basis, lower=True))
     return basis.quadratic_pattern().fill(values)
@@ -504,14 +486,12 @@ def pairing_op(K: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
 
     K must be symmetric; the operator changes particle number by +-2.
     """
-    values = _pair_values(K, basis, lower=True)
-    return basis.quadratic_pattern().fill(values)
+    return quadratic_op(0, K, basis)
 
 
 def pairing_raise(K: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
     """Creation half of the pairing operator, (1/2) sum K[x,y] a_x^dag a_y^dag."""
-    values = _pair_values(K, basis, lower=False)
-    return basis.quadratic_pattern().fill(values)
+    return basis.quadratic_pattern().fill(_pair_values(K, basis, lower=False))
 
 
 def two_body_op(W: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:

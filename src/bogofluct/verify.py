@@ -20,7 +20,6 @@ from .bogoliubov import (
 )
 from .excitation import (
     ExcitationFrame,
-    _by_sector,
     apply_u_n,
     apply_u_n_star,
     assemble_r1,  # noqa: F401  (perfbench/tracer.py wraps this name here)
@@ -127,20 +126,22 @@ def _conjugation_identities(frame, basis, U, sl, rng, ctx):
     c_f = create_op(f, basis)
     a_f = annihilate_op(f, basis)
     a_g = annihilate_op(g, basis)
-    sqrtN, n_minus = _by_sector(u, basis, basis.n_max,
-                                lambda n, k: math.sqrt(max(N - k, 0)),
-                                lambda n, k: float(N - k))
+    # U maps into the excitation layers, where N+ is the total, and a(f)
+    # keeps them there as f is orthogonal to u: N - N+ and sqrt(N - N+) act
+    # on U and on a(f) U as row weights
+    n_minus = np.maximum(N - basis.totals(), 0)[:, None]
 
-    def resid(op, rhs):
-        return float(np.max(np.abs(op[sl, sl].toarray() - U.conj().T @ (rhs @ U))))
+    def check(name, op, image):
+        # image: the right side applied to U, built per call so one is alive
+        resid = float(np.max(np.abs(op[sl, sl].toarray() - U.conj().T @ image)))
+        return IdentityCheck(name, ctx, resid, 1e-10)
 
-    pairs = [
-        ("conjugation: condensate counter", c_u @ a_u, n_minus),
-        ("conjugation: raise against condensate", c_f @ a_u, c_f @ sqrtN),
-        ("conjugation: lower against condensate", c_u @ a_f, sqrtN @ a_f),
-        ("conjugation: orthogonal quadratic", c_f @ a_g, c_f @ a_g),
+    return [
+        check("conjugation: condensate counter", c_u @ a_u, n_minus * U),
+        check("conjugation: raise against condensate", c_f @ a_u, c_f @ (np.sqrt(n_minus) * U)),
+        check("conjugation: lower against condensate", c_u @ a_f, np.sqrt(n_minus) * (a_f @ U)),
+        check("conjugation: orthogonal quadratic", c_f @ a_g, (c_f @ a_g) @ U),
     ]
-    return [IdentityCheck(name, ctx, resid(op, rhs), 1e-10) for name, op, rhs in pairs]
 
 
 def _hamiltonian_identities(frame, h0, W, basis, U, ctx):

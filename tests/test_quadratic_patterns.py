@@ -277,3 +277,51 @@ def test_ladder_amplitudes_are_roots_of_integer_products(M, n_max):
         rows, cols, factors = expected_ladder(basis, down, up)
         assert dst.tolist() == rows and src.tolist() == cols
         assert amps.tobytes() == np.sqrt(np.array(factors, dtype=float)).tobytes()
+
+
+@pytest.mark.parametrize("M,n_max", SIZES)
+def test_raise_family_alone_is_the_creation_half(M, n_max):
+    rng = np.random.default_rng(300 + 10 * M + n_max)
+    basis = enumerate_basis(M, n_max)
+    _A, K, _f = random_inputs(rng, M)
+    i, j = np.triu_indices(M)
+    up = 0.5 * np.where(i == j, K[i, j], K[i, j] + K[j, i])
+    filled = basis.quadratic_pattern().fill({"raise": up})
+    assert snapshot(filled) == snapshot(pairing_raise(K, basis))
+
+
+@pytest.mark.parametrize("M,n_max", SIZES)
+def test_lowering_fill_of_the_first_rows(M, n_max):
+    rng = np.random.default_rng(400 + 10 * M + n_max)
+    basis = enumerate_basis(M, n_max)
+    f = rng.normal(size=M) + 1j * rng.normal(size=M)
+    full = annihilate_op(f, basis)
+    for k in range(n_max + 2):
+        rows = int(basis.sector_offsets[k])
+        cut = basis.lowering_pattern().fill({"a": np.conj(f)}, rows=rows)
+        assert cut.shape == (rows, basis.size)
+        assert snapshot(cut) == snapshot(full[:rows])
+
+
+def test_fill_refuses_an_unknown_family_or_a_wrong_length():
+    basis = enumerate_basis(3, 4)
+    low, quad = basis.lowering_pattern(), basis.quadratic_pattern()
+    with pytest.raises(KeyError):
+        low.fill({"b": np.ones(3)})
+    with pytest.raises(KeyError):
+        quad.fill({("hop", 0, 1): 1.0})
+    for pattern, family, val in [(low, "a", np.ones(4)), (low, "a", 1.0),
+                                 (quad, "hop", np.ones(3)), (quad, "raise", np.ones((3, 2))),
+                                 (quad, "diag", np.ones(basis.size))]:
+        with pytest.raises(ValueError, match="coefficients"):
+            pattern.fill({family: val})
+
+
+def test_one_mode_has_an_empty_hop_family():
+    basis = enumerate_basis(1, 6)
+    start, end = basis.quadratic_pattern().families["hop"]
+    assert start == end
+    A, K = np.array([[0.7 - 0.2j]]), np.array([[1.3 + 0.4j]])
+    up = oracle_raise(K, basis)
+    assert_matches(quadratic_op(A, K, basis), oracle_dgamma(A, basis) + up + up.conj().T)
+    assert_matches(dgamma(A, basis), oracle_dgamma(A, basis))
