@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .bogoliubov import build_kernels, mean_field_hamiltonian, tangency_defect
+from .bogoliubov import _generator_kernels, tangency_defect
 from .fock import (
     FockVector,
     OccupationBasis,
@@ -48,7 +48,6 @@ from .fock import (
     quadratic_op,
     sector_lowerings,
 )
-from .hartree import mean_field, mu_of
 
 __all__ = [
     "ExcitationFrame",
@@ -125,7 +124,7 @@ def apply_u_n_star(frame: ExcitationFrame, phi: FockVector,
     basis = phi.basis
     N = frame.N
     norms = phi.sector_norms()
-    if basis.n_max > N and float(np.sum(norms[N + 1:] ** 2)) > 1e-24:
+    if float(np.sum(norms[N + 1:] ** 2)) > 1e-24:
         raise ValueError("input has weight above sector N")
     defect = tangency_defect(phi, frame.u)
     if defect > tangency_tol * max(1.0, phi.norm()):
@@ -198,7 +197,7 @@ def du_generator(frame: ExcitationFrame, udot: np.ndarray,
                                 lambda n, k: float(N - k))
     half = create_op(v, basis) @ sqrtN
     phase = np.vdot(1j * udot, u)
-    return (create_op(u, basis) @ annihilate_op(v, basis)
+    return (dgamma(np.outer(u, np.conj(v)), basis)
             - (half + half.conj().T) - phase * n_minus).toarray()
 
 
@@ -241,17 +240,15 @@ def assemble_r1(frame: ExcitationFrame, h0, W, basis: OccupationBasis) -> np.nda
 
 
 def _r1(frame, W, basis, d1, d2, d3, d4) -> sp.csr_matrix:
-    # assemble_r1 on the weights d1..d4 of one projector pass
+    # assemble_r1 on the weights d1..d4 of one projector pass; m + k1 - mu is
+    # the generator's bare one-body matrix at h0 = 0, and m u is k1_bare u
     u, Q = frame.u, frame.q
-    m = mean_field(u, W)
-    mu = mu_of(u, W)
-    kern = build_kernels(u, W)
-    one_body = Q @ (np.diag(m).astype(complex) + kern.k1_bare - mu * np.eye(basis.M)) @ Q
+    A, _, kern = _generator_kernels(u, 0.0, W, projected=False)
     X = sum(b.conj().T @ create_op(Q @ (W[i] * u), basis) @ b
             for i, b in enumerate(_projected_lowering(frame, basis)))
     half = (pairing_raise(kern.k2, basis) @ d3
-            - create_op(Q @ (m * u), basis) @ d2 + X @ d4)
-    return dgamma(one_body, basis) @ d1 + half + half.conj().T
+            - create_op(Q @ (kern.k1_bare @ u), basis) @ d2 + X @ d4)
+    return dgamma(Q @ A @ Q, basis) @ d1 + half + half.conj().T
 
 
 def assemble_r2(frame: ExcitationFrame, W, basis: OccupationBasis) -> sp.csr_matrix:
@@ -272,21 +269,22 @@ def assemble_r2(frame: ExcitationFrame, W, basis: OccupationBasis) -> sp.csr_mat
 def leading_part(frame: ExcitationFrame, h0, W, basis: OccupationBasis) -> np.ndarray:
     """Dense leading part of the conjugated N-body Hamiltonian:
 
-    N e + dGamma(Q(h + k1 - e)Q) + [a^dag(Q h u) sqrt(N - Np) + h.c.]
-    + pairing(k2), with h the mean-field Hamiltonian and e = <u, h u>.
+    N e + dGamma(Q(A - e)Q) + [a^dag(Q A u) sqrt(N - Np) + h.c.]
+    + pairing(k2), with A = h + k1 the generator's one-body matrix, e = <u, A u>.
     """
     sqrtN = _by_sector(frame.u, basis, basis.n_max, _root_weight(frame.N))[0]
     return _leading(frame, h0, W, basis, sqrtN).toarray()
 
 
 def _leading(frame, h0, W, basis, sqrtN) -> sp.csr_matrix:
-    # leading_part on the sqrt(N - Np) of one projector pass
+    # leading_part on the sqrt(N - Np) of one projector pass, from the
+    # matrices the fluctuation run steps with
     u, N, Q = frame.u, frame.N, frame.q
-    kern = build_kernels(u, W)
-    h = mean_field_hamiltonian(u, h0, W)
-    e = float(np.vdot(u, h @ u).real)
-    half = create_op(Q @ (h @ u), basis) @ sqrtN
-    return (quadratic_op(Q @ (h + kern.k1 - e * np.eye(basis.M)) @ Q, kern.k2, basis)
+    A, K, _ = _generator_kernels(u, h0, W)
+    Au = A @ u
+    e = float(np.vdot(u, Au).real)
+    half = create_op(Q @ Au, basis) @ sqrtN
+    return (quadratic_op(Q @ (A - e * np.eye(basis.M)) @ Q, K, basis)
             + N * e * sp.identity(basis.size, format="csr") + half + half.conj().T)
 
 

@@ -66,7 +66,7 @@ def fit_rate(errs, N_list) -> RateFit:
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((y - ybar) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    stderr = math.sqrt(ss_res / (n - 2) / sxx) if n > 2 else 0.0
+    stderr = math.sqrt(ss_res / (n - 2) / sxx)
     return RateFit(slope, r2, stderr, n, excluded)
 
 
@@ -215,11 +215,10 @@ def run_convergence(cfg: ExperimentConfig, write=True) -> ConvergenceReport:
         if t == 0.0:
             continue
         sub = [(r["N"], r["err_norm"]) for r in rows if r["time"] == t]
-        if len(sub) >= 3:
-            try:
-                fits[t] = fit_rate([e for _, e in sub], [n for n, _ in sub])
-            except ValueError:
-                pass
+        try:
+            fits[t] = fit_rate([e for _, e in sub], [n for n, _ in sub])
+        except ValueError:
+            pass
 
     gate_results = [(name, val, bound, bool(val <= bound)) for name, val, bound in gates]
     passed = all(ok for *_x, ok in gate_results) and not failures

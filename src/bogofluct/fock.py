@@ -384,12 +384,14 @@ def sector_lowerings(f: np.ndarray, basis: OccupationBasis, top: int) -> tuple:
                                            shape=b.shape[::-1]) for b in blocks[1:]]
 
 
-def sector_mode_lowerings(basis: OccupationBasis, n: int) -> sp.csr_matrix:
+def sector_mode_lowerings(basis: OccupationBasis, n: int = None) -> sp.csr_matrix:
     """The blocks of the mode annihilators a_i from sector n to n-1, stacked:
     row i * dim(n-1) + r is row r of a_i, in sector-local indices.  They are
-    cut from the rows of sector n-1 of the lowering pattern."""
+    cut from the rows of sector n-1 of the lowering pattern; with no n, all
+    of its rows are restacked, so the a_i on the whole basis."""
     pat = basis.lowering_pattern()
-    rows, cols = basis.sector_slice(n - 1), basis.sector_slice(n)
+    rows, cols = ((slice(0, basis.size),) * 2 if n is None
+                  else (basis.sector_slice(n - 1), basis.sector_slice(n)))
     dim = rows.stop - rows.start
     ptr = pat.indptr[rows.start:rows.stop + 1]
     a, b = ptr[0], ptr[-1]
@@ -460,7 +462,7 @@ def one_body_block(A: np.ndarray, basis: OccupationBasis, n: int) -> sp.csr_matr
 def one_body_form(A: np.ndarray, basis: OccupationBasis):
     """The quadratic form v -> <v, dGamma(A) v> = sum_ij A_ij <a_i v, a_j v>
     on full-basis amplitudes, from the M mode lowerings a_i in one matrix."""
-    low = sp.vstack([annihilate_op(e, basis) for e in np.eye(basis.M)], format="csr")
+    low = sector_mode_lowerings(basis).astype(complex)  # cast once, not per call
 
     def form(v) -> complex:
         X = (low @ v).reshape(basis.M, -1)

@@ -29,7 +29,7 @@ from .excitation import (
     du_generator,
     func_of_number_plus,  # noqa: F401  (perfbench/tracer.py wraps this name here)
 )
-from .fock import SectorVector, annihilate_op, create_op, enumerate_basis
+from .fock import SectorVector, annihilate_op, create_op, dgamma, enumerate_basis
 from .hartree import solve_hartree
 from .model import build_interaction, build_laplacian, build_lattice, gaussian_profile
 from .nbody import build_hamiltonian
@@ -121,26 +121,26 @@ def _conjugation_identities(frame, basis, U, sl, rng, ctx):
     M = basis.M
     f = frame.q @ (rng.normal(size=M) + 1j * rng.normal(size=M))
     g = frame.q @ (rng.normal(size=M) + 1j * rng.normal(size=M))
-    c_u = create_op(u, basis)
-    a_u = annihilate_op(u, basis)
     c_f = create_op(f, basis)
     a_f = annihilate_op(f, basis)
     a_g = annihilate_op(g, basis)
-    # U maps into the excitation layers, where N+ is the total, and a(f)
-    # keeps them there as f is orthogonal to u: N - N+ and sqrt(N - N+) act
-    # on U and on a(f) U as row weights
+    # a left side a^dag(x) a(y) is the fill dGamma(x y^dag), a right side ladder
+    # products on U.  U maps into the excitation layers, where N+ is the total,
+    # and a(f) keeps them there as f is orthogonal to u: N - N+ and
+    # sqrt(N - N+) act on U and on a(f) U as row weights
     n_minus = np.maximum(N - basis.totals(), 0)[:, None]
 
-    def check(name, op, image):
+    def check(name, x, y, image):
         # image: the right side applied to U, built per call so one is alive
+        op = dgamma(np.outer(x, np.conj(y)), basis)
         resid = float(np.max(np.abs(op[sl, sl].toarray() - U.conj().T @ image)))
         return IdentityCheck(name, ctx, resid, 1e-10)
 
     return [
-        check("conjugation: condensate counter", c_u @ a_u, n_minus * U),
-        check("conjugation: raise against condensate", c_f @ a_u, c_f @ (np.sqrt(n_minus) * U)),
-        check("conjugation: lower against condensate", c_u @ a_f, np.sqrt(n_minus) * (a_f @ U)),
-        check("conjugation: orthogonal quadratic", c_f @ a_g, (c_f @ a_g) @ U),
+        check("conjugation: condensate counter", u, u, n_minus * U),
+        check("conjugation: raise against condensate", f, u, c_f @ (np.sqrt(n_minus) * U)),
+        check("conjugation: lower against condensate", u, f, np.sqrt(n_minus) * (a_f @ U)),
+        check("conjugation: orthogonal quadratic", f, g, c_f @ (a_g @ U)),
     ]
 
 

@@ -116,6 +116,51 @@ def test_identity_suite_work_counts(monkeypatch):
     assert all(c.ok for c in checks)
     assert calls == {"hierarchy_rhs": 3, "solve_hartree": 2, "_by_sector": 2 * len(sizes)}
 
+
+def failing_rows(checks):
+    # name -> ok at each size, for the rows that fail at some size
+    rows = {}
+    for check in checks:
+        rows.setdefault(check.name, []).append(check.ok)
+    return {name: oks for name, oks in rows.items() if not all(oks)}
+
+
+def test_conjugated_rows_check_the_generator_the_run_steps_with(monkeypatch):
+    # the leading part and R1 take their one-body matrices from the builder
+    # the fluctuation run steps with, so a relative error of 1e-6 in its A
+    # fails the conjugated-Hamiltonian and remainder rows, and no other
+    import bogofluct.bogoliubov as bogoliubov
+    import bogofluct.excitation as excitation
+    import bogofluct.verify as verify
+
+    assert excitation._generator_kernels is bogoliubov._generator_kernels
+    kernels = excitation._generator_kernels
+
+    def scaled(*args, **kwargs):
+        A, K, kern = kernels(*args, **kwargs)
+        return (1.0 + 1e-6) * A, K, kern
+    monkeypatch.setattr(excitation, "_generator_kernels", scaled)
+    failing = failing_rows(verify.verify_algebra(verify.DEFAULT_SIZES))
+    every = [False] * len(verify.DEFAULT_SIZES)
+    assert failing == {"conjugated Hamiltonian identity": every,
+                       "remainder subtraction R1 + R2": every}
+
+
+def test_conjugation_rows_compare_the_quadratic_fill_with_ladder_products(monkeypatch):
+    # each left side a^dag(x) a(y) is one dgamma fill and each right side is
+    # built from ladder operators, so scaling the fill fails exactly the four
+    # conjugation rows
+    import bogofluct.verify as verify
+
+    fill = verify.dgamma
+    monkeypatch.setattr(verify, "dgamma", lambda *args: (1.0 + 1e-6) * fill(*args))
+    failing = failing_rows(verify.verify_algebra(verify.DEFAULT_SIZES))
+    every = [False] * len(verify.DEFAULT_SIZES)
+    assert failing == {name: every for name in (
+        "conjugation: condensate counter", "conjugation: raise against condensate",
+        "conjugation: lower against condensate", "conjugation: orthogonal quadratic")}
+
+
 def test_condensate_maps_to_vacuum():
     basis = enumerate_basis(3, 4)
     rng = np.random.default_rng(0)

@@ -14,6 +14,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bogofluct.bogoliubov import bogoliubov_hamiltonian, build_kernels, mean_field_hamiltonian
 from bogofluct.fock import (
@@ -226,6 +227,25 @@ def test_sector_mode_lowerings_stack_the_blocks_of_each_a_i(M, n_max):
         rows, cols = basis.sector_slice(n - 1), basis.sector_slice(n)
         want = np.vstack([mode_lowering(basis, i).toarray()[rows, cols] for i in range(M)])
         assert np.array_equal(sector_mode_lowerings(basis, n).toarray(), want)
+
+
+@pytest.mark.parametrize("M,n_max", [(1, 4), (3, 4), (4, 5)])
+def test_full_mode_lowering_stack_is_the_stack_of_each_a_i(M, n_max):
+    # with no sector, the restack of every row of the lowering pattern: the
+    # values, index arrays and energy form of a stack of M annihilate_op fills
+    basis = enumerate_basis(M, n_max)
+    low = sector_mode_lowerings(basis)
+    want = sp.vstack([annihilate_op(e, basis) for e in np.eye(M)], format="csr")
+    assert np.array_equal(low.toarray(), want.toarray())
+    assert low.indices.tobytes() == want.indices.tobytes()
+    assert low.indptr.tobytes() == want.indptr.tobytes()
+    rng = np.random.default_rng(300 + 10 * M + n_max)
+    A, _K, _f = random_inputs(rng, M)
+    form = one_body_form(A, basis)
+    for _ in range(3):
+        v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+        X = (want @ v).reshape(M, -1)
+        assert form(v) == complex(np.vdot(X, A @ X))
 
 
 @pytest.mark.parametrize("M,n_max", [(2, 5), (3, 4), (4, 5)])
