@@ -34,7 +34,7 @@ traj = solve_hartree(u0, h0, W, T=2.0, dt=0.0005)
 kern = build_kernels(u0, W)
 print("pairing kernel at t=0:")
 print(np.array_str(kern.k2.real, precision=4, suppress_small=True))
-print(f"Frobenius norm {kern.k2_frobenius:.4f}; "
+print(f"Frobenius norm {np.linalg.norm(kern.k2):.4f}; "
       f"condensate slot removed: |k2 conj(u)| = {np.linalg.norm(kern.k2 @ np.conj(u0)):.2e}")
 
 run = solve_bogoliubov(FockVector.vacuum(basis), traj, h0, W, dt=0.001,

@@ -11,16 +11,18 @@ through k2), so it never mixes states of even and odd total: the amplitudes
 of a parity a state has no weight in stay exactly zero.
 
 A quadratic generator maps a quasi-free state c exp(1/2 a^dag T a^dag) vacuum
-to another one, so a projected run from a multiple of the vacuum carries the
-symmetric M x M matrix T and the scalar c instead of Fock amplitudes.  Each
-step applies the same frozen-midpoint exponential exp(-i tau H_mid) exactly,
-through the 2M x 2M matrix exponential of its Bogoliubov map; this is the
-untruncated dynamics, which the Krylov stepper reproduces up to the cut at
-n_max.  The path works on the whole step grid at once: the generators of all
-midpoints and their exponentials are taken as one stack, a loop carries only
-the recurrence for (T, c), and the diagnostics rows are closed forms in the
+to another one, so a run from a multiple of the vacuum, with the projected or
+the bare kernels, carries the symmetric M x M matrix T and the scalar c
+instead of Fock amplitudes.  Each step applies the same frozen-midpoint
+exponential exp(-i tau H_mid) exactly, through the 2M x 2M matrix
+exponential of its Bogoliubov map; this is the untruncated dynamics.  The
+path works on the whole step grid at once: the generators of all midpoints
+and their exponentials are taken as one stack, a loop carries only the
+recurrence for (T, c), and the diagnostics rows are closed forms in the
 stacked T.  Fock amplitudes are built only at the output times, cut at n_max,
-through sector blocks of the mode annihilators.
+through sector blocks of the mode annihilators.  Only a projected run from
+any other start (a table start) steps Fock amplitudes, with the Krylov
+exponential on the truncated basis.
 """
 
 import math
@@ -70,10 +72,6 @@ class Kernels:
     k2_bare: np.ndarray
     q: np.ndarray
 
-    @property
-    def k2_frobenius(self) -> float:
-        return float(np.linalg.norm(self.k2))
-
 
 def build_kernels(u: np.ndarray, W: np.ndarray) -> Kernels:
     """Kernels from the condensate mode and interaction:
@@ -111,16 +109,14 @@ def _generator_kernels(u, h0, W, projected: bool = True):
     return h + kern.k1_bare, kern.k2_bare, kern
 
 
-def bogoliubov_hamiltonian(u, h0, W, basis: OccupationBasis,
-                           projected: bool = True) -> sp.csr_matrix:
+def bogoliubov_hamiltonian(u, h0, W, basis: OccupationBasis) -> sp.csr_matrix:
     """Assemble the quadratic generator dGamma(h + k1) + pairing(k2) for
-    fluctuations around u, as the CSR matrix quadratic_op fills.
-
-    With projected=True the condensate-projected kernels enter (the frame
-    tied to an N-particle product state); projected=False keeps the bare
-    kernels (the frame tied to a coherent state).
-    """
-    A, K, _ = _generator_kernels(u, h0, W, projected)
+    fluctuations around u, with the condensate-projected kernels (the frame
+    tied to an N-particle product state), as the CSR matrix quadratic_op
+    fills.  The bare-kernel generator (the frame tied to a coherent state) is
+    quadratic_op(mean_field_hamiltonian(u, h0, W) + kern.k1_bare, kern.k2_bare,
+    basis)."""
+    A, K, _ = _generator_kernels(u, h0, W)
     return quadratic_op(A, K, basis)
 
 
@@ -182,12 +178,13 @@ def _step_grid(t_grid, dt):
     return mids, taus, ends, marks
 
 
-def _quasi_free_path(c, u_mid, taus, h0, W):
+def _quasi_free_path(c, u_mid, taus, h0, W, projected):
     """(T, c) of the state c exp(1/2 a^dag T a^dag) vacuum before the first
-    step and after each, each step the exact Bogoliubov map of the projected
-    generator frozen at its midpoint mode.  A step off the principal branch
-    of the square root ends the path: it is returned up to that step, with
-    the error to raise once the steps before it have been checked."""
+    step and after each, each step the exact Bogoliubov map of the generator,
+    with the projected or the bare kernels, frozen at its midpoint mode.  A
+    step off the principal branch of the square root ends the path: it is
+    returned up to that step, with the error to raise once the steps before
+    it have been checked."""
     # exp(-i tau H) acts on (a, a^dag) through the 2M x 2M exponential E;
     # the state after n steps is annihilated by the rows of [P_n | Q_n], the
     # top M rows of E_1 ... E_n (the vacuum's [1 | 0] carried along), so
@@ -197,7 +194,7 @@ def _quasi_free_path(c, u_mid, taus, h0, W):
     # det P exp(-i tau trA), which is 1 without pairing, so the principal
     # branch holds however far tau trA turns the phase.
     M = len(h0)
-    A, K, _ = _generator_kernels(u_mid, h0, W)
+    A, K, _ = _generator_kernels(u_mid, h0, W, projected)
     tau = np.asarray(taus)[:, None, None]
     gen = np.block([[A, K], [-np.conj(K), -np.swapaxes(A, 1, 2)]])
     E = _expm_stack(1j * tau * gen)
@@ -294,23 +291,29 @@ def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
     (projected=True) lives on the excitation space, so its initial state must
     be tangent (defect at most 1e-8) and the run aborts at the first step
     whose tangency defect exceeds tangency_tol, which signals truncation or
-    step-size trouble; the bare-kernel dynamics has no such requirement.
+    step-size trouble; the bare-kernel dynamics (projected=False) has no such
+    requirement.
 
-    A projected run whose phi0 has its one nonzero amplitude at the vacuum
-    stays quasi-free: it steps (T, c) with the exact Bogoliubov map of each
-    frozen generator, which is the untruncated dynamics, over the whole step
-    grid at once, takes its diagnostics rows in closed form (norm and leakage
-    from the sector weights up to n_max) and builds Fock amplitudes, cut at
-    n_max, only at the t_grid times.  Every other start steps Fock amplitudes
-    with the Krylov exponential on the full basis.
+    A phi0 whose one nonzero amplitude is at the vacuum stays quasi-free,
+    with either kernels: the run steps (T, c) with the exact Bogoliubov map
+    of each frozen generator, which is the untruncated dynamics, over the
+    whole step grid at once, takes its diagnostics rows in closed form (norm
+    and leakage from the sector weights up to n_max) and builds Fock
+    amplitudes, cut at n_max, only at the t_grid times.  Any other start
+    must be a projected one; it steps Fock amplitudes with the Krylov
+    exponential on the full basis.  A bare-kernel run from it raises
+    ValueError.
     """
     basis = phi0.basis
     if abs(phi0.norm() - 1.0) > 1e-9:
         raise ValueError("initial fluctuation state must be unit norm to 1e-9")
+    quasi_free = np.flatnonzero(phi0.amplitudes).tolist() == [0]
     if projected:
         d0 = tangency_defect(phi0, traj.u[0])
         if d0 > 1e-8:
             raise ValueError(f"initial state has tangency defect {d0:.3e} > 1e-8")
+    elif not quasi_free:
+        raise ValueError("a bare-kernel run needs a multiple of the vacuum as its start")
     if t_grid is None:
         t_grid = np.array([traj.times[-1]])
     t_grid = np.asarray(t_grid, dtype=float)
@@ -320,13 +323,14 @@ def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
     u_rows = traj.interpolate(np.asarray(row_times))
     energy_form = one_body_form(np.eye(basis.M) + h0, basis)
     run = FluctuationRun(t_grid, [], energy_form)
-    if projected and np.flatnonzero(phi0.amplitudes).tolist() == [0]:
-        Ts, cs, failure = _quasi_free_path(phi0.amplitudes[0], u_mid, taus, h0, W)
+    tangency = FluctuationRun.DIAG_COLUMNS.index("tangency")
+    if quasi_free:
+        Ts, cs, failure = _quasi_free_path(phi0.amplitudes[0], u_mid, taus, h0, W, projected)
         done = len(Ts)
         rows = _quasi_free_rows(row_times[:done], Ts, cs, u_rows[:done], h0, basis.n_max)
-        over = np.flatnonzero(rows[:, 2] > tangency_tol)
-        if len(over):
-            raise _tangency_abort(row_times[over[0]], rows[over[0], 2], tangency_tol)
+        over = np.flatnonzero(rows[:, tangency] > tangency_tol)
+        if projected and len(over):
+            raise _tangency_abort(row_times[over[0]], rows[over[0], tangency], tangency_tol)
         if failure is not None:
             raise failure
         run.diagnostics = rows.tolist()
@@ -337,13 +341,13 @@ def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
     done = 0
     for m in marks:
         for i in range(done, m):
-            gen = bogoliubov_hamiltonian(u_mid[i], h0, W, basis, projected=projected)
+            gen = bogoliubov_hamiltonian(u_mid[i], h0, W, basis)
             phi = FockVector(basis, krylov_expm(gen, phi.amplitudes, -1j * taus[i],
                                                 tol=1e-12))
             row = _diag_row(ends[i], phi, u_rows[i + 1], energy_form)
             run.diagnostics.append(row)
-            if projected and row[2] > tangency_tol:
-                raise _tangency_abort(ends[i], row[2], tangency_tol)
+            if row[tangency] > tangency_tol:
+                raise _tangency_abort(ends[i], row[tangency], tangency_tol)
         done = m
         run.states.append(phi.copy())
     return run

@@ -7,7 +7,8 @@ Subcommands:
   rate              least-squares rate fit of an existing report.csv
 
 Exit code 0 only when every configured tolerance gate (or identity) passes;
-a config or report that does not load is a usage error (exit code 2).
+a config or report that does not load, and a run-single N outside
+2..n_max, is a usage error (exit code 2).
 """
 
 import argparse
@@ -96,7 +97,9 @@ def _cmd_compare(args):
     cfg = args.config
     rows = compare_coherent(cfg)
     for row in rows:
-        print(f"t={row['time']:g}: |projected - bare| = {row['gap_norm']:.6g}")
+        print(f"t={row['time']:g}: |projected - bare| = {row['gap_norm']:.6g}, "
+              f"cut weight projected {row['proj_cut_weight']:.3g}, "
+              f"bare {row['bare_cut_weight']:.3g}")
     print(f"comparison written to {cfg.output_dir}/coherent_comparison.csv")
     return 0
 
@@ -129,10 +132,10 @@ def main(argv=None) -> int:
     p.add_argument("config", type=_config)
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("run-single", help="full diagnostics for one N")
-    p.add_argument("config", type=_config)
-    p.add_argument("N", type=int)
-    p.set_defaults(func=_cmd_run_single)
+    single = sub.add_parser("run-single", help="full diagnostics for one N")
+    single.add_argument("config", type=_config)
+    single.add_argument("N", type=int)
+    single.set_defaults(func=_cmd_run_single)
 
     p = sub.add_parser("verify-algebra", help="dense identity suite")
     p.add_argument("--sizes", nargs="*", type=_size_token, metavar="M,N,n_max",
@@ -149,6 +152,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_rate)
 
     args = parser.parse_args(argv)
+    if args.command == "run-single" and not 2 <= args.N <= args.config.n_max:
+        single.error(f"argument N: {args.N} is outside 2..n_max = {args.config.n_max}")
     return args.func(args)
 
 

@@ -210,13 +210,14 @@ def orthogonal_sector_projector(u, basis: OccupationBasis, n_cut: int) -> np.nda
     return _by_sector(u, basis, top, lambda n, j: float(j == n))[0].toarray()
 
 
-def sequential_quasi_free_path(c, u_mid, taus, h0, W):
-    """(T, c) of the quasi-free vacuum run step by step: each step's
-    exponential E maps T to -P^-1 Q with P = E_aa - T E_ba, Q = E_ab - T E_bb,
-    and c to c / sqrt(det P exp(-i tau trA)); stops before the first step off
-    the principal square-root branch."""
+def sequential_quasi_free_path(c, u_mid, taus, h0, W, projected):
+    """(T, c) of the quasi-free vacuum run step by step, with the projected or
+    the bare kernels: each step's exponential E maps T to -P^-1 Q with
+    P = E_aa - T E_ba, Q = E_ab - T E_bb, and c to c / sqrt(det P
+    exp(-i tau trA)); stops before the first step off the principal
+    square-root branch."""
     M = len(h0)
-    A, K, _ = _generator_kernels(u_mid, h0, W)
+    A, K, _ = _generator_kernels(u_mid, h0, W, projected)
     tau = np.asarray(taus)[:, None, None]
     gen = np.block([[A, K], [-np.conj(K), -np.swapaxes(A, 1, 2)]])
     E = _expm_stack(1j * tau * gen)
@@ -318,7 +319,7 @@ def verify_bog_bounds(u, h0, W, basis: OccupationBasis) -> dict:
     d = 1.0 / np.sqrt(nvals + 1.0)  # L^-1 of the diagonal N + 1
     c_low = max(0.0, float(-np.linalg.eigvalsh(d[:, None] * (Hd - kinetic_form) * d)[0]))
 
-    k2_f = kern.k2_frobenius
+    k2_f = float(np.linalg.norm(kern.k2))
     pair = pairing_op(kern.k2, basis).toarray()
     bound = k2_f * np.diag(nvals + 2.0)
     pairing_margin = min(

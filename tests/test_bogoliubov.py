@@ -480,29 +480,6 @@ def test_quasi_free_run_without_steps_returns_the_start():
     assert np.max(np.abs(np.array(run.diagnostics[0]) - want)) < 1e-15
 
 
-def test_bare_kernel_vacuum_run_is_the_krylov_loop_bit_for_bit():
-    # projected=False keeps the Krylov stepper, on the full basis
-    from bogofluct.linalg import krylov_expm
-
-    lat, h0, W = setup_model(3, g=1.5)
-    basis = enumerate_basis(3, 8)
-    traj = solve_hartree(bump(lat), h0, W, T=0.3, dt=0.001)
-    grid = [0.1, 0.3]
-    run = solve_bogoliubov(FockVector.vacuum(basis), traj, h0, W, dt=0.01, t_grid=grid,
-                           projected=False)
-    amps = FockVector.vacuum(basis).amplitudes
-    t = 0.0
-    for t_target, state in zip(grid, run.states):
-        n_sub = int(round((t_target - t) / 0.01))
-        step = (t_target - t) / n_sub
-        for _ in range(n_sub):
-            gen = bogoliubov_hamiltonian(traj.interpolate(t + 0.5 * step), h0, W, basis,
-                                         projected=False)
-            amps = krylov_expm(gen, amps, -1j * step, tol=1e-12)
-            t += step
-        assert state.amplitudes.tobytes() == amps.tobytes()
-
-
 def test_quasi_free_phase_ignores_the_one_body_trace():
     # tau tr(A) = 0.05 * 306 turns det P far past the negative real axis, but
     # without pairing the vacuum is a fixed point with amplitude 1
@@ -517,12 +494,23 @@ def test_quasi_free_phase_ignores_the_one_body_trace():
     assert np.linalg.norm(final[1:]) == 0.0
 
 
-@pytest.mark.parametrize("case", ["paper_scale", "strong", "off_branch"])
-def test_quasi_free_path_matches_the_sequential_recurrence(case):
-    # the prefix-product path against the step-by-step recurrence: on the
-    # shipped paper-scale config; at g = 30, T = 3, M = 3, where the top
-    # singular value of T reaches 0.98; and at g = 100, dt = 0.15, where
-    # step 9 of 20 leaves the principal branch and both stop before it
+@pytest.mark.parametrize("case,projected", [
+    ("paper_scale", True), ("strong", True), ("off_branch", True),
+    ("paper_scale", False),
+    pytest.param("strong", False, marks=pytest.mark.xfail(strict=True, reason=(
+        "the prefix product loses accuracy where the bare T nears singular value 1: "
+        "the path is 1.7e-12 from the recurrence and 1.1e-12 from a 40-digit product "
+        "of the same step exponentials, where the recurrence is 1.7e-13 from it"))),
+    ("off_branch", False),
+], ids=["paper_scale", "strong", "off_branch", "paper_scale-bare", "strong-bare",
+        "off_branch-bare"])
+def test_quasi_free_path_matches_the_sequential_recurrence(case, projected):
+    # the prefix-product path against the step-by-step recurrence, with the
+    # projected and with the bare kernels: on the shipped paper-scale config;
+    # at g = 30, T = 3, M = 3, where the top singular value of T reaches 0.98
+    # (0.998 on the way with the bare kernels); and at g = 100, dt = 0.15,
+    # where a step leaves the principal branch (step 9 of 20, the first with
+    # the bare kernels) and both stop before it
     if case == "paper_scale":
         cfg = load_config(Path(__file__).resolve().parents[1] / "demos" / "configs"
                           / "paper_scale.json")
@@ -536,8 +524,8 @@ def test_quasi_free_path_matches_the_sequential_recurrence(case):
         dt, grid = (0.01 if case == "strong" else 0.15), [3.0]
     mids, taus, _, _ = _step_grid(np.asarray(grid), dt)
     u_mid = traj.interpolate(np.asarray(mids))
-    Ts, cs, failure = _quasi_free_path(np.exp(0.4j), u_mid, taus, h0, W)
-    want_T, want_c = sequential_quasi_free_path(np.exp(0.4j), u_mid, taus, h0, W)
+    Ts, cs, failure = _quasi_free_path(np.exp(0.4j), u_mid, taus, h0, W, projected)
+    want_T, want_c = sequential_quasi_free_path(np.exp(0.4j), u_mid, taus, h0, W, projected)
     assert len(Ts) == len(cs) == len(want_T)
     assert (failure is None) == (len(Ts) == len(taus) + 1) == (case != "off_branch")
     assert np.max(np.abs(Ts - want_T)) < 1e-13

@@ -4,10 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from bogofluct.bogoliubov import bogoliubov_hamiltonian, solve_bogoliubov
+from bogofluct.bogoliubov import (
+    bogoliubov_hamiltonian,
+    build_kernels,
+    mean_field_hamiltonian,
+    solve_bogoliubov,
+)
 from bogofluct.config import ExperimentConfig
 from bogofluct.experiment import compare_coherent
-from bogofluct.fock import FockVector, annihilate_op, create_op, enumerate_basis, number_op
+from bogofluct.fock import FockVector, annihilate_op, create_op, enumerate_basis, number_op, quadratic_op
 from bogofluct.hartree import solve_hartree
 from bogofluct.model import build_interaction, build_laplacian, build_lattice, gaussian_profile
 from oracles import coherent_state, weyl_op
@@ -107,19 +112,25 @@ def test_weyl_shifts_ladder_operators():
     assert np.max(np.abs(block)) < 1e-7
 
 
+def bare_generator(u, h0, W, basis):
+    # the coherent-frame generator, from the kernels it keeps
+    kern = build_kernels(u, W)
+    return quadratic_op(mean_field_hamiltonian(u, h0, W) + kern.k1_bare, kern.k2_bare, basis)
+
+
 def test_unprojected_generator_free_case_and_gap():
     lat, h0, _ = setup_model(3)
     basis = enumerate_basis(3, 4)
     u = bump(lat)
     W0 = np.zeros((3, 3))
     a = bogoliubov_hamiltonian(u, h0, W0, basis)
-    b = bogoliubov_hamiltonian(u, h0, W0, basis, projected=False)
+    b = bare_generator(u, h0, W0, basis)
     assert abs(a - b).max() < 1e-14
 
     lat, h0, W = setup_model(3, g=1.2)
     u = bump(lat)
     a = bogoliubov_hamiltonian(u, h0, W, basis).toarray()
-    b = bogoliubov_hamiltonian(u, h0, W, basis, projected=False).toarray()
+    b = bare_generator(u, h0, W, basis).toarray()
     assert np.max(np.abs(a - b)) > 1e-3
 
 
@@ -150,6 +161,8 @@ def test_coherent_run_free_case_keeps_vacuum():
 
 
 def test_projected_and_bare_dynamics_separate():
+    # both runs are the untruncated quasi-free map cut at n_max = 8; the bare
+    # state holds weight above the cut (1.5e-3 here), the projected one none
     lat, h0, W = setup_model(3, g=1.2)
     basis = enumerate_basis(3, 8)
     traj = solve_hartree(bump(lat), h0, W, T=1.0, dt=0.001)
@@ -158,7 +171,20 @@ def test_projected_and_bare_dynamics_separate():
     bare = solve_bogoliubov(vac.copy(), traj, h0, W, dt=0.002, t_grid=[1.0], projected=False)
     gap = np.linalg.norm(proj.states[0].amplitudes - bare.states[0].amplitudes)
     assert gap > 1e-3
-    assert abs(bare.states[0].norm() - 1.0) < 1e-8
+
+    cfg = ExperimentConfig({
+        "model": {"modes": 3, "spacing": 1.0,
+                  "interaction": {"kind": "gaussian", "params": {"strength": 1.2, "range": 1.0}}},
+        "u0": {"kind": "gaussian", "center": 0.0, "width": 1.0},
+        "N_list": [4, 6, 8], "n_max": 8, "T": 1.0, "output_times": [0.0, 1.0],
+        "dt_hartree": 0.001, "dt_fock": 0.002,
+    })
+    row = compare_coherent(cfg, write=False)[-1]
+    assert row["gap_norm"] == gap
+    assert row["bare_cut_weight"] == 1.0 - bare.states[0].norm() ** 2
+    assert row["proj_cut_weight"] == 1.0 - proj.states[0].norm() ** 2
+    assert abs(row["proj_cut_weight"]) < 1e-12
+    assert row["bare_cut_weight"] > 1e-3
 
 
 def test_only_the_projected_run_requires_a_tangent_start():
@@ -167,13 +193,12 @@ def test_only_the_projected_run_requires_a_tangent_start():
     basis = enumerate_basis(3, 6)
     traj = solve_hartree(bump(lat), h0, W, T=0.2, dt=0.001)
     start = FockVector(basis, create_op(traj.u[0], basis) @ FockVector.vacuum(basis).amplitudes)
-    bare = solve_bogoliubov(start.copy(), traj, h0, W, dt=0.01, t_grid=[0.1, 0.2],
-                            projected=False)
-    assert len(bare.states) == 2
-    assert abs(bare.states[-1].norm() - 1.0) < 1e-8
-    assert bare.diagnostics[0][2] > 0.5  # tangency column, far above any bound
     with pytest.raises(ValueError, match="initial state has tangency defect"):
         solve_bogoliubov(start.copy(), traj, h0, W, dt=0.01, t_grid=[0.1, 0.2])
+    # the bare-kernel run takes only multiples of the vacuum, each quasi-free
+    with pytest.raises(ValueError, match="multiple of the vacuum"):
+        solve_bogoliubov(start.copy(), traj, h0, W, dt=0.01, t_grid=[0.1, 0.2],
+                         projected=False)
 
 
 def _per_state_coherent_amplitudes(f, basis):
@@ -233,6 +258,8 @@ def test_compare_coherent_rows_are_the_projected_and_bare_runs(interaction):
     assert [row["time"] for row in rows] == times
     assert rows[0]["gap_norm"] == 0.0
     for row, p, b in zip(rows, proj.states, bare.states):
+        assert row["proj_cut_weight"] == 1.0 - p.norm() ** 2
+        assert row["bare_cut_weight"] == 1.0 - b.norm() ** 2
         pn, bn = p.sector_norms(), b.sector_norms()
         assert [row[f"proj_sector_{n}"] for n in range(7)] == pn[:7].tolist()
         assert [row[f"bare_sector_{n}"] for n in range(7)] == bn[:7].tolist()

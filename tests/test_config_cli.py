@@ -759,6 +759,24 @@ def test_cli_refuses_a_config_that_does_not_load(tmp_path, capsys, command, text
     assert "argument config" in line and match in line
 
 
+@pytest.mark.parametrize("N", ["1", "8"])
+def test_cli_run_single_refuses_an_N_outside_2_to_n_max(tmp_path, capsys, monkeypatch, N):
+    # TINY has n_max = 7: N = 1 has no mean-field coupling 1/(N - 1) and N = 8
+    # no exact sector; either is a usage error, before any solve
+    from bogofluct import experiment
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("run-single solved before checking N")
+
+    monkeypatch.setattr(experiment, "solve_hartree", no_solve)
+    with pytest.raises(SystemExit) as exc:
+        main(["run-single", str(write_config(tmp_path)), N])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    assert "argument N" in line and "2..n_max = 7" in line
+
+
 @pytest.mark.parametrize("name,match", [("missing.csv", "No such file"),
                                         (".", "Is a directory")])
 def test_cli_rate_refuses_a_report_that_does_not_read(tmp_path, capsys, name, match):
