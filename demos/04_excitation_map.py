@@ -10,6 +10,7 @@ import numpy as np
 
 from bogofluct import (
     ExcitationFrame,
+    FockVector,
     SectorVector,
     apply_u_n,
     apply_u_n_star,
@@ -26,8 +27,7 @@ N = 4
 frame = ExcitationFrame(u, N)
 
 # the pure condensate a+(u)^N vac / sqrt(N!) maps to the vacuum
-vacuum = SectorVector(basis, 0, np.ones(1, dtype=complex))
-psi = hartree_block(u, [vacuum] + [None] * N, basis)
+psi = hartree_block(u, FockVector.vacuum(basis), N)
 phi = apply_u_n(frame, psi)
 print(f"condensate power -> vacuum amplitude: {phi.amplitudes[0]:.12f}")
 print(f"residual weight elsewhere: {np.linalg.norm(phi.amplitudes[1:]):.2e}")

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from .fock import OccupationBasis, SectorVector, hartree_block
+from .fock import FockVector, OccupationBasis, hartree_block
 from .model import (
     ModeBasis,
     build_interaction,
@@ -51,17 +51,22 @@ DEFAULTS = {
     "output_dir": "bogofluct_out",
 }
 
-# the kinds of each section with a kind, and the keys each kind reads (the
-# interaction's from its params)
+# the kinds of each section with a kind: per kind, the keys it needs and the
+# keys it may take (the interaction's from its params); it reads no other
 KINDS = {
-    "model.interaction": {"zero": (), "constant": ("c",), "gaussian": ("strength",),
-                          "table": ("values",)},
-    "u0": {"basis": ("index",), "gaussian": (), "table": ("re",)},
-    "phi0": {"vacuum": (), "table": ("sectors",)},
+    "model.interaction": {"zero": ((), ()), "constant": (("c",), ()),
+                          "gaussian": (("strength",), ("range",)), "table": (("values",), ())},
+    "u0": {"basis": (("index",), ()), "gaussian": ((), ("center", "width")),
+           "table": (("re",), ("im",))},
+    "phi0": {"vacuum": ((), ()), "table": (("sectors",), ())},
 }
 
 
 def _merge(base, override):
+    # a section of another kind than the default's is taken as given, so it
+    # carries none of the default kind's keys
+    if override.get("kind", base.get("kind")) != base.get("kind"):
+        return copy.deepcopy(override)
     out = copy.deepcopy(base)
     for key, val in override.items():
         if isinstance(val, dict) and isinstance(out.get(key), dict):
@@ -201,7 +206,7 @@ class ExperimentConfig:
         _check(raw, CHECKS)
         doc = _merge(DEFAULTS, raw)
         model, u0, phi0, gate = doc["model"], doc["u0"], doc["phi0"], doc["rate_gate"]
-        interaction, params = model["interaction"], model["interaction"]["params"]
+        interaction, params = model["interaction"], model["interaction"].get("params", {})
         M, n_max, N_list = model["modes"], doc["n_max"], doc["N_list"]
         T, times = float(doc["T"]), [float(t) for t in doc["output_times"]]
         for key, seq in (("N_list", N_list), ("output_times", times)):
@@ -215,9 +220,13 @@ class ExperimentConfig:
             raise ValueError(f"rate_gate.at_time {gate['at_time']} is not an output time")
         for name, spec, keys in [("model.interaction", interaction, params),
                                  ("u0", u0, u0), ("phi0", phi0, phi0)]:
-            missing = [key for key in KINDS[name][spec["kind"]] if key not in keys]
+            needs, takes = KINDS[name][spec["kind"]]
+            missing = [key for key in needs if key not in keys]
             if missing:
                 raise ValueError(f"{name} kind {spec['kind']!r} needs {', '.join(missing)}")
+            unread = sorted(set(keys) - {"kind", *needs, *takes})
+            if unread:
+                raise ValueError(f"{name} kind {spec['kind']!r} does not read {', '.join(unread)}")
         if M < 2:
             raise ValueError(f"model.modes must be at least 2, got {M}")
         if model["potential"] is not None and len(model["potential"]) != M:
@@ -237,11 +246,10 @@ class ExperimentConfig:
                     raise ValueError(f"u0.{key} needs one entry per mode ({M})")
             if abs(math.hypot(*u0["re"], *u0.get("im", ())) - 1.0) > 1e-10:
                 raise ValueError("u0.re and u0.im must be normalized to 1e-10")
-        for key in phi0.get("sectors", {}):
-            if int(key) > n_max:
-                raise ValueError(f"phi0.sectors key {key!r} lies above n_max={n_max}")
         if phi0["kind"] == "table":
             for key, rows in phi0["sectors"].items():
+                if int(key) > n_max:
+                    raise ValueError(f"phi0.sectors key {key!r} lies above n_max={n_max}")
                 dim = math.comb(int(key) + M - 1, M - 1)
                 if len(rows) != dim:
                     raise ValueError(f"phi0.sectors[{key!r}] needs {dim} rows, one per state "
@@ -272,7 +280,8 @@ class ExperimentConfig:
         return h0
 
     def interaction(self, lattice: ModeBasis) -> np.ndarray:
-        kind, params = self.model["interaction"]["kind"], self.model["interaction"]["params"]
+        # a zero interaction needs no params
+        kind, params = self.model["interaction"]["kind"], self.model["interaction"].get("params")
         if kind == "zero":
             w = constant_profile(0.0)
         elif kind == "constant":
@@ -299,21 +308,20 @@ class ExperimentConfig:
         return np.asarray(spec["re"], dtype=float) + 1j * np.asarray(
             spec.get("im", np.zeros(lattice.M)), dtype=float)
 
-    def excitations(self, u0: np.ndarray, basis: OccupationBasis):
-        """Initial excitation layers (phi_n) as sector vectors; load has
-        checked their shapes and total weight, and the orthogonality to the
-        condensate is checked here, on the basis."""
-        phis = [None] * (basis.n_max + 1)
+    def excitations(self, u0: np.ndarray, basis: OccupationBasis) -> FockVector:
+        """Initial excitation layers phi_n, sector n of one Fock vector; load
+        has checked their shapes and total weight, and the orthogonality to
+        the condensate is checked here, on the basis."""
         if self.phi0_spec["kind"] == "vacuum":
-            phis[0] = SectorVector(basis, 0, np.array([1.0 + 0.0j]))
+            layers, top = FockVector.vacuum(basis), 0
         else:
+            layers = FockVector(basis, np.zeros(basis.size, dtype=complex))
             for key, rows in self.phi0_spec["sectors"].items():
-                phis[int(key)] = SectorVector(basis, int(key),
-                                              np.array([complex(r, im) for r, im in rows]))
+                layers.amplitudes[basis.sector_slice(int(key))] = [complex(r, im) for r, im in rows]
+            top = max(map(int, self.phi0_spec["sectors"]))
         # refuses a layer not orthogonal to u0, raising no further than the top layer
-        top = max(n for n, phi in enumerate(phis) if phi is not None)
-        hartree_block(u0, phis[:top + 1], basis)
-        return phis
+        hartree_block(u0, layers, top)
+        return layers
 
     def resolved_json(self) -> str:
         return json.dumps(self.raw, indent=2, sort_keys=True)

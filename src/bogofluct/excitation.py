@@ -121,7 +121,6 @@ def apply_u_n_star(frame: ExcitationFrame, phi: FockVector,
     Rejects inputs with weight above sector N or with a tangency defect beyond
     tangency_tol; on its domain this is the exact inverse of apply_u_n.
     """
-    basis = phi.basis
     N = frame.N
     norms = phi.sector_norms()
     if float(np.sum(norms[N + 1:] ** 2)) > 1e-24:
@@ -129,8 +128,7 @@ def apply_u_n_star(frame: ExcitationFrame, phi: FockVector,
     defect = tangency_defect(phi, frame.u)
     if defect > tangency_tol * max(1.0, phi.norm()):
         raise ValueError(f"input has tangency defect {defect:.3e} > {tangency_tol:.1e}")
-    phis = [SectorVector(basis, n, phi.sector(n).copy()) for n in range(N + 1)]
-    return hartree_block(frame.u, phis, basis, orth_tol=tangency_tol)
+    return hartree_block(frame.u, phi, N, orth_tol=tangency_tol)
 
 
 def dense_u_n(frame: ExcitationFrame, basis: OccupationBasis) -> np.ndarray:

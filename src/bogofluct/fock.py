@@ -522,28 +522,25 @@ def two_body_diagonal(W: np.ndarray, occ: np.ndarray) -> np.ndarray:
 ORTH_TOL = 1e-10
 
 
-def hartree_block(u: np.ndarray, phis, basis: OccupationBasis,
+def hartree_block(u: np.ndarray, layers: FockVector, N: int,
                   orth_tol: float = ORTH_TOL) -> SectorVector:
-    """Assemble sum_n a^dag(u)^(N-n)/sqrt((N-n)!) phi_n in sector N = len(phis)-1.
+    """Assemble sum_n a^dag(u)^(N-n)/sqrt((N-n)!) phi_n in sector N, where
+    phi_n is sector n of layers, n = 0..N; sectors above N are not read.
 
-    Each phi_n must be a SectorVector in sector n annihilated by a(u); the map
-    is then an isometry from the direct sum of the phi_n onto sector N.
+    Each phi_n must be annihilated by a(u); the map is then an isometry from
+    the direct sum of the phi_n onto sector N.
     """
     u = np.asarray(u, dtype=complex)
-    N = len(phis) - 1
+    basis = layers.basis
     if N > basis.n_max:
         raise ValueError(f"target sector {N} exceeds truncation {basis.n_max}")
     low, up = sector_lowerings(u, basis, N)
     total = np.zeros(basis.sector_dim(N), dtype=complex)
-    for n, phi in enumerate(phis):
-        if phi is None:
-            continue
-        if phi.n != n:
-            raise ValueError(f"entry {n} lives in sector {phi.n}")
-        nrm = phi.norm()
+    for n in range(N + 1):
+        w = layers.sector(n)
+        nrm = np.linalg.norm(w)
         if nrm == 0.0:
             continue
-        w = phi.amplitudes
         if n >= 1 and np.linalg.norm(low[n] @ w) > orth_tol * max(1.0, nrm):
             raise ValueError(f"phi_{n} is not orthogonal to the condensate mode")
         for k in range(1, N - n + 1):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -163,8 +164,8 @@ def test_phi0_table_validation():
         "1": [[float(x.real), float(x.imag)] for x in 0.6 * v],
     }}
     cfg = ExperimentConfig(doc)
-    phis = cfg.excitations(u0, basis)
-    assert abs(sum(p.norm() ** 2 for p in phis if p is not None) - 1.0) < 1e-12
+    layers = cfg.excitations(u0, basis)
+    assert abs(math.fsum(layers.sector_norms() ** 2) - 1.0) < 1e-12
 
     doc["phi0"]["sectors"]["1"] = [[float(x.real), float(x.imag)] for x in 0.6 * u0]
     with pytest.raises(ValueError):
@@ -204,7 +205,7 @@ def test_trace_distance_chain_inequality(tmp_path):
     # chain bound: the one-particle distance to the condensate is
     # controlled by twice the state error plus the approximant's distance
     from bogofluct.excitation import ExcitationFrame, apply_u_n_star
-    from bogofluct.fock import FockVector, enumerate_basis
+    from bogofluct.fock import enumerate_basis
     from bogofluct.nbody import reduced_density, trace_distance
     from bogofluct.experiment import _condensate_density
 
@@ -220,16 +221,12 @@ def test_trace_distance_chain_inequality(tmp_path):
 
     basis = enumerate_basis(3, 6)
     traj = solve_hartree(u0, h0, W, cfg.T, cfg.dt_hartree)
-    phis = cfg.excitations(u0, basis)
+    layers = cfg.excitations(u0, basis)
     N = 6
-    psi0 = hartree_block(u0, [phis[n] for n in range(N + 1)], basis)
+    psi0 = hartree_block(u0, layers, N)
     H = build_hamiltonian(h0, W, N, basis)
     (psi_t,) = propagate_exact(H, psi0, [0.5])
-    run = solve_bogoliubov(
-        FockVector(basis, np.concatenate([
-            phis[0].amplitudes if phis[0] is not None else [0],
-            np.zeros(basis.size - 1)]).astype(complex)),
-        traj, h0, W, cfg.dt_fock, t_grid=[0.5])
+    run = solve_bogoliubov(layers, traj, h0, W, cfg.dt_fock, t_grid=[0.5])
     u_t = traj.interpolate(0.5)
     frame = ExcitationFrame(u_t, N)
     phi_t = run.states[0]
@@ -396,6 +393,18 @@ def test_rate_gate_band_fails_when_missed_or_not_evaluated(tmp_path, at_time, ev
     assert (gate["value"] is not None) == evaluated
 
 
+def test_a_failing_run_still_evaluates_every_rate_gate(tmp_path):
+    # a failed tangency gate used to leave both rate gates out of gates.json
+    doc = dict(GATE_CASE, rate_gate={"band": [-10, 10], "require_monotone": True, "at_time": 0.2},
+               tolerances={"tangency": 1e-15}, output_dir=str(tmp_path / "o"))
+    rep = run_convergence(ExperimentConfig(doc))
+    verdict = json.loads((tmp_path / "o" / "gates.json").read_text())
+    ok = {g["name"]: g["ok"] for g in verdict["gates"]}
+    assert ok["tangency"] is False and ok["rate_slope_in_band"] is True
+    assert "err_monotone_decreasing" in ok
+    assert verdict["passed"] is False and not rep.passed
+
+
 def test_dt_nbody_is_accepted_and_inert(tmp_path):
     # the exact propagation takes one series per output interval, so the
     # step key changes no output byte; it goes when load refuses the key
@@ -435,8 +444,8 @@ def test_phi0_table_orthogonality_bound_matches_the_block_builder():
             "1": [[float(x.real), float(x.imag)] for x in layer1],
         }}
         if loads:
-            phis = ExperimentConfig(doc).excitations(u0, basis)
-            assert hartree_block(u0, phis[:5], basis).n == 4
+            layers = ExperimentConfig(doc).excitations(u0, basis)
+            assert hartree_block(u0, layers, 4).n == 4
         else:
             with pytest.raises(ValueError, match="orthogonal"):
                 ExperimentConfig(doc).excitations(u0, basis)
@@ -463,8 +472,30 @@ def test_phi0_table_is_refused_when_only_its_highest_layer_is_not_orthogonal():
     # without that layer the table loads
     del doc["phi0"]["sectors"]["2"]
     doc["phi0"]["sectors"]["0"] = [[float(np.sqrt(1.0 - 0.09)), 0.0]]
-    phis = ExperimentConfig(doc).excitations(u0, basis)
-    assert len(phis) == basis.n_max + 1 and phis[2] is None
+    layers = ExperimentConfig(doc).excitations(u0, basis)
+    assert layers.basis is basis and not np.any(layers.sector(2))
+
+
+def test_excitations_write_each_table_sector_into_one_fock_vector():
+    from bogofluct.fock import FockVector, enumerate_basis, sector_lowerings
+
+    doc = json.loads(json.dumps(TINY))
+    cfg = ExperimentConfig(doc)
+    u0 = cfg.condensate(cfg.lattice())
+    basis = enumerate_basis(3, 6)
+    v = np.array([-np.conj(u0[1]), np.conj(u0[0]), 0.0])
+    v /= np.linalg.norm(v)
+    _, up = sector_lowerings(v, basis, 2)
+    pair = up[2] @ v  # a^dag(v)^2 vac, which a(u0) annihilates
+    table = [np.array([0.6 + 0j]), 0.48 * v, 0.64 * pair / np.linalg.norm(pair)]
+    doc["phi0"] = {"kind": "table", "sectors": {
+        str(n): [[float(x.real), float(x.imag)] for x in rows] for n, rows in enumerate(table)}}
+    layers = ExperimentConfig(doc).excitations(u0, basis)
+    assert isinstance(layers, FockVector) and layers.basis is basis
+    for n, rows in enumerate(table):
+        assert np.array_equal(layers.sector(n), rows)
+    assert not np.any(layers.amplitudes[basis.sector_offsets[3]:])
+    assert abs(layers.norm() - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KrylovError])
@@ -609,9 +640,10 @@ def test_table_condensate_and_point_band_still_load():
 ])
 def test_condensate_and_excitation_tables_checked_at_load(section, value, match):
     # each of these used to load and then select the wrong mode or sector,
-    # or fail only when the run read the table
+    # or fail only when the run read the table; a u0 or phi0 section is set
+    # whole, since TINY's gaussian u0 keys are refused in another kind
     doc = json.loads(json.dumps(TINY))
-    doc[section] = dict(doc.get(section, {}), **value)
+    doc[section] = dict(doc[section], **value) if section == "model" else value
     with pytest.raises(ValueError, match=match):
         ExperimentConfig(doc)
 
@@ -627,11 +659,19 @@ def test_condensate_and_excitation_tables_checked_at_load(section, value, match)
     ({"model": {"interaction": {"kind": "contant"}}}, "unknown model.interaction kind"),
     ({"model": {"interaction": {"kind": "constant"}}}, "model.interaction kind 'constant' needs c"),
     ({"model": {"interaction": {"kind": "table"}}}, "model.interaction kind 'table' needs values"),
+    ({"u0": {"kind": "table", "re": [1.0, 0.0, 0.0], "width": 5.0}},
+     "u0 kind 'table' does not read width"),
+    ({"u0": {"kind": "basis", "index": 1, "center": 0.0}}, "u0 kind 'basis' does not read center"),
+    ({"model": {"interaction": {"kind": "gaussian", "params": {"strength": 1.0, "c": 9}}}},
+     "model.interaction kind 'gaussian' does not read c"),
+    ({"model": {"interaction": {"kind": "constant", "params": {"c": 0.3, "range": 1.0}}}},
+     "model.interaction kind 'constant' does not read range"),
 ], ids=["u0 kind", "u0 index", "u0 re", "phi0 kind", "phi0 sectors", "sector above n_max",
-        "interaction kind", "interaction c", "interaction values"])
+        "interaction kind", "interaction c", "interaction values", "u0 table width",
+        "u0 basis center", "gaussian c", "constant range"])
 def test_config_kinds_and_their_keys_checked_at_load(patch, match):
     # each of these used to load and fail only when the run read the section,
-    # most of them with a bare KeyError
+    # most of them with a bare KeyError, or load with a key the kind ignores
     doc = json.loads(json.dumps(TINY))
     for section, value in patch.items():
         if section == "model":
@@ -640,6 +680,18 @@ def test_config_kinds_and_their_keys_checked_at_load(patch, match):
             doc[section] = value
     with pytest.raises(ValueError, match=match):
         ExperimentConfig(doc)
+
+
+def test_a_section_of_another_kind_resolves_to_its_own_keys():
+    # the default kind's keys used to be carried into every kind, so a basis
+    # u0 recorded a center and a width, and a constant interaction a strength
+    doc = json.loads(json.dumps(TINY))
+    doc["u0"] = {"kind": "basis", "index": 1}
+    for interaction in ({"kind": "constant", "params": {"c": 0.3}}, {"kind": "zero"}):
+        doc["model"]["interaction"] = interaction
+        resolved = json.loads(ExperimentConfig(doc).resolved_json())
+        assert resolved["model"]["interaction"] == interaction
+        assert resolved["u0"] == {"kind": "basis", "index": 1}
 
 
 def test_last_basis_mode_and_integer_tables_load():
@@ -654,8 +706,8 @@ def test_last_basis_mode_and_integer_tables_load():
     assert cfg.one_body(lat)[1, 1] == 3.0
     from bogofluct.fock import enumerate_basis
 
-    phis = cfg.excitations(u0, enumerate_basis(3, 4))
-    assert phis[0].amplitudes.tolist() == [1.0]
+    layers = cfg.excitations(u0, enumerate_basis(3, 4))
+    assert layers.amplitudes.tolist() == [1.0] + [0.0] * (layers.basis.size - 1)
 
 
 @pytest.mark.parametrize("flag", ["false", 1, 0, None, [True]])
@@ -704,7 +756,7 @@ def test_every_document_check_runs_at_load(patch, match):
     # load; now the document alone refuses it
     doc = json.loads(json.dumps(TINY))
     for section, value in patch.items():
-        doc[section] = dict(doc.get(section, {}), **value)
+        doc[section] = dict(doc[section], **value) if section == "model" else value
     with pytest.raises(ValueError, match=match):
         ExperimentConfig(doc)
 
@@ -733,7 +785,7 @@ def test_every_default_has_a_check_and_every_check_a_reachable_key():
     other["model"]["interaction"] = {"kind": "constant", "params": {"c": 0.3}}
     other["u0"] = {"kind": "basis", "index": 1}
     reached = set()
-    for raw in (doc, other):
+    for raw in (doc, other, TINY):
         reached |= set(_key_paths(ExperimentConfig(raw).raw))
     assert checked == reached
 

@@ -186,15 +186,15 @@ def test_block_then_map_recovers_layers():
     basis = enumerate_basis(3, 3)
     rng = np.random.default_rng(2)
     u = random_unit(rng, 3)
-    phis = [SectorVector(basis, 0, np.array([0.6 + 0.1j]))]
+    layers = embed(SectorVector(basis, 0, np.array([0.6 + 0.1j])))
     for n in (1, 2, 3):
         raw = rng.normal(size=basis.sector_dim(n)) + 1j * rng.normal(size=basis.sector_dim(n))
         proj = project_out_mode(u, embed(SectorVector(basis, n, raw)))
-        phis.append(SectorVector(basis, n, proj.sector(n)))
-    psi = hartree_block(u, phis, basis)
+        layers.amplitudes[basis.sector_slice(n)] = proj.sector(n)
+    psi = hartree_block(u, layers, 3)
     phi = apply_u_n(ExcitationFrame(u, 3), psi)
-    for n, p in enumerate(phis):
-        assert np.max(np.abs(phi.sector(n) - p.amplitudes)) < 1e-10
+    for n in range(4):
+        assert np.max(np.abs(phi.sector(n) - layers.sector(n))) < 1e-10
 
 
 def test_star_round_trip_and_domain_checks():
@@ -457,13 +457,14 @@ def _full_basis_u_n(u, N, amps, basis):
     return out
 
 
-def _full_basis_hartree_block(u, phis, basis):
-    # sum_n a^dag(u)^(N-n)/sqrt((N-n)!) phi_n with full-basis raisings
+def _full_basis_hartree_block(u, layers, N):
+    # sum_n a^dag(u)^(N-n)/sqrt((N-n)!) phi_n, phi_n sector n of layers, with
+    # full-basis raisings
+    basis = layers.basis
     raise_u = annihilate_op(u, basis).conj().T.tocsr()
-    N = len(phis) - 1
     total = np.zeros(basis.size, dtype=complex)
-    for n, phi in enumerate(phis):
-        w = embed(phi).amplitudes
+    for n in range(N + 1):
+        w = embed(SectorVector(basis, n, layers.sector(n))).amplitudes
         for k in range(1, N - n + 1):
             w = (raise_u @ w) / math.sqrt(k)
         total += w
@@ -491,9 +492,9 @@ def test_sector_blocks_equal_the_full_basis_products(M, n_max, N, zero_mode):
     units[basis.sector_slice(N)] = np.eye(basis.sector_dim(N))
     assert np.array_equal(dense_u_n(frame, basis), _full_basis_u_n(u, N, units, basis))
 
-    phis = [SectorVector(basis, j, ref[basis.sector_slice(j)]) for j in range(N + 1)]
-    built = hartree_block(u, phis, basis).amplitudes
-    assert np.array_equal(built, _full_basis_hartree_block(u, phis, basis))
+    layers = FockVector(basis, ref)
+    built = hartree_block(u, layers, N).amplitudes
+    assert np.array_equal(built, _full_basis_hartree_block(u, layers, N))
 
 
 def _whole_basis_projector(u, basis, n_cut):

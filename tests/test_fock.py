@@ -294,8 +294,7 @@ def test_hartree_block_pure_condensate():
     b = enumerate_basis(2, N)
     rng = np.random.default_rng(12)
     u = random_unit(rng, 2)
-    phis = [SectorVector(b, 0, np.array([1.0 + 0j]))] + [None] * N
-    psi = hartree_block(u, phis, b)
+    psi = hartree_block(u, FockVector.vacuum(b), N)
     su = SectorVector(b, 1, u)
     ref = sym_tensor(sym_tensor(su, su), su)
     ref_amp = ref.amplitudes / ref.norm()
@@ -310,18 +309,17 @@ def test_hartree_block_one_excitation_norm_and_isometry():
     v = rng.normal(size=3) + 1j * rng.normal(size=3)
     v -= u * np.vdot(u, v)
     v /= np.linalg.norm(v)
-    phis = [None] * (N + 1)
-    phis[1] = SectorVector(b, 1, v)
-    psi = hartree_block(u, phis, b)
+    layers = embed(SectorVector(b, 1, v))
+    psi = hartree_block(u, layers, N)
     assert abs(psi.norm() - 1.0) < 1e-12
 
     # norm^2 of a mixed block = sum of layer norms^2
-    phis[0] = SectorVector(b, 0, np.array([0.4 + 0.3j]))
+    layers.amplitudes[0] = 0.4 + 0.3j
     raw2 = rng.normal(size=b.sector_dim(2)) + 1j * rng.normal(size=b.sector_dim(2))
     proj2 = project_out_mode(u, embed(SectorVector(b, 2, raw2)))
-    phis[2] = SectorVector(b, 2, proj2.sector(2))
-    total = sum(p.norm() ** 2 for p in phis if p is not None)
-    psi = hartree_block(u, phis, b)
+    layers.amplitudes[b.sector_slice(2)] = proj2.sector(2)
+    total = sum(p ** 2 for p in layers.sector_norms())
+    psi = hartree_block(u, layers, N)
     assert abs(psi.norm() ** 2 - total) < 1e-10 * total
 
 
@@ -330,9 +328,24 @@ def test_hartree_block_rejects_nonorthogonal():
     b = enumerate_basis(2, N)
     rng = np.random.default_rng(14)
     u = random_unit(rng, 2)
-    phis = [None, SectorVector(b, 1, u.copy()), None]
+    layers = embed(SectorVector(b, 1, u.copy()))
     with pytest.raises(ValueError):
-        hartree_block(u, phis, b)
+        hartree_block(u, layers, N)
+
+
+def test_hartree_block_reads_no_layer_above_its_sector():
+    # a run hands every N the whole start vector: its sectors above N, here
+    # not even orthogonal to u, change no byte of sector N
+    N = 3
+    b = enumerate_basis(3, 5)
+    rng = np.random.default_rng(15)
+    u = random_unit(rng, 3)
+    cut = project_out_mode(u, FockVector(b, rng.normal(size=b.size) + 1j * rng.normal(size=b.size)))
+    above = slice(int(b.sector_offsets[N + 1]), b.size)
+    cut.amplitudes[above] = 0.0
+    full = cut.copy()
+    full.amplitudes[above] = rng.normal(size=b.size - above.start)
+    assert np.array_equal(hartree_block(u, full, N).amplitudes, hartree_block(u, cut, N).amplitudes)
 
 
 @pytest.mark.parametrize("M, n_max, zero_mode", [(2, 4, None), (3, 6, 1), (4, 5, None)])

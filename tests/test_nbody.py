@@ -208,9 +208,7 @@ def test_reduced_density_one_excitation_oracle():
     v = np.array([-np.conj(u[1]), np.conj(u[0])])
     from bogofluct.fock import hartree_block
 
-    phis = [None] * (N + 1)
-    phis[1] = SectorVector(b, 1, v)
-    psi = hartree_block(u, phis, b)
+    psi = hartree_block(u, embed(SectorVector(b, 1, v)), N)
     g1 = checked_density(reduced_density(psi, 1))
     oracle = ((N - 1) / N) * np.outer(u, np.conj(u)) + (1 / N) * np.outer(v, np.conj(v))
     assert np.max(np.abs(g1.matrix - oracle)) < 1e-12
