@@ -310,17 +310,16 @@ class ExperimentConfig:
 
     def excitations(self, u0: np.ndarray, basis: OccupationBasis) -> FockVector:
         """Initial excitation layers phi_n, sector n of one Fock vector; load
-        has checked their shapes and total weight, and the orthogonality to
-        the condensate is checked here, on the basis."""
+        has checked their shapes and total weight, and a table's
+        orthogonality to the condensate is checked here, on the basis (the
+        vacuum is orthogonal to it by construction)."""
         if self.phi0_spec["kind"] == "vacuum":
-            layers, top = FockVector.vacuum(basis), 0
-        else:
-            layers = FockVector(basis, np.zeros(basis.size, dtype=complex))
-            for key, rows in self.phi0_spec["sectors"].items():
-                layers.amplitudes[basis.sector_slice(int(key))] = [complex(r, im) for r, im in rows]
-            top = max(map(int, self.phi0_spec["sectors"]))
+            return FockVector.vacuum(basis)
+        layers = FockVector(basis, np.zeros(basis.size, dtype=complex))
+        for key, rows in self.phi0_spec["sectors"].items():
+            layers.amplitudes[basis.sector_slice(int(key))] = [complex(r, im) for r, im in rows]
         # refuses a layer not orthogonal to u0, raising no further than the top layer
-        hartree_block(u0, layers, top)
+        hartree_block(u0, layers, max(map(int, self.phi0_spec["sectors"])))
         return layers
 
     def resolved_json(self) -> str:

@@ -11,14 +11,17 @@ __all__ = ["write_csv"]
 
 
 def write_csv(path, columns, rows):
-    """Write the header `columns`, then one line per row of values in that order."""
+    """Write the header `columns`, then one line per row of values in that
+    order, each formatted in one call by the line template of its value
+    types: %d for an integer, %.17g for anything else."""
+    templates = {}
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.17g}"
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            line = templates.get(kinds)
+            if line is None:
+                line = templates[kinds] = ",".join(
+                    "%d" if issubclass(k, (int, np.integer)) else "%.17g" for k in kinds) + "\n"
+            fh.write(line % row)

@@ -12,10 +12,13 @@ to the sector-N state, which is exact on the truncated basis.  One chain of
 N lowerings a(u)^m psi serves every layer, and the layers' Horner passes of
 the normal-ordered series for P0 run stacked.  Every product is with a sector
 block of a(u) or a^dag(u) (fock.sector_lowerings) on sector-sized vectors;
-only the layers are written into a full-basis vector.  Functions of the
-excitation-number operator N+ are sums f(j) P_j over the projectors onto j
-excitations, built sector by sector from the same blocks of a(u), with no
-eigendecomposition and nothing to round; N+ conserves the total, so neither
+only the layers are written into a full-basis vector.  States of several N
+share one fill of a(u): their chains and Horner stacks are the columns of
+one product per sector, and their images are written one at a time into
+one buffer.  Functions of the excitation-number operator N+ are sums
+f(j) P_j over the projectors onto j excitations, built sector by sector
+from the same blocks of a(u), with no eigendecomposition and nothing to
+round; N+ conserves the total, so neither
 it nor any function of it has an entry between sectors, and each is kept as
 a sparse block-diagonal matrix: sum_n d_n^2 stored entries for the sector
 dimensions d_n, in place of size^2.  One pass of that recursion weights the
@@ -79,39 +82,97 @@ class ExcitationFrame:
         self.q = np.eye(len(self.u)) - np.outer(self.u, np.conj(self.u))
 
 
-def apply_u_n(frame: ExcitationFrame, psi: SectorVector) -> FockVector:
+def apply_u_n(frame: ExcitationFrame, psi):
     """Map a sector-N state to its excitation decomposition.
 
     The output has support on sectors 0..N, each annihilated by a(u); its norm
     equals the input norm.  The lowerings a(u)^m psi, m = 0..N, are computed
     once; layer j is a Horner pass of j raisings over them from m = N-j on,
     scaled by 1/sqrt((N-j)!).
+
+    psi may also be a list of states of sectors 1..frame.N, all mapped in one
+    pass over the sectors on one fill of a(u) up to frame.N: each product is
+    one block of a(u) or a^dag(u) on the columns of every state that reaches
+    it.  An iterator over their images is then returned, in the list's order.
+    The images share one buffer, so each is valid until the next is drawn;
+    each is the same bytes as the image of its state mapped alone.
     """
-    if psi.n != frame.N:
-        raise ValueError(f"expected a sector-{frame.N} state, got sector {psi.n}")
-    return FockVector(psi.basis, _u_n(frame, psi.amplitudes, psi.basis))
+    single = isinstance(psi, SectorVector)
+    states = [psi] if single else list(psi)
+    for p in states:
+        if not (p.n == frame.N if single else 1 <= p.n <= frame.N):
+            raise ValueError(f"expected a sector-{frame.N} state, got sector {p.n}")
+    if not states:
+        return iter(())
+    basis = states[0].basis
+    images = (FockVector(basis, out[:, 0]) for out in
+              _u_n(frame.u, [(p.n, p.amplitudes[:, None]) for p in states], basis, frame.N))
+    return next(images) if single else images
 
 
-def _u_n(frame: ExcitationFrame, amps: np.ndarray, basis: OccupationBasis) -> np.ndarray:
-    # apply_u_n on sector-N amplitudes: a (dim,) vector or a (dim, cols) block
-    low, up = sector_lowerings(frame.u, basis, frame.N)  # up[n] raises sector n-1 to n
-    N, cols = frame.N, amps.shape[1:]
-    downs = [amps]  # downs[m] = a(u)^m psi, in sector N - m
-    for n in range(N, 0, -1):
-        downs.append(low[n] @ downs[-1])
-    out = np.zeros((basis.size,) + cols, dtype=complex)
-    out[basis.sector_slice(0)] = downs[N] / math.sqrt(math.factorial(N))
+def _u_n(u, blocks, basis: OccupationBasis, top: int):
+    # the map of every (N, amps) in blocks, amps a (dim_N, c) block of
+    # sector-N columns, 1 <= N <= top, c the same for all, along one fill of
+    # a(u) up to top; returns an iterator over their (size, c) images in the
+    # order of blocks, each written into one buffer.  Every product is one
+    # sector block on the columns of all blocks that reach that sector, and
+    # column by column it is that product on one block alone
+    low, up = sector_lowerings(u, basis, top)  # up[n] raises sector n-1 to n
+    # the chain a(u)^m amps of each block joins at sector N; blocks join by
+    # decreasing N, so downs[n] holds the chain columns of every N >= n,
+    # those of larger N first, and width[n] counts them
+    order = sorted(range(len(blocks)), key=lambda b: -blocks[b][0])
+    start = {}  # block -> its first chain column
+    downs = [None] * (top + 1)  # downs[n]: a(u)^(N-n) amps of each N >= n, in sector n
+    chain = np.zeros((basis.sector_dim(top), 0), dtype=complex)
+    for n in range(top, -1, -1):
+        for b in order:
+            if blocks[b][0] == n:
+                start[b] = chain.shape[1]
+                chain = np.concatenate((chain, blocks[b][1]), axis=1)
+        downs[n] = chain
+        if n:
+            chain = low[n] @ chain
+    width = [downs[n].shape[1] for n in range(top + 1)]
     # layer j is P0 = sum_m (-1)^m/m! a^dag(u)^m a(u)^m on a(u)^(N-j) psi, by Horner:
     # step s of every layer j >= s raises into sector s, divides by j - s + 1 and
-    # subtracts from a(u)^(N-s) psi, so layers s..N are stacked and raised at once
-    acc = np.repeat(downs[N][:, None], N, axis=1)
-    for s in range(1, N + 1):
-        raised = (up[s] @ acc.reshape(len(acc), -1)).reshape((-1, N - s + 1) + cols)
-        div = np.arange(1.0, N - s + 2).reshape((-1,) + (1,) * len(cols))
-        acc = downs[N - s][:, None] - raised / div
-        out[basis.sector_slice(s)] = acc[:, 0] / math.sqrt(math.factorial(N - s))
-        acc = acc[:, 1:]
-    return out
+    # subtracts from a(u)^(N-s) psi, so layers s..N of every N are stacked and
+    # raised at once; layer s is then done.  acc starts at 0, so step 0
+    # writes a(u)^N psi into every layer exactly.  The columns of acc are
+    # layer by layer, layer j holding the first width[j]
+    # chain columns; the layers first..last of a run share one width w, so
+    # a run's subtraction is one broadcast
+    ends = sorted({N for N, _amps in blocks})
+    runs = [(first, last, width[last]) for first, last in zip([0] + [n + 1 for n in ends], ends)]
+    j = np.repeat(np.arange(0.0, top + 1), width)
+    acc = np.zeros((1, len(j)), dtype=complex)
+    layers = []  # layers[s]: layer s of each N >= s, unscaled
+    for s in range(top + 1):
+        if s:
+            acc = (up[s] @ acc) / (j - (s - 1))
+        pos = 0
+        for first, last, w in runs:
+            if last >= s:
+                run = acc[:, pos:pos + (last - max(first, s) + 1) * w].reshape(len(acc), -1, w)
+                np.subtract(downs[s][:, None, :w], run, out=run)
+                pos += run.shape[1] * w
+        downs[s] = None
+        layers.append(acc[:, :width[s]].copy())
+        acc, j = acc[:, width[s]:], j[width[s]:]
+    return _images(layers, blocks, start, basis)
+
+
+def _images(layers, blocks, start, basis):
+    # the image of each block in one buffer: sector s holds the block's
+    # columns of layers[s] over sqrt((N-s)!), sectors above its N are zero
+    out = np.zeros((basis.size, blocks[0][1].shape[1]), dtype=complex)
+    off = basis.sector_offsets
+    for b, (N, amps) in enumerate(blocks):
+        cols = slice(start[b], start[b] + amps.shape[1])
+        for s in range(N + 1):
+            np.divide(layers[s][:, cols], math.sqrt(math.factorial(N - s)), out=out[off[s]:off[s + 1]])
+        out[off[N + 1]:] = 0.0
+        yield out
 
 
 def apply_u_n_star(frame: ExcitationFrame, phi: FockVector,
@@ -133,7 +194,8 @@ def apply_u_n_star(frame: ExcitationFrame, phi: FockVector,
 
 def dense_u_n(frame: ExcitationFrame, basis: OccupationBasis) -> np.ndarray:
     """Matrix of the excitation map from sector N into the full basis."""
-    return _u_n(frame, np.eye(basis.sector_dim(frame.N), dtype=complex), basis)
+    return next(_u_n(frame.u, [(frame.N, np.eye(basis.sector_dim(frame.N), dtype=complex))],
+                     basis, frame.N))
 
 
 def _by_sector(u, basis: OccupationBasis, top: int, *weights) -> list:

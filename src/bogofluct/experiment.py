@@ -131,31 +131,56 @@ class _Comparison:
             self.phi0, self.traj, self.h0, self.W, cfg.dt_fock,
             t_grid=times, tangency_tol=max(1e-4, cfg.tolerances["tangency"]))
 
-    def rows(self, N):
-        """Build the N-particle state from the layers phi_0..phi_N, evolve it
-        exactly and map it through the excitation frame; yield per output
-        time its comparison row against the fluctuation state, and the exact
-        state's norm and energy."""
-        basis = self.basis
-        cut_weight = math.fsum(self.phi0.sector_norms()[:N + 1] ** 2)
-        psi0 = hartree_block(self.u0, self.phi0, N)
-        deficit = abs(1.0 - psi0.norm())
-        psi0.amplitudes = psi0.amplitudes / psi0.norm()
-        H = build_hamiltonian(self.h0, self.W, N, basis)
-        states = propagate_exact(H, psi0, self.times)
-        totals = basis.totals()
-        for t, psi, phi in zip(self.times, states, self.run.states):
+    def rows(self, N_list):
+        """Compare every N at each output time; returns (rows, failures).
+
+        First the exact side, N by N: the N-particle state built from the
+        layers phi_0..phi_N (every N from one hartree_block call), evolved
+        exactly, and the one-particle densities of its states (one
+        reduced_density call).  A RuntimeError of the propagation is filed in
+        failures for its N alone.  Then time by time, the states of every
+        surviving N are mapped in one apply_u_n call, on one fill of a(u_t)
+        up to the largest of them, and rows[N] lists per output time the
+        comparison row against the fluctuation state, with the exact state's
+        norm and energy."""
+        exact, failures = {}, {}
+        for N, psi0 in zip(N_list, hartree_block(self.u0, self.phi0, N_list)):
+            try:
+                exact[N] = self._exact(N, psi0)
+            except RuntimeError as exc:
+                failures[N] = exc
+        rows = {N: [] for N in exact}
+        if not exact:
+            return rows, failures
+        totals = self.basis.totals()
+        for k, (t, phi) in enumerate(zip(self.times, self.run.states)):
             u_t = self.traj.interpolate(t)
-            mapped = apply_u_n(ExcitationFrame(u_t, N), psi)
-            delta = mapped.amplitudes - phi.amplitudes
-            yield {
-                "time": t,
-                "err_norm": float(np.linalg.norm(delta)),
-                "err_energy_form": float(np.real(self.run.energy_form(delta))),
-                "trace_dist_k1": trace_distance(reduced_density(psi, 1), _condensate_density(u_t)),
-                "expect_Nplus": float(totals @ (np.abs(mapped.amplitudes) ** 2)),
-                "init_norm_deficit": deficit + abs(1.0 - cut_weight),
-            }, psi.norm(), float(np.real(np.vdot(psi.amplitudes, H.mat @ psi.amplitudes)))
+            images = apply_u_n(ExcitationFrame(u_t, max(exact)),
+                               [states[k] for states, *_rest in exact.values()])
+            for (N, (_states, densities, nbody, deficit)), mapped in zip(exact.items(), images):
+                delta = mapped.amplitudes - phi.amplitudes
+                rows[N].append(({
+                    "time": t,
+                    "err_norm": float(np.linalg.norm(delta)),
+                    "err_energy_form": float(np.real(self.run.energy_form(delta))),
+                    "trace_dist_k1": trace_distance(densities[k], _condensate_density(u_t)),
+                    "expect_Nplus": float(totals @ (np.abs(mapped.amplitudes) ** 2)),
+                    "init_norm_deficit": deficit,
+                }, *nbody[k]))
+        return rows, failures
+
+    def _exact(self, N, psi0):
+        # the exact states of N from its initial block, their one-particle
+        # densities, each state's norm and energy, and the initial norm
+        # deficit; H lives only in here
+        cut_weight = math.fsum(self.phi0.sector_norms()[:N + 1] ** 2)
+        deficit = abs(1.0 - psi0.norm()) + abs(1.0 - cut_weight)
+        psi0.amplitudes = psi0.amplitudes / psi0.norm()
+        H = build_hamiltonian(self.h0, self.W, N, self.basis)
+        states = propagate_exact(H, psi0, self.times)
+        nbody = [(psi.norm(), float(np.real(np.vdot(psi.amplitudes, H.mat @ psi.amplitudes))))
+                 for psi in states]
+        return states, reduced_density(states, 1), nbody, deficit
 
 
 def run_convergence(cfg: ExperimentConfig, write=True) -> ConvergenceReport:
@@ -183,27 +208,24 @@ def run_convergence(cfg: ExperimentConfig, write=True) -> ConvergenceReport:
     ]
 
     rows = []
-    failures = {}
     worst_initial = 0.0
     worst_nbody_norm = 0.0
     worst_nbody_energy = 0.0
-    for N in cfg.N_list:
-        try:
-            e_ref = None
-            for row, norm, e_t in comp.rows(N):
-                e_ref = e_t if e_ref is None else e_ref
-                worst_nbody_norm = max(worst_nbody_norm, abs(norm - 1.0))
-                worst_nbody_energy = max(
-                    worst_nbody_energy, abs(e_t - e_ref) / max(abs(e_ref), 1e-30)
-                )
-                if row["time"] == 0.0:
-                    worst_initial = max(worst_initial, row["err_norm"])
-                rows.append({"N": N, **row, "tangency": tangency_max, "leakage": leakage_max})
-        except RuntimeError as exc:
-            # per N only the exact propagation's norm-drift RuntimeError is
-            # filed: the one krylov_expm user, the fluctuation run, ran in
-            # _Comparison.__init__; programming errors propagate
-            failures[N] = f"{type(exc).__name__}: {exc}"
+    # per N only the exact propagation's norm-drift RuntimeError is filed:
+    # the one krylov_expm user, the fluctuation run, ran in
+    # _Comparison.__init__; programming errors propagate
+    by_n, errors = comp.rows(cfg.N_list)
+    failures = {N: f"{type(exc).__name__}: {exc}" for N, exc in errors.items()}
+    for N, n_rows in by_n.items():
+        e_ref = n_rows[0][2]
+        for row, norm, e_t in n_rows:
+            worst_nbody_norm = max(worst_nbody_norm, abs(norm - 1.0))
+            worst_nbody_energy = max(
+                worst_nbody_energy, abs(e_t - e_ref) / max(abs(e_ref), 1e-30)
+            )
+            if row["time"] == 0.0:
+                worst_initial = max(worst_initial, row["err_norm"])
+            rows.append({"N": N, **row, "tangency": tangency_max, "leakage": leakage_max})
     gates += [
         ("nbody_norm_drift", worst_nbody_norm, tol["nbody_norm_drift"]),
         ("nbody_energy_drift", worst_nbody_energy, tol["nbody_energy_drift"]),
@@ -282,6 +304,9 @@ def run_single(cfg: ExperimentConfig, N: int, write=True):
     series_times = [k * cfg.T / 16.0 for k in range(17)]
     comp = _Comparison(cfg, series_times)
     traj = comp.traj
+    by_n, failures = comp.rows([N])
+    if failures:
+        raise failures[N]
     series = [{
         "time": row["time"],
         "err_norm": row["err_norm"],
@@ -289,7 +314,7 @@ def run_single(cfg: ExperimentConfig, N: int, write=True):
         "trace_dist_k1": row["trace_dist_k1"],
         "expect_Nplus_mapped": row["expect_Nplus"],
         "expect_Nplus_plus1": row["expect_Nplus"] + 1.0,
-    } for row, *_nbody in comp.rows(N)]
+    } for row, *_nbody in by_n[N]]
 
     ratio = [row["expect_Nplus_plus1"] / series[0]["expect_Nplus_plus1"] for row in series]
     gron_c = _gronwall_constant(series_times, ratio)

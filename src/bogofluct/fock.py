@@ -389,9 +389,16 @@ def sector_mode_lowerings(basis: OccupationBasis, n: int = None) -> sp.csr_matri
     row i * dim(n-1) + r is row r of a_i, in sector-local indices.  They are
     cut from the rows of sector n-1 of the lowering pattern; with no n, all
     of its rows are restacked, so the a_i on the whole basis."""
-    pat = basis.lowering_pattern()
     rows, cols = ((slice(0, basis.size),) * 2 if n is None
                   else (basis.sector_slice(n - 1), basis.sector_slice(n)))
+    return _mode_lowerings(basis, rows, cols)
+
+
+def _mode_lowerings(basis: OccupationBasis, rows: slice, cols: slice) -> sp.csr_matrix:
+    # the rows `rows` of the a_i stacked mode by mode, row i * len(rows) + r
+    # being row rows.start + r of a_i, with the columns cols; cols must hold
+    # every column those rows reach
+    pat = basis.lowering_pattern()
     dim = rows.stop - rows.start
     ptr = pat.indptr[rows.start:rows.stop + 1]
     a, b = ptr[0], ptr[-1]
@@ -459,14 +466,27 @@ def one_body_block(A: np.ndarray, basis: OccupationBasis, n: int) -> sp.csr_matr
     return mat
 
 
+# rows of a chunk of the energy form: its M x rows lowering images hold at
+# most 2**14 values (256 kB)
+_FORM_CHUNK_VALUES = 1 << 14
+
+
 def one_body_form(A: np.ndarray, basis: OccupationBasis):
-    """The quadratic form v -> <v, dGamma(A) v> = sum_ij A_ij <a_i v, a_j v>
-    on full-basis amplitudes, from the M mode lowerings a_i in one matrix."""
-    low = sector_mode_lowerings(basis).astype(complex)  # cast once, not per call
+    """The quadratic form v -> <v, dGamma(A) v> = sum_ij A_ij G_ij on
+    full-basis amplitudes, G_ij = <a_i v, a_j v> the Gram matrix of the M
+    mode lowerings.  G is summed over chunks of rows, each from one stacked
+    matrix of the a_i on those rows, so a call holds no M x size array."""
+    step = max(1, _FORM_CHUNK_VALUES // basis.M)
+    whole = slice(0, basis.size)
+    chunks = [_mode_lowerings(basis, slice(r, min(r + step, basis.size)), whole).astype(complex)
+              for r in range(0, basis.size, step)]  # cast once, not per call
 
     def form(v) -> complex:
-        X = (low @ v).reshape(basis.M, -1)
-        return complex(np.vdot(X, A @ X))
+        G = np.zeros((basis.M, basis.M), dtype=complex)
+        for low in chunks:
+            X = (low @ v).reshape(basis.M, -1)
+            G += X.conj() @ X.T
+        return complex(np.sum(A * G))
 
     return form
 
@@ -522,31 +542,38 @@ def two_body_diagonal(W: np.ndarray, occ: np.ndarray) -> np.ndarray:
 ORTH_TOL = 1e-10
 
 
-def hartree_block(u: np.ndarray, layers: FockVector, N: int,
-                  orth_tol: float = ORTH_TOL) -> SectorVector:
+def hartree_block(u: np.ndarray, layers: FockVector, N, orth_tol: float = ORTH_TOL):
     """Assemble sum_n a^dag(u)^(N-n)/sqrt((N-n)!) phi_n in sector N, where
     phi_n is sector n of layers, n = 0..N; sectors above N are not read.
 
     Each phi_n must be annihilated by a(u); the map is then an isometry from
-    the direct sum of the phi_n onto sector N.
+    the direct sum of the phi_n onto sector N.  N may also be a sequence of
+    distinct particle numbers: a list of their blocks is returned, built
+    from one fill of a(u) and one raising chain per layer, each block the
+    same bytes as when built alone.
     """
     u = np.asarray(u, dtype=complex)
     basis = layers.basis
-    if N > basis.n_max:
-        raise ValueError(f"target sector {N} exceeds truncation {basis.n_max}")
-    low, up = sector_lowerings(u, basis, N)
-    total = np.zeros(basis.sector_dim(N), dtype=complex)
-    for n in range(N + 1):
+    tops = [N] if np.ndim(N) == 0 else list(N)
+    top = max(tops)
+    if top > basis.n_max:
+        raise ValueError(f"target sector {top} exceeds truncation {basis.n_max}")
+    low, up = sector_lowerings(u, basis, top)
+    totals = {n: np.zeros(basis.sector_dim(n), dtype=complex) for n in tops}
+    for n in range(top + 1):
         w = layers.sector(n)
         nrm = np.linalg.norm(w)
         if nrm == 0.0:
             continue
         if n >= 1 and np.linalg.norm(low[n] @ w) > orth_tol * max(1.0, nrm):
             raise ValueError(f"phi_{n} is not orthogonal to the condensate mode")
-        for k in range(1, N - n + 1):
-            w = (up[n + k] @ w) / math.sqrt(k)
-        total += w
-    return SectorVector(basis, N, total)
+        for k in range(top - n + 1):
+            if k:
+                w = (up[n + k] @ w) / math.sqrt(k)
+            if n + k in totals:
+                totals[n + k] += w
+    blocks = [SectorVector(basis, n, totals[n]) for n in tops]
+    return blocks[0] if np.ndim(N) == 0 else blocks
 
 
 def sector_to_dense(psi: SectorVector) -> np.ndarray:

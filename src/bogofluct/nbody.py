@@ -82,29 +82,38 @@ class ReducedDensity:
     matrix: np.ndarray
 
 
-def reduced_density(psi: SectorVector, k: int) -> ReducedDensity:
+def reduced_density(psi, k: int):
     """k-particle density matrix of a sector-N state, trace normalized to 1.
 
     Entry (s, t) is <A_t psi, A_s psi> / binom(N, k) with A_s the normalized
-    occupation-lowering string of the k-sector basis state s.
+    occupation-lowering string of the k-sector basis state s.  psi may also
+    be a list of states of one sector: each lowering is then one product on
+    the columns of all of them, and a list of their densities is returned,
+    each the same bytes as when taken alone.
     """
-    N = psi.n
+    states = [psi] if isinstance(psi, SectorVector) else list(psi)
+    N = states[0].n
     if not 1 <= k <= N:
         raise ValueError(f"order k={k} outside 1..{N}")
-    basis = psi.basis
-    # column j of cols is a_{m_1} ... a_{m_k} psi for the j-th mode tuple in
-    # C order, in sector N - k; the ascending tuple of each state s gives its
-    # string, over sqrt(prod s_i!)
-    cols = psi.amplitudes[:, None]
+    if any(p.n != N for p in states):
+        raise ValueError("states of one sector only")
+    basis = states[0].basis
+    # column j * len(states) + i of cols is a_{m_1} ... a_{m_k} psi_i for
+    # the j-th mode tuple in C order, in sector N - k; the ascending tuple of
+    # each state s gives its string, over sqrt(prod s_i!)
+    cols = np.stack([p.amplitudes for p in states], axis=1)
     for n in range(N, N - k, -1):
         low = (sector_mode_lowerings(basis, n) @ cols).reshape(basis.M, -1, cols.shape[1])
         cols = low.transpose(1, 0, 2).reshape(low.shape[1], -1)
     _, first = np.unique(basis.tuple_states(k), return_index=True)
-    lowered = (cols[:, first] / np.sqrt(basis.sector_factorials(k).astype(float))).T
-    gram = lowered.conj() @ lowered.T  # gram[t, s] = <A_t psi, A_s psi>
-    mat = gram.T / math.comb(N, k)
-    mat = 0.5 * (mat + mat.conj().T)
-    return ReducedDensity(k, mat)
+    root = np.sqrt(basis.sector_factorials(k).astype(float))
+    out = []
+    for i in range(len(states)):
+        lowered = (cols[:, first * len(states) + i] / root).T
+        gram = lowered.conj() @ lowered.T  # gram[t, s] = <A_t psi, A_s psi>
+        mat = gram.T / math.comb(N, k)
+        out.append(ReducedDensity(k, 0.5 * (mat + mat.conj().T)))
+    return out[0] if isinstance(psi, SectorVector) else out
 
 
 def trace_distance(rho: ReducedDensity, sigma: ReducedDensity) -> float:

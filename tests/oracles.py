@@ -5,7 +5,8 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from bogofluct.bogoliubov import _generator_kernels, bogoliubov_hamiltonian, build_kernels
+from bogofluct.bogoliubov import (_generator_kernels, bogoliubov_hamiltonian, build_kernels,
+                                  solve_bogoliubov)
 from bogofluct.excitation import _by_sector, func_of_number_plus
 from bogofluct.fock import (
     FockVector,
@@ -345,3 +346,54 @@ def verify_bog_bounds(u, h0, W, basis: OccupationBasis) -> dict:
         "pairing_ok": pairing_margin >= -PSD_TOL * max(1.0, k2_f * (basis.n_max + 2)),
         "commutator_ok": commutator_margin >= -PSD_TOL * max(1.0, 2 * k2_f * (basis.n_max + 1)),
     }
+
+
+def per_pair_rows(cfg) -> list:
+    """The rows of run_convergence's report, one (N, t) pair at a time: one
+    hartree_block per N, and per pair one apply_u_n and one reduced_density
+    on that pair alone, with the energy form <v, dGamma(1 + h0) v> taken as
+    vdot(X, A X) over the whole-basis stack X of the M mode lowerings."""
+    from bogofluct.excitation import ExcitationFrame, apply_u_n
+    from bogofluct.experiment import _condensate_density, _shared_setup
+    from bogofluct.fock import hartree_block, sector_mode_lowerings
+    from bogofluct.nbody import build_hamiltonian, propagate_exact, reduced_density, trace_distance
+
+    h0, W, u0, traj, basis = _shared_setup(cfg)
+    phi0 = cfg.excitations(u0, basis)
+    times = list(cfg.output_times)
+    run = solve_bogoliubov(phi0, traj, h0, W, cfg.dt_fock, t_grid=times,
+                           tangency_tol=max(1e-4, cfg.tolerances["tangency"]))
+    low = sector_mode_lowerings(basis).astype(complex)
+    A = np.eye(basis.M) + h0
+
+    def energy_form(v):
+        X = (low @ v).reshape(basis.M, -1)
+        return complex(np.vdot(X, A @ X))
+
+    diag = np.array(run.diagnostics)
+    tangency = float(np.max(diag[:, run.DIAG_COLUMNS.index("tangency")]))
+    leakage = float(np.max(diag[:, run.DIAG_COLUMNS.index("leakage")]))
+    totals = basis.totals()
+    rows = []
+    for N in cfg.N_list:
+        cut_weight = math.fsum(phi0.sector_norms()[:N + 1] ** 2)
+        psi0 = hartree_block(u0, phi0, N)
+        deficit = abs(1.0 - psi0.norm())
+        psi0.amplitudes = psi0.amplitudes / psi0.norm()
+        states = propagate_exact(build_hamiltonian(h0, W, N, basis), psi0, times)
+        for t, psi, phi in zip(times, states, run.states):
+            u_t = traj.interpolate(t)
+            mapped = apply_u_n(ExcitationFrame(u_t, N), psi)
+            delta = mapped.amplitudes - phi.amplitudes
+            rows.append({
+                "N": N,
+                "time": t,
+                "err_norm": float(np.linalg.norm(delta)),
+                "err_energy_form": float(np.real(energy_form(delta))),
+                "trace_dist_k1": trace_distance(reduced_density(psi, 1), _condensate_density(u_t)),
+                "expect_Nplus": float(totals @ (np.abs(mapped.amplitudes) ** 2)),
+                "tangency": tangency,
+                "leakage": leakage,
+                "init_norm_deficit": deficit + abs(1.0 - cut_weight),
+            })
+    return rows

@@ -500,23 +500,63 @@ def test_excitations_write_each_table_sector_into_one_fock_vector():
 
 @pytest.mark.parametrize("error", [RuntimeError, KrylovError])
 def test_numerical_failure_is_filed_for_its_n(monkeypatch, error):
+    # a middle, the largest and every N failing: each failure is filed for
+    # its N alone, the other N keep their rows unchanged, the map's one fill
+    # of a(u_t) per output time reaches the largest surviving N, and with no
+    # survivor no map is built
+    import bogofluct.excitation as excitation
     import bogofluct.experiment as experiment
 
+    cfg = ExperimentConfig(GATE_CASE)
+    whole = {(r["N"], r["time"]): r for r in run_convergence(cfg, write=False).rows}
     exact = experiment.propagate_exact
+    fill = excitation.sector_lowerings
+    for failing in ((6,), (8,), (4, 6, 8)):
+        tops = []
 
-    def failing_at_6(H, psi0, times, **kwargs):
-        if psi0.n == 6:
-            raise error("norm budget exceeded")
-        return exact(H, psi0, times, **kwargs)
+        def failing_n(H, psi0, times, **kwargs):
+            if psi0.n in failing:
+                raise error("norm budget exceeded")
+            return exact(H, psi0, times, **kwargs)
 
-    monkeypatch.setattr(experiment, "propagate_exact", failing_at_6)
-    rep = run_convergence(ExperimentConfig(GATE_CASE), write=False)
-    assert list(rep.failures) == [6]
-    assert rep.failures[6] == f"{error.__name__}: norm budget exceeded"
-    assert not rep.passed
-    assert [(r["N"], r["time"]) for r in rep.rows] == [
-        (N, t) for N in (4, 8) for t in GATE_CASE["output_times"]
-    ]
+        def recorded_fill(u, basis, top):
+            tops.append(top)
+            return fill(u, basis, top)
+
+        monkeypatch.setattr(experiment, "propagate_exact", failing_n)
+        monkeypatch.setattr(excitation, "sector_lowerings", recorded_fill)
+        rep = run_convergence(cfg, write=False)
+        survivors = [N for N in GATE_CASE["N_list"] if N not in failing]
+        assert list(rep.failures) == list(failing)
+        assert set(rep.failures.values()) == {f"{error.__name__}: norm budget exceeded"}
+        assert not rep.passed
+        assert [(r["N"], r["time"]) for r in rep.rows] == [
+            (N, t) for N in survivors for t in GATE_CASE["output_times"]
+        ]
+        for row in rep.rows:
+            assert repr(row) == repr(whole[row["N"], row["time"]])
+        assert tops == ([max(survivors)] * len(GATE_CASE["output_times"]) if survivors else [])
+
+
+@pytest.mark.parametrize("name", ["desk_convergence", "desk_table_start"])
+def test_time_major_comparison_matches_the_per_pair_loop(name):
+    # every N is mapped at an output time in one pass; each report column is
+    # the per-(N, t) loop's bit for bit, but the energy form, which sums its
+    # Gram matrix over row chunks; desk_table_start has an odd layer
+    from pathlib import Path
+
+    from oracles import per_pair_rows
+
+    from bogofluct.config import load_config
+    from bogofluct.experiment import REPORT_COLUMNS
+
+    cfg = load_config(Path(__file__).parent.parent / "demos" / "configs" / f"{name}.json")
+    got, want = run_convergence(cfg, write=False).rows, per_pair_rows(cfg)
+    assert [(r["N"], r["time"]) for r in got] == [(r["N"], r["time"]) for r in want]
+    for g, w in zip(got, want):
+        assert abs(g["err_energy_form"] - w["err_energy_form"]) <= 1e-12 * abs(w["err_energy_form"])
+        assert [repr(g[c]) for c in REPORT_COLUMNS if c != "err_energy_form"] == [
+            repr(w[c]) for c in REPORT_COLUMNS if c != "err_energy_form"]
 
 
 def test_programming_error_propagates_out_of_the_n_loop(monkeypatch):

@@ -197,6 +197,32 @@ def test_block_then_map_recovers_layers():
         assert np.max(np.abs(phi.sector(n) - layers.sector(n))) < 1e-10
 
 
+@pytest.mark.parametrize("M, n_max, Ns, top", [
+    (3, 7, (2, 5, 7), 7), (2, 6, (6, 3, 6), 6), (3, 6, (1, 4), 6),
+])
+def test_stacked_map_and_blocks_are_the_single_ones_byte_for_byte(M, n_max, Ns, top):
+    # several N on one fill of a(u), in any order, repeated, or all below
+    # the fill's top: each image and each block is the same bytes as when
+    # built alone
+    basis = enumerate_basis(M, n_max)
+    rng = np.random.default_rng(70 + M + n_max)
+    u = random_unit(rng, M)
+    states = [SectorVector(basis, N, random_unit(rng, basis.sector_dim(N))) for N in Ns]
+    images = apply_u_n(ExcitationFrame(u, top), states)
+    for psi, image in zip(states, images):
+        alone = apply_u_n(ExcitationFrame(u, psi.n), psi).amplitudes
+        assert image.amplitudes.tobytes() == alone.tobytes()
+    layers = apply_u_n(ExcitationFrame(u, n_max), SectorVector(
+        basis, n_max, random_unit(rng, basis.sector_dim(n_max))))
+    distinct = list(dict.fromkeys(Ns))
+    blocks = hartree_block(u, layers, distinct)
+    for N, block in zip(distinct, blocks):
+        assert block.n == N
+        assert block.amplitudes.tobytes() == hartree_block(u, layers, N).amplitudes.tobytes()
+    with pytest.raises(ValueError, match="sector"):
+        apply_u_n(ExcitationFrame(u, min(Ns)), states)
+
+
 def test_star_round_trip_and_domain_checks():
     basis = enumerate_basis(2, 4)
     rng = np.random.default_rng(3)

@@ -274,3 +274,9 @@ def test_reduced_density_matches_the_per_state_reference(M, N):
     assert np.array_equal(reduced_density(psi, 1).matrix, _per_state_reduced_density(psi, 1))
     got = reduced_density(psi, 2).matrix
     assert np.max(np.abs(got - _per_state_reduced_density(psi, 2))) <= 1e-15
+    # a list of states of one sector: each density the same bytes as alone
+    other = SectorVector(b, N, random_unit(rng, b.sector_dim(N)))
+    for k in (1, 2):
+        stacked = reduced_density([psi, other, psi], k)
+        alone = [reduced_density(p, k).matrix.tobytes() for p in (psi, other, psi)]
+        assert [rho.matrix.tobytes() for rho in stacked] == alone

@@ -233,7 +233,9 @@ def test_sector_mode_lowerings_stack_the_blocks_of_each_a_i(M, n_max):
 @pytest.mark.parametrize("M,n_max", [(1, 4), (3, 4), (4, 5)])
 def test_full_mode_lowering_stack_is_the_stack_of_each_a_i(M, n_max):
     # with no sector, the restack of every row of the lowering pattern: the
-    # values, index arrays and energy form of a stack of M annihilate_op fills
+    # values and index arrays of a stack of M annihilate_op fills; the energy
+    # form, summed as a Gram matrix over row chunks, agrees with the form of
+    # that stack to the bound of the dgamma expectation test
     basis = enumerate_basis(M, n_max)
     low = sector_mode_lowerings(basis)
     want = sp.vstack([annihilate_op(e, basis) for e in np.eye(M)], format="csr")
@@ -246,7 +248,8 @@ def test_full_mode_lowering_stack_is_the_stack_of_each_a_i(M, n_max):
     for _ in range(3):
         v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
         X = (want @ v).reshape(M, -1)
-        assert form(v) == complex(np.vdot(X, A @ X))
+        full = complex(np.vdot(X, A @ X))
+        assert abs(form(v) - full) <= 1e-13 * abs(full)
 
 
 @pytest.mark.parametrize("M,n_max", [(2, 5), (3, 4), (4, 5)])
@@ -260,6 +263,28 @@ def test_energy_form_is_the_dgamma_expectation(M, n_max):
     want = np.vdot(v, dgamma(A, basis) @ v)
     assert abs(one_body_form(A, basis)(v) - want) <= 1e-13 * abs(want)
     assert abs(one_body_form(A.T, basis)(v) - want) > 1e-3 * abs(want)
+
+
+def test_energy_form_call_holds_no_array_of_the_lowering_stack():
+    # at M=4, n_max=24 (20,475 states) one call of the form allocates less
+    # than one M x size complex array, the image of v under the stacked mode
+    # lowerings, and still gives the dgamma expectation
+    import tracemalloc
+
+    basis = enumerate_basis(4, 24)
+    rng = np.random.default_rng(24)
+    A, _K, _f = random_inputs(rng, basis.M)
+    v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+    form = one_body_form(A, basis)
+    tracemalloc.start()
+    try:
+        got = form(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < basis.M * basis.size * 16
+    want = np.vdot(v, dgamma(A, basis) @ v)
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_pattern_refuses_an_amplitude_below_one():
