@@ -20,7 +20,8 @@ path works on the whole step grid at once: the generators of all midpoints
 and their exponentials are taken as one stack, a loop carries only the
 recurrence for (T, c), and the diagnostics rows are closed forms in the
 stacked T.  Fock amplitudes are built only at the output times, cut at n_max,
-through sector blocks of the mode annihilators.  Only a projected run from
+all of them in one pass over the sectors, through the raising table and the
+sector blocks of the mode annihilators.  Only a projected run from
 any other start (a table start) steps Fock amplitudes, with the Krylov
 exponential on the truncated basis.
 """
@@ -257,21 +258,31 @@ def _quasi_free_rows(times, Ts, cs, u, h0, n_max):
     ])
 
 
+# (T, c) columns a pass of _quasi_free_states takes at once: its temporaries
+# stay at a few M x dim arrays of a sector however many output times
+_STATE_COLUMNS = 4
+
+
 def _quasi_free_states(Ts, cs, basis: OccupationBasis) -> list:
     """c sum_{k <= n_max/2} (1/2 a^dag T a^dag)^k vacuum / k! for each (T, c),
-    cut at n_max.  Each pair raising v -> 1/2 sum_ij T_ij a_i^dag a_j^dag v
-    goes through the sector blocks of the mode annihilators: x_j = a_j^dag v,
-    then 1/2 sum_i a_i^dag (sum_j T_ij x_j)."""
-    up = [None] + [sector_mode_lowerings(basis, n).T for n in range(1, basis.n_max + 1)]
-    states = []
-    for T, c in zip(Ts, cs):
-        amps = np.zeros(basis.size, dtype=complex)
-        amps[0] = c
-        for k in range(1, basis.n_max // 2 + 1):
-            x = up[2 * k - 1] @ np.kron(np.eye(basis.M), amps[basis.sector_slice(2 * k - 2), None])
-            amps[basis.sector_slice(2 * k)] = 0.5 * (up[2 * k] @ (x @ T.T).T.ravel()) / k
-        states.append(FockVector(basis, amps))
-    return states
+    cut at n_max, with the (T, c) the columns of one pass over the sectors.
+    Each pair raising v -> 1/2 sum_ij T_ij a_i^dag a_j^dag v from sector
+    n - 2 to n takes x_j = a_j^dag v, one scatter from the raising table,
+    then 1/2 sum_i a_i^dag (sum_j T_ij x_j), one product with the stacked
+    sector blocks of the mode annihilators on up to _STATE_COLUMNS columns."""
+    index, amp = basis.raising_table()
+    off, M = basis.sector_offsets, basis.M
+    amps = np.zeros((len(Ts), basis.size), dtype=complex)
+    amps[:, 0] = cs
+    for n in range(2, basis.n_max + 1, 2):
+        rows, up = slice(off[n - 2], off[n - 1]), sector_mode_lowerings(basis, n).T
+        for first in range(0, len(Ts), _STATE_COLUMNS):
+            cols = slice(first, first + _STATE_COLUMNS)
+            x = np.zeros((len(Ts[cols]), off[n] - off[n - 1], M), dtype=complex)
+            x[:, index[rows] - off[n - 1], np.arange(M)] = amps[cols, rows, None] * amp[rows]
+            y = (x @ np.swapaxes(Ts[cols], 1, 2)).transpose(2, 1, 0).reshape(-1, len(x))
+            amps[cols, off[n]:off[n + 1]] = (0.5 * (up @ y) / (n // 2)).T
+    return [FockVector(basis, a) for a in amps]
 
 
 def _tangency_abort(t, defect, tangency_tol):

@@ -127,6 +127,7 @@ class _Comparison:
         self.cfg, self.times = cfg, times
         self.h0, self.W, self.u0, self.traj, self.basis = _shared_setup(cfg)
         self.phi0 = cfg.excitations(self.u0, self.basis)
+        self.phi0_norms = self.phi0.sector_norms()
         self.run = solve_bogoliubov(
             self.phi0, self.traj, self.h0, self.W, cfg.dt_fock,
             t_grid=times, tangency_tol=max(1e-4, cfg.tolerances["tangency"]))
@@ -173,7 +174,7 @@ class _Comparison:
         # the exact states of N from its initial block, their one-particle
         # densities, each state's norm and energy, and the initial norm
         # deficit; H lives only in here
-        cut_weight = math.fsum(self.phi0.sector_norms()[:N + 1] ** 2)
+        cut_weight = math.fsum(self.phi0_norms[:N + 1] ** 2)
         deficit = abs(1.0 - psi0.norm()) + abs(1.0 - cut_weight)
         psi0.amplitudes = psi0.amplitudes / psi0.norm()
         H = build_hamiltonian(self.h0, self.W, N, self.basis)

@@ -18,21 +18,28 @@ and the mode annihilators a_i into blocks from sector n to n-1;
 sector_lowerings also gives the adjoints, which raise; one_body_block builds
 dGamma(A) on a sector.
 
+Every ladder block the run path uses is cut from one table on the basis, the
+raised neighbours (OccupationBasis.raising_table): for each state r below
+the top sector, the index of r + e_i and the amplitude sqrt(r_i + 1) of
+a_i^dag, in closed form from the combinatorial rank.  Row r of a(f) is then
+conj(f_i) sqrt(r_i + 1) at the columns r + e_i, already in CSR order, and
+the hop a_i^dag a_j goes from row r's neighbour in mode j to its neighbour
+in mode i.  The table build is the one place where the lowering structure
+is checked.
+
 Operators on the whole basis are scipy CSR matrices in basis order.  The
-ladder and quadratic ones are value refills of sparsity patterns cached on
-the basis (CSRPattern) by one rule: a fill passes a coefficient array per
-named family of blocks, and each stored value is one coefficient times one
-amplitude.  a(f) fills the lowering pattern's one family, "a", with conj(f),
-so an entry's slot is its mode; dGamma(A), pairing(K) and their sum, which
-only the Krylov fluctuation stepper and the dense identity checks use, fill
-the four of the quadratic pattern.  A pattern is built on first use, and
+quadratic ones are value refills of a sparsity pattern cached on the basis
+(CSRPattern) by one rule: a fill passes a coefficient array per named
+family of blocks, and each stored value is one coefficient times one
+amplitude.  dGamma(A), pairing(K) and their sum, which only the Krylov
+fluctuation stepper and the dense identity checks use, fill the four
+families of the quadratic pattern.  The pattern is built on first use, and
 the particle-number band of each of its term blocks is checked once, then;
-a fill only writes values into those positions.  That build is the one
-place where the particle-number structure is checked; number_op and
-two_body_op are diagonal.  Every ladder amplitude is the square root of the
-exact integer product of its bosonic factors, a filled operator stores no
-exact zero, and the diagonal family starts at sector 1, since dGamma(A)
-vanishes on the vacuum.
+a fill only writes values into those positions.  number_op and two_body_op
+are diagonal.  Every ladder amplitude is the square root of the exact
+integer product of its bosonic factors, no operator stores an exact zero,
+and the diagonal family starts at sector 1, since dGamma(A) vanishes on the
+vacuum.
 """
 
 import math
@@ -100,7 +107,7 @@ class OccupationBasis:
         self._below = below
         self._totals = None
         self._quad_pattern = None
-        self._low_pattern = None
+        self._raising = None
 
     def index(self, occ) -> int:
         return int(self.lookup(np.asarray(occ)[None, :])[0])
@@ -168,13 +175,12 @@ class OccupationBasis:
         whose total lies at least two below the truncation."""
         return self._ladder(up=(i, j))
 
-    def _ladder(self, down=(), up=(), n=None):
+    def _ladder(self, down=(), up=()):
         # index pattern (rows, cols, amps) of prod a_up^dag prod a_down: the
-        # sources are the states (of sector n, if given) every a_down acts
-        # on whose image stays in the truncation; amps is sqrt of the exact
-        # integer product of the bosonic factors
-        sl = slice(0, self.size) if n is None else self.sector_slice(n)
-        occ = self.states[sl].copy()
+        # sources are the states every a_down acts on whose image stays in
+        # the truncation; amps is sqrt of the exact integer product of the
+        # bosonic factors
+        occ = self.states.copy()
         factor = np.ones(len(occ), dtype=np.int64)
         for j in down:
             factor *= occ[:, j]
@@ -182,8 +188,35 @@ class OccupationBasis:
         for i in up:
             occ[:, i] += 1
             factor *= occ[:, i]
-        src = np.flatnonzero((factor > 0) & (self.totals()[sl] <= self.n_max + len(down) - len(up)))
-        return self.lookup(occ[src]), src + sl.start, np.sqrt(factor[src].astype(float))
+        src = np.flatnonzero((factor > 0) & (self.totals() <= self.n_max + len(down) - len(up)))
+        return self.lookup(occ[src]), src, np.sqrt(factor[src].astype(float))
+
+    def raising_table(self):
+        """(index, amp), each R x M for the R = sector_offsets[n_max] states
+        below the top sector (cached): index[r, i] is the basis index of
+        r + e_i and amp[r, i] = sqrt(r_i + 1), the amplitude of a_i^dag from
+        r.  With lookup's tails, raising mode i adds one to tail_j for every
+        j <= i, so index[r, i] is r plus the cumulative sum over j <= i of
+        below[tail_j + 1, M - j] - below[tail_j, M - j].  Each row ascends
+        (r + e_i holds more than r + e_j in the earlier mode i < j, so it
+        ranks first), so it is one CSR row of a(f).  The build checks that
+        every entry lowered in its mode is r, which also holds the
+        particle-number band of every ladder block cut from the table."""
+        if self._raising is None:
+            R, M = int(self.sector_offsets[self.n_max]), self.M
+            occ = self.states[:R]
+            tails = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]
+            rise = np.diff(self._below, axis=0)  # below[t + 1, m] - below[t, m]
+            index = np.cumsum(rise[tails, M - np.arange(M)], axis=1)
+            index += np.arange(R)[:, None]
+            index = index.astype(np.int32 if self.size < 2**31 else np.int64)
+            unit = np.eye(M, dtype=occ.dtype)
+            if np.any((index < 0) | (index >= self.size)) or any(
+                    not np.array_equal(np.take(self.states, index[:, i], axis=0) - unit[i], occ)
+                    for i in range(M)):
+                raise ValueError("raising table: an entry is not the state r + e_i")
+            self._raising = (index, np.sqrt(occ + 1.0))
+        return self._raising
 
     def quadratic_pattern(self) -> "CSRPattern":
         """CSR pattern of the band-(-2, 0, 2) quadratic operators (cached).
@@ -204,16 +237,6 @@ class OccupationBasis:
                 *(("lower", src, dst, amps, -2) for dst, src, amps in pairs),
             ])
         return self._quad_pattern
-
-    def lowering_pattern(self) -> "CSRPattern":
-        """CSR pattern of the band-(-1) annihilators a(f) (cached): one family
-        "a" with a block per mode i, the entries of a_i, so the slot of an
-        entry is its mode."""
-        if self._low_pattern is None:
-            self._low_pattern = CSRPattern(self, [
-                ("a", *self.lowering_structure(i), -1) for i in range(self.M)
-            ])
-        return self._low_pattern
 
     def __repr__(self):
         return f"OccupationBasis(M={self.M}, n_max={self.n_max}, size={self.size})"
@@ -281,12 +304,12 @@ class CSRPattern:
         self.indptr = np.zeros(n + 1, dtype=idx)
         np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
 
-    def fill(self, values: dict, rows: int = None) -> sp.csr_matrix:
-        """CSR matrix of the first rows rows (all by default) of the families
-        named in values, each an array of one coefficient per slot; the
-        others are 0.  Every stored value is coeff[slot] * amps.  Exact zeros
-        are not stored.  They can only come from a zero coefficient, a family
-        left out included, so only then is the matrix compacted.
+    def fill(self, values: dict) -> sp.csr_matrix:
+        """CSR matrix of the families named in values, each an array of one
+        coefficient per slot; the others are 0.  Every stored value is
+        coeff[slot] * amps.  Exact zeros are not stored.  They can only come
+        from a zero coefficient, a family left out included, so only then is
+        the matrix compacted.
         """
         coeff = np.zeros(self.n_slots, dtype=complex)
         for family, val in values.items():
@@ -295,12 +318,9 @@ class CSRPattern:
                 raise ValueError(f"family {family!r} takes {end - start} coefficients, "
                                  f"got shape {np.shape(val)}")
             coeff[start:end] = val
-        rows = self.shape[0] if rows is None else rows
-        end = self.indptr[rows]
-        data = np.take(coeff, self.slot[:end])
-        data *= self.amps[:end]
-        mat = sp.csr_matrix((data, self.indices[:end].copy(), self.indptr[:rows + 1].copy()),
-                            shape=(rows, self.shape[1]))
+        data = np.take(coeff, self.slot)
+        data *= self.amps
+        mat = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
         if not np.all(coeff):
             mat.eliminate_zeros()
         return mat
@@ -357,8 +377,25 @@ class SectorVector:
 
 
 def annihilate_op(f: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
-    """a(f) = sum_i conj(f_i) a_i, antilinear in f."""
-    return basis.lowering_pattern().fill({"a": np.conj(f)})
+    """a(f) = sum_i conj(f_i) a_i, antilinear in f: row r of a state below
+    the top sector holds conj(f_i) sqrt(r_i + 1) at the column r + e_i."""
+    coeff, _f, modes = _coefficients(f, basis)
+    index, amp = basis.raising_table()
+    rows, width = len(index), len(coeff)
+    ptr = np.full(basis.size + 1, rows * width, dtype=index.dtype)
+    ptr[:rows + 1] = np.arange(rows + 1) * width
+    return sp.csr_matrix(((coeff * amp[:, modes]).ravel(), index[:, modes].flatten(), ptr),
+                         shape=(basis.size, basis.size))
+
+
+def _coefficients(f, basis):
+    # (conj(f), f) on the modes i with f_i != 0, and those modes (a slice
+    # when they are all of them): a mode with f_i = 0 is left out of a(f),
+    # so no block stores an exact zero
+    if np.shape(f) != (basis.M,):
+        raise ValueError(f"a(f) takes {basis.M} components, got shape {np.shape(f)}")
+    modes = slice(None) if np.all(f) else np.flatnonzero(f)
+    return np.conj(f).astype(complex)[modes], np.asarray(f, dtype=complex)[modes], modes
 
 
 def sector_lowerings(f: np.ndarray, basis: OccupationBasis, top: int) -> tuple:
@@ -366,29 +403,29 @@ def sector_lowerings(f: np.ndarray, basis: OccupationBasis, top: int) -> tuple:
     to n-1 and up[n] = low[n]^dag raises sector n-1 to n, n = 1..top (index 0
     is None in both); up[n] is a CSC matrix on low[n]'s index arrays.
 
-    a(f) lowers the total by exactly one (checked when its pattern is built),
-    so the rows of sector n-1 hold only columns of sector n, and each block
-    is a slice of the CSR arrays, shifted to sector-local indices.  Only the
-    rows of sectors below top are filled.
+    The rows of sector n-1 of the raising table are the rows of low[n]:
+    their values are conj(f_i) sqrt(r_i + 1), and up[n] stores
+    f_i sqrt(r_i + 1) at the same positions.
     """
+    coeff, f, modes = _coefficients(f, basis)
+    index, amp = basis.raising_table()
     off = [int(o) for o in basis.sector_offsets]
-    low = basis.lowering_pattern().fill({"a": np.conj(f)}, rows=off[top])
-    blocks = [None]
+    low, up = [None], [None]
     for n in range(1, top + 1):
-        ptr = low.indptr[off[n - 1]:off[n] + 1]
-        a, b = int(ptr[0]), int(ptr[-1])
-        blocks.append(sp.csr_matrix(
-            (low.data[a:b], low.indices[a:b] - off[n], ptr - a),
-            shape=(off[n] - off[n - 1], off[n + 1] - off[n])))
-    return blocks, [None] + [sp.csc_matrix((b.data.conj(), b.indices, b.indptr),
-                                           shape=b.shape[::-1]) for b in blocks[1:]]
+        rows, shape = slice(off[n - 1], off[n]), (off[n] - off[n - 1], off[n + 1] - off[n])
+        cols = (index[rows, modes] - off[n]).ravel()
+        ptr = np.arange(shape[0] + 1, dtype=index.dtype) * len(coeff)
+        block = amp[rows, modes]
+        low.append(sp.csr_matrix(((coeff * block).ravel(), cols, ptr), shape=shape))
+        up.append(sp.csc_matrix(((f * block).ravel(), cols, ptr), shape=shape[::-1]))
+    return low, up
 
 
 def sector_mode_lowerings(basis: OccupationBasis, n: int = None) -> sp.csr_matrix:
     """The blocks of the mode annihilators a_i from sector n to n-1, stacked:
     row i * dim(n-1) + r is row r of a_i, in sector-local indices.  They are
-    cut from the rows of sector n-1 of the lowering pattern; with no n, all
-    of its rows are restacked, so the a_i on the whole basis."""
+    the transposed rows of sector n-1 of the raising table; with no n, of
+    all its rows, so the a_i on the whole basis."""
     rows, cols = ((slice(0, basis.size),) * 2 if n is None
                   else (basis.sector_slice(n - 1), basis.sector_slice(n)))
     return _mode_lowerings(basis, rows, cols)
@@ -397,13 +434,15 @@ def sector_mode_lowerings(basis: OccupationBasis, n: int = None) -> sp.csr_matri
 def _mode_lowerings(basis: OccupationBasis, rows: slice, cols: slice) -> sp.csr_matrix:
     # the rows `rows` of the a_i stacked mode by mode, row i * len(rows) + r
     # being row rows.start + r of a_i, with the columns cols; cols must hold
-    # every column those rows reach
-    pat = basis.lowering_pattern()
+    # every column those rows reach.  Each of the first k rows, those below
+    # the top sector, has one entry in every a_i, the others none
+    index, amp = basis.raising_table()
     dim = rows.stop - rows.start
-    ptr = pat.indptr[rows.start:rows.stop + 1]
-    a, b = ptr[0], ptr[-1]
-    stacked = pat.slot[a:b].astype(np.int64) * dim + np.repeat(np.arange(dim), np.diff(ptr))
-    return sp.csr_matrix((pat.amps[a:b], (stacked, pat.indices[a:b] - cols.start)),
+    first, k = min(rows.start, len(index)), max(0, min(rows.stop, len(index)) - rows.start)
+    ptr = np.arange(basis.M)[:, None] * k + np.minimum(np.arange(dim), k)
+    ptr = np.append(ptr.ravel(), basis.M * k).astype(index.dtype)
+    return sp.csr_matrix((amp[first:first + k].T.ravel(),
+                          (index[first:first + k].T - cols.start).ravel(), ptr),
                          shape=(basis.M * dim, cols.stop - cols.start))
 
 
@@ -449,17 +488,23 @@ def dgamma(A: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
 
 def one_body_block(A: np.ndarray, basis: OccupationBasis, n: int) -> sp.csr_matrix:
     """The block of dgamma(A) on sector n, in sector-local indices, built from
-    the states of the sector alone: its diagonal and its hop entries."""
+    the states of the sector alone: its diagonal and its hop entries.  The
+    hop a_i^dag a_j maps r + e_j to r + e_i, with amplitude
+    sqrt((r_j + 1)(r_i + 1)), for each state r of sector n-1: two reads of
+    the raising table."""
     sl = basis.sector_slice(n)
     values = _one_body_values(A, basis, basis.states[sl])
     local = np.arange(sl.stop - sl.start)
     rows, cols, vals = [local], [local], [values["diag"]]
-    for (i, j), coeff in zip(_off_diagonal(basis.M), values["hop"]):
-        if coeff != 0:
-            dst, src, amps = basis._ladder(down=(j,), up=(i,), n=n)
-            rows.append(dst - sl.start)
-            cols.append(src - sl.start)
-            vals.append(coeff * amps)
+    if n:
+        below = basis.sector_slice(n - 1)
+        raised = basis.raising_table()[0][below] - sl.start
+        occ = basis.states[below] + 1
+        for (i, j), coeff in zip(_off_diagonal(basis.M), values["hop"]):
+            if coeff != 0:
+                rows.append(raised[:, i])
+                cols.append(raised[:, j])
+                vals.append(coeff * np.sqrt((occ[:, j] * occ[:, i]).astype(float)))
     mat = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                         shape=(len(local), len(local)))
     mat.eliminate_zeros()

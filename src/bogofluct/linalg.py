@@ -1,6 +1,6 @@
 """Matrix exponentials in numpy alone: Lanczos for the fluctuation steps, one
-Chebyshev series per span for a time-independent sparse H, and a scaled
-Taylor polynomial for a stack of small dense matrices."""
+Chebyshev recurrence for every output time of a time-independent sparse H,
+and a scaled Taylor polynomial for a stack of small dense matrices."""
 
 import math
 
@@ -96,15 +96,19 @@ def _expm_stack(A):
 
 
 class ChebyshevPropagator:
-    """exp(-i t H) v for a hermitian sparse H, one Chebyshev series per call.
+    """exp(-i t H) v for a hermitian sparse H, at many times from one
+    Chebyshev recurrence.
 
     H is rescaled once onto its Gershgorin interval [c - a, c + a], with
     exp(-i t H) v = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(at) T_k(X) v and
     X = (H - c)/a (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)),
     cut where the Bessel tail bound falls below round-off: exact at any t,
-    and e^{-ict} v on a zero-width interval (H = c).  The n terms cost n
-    products with H; their coefficients come from one FFT of length 2n, so
-    the memory beyond a few vectors is O(n) however long the span.
+    and e^{-ict} v on a zero-width interval (H = c).  The vectors T_k(X) v
+    do not depend on t, so the series of every time share one recurrence,
+    each cut at its own tail: n terms cost n - 1 products with H for the
+    longest span, whatever the other times.  The coefficients of each time
+    come from one FFT of length 2n, so the memory beyond a few vectors per
+    time is O(n) however long the span.
     """
 
     def __init__(self, H):
@@ -116,22 +120,39 @@ class ChebyshevPropagator:
         shifted = H - self.center * sp.identity(H.shape[0], dtype=H.dtype, format="csr")
         self.twice_scaled = shifted * (2.0 / self.half_width) if self.half_width else None
 
-    def apply(self, v, t):
-        x = self.half_width * t
-        if x == 0.0:
-            return np.exp(-1j * self.center * t) * v
-        # ||T_k(X)|| <= 1 on [-1, 1], so the terms k < n leave a tail below
-        # round-off: for n >= |x|, sum_{k >= n} 2 |J_k(x)| <= 4 (|x|/2)^n / n! <= eps
-        n, log_tail = max(2, math.ceil(abs(x))), math.log(0.25 * np.finfo(float).eps)
-        while n * math.log(0.5 * abs(x)) - math.lgamma(n + 1) > log_tail:
-            n += 1
-        coef = _exp_coefficients(x, n)
-        prev, cur = v, 0.5 * (self.twice_scaled @ v)
-        out = 0.5 * coef[0] * prev + coef[1] * cur
-        for ck in coef[2:]:
-            prev, cur = cur, self.twice_scaled @ cur - prev
-            out += ck * cur
-        return np.exp(-1j * self.center * t) * out
+    def states(self, v, times):
+        """exp(-i t H) v for each t of times, a (len(times), len(v)) array:
+        row j is the series of times[j] alone, bit for bit, and the products
+        with H are those of the longest span."""
+        x = self.half_width * np.asarray(times, dtype=float)
+        terms = np.array([_term_count(xj) if xj else 0 for xj in x], dtype=int)
+        # the times with terms, most terms first: the series still open at
+        # term k are the first still_open[k] of them
+        live = np.argsort(-terms, kind="stable")[:np.count_nonzero(terms)]
+        out = np.empty((len(x), len(v)), dtype=complex)
+        if len(live):
+            coef = np.zeros((len(live), terms[live[0]]), dtype=complex)
+            for row, j in enumerate(live):
+                coef[row, :terms[j]] = _exp_coefficients(x[j], terms[j])
+            still_open = np.sum(terms[live, None] > np.arange(coef.shape[1]), axis=0)
+            prev, cur = v, 0.5 * (self.twice_scaled @ v)
+            acc = (0.5 * coef[:, 0, None]) * prev + coef[:, 1, None] * cur
+            for k in range(2, coef.shape[1]):
+                prev, cur = cur, self.twice_scaled @ cur - prev
+                acc[:still_open[k]] += coef[:still_open[k], k, None] * cur
+            out[live] = acc
+        for j, t in enumerate(times):
+            out[j] = np.exp(-1j * self.center * t) * (out[j] if terms[j] else v)
+        return out
+
+
+def _term_count(x):
+    # ||T_k(X)|| <= 1 on [-1, 1], so the terms k < n leave a tail below
+    # round-off: for n >= |x|, sum_{k >= n} 2 |J_k(x)| <= 4 (|x|/2)^n / n! <= eps
+    n, log_tail = max(2, math.ceil(abs(x))), math.log(0.25 * np.finfo(float).eps)
+    while n * math.log(0.5 * abs(x)) - math.lgamma(n + 1) > log_tail:
+        n += 1
+    return n
 
 
 def _exp_coefficients(x, n):

@@ -9,6 +9,7 @@ from bogofluct.bogoliubov import (_generator_kernels, bogoliubov_hamiltonian, bu
                                   solve_bogoliubov)
 from bogofluct.excitation import _by_sector, func_of_number_plus
 from bogofluct.fock import (
+    CSRPattern,
     FockVector,
     OccupationBasis,
     SectorVector,
@@ -20,7 +21,7 @@ from bogofluct.fock import (
     pairing_raise,
 )
 from bogofluct.hartree import mean_field, mu_of
-from bogofluct.linalg import _expm_stack
+from bogofluct.linalg import ChebyshevPropagator, _expm_stack
 
 
 def embed(psi: SectorVector) -> FockVector:
@@ -53,6 +54,97 @@ def mode_lowering(basis: OccupationBasis, i: int) -> sp.csr_matrix:
     from its index pattern alone."""
     dst, src, amps = basis.lowering_structure(i)
     return sp.csr_matrix((amps, (dst, src)), shape=(basis.size, basis.size))
+
+
+def pattern_lowering(f, basis: OccupationBasis) -> sp.csr_matrix:
+    """a(f) as one fill of a CSRPattern of the M blocks of the a_i, each
+    index pattern from lookup and the CSR order from lexsort."""
+    pattern = CSRPattern(basis, [("a", *basis.lowering_structure(i), -1) for i in range(basis.M)])
+    return pattern.fill({"a": np.conj(f)})
+
+
+def pattern_sector_lowerings(f, basis: OccupationBasis, top: int) -> tuple:
+    """(low, up) as sector slices of pattern_lowering(f, basis): low[n] its
+    rows of sector n-1 with the columns of sector n, up[n] the CSC matrix of
+    the conjugated values on low[n]'s index arrays, n = 1..top."""
+    off = [int(o) for o in basis.sector_offsets]
+    low = pattern_lowering(f, basis)
+    blocks = [None]
+    for n in range(1, top + 1):
+        ptr = low.indptr[off[n - 1]:off[n] + 1]
+        a, b = int(ptr[0]), int(ptr[-1])
+        blocks.append(sp.csr_matrix(
+            (low.data[a:b], low.indices[a:b] - off[n], ptr - a),
+            shape=(off[n] - off[n - 1], off[n + 1] - off[n])))
+    return blocks, [None] + [sp.csc_matrix((b.data.conj(), b.indices, b.indptr),
+                                           shape=b.shape[::-1]) for b in blocks[1:]]
+
+
+def coo_mode_lowerings(basis: OccupationBasis, n: int = None) -> sp.csr_matrix:
+    """The stacked blocks of the a_i from sector n to n-1 (all rows with no
+    n), row i * dim + r being row r of a_i, through one COO -> CSR
+    conversion of the index patterns of lowering_structure."""
+    rows, cols = ((slice(0, basis.size),) * 2 if n is None
+                  else (basis.sector_slice(n - 1), basis.sector_slice(n)))
+    dim = rows.stop - rows.start
+    stacked, src, vals = [], [], []
+    for i in range(basis.M):
+        dst, s, amps = basis.lowering_structure(i)
+        keep = (dst >= rows.start) & (dst < rows.stop)
+        stacked.append(i * dim + dst[keep] - rows.start)
+        src.append(s[keep] - cols.start)
+        vals.append(amps[keep])
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(stacked), np.concatenate(src))),
+                         shape=(basis.M * dim, cols.stop - cols.start))
+
+
+def lookup_one_body_block(A, basis: OccupationBasis, n: int) -> sp.csr_matrix:
+    """The block of dgamma(A) on sector n from the states of the sector: the
+    diagonal, and each nonzero hop A_ij a_i^dag a_j through a lookup of its
+    targets (hop_structure cut to the sector)."""
+    sl = basis.sector_slice(n)
+    local = np.arange(sl.stop - sl.start)
+    A = np.asarray(A, dtype=complex)
+    rows, cols, vals = [local], [local], [basis.states[sl] @ np.diagonal(A)]
+    for i, j in zip(*np.nonzero(~np.eye(basis.M, dtype=bool))):
+        if A[i, j] != 0:
+            dst, src, amps = basis.hop_structure(i, j)
+            keep = (src >= sl.start) & (src < sl.stop)
+            rows.append(dst[keep] - sl.start)
+            cols.append(src[keep] - sl.start)
+            vals.append(A[i, j] * amps[keep])
+    mat = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(len(local), len(local)))
+    mat.eliminate_zeros()
+    return mat
+
+
+def kron_quasi_free_states(Ts, cs, basis: OccupationBasis) -> list:
+    """c sum_k (1/2 a^dag T a^dag)^k vacuum / k! cut at n_max, one (T, c) at
+    a time: x_j = a_j^dag v as the product of the transposed mode-lowering
+    stack with the block-diagonal kron(1, v), then 1/2 sum_i a_i^dag
+    (sum_j T_ij x_j)."""
+    up = [None] + [coo_mode_lowerings(basis, n).T for n in range(1, basis.n_max + 1)]
+    states = []
+    for T, c in zip(Ts, cs):
+        amps = np.zeros(basis.size, dtype=complex)
+        amps[0] = c
+        for k in range(1, basis.n_max // 2 + 1):
+            x = up[2 * k - 1] @ np.kron(np.eye(basis.M), amps[basis.sector_slice(2 * k - 2), None])
+            amps[basis.sector_slice(2 * k)] = 0.5 * (up[2 * k] @ (x @ T.T).T.ravel()) / k
+        states.append(FockVector(basis, amps))
+    return states
+
+
+def per_interval_states(mat, v, times) -> list:
+    """exp(-i t H) v at nondecreasing times, one Chebyshev series per
+    interval between them, each from the state at the interval's start."""
+    prop = ChebyshevPropagator(mat)
+    out = []
+    for t_prev, t in zip(np.r_[0.0, times], times):
+        v = prop.states(v, [t - t_prev])[0]
+        out.append(v)
+    return out
 
 
 def two_body_general(B, basis) -> sp.csr_matrix:

@@ -588,7 +588,7 @@ def test_gronwall_constant_fits_the_growth_after_t0():
 
 def test_vacuum_run_never_builds_the_quadratic_pattern(monkeypatch):
     # every operator of a vacuum-start run acts on sector blocks or through
-    # the lowering pattern; the full band-(-2, 0, 2) pattern is not built
+    # the raising table; the full band-(-2, 0, 2) pattern is not built
     from pathlib import Path
 
     from bogofluct.config import load_config

@@ -61,7 +61,7 @@ def test_chebyshev_series_is_exact():
     v = rng.normal(size=25) + 1j * rng.normal(size=25)
     prop = ChebyshevPropagator(sp.csr_matrix(H))
     for t in (1e-6, 0.3, 1.7):
-        assert np.linalg.norm(prop.apply(v, t) - sla.expm(-1j * t * H) @ v) < 1e-12
+        assert np.linalg.norm(prop.states(v, [t])[0] - sla.expm(-1j * t * H) @ v) < 1e-12
 
 
 def test_chebyshev_series_needs_no_substep():
@@ -75,7 +75,7 @@ def test_chebyshev_series_needs_no_substep():
         krylov_expm(H, v, -2.0j, tol=1e-12)
     prop = ChebyshevPropagator(sp.csr_matrix(H))
     assert prop.half_width * 2.0 > 100
-    assert np.linalg.norm(prop.apply(v, 2.0) - sla.expm(-2.0j * H) @ v) < 1e-12
+    assert np.linalg.norm(prop.states(v, [2.0])[0] - sla.expm(-2.0j * H) @ v) < 1e-12
 
 
 def test_chebyshev_series_over_a_long_span_in_little_memory():
@@ -92,7 +92,7 @@ def test_chebyshev_series_over_a_long_span_in_little_memory():
     assert prop.half_width * t > 3000
     tracemalloc.start()
     try:
-        got = prop.apply(v, t)
+        got = prop.states(v, [t])[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -113,7 +113,7 @@ def test_chebyshev_series_on_a_zero_width_interval_is_the_phase():
     prop = ChebyshevPropagator(0.9 * sp.identity(7, dtype=complex, format="csr"))
     assert prop.half_width == 0.0
     for t in (0.0, 0.3, 2.0):
-        assert np.array_equal(prop.apply(v, t), np.exp(-1j * 0.9 * t) * v)
+        assert np.array_equal(prop.states(v, [t])[0], np.exp(-1j * 0.9 * t) * v)
 
 
 @pytest.mark.parametrize("norm", [1e-3, 1.0, 10.0, 100.0])

@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -141,28 +140,130 @@ def test_propagate_matches_expm_multiply_at_any_span(N):
         assert np.max(np.abs(st.amplitudes - one.amplitudes)) < 1e-12
 
 
-def test_one_series_per_output_interval(monkeypatch):
-    # paper_scale: one ChebyshevPropagator.apply per output time and N, 20 in
-    # all, whatever dt_nbody says
+def test_one_recurrence_per_n_for_all_output_times(monkeypatch):
+    # paper_scale: one ChebyshevPropagator.states call per N on the output
+    # times; its products with H are those of the longest span's series,
+    # one fewer than its terms (T_0 v = v takes none): 334 products for 339
+    # terms in all, against 522 for 537 terms with one series per interval
     from pathlib import Path
 
     from bogofluct.config import load_config
     from bogofluct.experiment import run_convergence
-    from bogofluct.linalg import ChebyshevPropagator
+    from bogofluct.linalg import ChebyshevPropagator, _term_count
 
-    calls = []  # the propagator of each call, kept alive so ids stay distinct
-    apply = ChebyshevPropagator.apply
+    calls = []  # (half width, times, products) of each call
+    states = ChebyshevPropagator.states
 
-    def counted(self, v, t):
-        calls.append(self)
-        return apply(self, v, t)
+    def counted(self, v, times):
+        mat, products = self.twice_scaled, []
 
-    monkeypatch.setattr(ChebyshevPropagator, "apply", counted)
+        class Counting:
+            def __matmul__(self, x):
+                products.append(1)
+                return mat @ x
+
+        self.twice_scaled = Counting()
+        try:
+            return states(self, v, times)
+        finally:
+            self.twice_scaled = mat
+            calls.append((self.half_width, list(times), len(products)))
+
+    monkeypatch.setattr(ChebyshevPropagator, "states", counted)
     cfg = load_config(Path(__file__).resolve().parents[1] / "demos" / "configs" / "paper_scale.json")
     run_convergence(cfg, write=False)
-    per_n = Counter(map(id, calls))
-    assert sorted(per_n.values()) == [len(cfg.output_times)] * len(cfg.N_list)
-    assert len(calls) == 20
+    assert len(calls) == len(cfg.N_list)
+    terms = [_term_count(a * max(times)) for a, times, _ in calls]
+    assert all(times == cfg.output_times for _, times, _ in calls)
+    assert [products for *_, products in calls] == [n - 1 for n in terms]
+    assert sum(terms) == 339
+    per_interval = sum(_term_count(a * dt) for a, times, _ in calls
+                       for dt in np.diff(np.r_[0.0, times]) if dt)
+    assert per_interval == 537
+
+
+def sector_case(N=12, seed=5):
+    # a 455-state sector of the M=4 gaussian model, and a random unit state
+    lat = build_lattice(4, 1.0)
+    b = enumerate_basis(4, N)
+    H = build_hamiltonian(build_laplacian(lat), build_interaction(lat, gaussian_profile(1.5, 1.0)), N, b)
+    return H, SectorVector(b, N, random_unit(np.random.default_rng(seed), b.sector_dim(N)))
+
+
+def test_recurrence_states_match_the_per_interval_series():
+    # each time from t = 0 by its own series, against the state carried
+    # interval by interval; and each row of the shared recurrence is that
+    # time's series alone, bit for bit
+    from bogofluct.linalg import ChebyshevPropagator
+
+    from oracles import per_interval_states
+
+    H, psi0 = sector_case()
+    times = [0.0, 0.1, 0.25, 0.5, 1.0, 2.5]
+    got = propagate_exact(H, psi0, times)
+    want = per_interval_states(H.mat, psi0.amplitudes, times)
+    for st, w in zip(got, want):
+        assert np.max(np.abs(st.amplitudes - w)) < 1e-13
+    prop = ChebyshevPropagator(H.mat)
+    for st, t in zip(got, times):
+        assert st.amplitudes.tobytes() == prop.states(psi0.amplitudes, [t])[0].tobytes()
+
+
+def test_repeated_zero_and_unsorted_times():
+    H, psi0 = sector_case()
+    times = [0.5, 0.0, 1.0, 0.5, 0.25, 0.0]
+    got = propagate_exact(H, psi0, times)
+    assert len(got) == len(times)
+    for st, t in zip(got, times):
+        assert st.amplitudes.tobytes() == propagate_exact(H, psi0, [t])[0].amplitudes.tobytes()
+    assert np.array_equal(got[1].amplitudes, psi0.amplitudes)
+    assert got[0].amplitudes.tobytes() == got[3].amplitudes.tobytes()
+    with pytest.raises(ValueError, match="finite"):
+        propagate_exact(H, psi0, [0.5, np.nan])
+
+
+def drifting(monkeypatch, dim, start):
+    # the states of a sector of dimension dim grow by 1e-6 from time start on
+    from bogofluct.linalg import ChebyshevPropagator
+
+    states = ChebyshevPropagator.states
+
+    def grown(self, v, times):
+        out = states(self, v, times)
+        if len(v) == dim:
+            out[np.asarray(times) >= start] *= 1.0 + 1e-6
+        return out
+
+    monkeypatch.setattr(ChebyshevPropagator, "states", grown)
+
+
+def test_norm_drift_raises_at_the_first_offending_grid_time(monkeypatch):
+    H, psi0 = sector_case()
+    drifting(monkeypatch, psi0.amplitudes.size, 0.5)
+    with pytest.raises(RuntimeError, match="at t=0.5 exceeds"):
+        propagate_exact(H, psi0, [0.0, 0.25, 0.5, 1.0])
+    with pytest.raises(RuntimeError, match="at t=1 exceeds"):
+        propagate_exact(H, psi0, [0.25, 1.0, 0.5])
+    assert len(propagate_exact(H, psi0, [0.0, 0.25, 0.4])) == 3
+
+
+def test_norm_drift_is_filed_for_its_n_alone(monkeypatch):
+    from bogofluct.config import ExperimentConfig
+    from bogofluct.experiment import run_convergence
+
+    doc = {
+        "model": {"modes": 3, "spacing": 1.0,
+                  "interaction": {"kind": "gaussian", "params": {"strength": 1.0, "range": 1.0}}},
+        "u0": {"kind": "gaussian", "center": 0.0, "width": 0.8},
+        "N_list": [4, 6, 8], "n_max": 8, "T": 0.2, "output_times": [0.0, 0.1, 0.2],
+        "dt_hartree": 0.002, "dt_fock": 0.002, "dt_nbody": 0.1,
+    }
+    whole = run_convergence(ExperimentConfig(doc), write=False)
+    drifting(monkeypatch, enumerate_basis(3, 6).sector_dim(6), 0.1)
+    rep = run_convergence(ExperimentConfig(doc), write=False)
+    assert list(rep.failures) == [6]
+    assert rep.failures[6].startswith("RuntimeError: propagation norm drift 1.000e-06 at t=0.1 ")
+    assert [repr(r) for r in rep.rows] == [repr(r) for r in whole.rows if r["N"] != 6]
 
 
 def test_norm_and_energy_conservation():

@@ -232,7 +232,7 @@ def test_sector_mode_lowerings_stack_the_blocks_of_each_a_i(M, n_max):
 
 @pytest.mark.parametrize("M,n_max", [(1, 4), (3, 4), (4, 5)])
 def test_full_mode_lowering_stack_is_the_stack_of_each_a_i(M, n_max):
-    # with no sector, the restack of every row of the lowering pattern: the
+    # with no sector, the transposed rows of the whole raising table: the
     # values and index arrays of a stack of M annihilate_op fills; the energy
     # form, summed as a Gram matrix over row chunks, agrees with the form of
     # that stack to the bound of the dgamma expectation test
@@ -336,31 +336,17 @@ def test_raise_family_alone_is_the_creation_half(M, n_max):
     assert snapshot(filled) == snapshot(pairing_raise(K, basis))
 
 
-@pytest.mark.parametrize("M,n_max", SIZES)
-def test_lowering_fill_of_the_first_rows(M, n_max):
-    rng = np.random.default_rng(400 + 10 * M + n_max)
-    basis = enumerate_basis(M, n_max)
-    f = rng.normal(size=M) + 1j * rng.normal(size=M)
-    full = annihilate_op(f, basis)
-    for k in range(n_max + 2):
-        rows = int(basis.sector_offsets[k])
-        cut = basis.lowering_pattern().fill({"a": np.conj(f)}, rows=rows)
-        assert cut.shape == (rows, basis.size)
-        assert snapshot(cut) == snapshot(full[:rows])
-
-
 def test_fill_refuses_an_unknown_family_or_a_wrong_length():
+    # a(f) has no pattern any more: test_raising_table's
+    # test_lowerings_refuse_an_f_of_the_wrong_length refuses its wrong f
     basis = enumerate_basis(3, 4)
-    low, quad = basis.lowering_pattern(), basis.quadratic_pattern()
-    with pytest.raises(KeyError):
-        low.fill({"b": np.ones(3)})
+    quad = basis.quadratic_pattern()
     with pytest.raises(KeyError):
         quad.fill({("hop", 0, 1): 1.0})
-    for pattern, family, val in [(low, "a", np.ones(4)), (low, "a", 1.0),
-                                 (quad, "hop", np.ones(3)), (quad, "raise", np.ones((3, 2))),
-                                 (quad, "diag", np.ones(basis.size))]:
+    for family, val in [("hop", np.ones(3)), ("raise", np.ones((3, 2))),
+                        ("diag", np.ones(basis.size))]:
         with pytest.raises(ValueError, match="coefficients"):
-            pattern.fill({family: val})
+            quad.fill({family: val})
 
 
 def test_one_mode_has_an_empty_hop_family():
