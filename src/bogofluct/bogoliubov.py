@@ -1,9 +1,10 @@
 """Quadratic fluctuation dynamics around the condensate.
 
 Builds the time-dependent one-body and pairing kernels from the condensate
-mode, assembles the quadratic generator on the truncated Fock basis, steps the
-fluctuation state with a midpoint-frozen exponential (an order-2 scheme),
-and exposes the low-sector coupled system as an independent cross-check.
+mode, assembles the quadratic generator on the truncated Fock basis for the
+identity checks, propagates the fluctuation state with a midpoint-frozen
+exponential (an order-2 scheme), and exposes the low-sector coupled system
+as an independent cross-check.
 
 Every term of the generator changes the number of excitations by 0 (the
 one-body part dGamma(h + k1)) or by +-2 (pair creation and annihilation
@@ -11,19 +12,19 @@ through k2), so it never mixes states of even and odd total: the amplitudes
 of a parity a state has no weight in stay exactly zero.
 
 A quadratic generator maps a quasi-free state c exp(1/2 a^dag T a^dag) vacuum
-to another one, so a run from a multiple of the vacuum, with the projected or
-the bare kernels, carries the symmetric M x M matrix T and the scalar c
-instead of Fock amplitudes.  Each step applies the same frozen-midpoint
-exponential exp(-i tau H_mid) exactly, through the 2M x 2M matrix
-exponential of its Bogoliubov map; this is the untruncated dynamics.  The
-path works on the whole step grid at once: the generators of all midpoints
-and their exponentials are taken as one stack, a loop carries only the
-recurrence for (T, c), and the diagnostics rows are closed forms in the
-stacked T.  Fock amplitudes are built only at the output times, cut at n_max,
-all of them in one pass over the sectors, through the raising table and the
-sector blocks of the mode annihilators.  Only a projected run from
-any other start (a table start) steps Fock amplitudes, with the Krylov
-exponential on the truncated basis.
+to another one, so a run, with the projected or the bare kernels, carries
+the symmetric M x M matrix T and the scalar c of the evolved vacuum instead
+of Fock amplitudes.  Each step applies the same frozen-midpoint exponential
+exp(-i tau H) exactly, through the 2M x 2M matrix exponential of its
+Bogoliubov map; this is the untruncated dynamics.  The path works on the
+whole step grid at once: the generators of all midpoints and their
+exponentials are taken as one stack, a loop carries only the recurrence for
+(T, c), and a vacuum start's diagnostics rows are closed forms in the
+stacked T.  Fock amplitudes are built only at the output times, cut at
+n_max, all of them in one pass over the sectors, through the raising table
+and the sector blocks of the mode annihilators.  A table start p(a^dag)
+vacuum becomes p(A^dag) on the evolved vacuum, with the creators A_i^dag
+the same exponentials carry a_i^dag to.
 """
 
 import math
@@ -39,12 +40,14 @@ from .fock import (
     _from_dense,
     _to_dense,
     annihilate_op,
+    enumerate_basis,
     one_body_form,
     quadratic_op,
     sector_mode_lowerings,
 )
 from .hartree import HartreeTrajectory, _field_and_gauge
-from .linalg import _expm_stack, krylov_expm
+from .linalg import _expm_stack
+from .linalg import krylov_expm  # noqa: F401  unused here; perfbench/tracer.py wraps this name
 
 __all__ = [
     "Kernels",
@@ -182,16 +185,18 @@ def _step_grid(t_grid, dt):
 def _quasi_free_path(c, u_mid, taus, h0, W, projected):
     """(T, c) of the state c exp(1/2 a^dag T a^dag) vacuum before the first
     step and after each, each step the exact Bogoliubov map of the generator,
-    with the projected or the bare kernels, frozen at its midpoint mode.  A
-    step off the principal branch of the square root ends the path: it is
-    returned up to that step, with the error to raise once the steps before
-    it have been checked."""
+    with the projected or the bare kernels, frozen at its midpoint mode, and
+    after each step a view of the rows [R | S] of U a_i^dag U^* = R_i . a +
+    S_i . a^dag.  A step off the principal branch of the square root ends
+    the path: it is returned up to that step, with the error to raise once
+    the steps before it have been checked."""
     # exp(-i tau H) acts on (a, a^dag) through the 2M x 2M exponential E;
     # the state after n steps is annihilated by the rows of [P_n | Q_n], the
     # top M rows of E_1 ... E_n (the vacuum's [1 | 0] carried along), so
-    # T_n = -P_n^-1 Q_n.  Step n's P is P_(n-1)^-1 P_n, and its vacuum
-    # amplitude gives c <- c exp(i tau trA/2)/sqrt(det P) (trA/2 is the
-    # normal-ordering constant of dGamma(A)).  The root is taken of
+    # T_n = -P_n^-1 Q_n, and the bottom M rows are [R_n | S_n] ([0 | 1]
+    # before the first step, so not stored).  Step n's P is P_(n-1)^-1 P_n,
+    # and its vacuum amplitude gives c <- c exp(i tau trA/2)/sqrt(det P)
+    # (trA/2 is the normal-ordering constant of dGamma(A)).  The root is taken of
     # det P exp(-i tau trA), which is 1 without pairing, so the principal
     # branch holds however far tau trA turns the phase.
     M = len(h0)
@@ -216,8 +221,8 @@ def _quasi_free_path(c, u_mid, taus, h0, W, projected):
     Ts[1:] = 0.5 * (T + np.swapaxes(T, 1, 2))
     cs = np.concatenate([[complex(c)], c / np.cumprod(np.sqrt(det[:done]))])
     if done == len(det):
-        return Ts, cs, None
-    return Ts, cs, RuntimeError(
+        return Ts, cs, E[:done, M:], None
+    return Ts, cs, E[:done, M:], RuntimeError(
         f"quasi-free step has det P exp(-i tau trA) = {det[done]:.3e}, off the "
         "principal square-root branch; reduce dt"
     )
@@ -258,8 +263,8 @@ def _quasi_free_rows(times, Ts, cs, u, h0, n_max):
     ])
 
 
-# (T, c) columns a pass of _quasi_free_states takes at once: its temporaries
-# stay at a few M x dim arrays of a sector however many output times
+# output times a pass of _quasi_free_states, or a walk of _raised_states,
+# takes at once: its temporaries stay at a few M x dim arrays however many
 _STATE_COLUMNS = 4
 
 
@@ -285,11 +290,37 @@ def _quasi_free_states(Ts, cs, basis: OccupationBasis) -> list:
     return [FockVector(basis, a) for a in amps]
 
 
-def _tangency_abort(t, defect, tangency_tol):
-    return RuntimeError(
-        f"tangency defect {defect:.3e} at t={t:.4g} exceeds "
-        f"{tangency_tol:.1e}; increase n_max or reduce dt"
-    )
+def _raised_states(phi0: FockVector, Ts, cs, RS) -> list:
+    """p(A^dag) Omega for each (T, c, [R | S]), cut at n_max: phi0 = p(a^dag)
+    vacuum, its amplitude at q the coefficient of prod_i (a_i^dag)^q_i /
+    sqrt(q_i!), with each creator carried to A_i^dag = sum_j R_ij a_j +
+    S_ij a_j^dag and the vacuum to Omega = c exp(1/2 a^dag T a^dag) vacuum.
+    Omega is built on the basis cut at n_max + d, d the top sector phi0
+    fills; each A^dag reaches one sector down, so after d of them the
+    sectors up to n_max are exact."""
+    # a depth-first walk raises state q from its parent q - e_i, i the last
+    # mode q occupies, as A_i^dag / sqrt(q_i), so it holds at most d + 1
+    # wide vectors, each time a column, up to _STATE_COLUMNS at once;
+    # A_i^dag v takes one product with the stacked a_j and a_j^dag
+    basis, M = phi0.basis, phi0.basis.M
+    d = int(np.flatnonzero(phi0.sector_norms())[-1])
+    wide = enumerate_basis(M, basis.n_max + d)
+    low, dim = sector_mode_lowerings(wide), wide.size
+    ladder = sp.vstack([low, *(low[j * dim:(j + 1) * dim].T for j in range(M))], format="csr")
+    index, amp = basis.raising_table()
+    out = np.zeros((len(Ts), basis.size), dtype=complex)
+
+    def walk(q, first, v):
+        out[part] += phi0.amplitudes[q] * v[:basis.size].T
+        for i in range(first, M if basis.totals()[q] < d else 0):
+            walk(index[q, i], i, np.einsum("tk,kwt->wt", RS[part, i],
+                                           (ladder @ v).reshape(2 * M, dim, -1)) / amp[q, i])
+
+    omega = np.array([s.amplitudes for s in _quasi_free_states(Ts, cs, wide)]).T
+    for start in range(0, len(Ts), _STATE_COLUMNS):
+        part = slice(start, start + _STATE_COLUMNS)
+        walk(0, 0, omega[:, part])
+    return [FockVector(basis, a) for a in out]
 
 
 def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
@@ -298,32 +329,26 @@ def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
     """Propagate the fluctuation state along the stored condensate history.
 
     One step freezes the generator at the interpolated midpoint condensate and
-    applies its exponential (an order-2 scheme).  The projected dynamics
-    (projected=True) lives on the excitation space, so its initial state must
-    be tangent (defect at most 1e-8) and the run aborts at the first step
-    whose tangency defect exceeds tangency_tol, which signals truncation or
-    step-size trouble; the bare-kernel dynamics (projected=False) has no such
-    requirement.
+    applies its exponential (an order-2 scheme) exactly, through the
+    Bogoliubov map of the step, on the whole step grid at once; Fock
+    amplitudes, cut at n_max, are built only at the t_grid times.  The
+    projected dynamics (projected=True) lives on the excitation space, so its
+    initial state must be tangent (defect at most 1e-8) and the run aborts at
+    the first diagnostics row whose tangency defect exceeds tangency_tol,
+    which signals truncation or step-size trouble; the bare-kernel dynamics
+    (projected=False) has no such requirement.
 
     A phi0 whose one nonzero amplitude is at the vacuum stays quasi-free,
-    with either kernels: the run steps (T, c) with the exact Bogoliubov map
-    of each frozen generator, which is the untruncated dynamics, over the
-    whole step grid at once, takes its diagnostics rows in closed form (norm
-    and leakage from the sector weights up to n_max) and builds Fock
-    amplitudes, cut at n_max, only at the t_grid times.  Any other start
-    must be a projected one; it steps Fock amplitudes with the Krylov
-    exponential on the full basis.  A bare-kernel run from it raises
-    ValueError.
+    with either kernels, and takes a diagnostics row per step in closed form
+    (norm and leakage from the sector weights up to n_max).  Any other start
+    (a table start) must be a projected one, and takes rows at t = 0 and at
+    the t_grid times only; a bare-kernel run from it raises ValueError.
     """
     basis = phi0.basis
     if abs(phi0.norm() - 1.0) > 1e-9:
         raise ValueError("initial fluctuation state must be unit norm to 1e-9")
     quasi_free = np.flatnonzero(phi0.amplitudes).tolist() == [0]
-    if projected:
-        d0 = tangency_defect(phi0, traj.u[0])
-        if d0 > 1e-8:
-            raise ValueError(f"initial state has tangency defect {d0:.3e} > 1e-8")
-    elif not quasi_free:
+    if not (quasi_free or projected):
         raise ValueError("a bare-kernel run needs a multiple of the vacuum as its start")
     if t_grid is None:
         t_grid = np.array([traj.times[-1]])
@@ -333,35 +358,33 @@ def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
     u_mid = traj.interpolate(np.asarray(mids))
     u_rows = traj.interpolate(np.asarray(row_times))
     energy_form = one_body_form(np.eye(basis.M) + h0, basis)
-    run = FluctuationRun(t_grid, [], energy_form)
     tangency = FluctuationRun.DIAG_COLUMNS.index("tangency")
+    if not quasi_free:
+        first = _diag_row(0.0, phi0, u_rows[0], energy_form)
+        if first[tangency] > 1e-8:
+            raise ValueError(f"initial state has tangency defect {first[tangency]:.3e} > 1e-8")
+    Ts, cs, RS, failure = _quasi_free_path(phi0.amplitudes[0] if quasi_free else 1.0,
+                                           u_mid, taus, h0, W, projected)
+    done = len(Ts)
     if quasi_free:
-        Ts, cs, failure = _quasi_free_path(phi0.amplitudes[0], u_mid, taus, h0, W, projected)
-        done = len(Ts)
+        del RS  # a view of the whole step stack, freed before the states are built
         rows = _quasi_free_rows(row_times[:done], Ts, cs, u_rows[:done], h0, basis.n_max)
-        over = np.flatnonzero(rows[:, tangency] > tangency_tol)
-        if projected and len(over):
-            raise _tangency_abort(row_times[over[0]], rows[over[0], tangency], tangency_tol)
-        if failure is not None:
-            raise failure
-        run.diagnostics = rows.tolist()
-        run.states = _quasi_free_states(Ts[marks], cs[marks], basis)
-        return run
-    phi = phi0.copy()
-    run.diagnostics.append(_diag_row(0.0, phi, u_rows[0], energy_form))
-    done = 0
-    for m in marks:
-        for i in range(done, m):
-            gen = bogoliubov_hamiltonian(u_mid[i], h0, W, basis)
-            phi = FockVector(basis, krylov_expm(gen, phi.amplitudes, -1j * taus[i],
-                                                tol=1e-12))
-            row = _diag_row(ends[i], phi, u_rows[i + 1], energy_form)
-            run.diagnostics.append(row)
-            if row[tangency] > tangency_tol:
-                raise _tangency_abort(ends[i], row[tangency], tangency_tol)
-        done = m
-        run.states.append(phi.copy())
-    return run
+    else:
+        at = sorted({m for m in marks if 0 < m < done})
+        raised = _raised_states(phi0, Ts[at], cs[at], RS[[m - 1 for m in at]])
+        states = {0: phi0, **dict(zip(at, raised))}
+        rows = np.array([first, *(_diag_row(row_times[m], states[m], u_rows[m], energy_form)
+                                  for m in at)])
+    over = np.flatnonzero(rows[:, tangency] > tangency_tol)
+    if projected and len(over):
+        t, defect = rows[over[0], 0], rows[over[0], tangency]
+        raise RuntimeError(f"tangency defect {defect:.3e} at t={t:.4g} exceeds "
+                           f"{tangency_tol:.1e}; increase n_max or reduce dt")
+    if failure is not None:
+        raise failure
+    states = (_quasi_free_states(Ts[marks], cs[marks], basis) if quasi_free
+              else [states[m].copy() for m in marks])
+    return FluctuationRun(t_grid, states, energy_form, rows.tolist())
 
 
 def hierarchy_rhs(basis: OccupationBasis, amps, kern: Kernels,

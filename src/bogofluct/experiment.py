@@ -212,8 +212,8 @@ def run_convergence(cfg: ExperimentConfig, write=True) -> ConvergenceReport:
     worst_initial = 0.0
     worst_nbody_norm = 0.0
     worst_nbody_energy = 0.0
-    # per N only the exact propagation's norm-drift RuntimeError is filed:
-    # the one krylov_expm user, the fluctuation run, ran in
+    # per N only the exact propagation's norm-drift RuntimeError is filed;
+    # the fluctuation run, whose RuntimeErrors end the whole run, ran in
     # _Comparison.__init__; programming errors propagate
     by_n, errors = comp.rows(cfg.N_list)
     failures = {N: f"{type(exc).__name__}: {exc}" for N, exc in errors.items()}

@@ -31,9 +31,9 @@ Operators on the whole basis are scipy CSR matrices in basis order.  The
 quadratic ones are value refills of a sparsity pattern cached on the basis
 (CSRPattern) by one rule: a fill passes a coefficient array per named
 family of blocks, and each stored value is one coefficient times one
-amplitude.  dGamma(A), pairing(K) and their sum, which only the Krylov
-fluctuation stepper and the dense identity checks use, fill the four
-families of the quadratic pattern.  The pattern is built on first use, and
+amplitude.  dGamma(A), pairing(K) and their sum, which only the dense
+identity checks use (the run path steps no Fock-space generator), fill the
+four families of the quadratic pattern.  The pattern is built on first use, and
 the particle-number band of each of its term blocks is checked once, then;
 a fill only writes values into those positions.  number_op and two_body_op
 are diagonal.  Every ladder amplitude is the square root of the exact

@@ -1,6 +1,6 @@
-"""Matrix exponentials in numpy alone: Lanczos for the fluctuation steps, one
-Chebyshev recurrence for every output time of a time-independent sparse H,
-and a scaled Taylor polynomial for a stack of small dense matrices."""
+"""Matrix exponentials in numpy alone: Lanczos, which the tests take as an
+oracle, one Chebyshev recurrence for every output time of a time-independent
+sparse H, and a scaled Taylor polynomial for a stack of small dense matrices."""
 
 import math
 

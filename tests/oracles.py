@@ -21,7 +21,7 @@ from bogofluct.fock import (
     pairing_raise,
 )
 from bogofluct.hartree import mean_field, mu_of
-from bogofluct.linalg import ChebyshevPropagator, _expm_stack
+from bogofluct.linalg import ChebyshevPropagator, _expm_stack, krylov_expm
 
 
 def embed(psi: SectorVector) -> FockVector:
@@ -301,6 +301,26 @@ def orthogonal_sector_projector(u, basis: OccupationBasis, n_cut: int) -> np.nda
     the cut, zero above it.  Raises ValueError unless u is unit norm to 1e-10."""
     top = min(n_cut, basis.n_max)
     return _by_sector(u, basis, top, lambda n, j: float(j == n))[0].toarray()
+
+
+def full_basis_krylov(phi0, traj, h0, W, dt, t_grid):
+    """The fluctuation state at each t_grid time by the midpoint-frozen
+    projected generator, assembled on the truncated basis and applied with
+    the Krylov exponential step by step: the dynamics of the generator cut
+    at n_max, so it differs from the untruncated run by the weight that
+    reaches the cut."""
+    amps = phi0.amplitudes.copy()
+    t = 0.0
+    out = []
+    for t_target in t_grid:
+        n_sub = max(1, int(round((t_target - t) / dt)))
+        step = (t_target - t) / n_sub
+        for _ in range(n_sub):
+            gen = bogoliubov_hamiltonian(traj.interpolate(t + 0.5 * step), h0, W, phi0.basis)
+            amps = krylov_expm(gen, amps, -1j * step, tol=1e-12)
+            t += step
+        out.append(amps.copy())
+    return out
 
 
 def sequential_quasi_free_path(c, u_mid, taus, h0, W, projected):

@@ -427,7 +427,8 @@ def test_bound_report_refuses_an_indefinite_energy_form():
 def test_quasi_free_vacuum_run_matches_full_basis_krylov():
     # the Krylov loop on the full basis is cut at n_max; at n_max = 20 the
     # weight it loses there is far below the tolerance
-    from test_parity_block import full_basis_krylov, setup_run
+    from oracles import full_basis_krylov
+    from test_parity_block import setup_run
 
     basis, _u0, traj, h0, W = setup_run(M=3, n_max=20, g=1.5, T=0.3)
     vac = FockVector.vacuum(basis)
@@ -466,6 +467,51 @@ def test_quasi_free_run_carries_the_phase_of_the_vacuum():
         assert np.linalg.norm(got.amplitudes - phase * want.amplitudes) < 1e-14
     assert abs(run.states[0].amplitudes[0] / plain.states[0].amplitudes[0] - phase) < 1e-14
     assert np.max(np.abs(np.array(run.diagnostics) - np.array(plain.diagnostics))) < 1e-14
+
+
+def test_creator_rows_conjugate_the_creators_in_fock_space():
+    # one frozen step: the rows [R | S] the path gives against
+    # exp(-i tau H) a_i^dag exp(i tau H), H the projected generator on the
+    # truncated basis exponentiated densely; the cut reaches the elements
+    # between sectors 0..3 only through four pair steps, far below the bound
+    lat, h0, W = setup_model(3, g=1.5)
+    u = bump(lat, 0.8)
+    basis = enumerate_basis(3, 12)
+    tau = 0.1
+    _, _, RS, failure = _quasi_free_path(1.0, u[None], [tau], h0, W, True)
+    assert failure is None and RS.shape == (1, 3, 6)
+    R, S = RS[0, :, :3], RS[0, :, 3:]
+    assert np.abs(R).max() > 1e-2 and np.abs(S - np.eye(3)).max() > 0.1
+    w, V = np.linalg.eigh(bogoliubov_hamiltonian(u, h0, W, basis).toarray())
+    U = (V * np.exp(-1j * tau * w)) @ V.conj().T
+    a = [create_op(e, basis).toarray().T for e in np.eye(3)]
+    low = np.ix_(basis.totals() <= 3, basis.totals() <= 3)
+    for i in range(3):
+        want = U @ a[i].T @ U.conj().T
+        got = sum(R[i, j] * a[j] + S[i, j] * a[j].T for j in range(3))
+        assert np.abs(got - want)[low].max() < 1e-13
+
+
+def test_only_a_table_start_takes_tangency_defects(monkeypatch):
+    # the vacuum's rows are closed forms, its t = 0 row reads 0 exactly; a
+    # table start takes one defect per row, the t = 0 one its initial check
+    import bogofluct.bogoliubov as bogoliubov
+    from test_parity_block import sector_one_start, setup_run
+
+    calls = []
+
+    def counted(phi, u):
+        calls.append(phi)
+        return tangency_defect(phi, u)
+
+    monkeypatch.setattr(bogoliubov, "tangency_defect", counted)
+    basis, u0, traj, h0, W = setup_run()
+    run = solve_bogoliubov(FockVector.vacuum(basis), traj, h0, W, dt=0.01, t_grid=[0.1, 0.3])
+    assert calls == [] and run.diagnostics[0][2] == 0.0
+    phi0 = sector_one_start(basis, u0, np.random.default_rng(4))
+    run = solve_bogoliubov(phi0, traj, h0, W, dt=0.01, t_grid=[0.1, 0.3])
+    assert len(calls) == len(run.diagnostics) == 3
+    assert calls[0] is phi0
 
 
 def test_quasi_free_run_without_steps_returns_the_start():
@@ -524,7 +570,7 @@ def test_quasi_free_path_matches_the_sequential_recurrence(case, projected):
         dt, grid = (0.01 if case == "strong" else 0.15), [3.0]
     mids, taus, _, _ = _step_grid(np.asarray(grid), dt)
     u_mid = traj.interpolate(np.asarray(mids))
-    Ts, cs, failure = _quasi_free_path(np.exp(0.4j), u_mid, taus, h0, W, projected)
+    Ts, cs, _, failure = _quasi_free_path(np.exp(0.4j), u_mid, taus, h0, W, projected)
     want_T, want_c = sequential_quasi_free_path(np.exp(0.4j), u_mid, taus, h0, W, projected)
     assert len(Ts) == len(cs) == len(want_T)
     assert (failure is None) == (len(Ts) == len(taus) + 1) == (case != "off_branch")

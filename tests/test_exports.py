@@ -70,8 +70,8 @@ def test_package_import_leaves_out_the_slow_scipy_modules():
 
 
 # a convergence run from the vacuum (the quasi-free path and the relative
-# bound constant), one from a table start (the Krylov stepper) and the
-# identity suite at one size
+# bound constant), one from a table start (its creators raised on the
+# quasi-free state) and the identity suite at one size
 RUNS = """
 import sys
 import numpy as np

@@ -1,19 +1,28 @@
-"""Parity of the total number under the fluctuation stepper.
+"""Table starts on the quasi-free path, and the parity of the total number.
 
-The quadratic generator changes the total number by 0 or +-2, so the
-amplitudes of a parity the start has no weight in stay exactly zero.  The
-oracle for the stepper is the full-basis midpoint Krylov loop, written out
-here.
+A table start p(a^dag) vacuum evolves to p(A^dag(t)) applied to the
+evolved vacuum, each creator carried to a sum of one annihilator and one
+creator, so each flips the parity of the total, while the evolved vacuum is
+even: the amplitudes of a parity the start has no weight in stay exactly
+zero.  The oracle is the full-basis midpoint Krylov loop of
+oracles.full_basis_krylov, the dynamics of the generator cut at n_max, which
+the untruncated run approaches as n_max grows.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bogofluct.bogoliubov import bogoliubov_hamiltonian, solve_bogoliubov
-from bogofluct.fock import FockVector, enumerate_basis, pairing_raise
+import bogofluct.bogoliubov as bogoliubov
+import bogofluct.linalg as linalg
+from bogofluct.bogoliubov import _diag_row, solve_bogoliubov
+from bogofluct.config import load_config
+from bogofluct.experiment import _shared_setup
+from bogofluct.fock import FockVector, OccupationBasis, enumerate_basis, pairing_raise
 from bogofluct.hartree import solve_hartree
-from bogofluct.linalg import krylov_expm
 from bogofluct.model import build_interaction, build_laplacian, build_lattice, gaussian_profile
+from oracles import full_basis_krylov
 
 
 def random_complex(rng, *shape):
@@ -29,7 +38,7 @@ def test_totals_are_cached_and_read_only():
         totals[0] = 7
 
 
-# -------------------------------------------------------------- the stepper
+# ------------------------------------------------ table starts and the vacuum
 
 def setup_run(M=3, n_max=8, g=1.5, T=0.3):
     lat = build_lattice(M, 1.0)
@@ -42,22 +51,6 @@ def setup_run(M=3, n_max=8, g=1.5, T=0.3):
     return enumerate_basis(M, n_max), u0, traj, h0, W
 
 
-def full_basis_krylov(phi0, traj, h0, W, dt, t_grid):
-    # the midpoint-frozen Krylov loop of solve_bogoliubov, on the full basis
-    amps = phi0.amplitudes.copy()
-    t = 0.0
-    out = []
-    for t_target in t_grid:
-        n_sub = max(1, int(round((t_target - t) / dt)))
-        step = (t_target - t) / n_sub
-        for _ in range(n_sub):
-            gen = bogoliubov_hamiltonian(traj.interpolate(t + 0.5 * step), h0, W, phi0.basis)
-            amps = krylov_expm(gen, amps, -1j * step, tol=1e-12)
-            t += step
-        out.append(amps.copy())
-    return out
-
-
 def sector_one_start(basis, u0, rng):
     v = random_complex(rng, basis.M)
     v -= u0 * np.vdot(u0, v)
@@ -67,9 +60,9 @@ def sector_one_start(basis, u0, rng):
 
 
 def vacuum_plus_pair_start(basis, u0, rng):
-    # an even tangent start that is not a multiple of the vacuum, so it steps
-    # Fock amplitudes: the vacuum plus a normalized pair layer q X q^T
-    # orthogonal to the condensate
+    # an even tangent start that is not a multiple of the vacuum, so a table
+    # start: the vacuum plus a normalized pair layer q X q^T orthogonal to
+    # the condensate
     q = np.eye(basis.M) - np.outer(u0, np.conj(u0))
     X = random_complex(rng, basis.M, basis.M)
     pair = FockVector(basis, pairing_raise(q @ (X + X.T) @ q.T, basis) @ FockVector.vacuum(basis).amplitudes)
@@ -78,40 +71,112 @@ def vacuum_plus_pair_start(basis, u0, rng):
     return FockVector(basis, amps / np.linalg.norm(amps))
 
 
-@pytest.mark.parametrize("start", ["vacuum", "vacuum plus sector 2", "sector 1"])
+@pytest.mark.parametrize("start", ["vacuum"])
 def test_single_parity_start_matches_full_basis_krylov(start):
     # a vacuum start steps the untruncated quasi-free dynamics; at n_max = 20
     # the weight the full-basis Krylov loop loses at its cut is far below the
-    # tolerance, at the default n_max = 8 it is not; the other starts step
-    # the full basis with the loop's own arithmetic
-    basis, u0, traj, h0, W = setup_run(n_max=20 if start == "vacuum" else 8)
-    if start == "vacuum":
-        phi0, p = FockVector.vacuum(basis), 0
-    elif start == "vacuum plus sector 2":
+    # tolerance
+    basis, u0, traj, h0, W = setup_run(n_max=20)
+    grid = [0.1, 0.3]
+    run = solve_bogoliubov(FockVector.vacuum(basis), traj, h0, W, dt=0.01, t_grid=grid)
+    ref = full_basis_krylov(FockVector.vacuum(basis), traj, h0, W, 0.01, grid)
+    odd = basis.totals() % 2 == 1
+    for state, want in zip(run.states, ref):
+        assert state.basis is basis
+        assert np.linalg.norm(state.amplitudes - want) < 1e-12
+        assert np.all(state.amplitudes[odd] == 0)
+    assert np.linalg.norm(run.states[-1].amplitudes[~odd][1:]) > 1e-3
+
+
+@pytest.mark.parametrize("start", ["vacuum plus sector 2", "sector 1"])
+def test_single_parity_table_start_keeps_exact_zeros_in_the_other_parity(start):
+    basis, u0, traj, h0, W = setup_run()
+    if start == "vacuum plus sector 2":
         phi0, p = vacuum_plus_pair_start(basis, u0, np.random.default_rng(3)), 0
     else:
         phi0, p = sector_one_start(basis, u0, np.random.default_rng(4)), 1
-    grid = [0.1, 0.3]
-    run = solve_bogoliubov(phi0, traj, h0, W, dt=0.01, t_grid=grid)
-    ref = full_basis_krylov(phi0, traj, h0, W, 0.01, grid)
+    run = solve_bogoliubov(phi0, traj, h0, W, dt=0.01, t_grid=[0.1, 0.3])
     other = basis.totals() % 2 != p
-    for state, want in zip(run.states, ref):
+    for state in run.states:
         assert state.basis is basis
-        if start == "vacuum":
-            assert np.linalg.norm(state.amplitudes - want) < 1e-12
-        else:
-            assert state.amplitudes.tobytes() == want.tobytes()
         assert np.all(state.amplitudes[other] == 0)
-    assert np.linalg.norm(run.states[-1].amplitudes[~other][1:]) > 1e-3
+    # the pairing has moved weight two sectors past the start's top one
+    assert np.linalg.norm(run.states[-1].sector(4 - p)) > 1e-3
 
 
-def test_mixed_parity_start_steps_the_full_basis_bit_for_bit():
+def test_table_start_approaches_the_krylov_oracle_as_n_max_grows():
+    # the desk table start: the oracle is the dynamics of the generator cut
+    # at n_max, the run the untruncated dynamics cut at n_max, so the gap is
+    # the oracle's truncation, and four more sectors shrink it about 70-fold;
+    # the gap does not depend on the step (the same to three digits at the
+    # config's dt_fock = 0.002), so the coarser dt = 0.01 keeps the oracle cheap
+    cfg = load_config(Path(__file__).resolve().parents[1] / "demos" / "configs"
+                      / "desk_table_start.json")
+    h0, W, u0, traj, _ = _shared_setup(cfg)
+    gaps = []
+    for n_max, bound in [(12, 1e-6), (16, 1.6e-8), (20, 2.5e-10)]:
+        phi0 = cfg.excitations(u0, enumerate_basis(len(u0), n_max))
+        run = solve_bogoliubov(phi0, traj, h0, W, dt=0.01, t_grid=[0.5, 1.0])
+        want = full_basis_krylov(phi0, traj, h0, W, 0.01, [0.5, 1.0])[-1]
+        gaps.append(np.linalg.norm(run.states[-1].amplitudes - want))
+        assert gaps[-1] < bound
+    assert gaps[0] > 30 * gaps[1] > 900 * gaps[2]
+
+
+def test_table_start_steps_no_fock_generator(monkeypatch):
+    # the run assembles no quadratic operator on the basis and takes no
+    # Krylov exponential; its rows are at t = 0 and at each distinct output
+    # time, each the row of its state
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table start reached a Fock-space generator")
+
+    for owner, name in [(bogoliubov, "krylov_expm"), (linalg, "krylov_expm"),
+                        (bogoliubov, "bogoliubov_hamiltonian"),
+                        (OccupationBasis, "quadratic_pattern")]:
+        monkeypatch.setattr(owner, name, refuse)
     basis, u0, traj, h0, W = setup_run()
-    rng = np.random.default_rng(5)
-    amps = sector_one_start(basis, u0, rng).amplitudes
-    amps[0] = 0.6
-    phi0 = FockVector(basis, amps / np.linalg.norm(amps))
-    grid = [0.1, 0.3]
+    phi0 = sector_one_start(basis, u0, np.random.default_rng(4))
+    grid = [0.0, 0.1, 0.1, 0.3]
     run = solve_bogoliubov(phi0, traj, h0, W, dt=0.01, t_grid=grid)
-    for state, want in zip(run.states, full_basis_krylov(phi0, traj, h0, W, 0.01, grid)):
-        assert state.amplitudes.tobytes() == want.tobytes()
+    assert run.states[0].amplitudes.tobytes() == phi0.amplitudes.tobytes()
+    rows = np.array(run.diagnostics)
+    assert list(rows[:, 0]) == pytest.approx([0.0, 0.1, 0.3], abs=1e-14)
+    for row, state in zip(rows, [run.states[0], *run.states[2:]]):
+        assert np.array_equal(row, _diag_row(row[0], state, traj.interpolate(row[0]),
+                                             run.energy_form))
+
+
+def test_table_start_without_steps_returns_the_start():
+    basis, u0, traj, h0, W = setup_run()
+    phi0 = vacuum_plus_pair_start(basis, u0, np.random.default_rng(3))
+    run = solve_bogoliubov(phi0, traj, h0, W, dt=0.01, t_grid=[0.0, 0.0])
+    assert [s.amplitudes.tobytes() for s in run.states] == [phi0.amplitudes.tobytes()] * 2
+    assert run.diagnostics == [_diag_row(0.0, phi0, traj.u[0], run.energy_form)]
+
+
+def test_table_start_off_the_principal_branch_is_refused():
+    # the table start shares the vacuum's path, so a step off the principal
+    # square-root branch ends it the same way
+    basis, u0, traj, h0, W = setup_run(g=100.0, T=0.25)
+    phi0 = sector_one_start(basis, u0, np.random.default_rng(4))
+    with pytest.raises(RuntimeError, match="principal square-root branch"):
+        solve_bogoliubov(phi0, traj, h0, W, dt=0.25, t_grid=[0.25], tangency_tol=10.0)
+
+
+@pytest.mark.parametrize("start", ["vacuum plus sector 2", "sector 1"])
+def test_table_start_is_the_untruncated_dynamics_cut_at_n_max(start):
+    # the same start on a basis four sectors larger gives the same states
+    # up to n_max, the top sector of the start's parity included, where the
+    # weight is not small
+    basis, u0, traj, h0, W = setup_run(g=3.0, T=1.0)
+    big = enumerate_basis(basis.M, basis.n_max + 4)
+    make, top = ((vacuum_plus_pair_start, basis.n_max) if start == "vacuum plus sector 2"
+                 else (sector_one_start, basis.n_max - 1))
+    phi0 = make(basis, u0, np.random.default_rng(3))
+    amps = np.zeros(big.size, dtype=complex)
+    amps[:basis.size] = phi0.amplitudes
+    runs = [solve_bogoliubov(phi, traj, h0, W, dt=0.01, t_grid=[0.5, 1.0], tangency_tol=1.0)
+            for phi in (phi0, FockVector(big, amps))]
+    for cut, whole in zip(*(run.states for run in runs)):
+        assert np.linalg.norm(cut.amplitudes - whole.amplitudes[:basis.size]) < 1e-13
+    assert np.linalg.norm(runs[0].states[-1].sector(top)) > 1e-3

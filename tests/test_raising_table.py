@@ -153,8 +153,8 @@ def test_quasi_free_states_match_the_kron_states(projected):
     traj = solve_hartree(u0 / np.linalg.norm(u0), h0, W, T=1.0, dt=0.001)
     grid = np.array([0.0, 0.3, 0.3, 0.5, 0.7, 1.0])
     mids, taus, _, marks = _step_grid(grid, 0.01)
-    Ts, cs, failure = _quasi_free_path(np.exp(0.4j), traj.interpolate(np.asarray(mids)),
-                                       taus, h0, W, projected)
+    Ts, cs, _, failure = _quasi_free_path(np.exp(0.4j), traj.interpolate(np.asarray(mids)),
+                                          taus, h0, W, projected)
     assert failure is None
     basis = enumerate_basis(3, 9)
     got = _quasi_free_states(Ts[marks], cs[marks], basis)
