@@ -21,32 +21,32 @@ whole step grid at once: the generators of all midpoints and their
 exponentials are taken as one stack, a loop carries only the recurrence for
 (T, c), and a vacuum start's diagnostics rows are closed forms in the
 stacked T.  Fock amplitudes are built only at the output times, cut at
-n_max, all of them in one pass over the sectors, through the raising table
-and the sector blocks of the mode annihilators.  A table start p(a^dag)
-vacuum becomes p(A^dag) on the evolved vacuum, with the creators A_i^dag
-the same exponentials carry a_i^dag to.
+n_max, all of them in one pass over the sectors, through the raising and
+lowering tables.  A table start p(a^dag) vacuum becomes p(A^dag) on the
+evolved vacuum, with the creators A_i^dag the same exponentials carry
+a_i^dag to.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .csvio import write_csv
 from .fock import (
     FockVector,
     OccupationBasis,
+    OneBodyForm,
     _from_dense,
+    _lowering_rows,
     _to_dense,
-    annihilate_op,
     enumerate_basis,
-    one_body_form,
+    mode_raisings,
     quadratic_op,
     sector_mode_lowerings,
 )
 from .hartree import HartreeTrajectory, _field_and_gauge
-from .linalg import _expm_stack
+from .linalg import GatherOperator, _expm_stack
 from .linalg import krylov_expm  # noqa: F401  unused here; perfbench/tracer.py wraps this name
 
 __all__ = [
@@ -113,7 +113,7 @@ def _generator_kernels(u, h0, W, projected: bool = True):
     return h + kern.k1_bare, kern.k2_bare, kern
 
 
-def bogoliubov_hamiltonian(u, h0, W, basis: OccupationBasis) -> sp.csr_matrix:
+def bogoliubov_hamiltonian(u, h0, W, basis: OccupationBasis) -> "sp.csr_matrix":
     """Assemble the quadratic generator dGamma(h + k1) + pairing(k2) for
     fluctuations around u, with the condensate-projected kernels (the frame
     tied to an N-particle product state), as the CSR matrix quadratic_op
@@ -125,18 +125,22 @@ def bogoliubov_hamiltonian(u, h0, W, basis: OccupationBasis) -> sp.csr_matrix:
 
 
 def tangency_defect(phi: FockVector, u: np.ndarray) -> float:
-    """How far phi strays from the excitation space: ||a(u) phi||."""
-    return float(np.linalg.norm(annihilate_op(u, phi.basis) @ phi.amplitudes))
+    """How far phi strays from the excitation space: ||a(u) phi||, with a(u)
+    on the whole basis, whose rows of the top sector are 0."""
+    basis = phi.basis
+    below = int(basis.sector_offsets[basis.n_max])
+    low = GatherOperator(*_lowering_rows(u, basis, below), (below, basis.size))
+    return float(np.linalg.norm(low @ phi.amplitudes))
 
 
 @dataclass
 class FluctuationRun:
-    """States at the requested grid times, the energy form, a function
+    """States at the requested grid times, the energy form
     v -> <v, dGamma(1 + h0) v>, and per-step diagnostics rows."""
 
     times: np.ndarray
     states: list
-    energy_form: object
+    energy_form: OneBodyForm
     diagnostics: list = field(default_factory=list)
 
     DIAG_COLUMNS = (
@@ -273,14 +277,20 @@ def _quasi_free_states(Ts, cs, basis: OccupationBasis) -> list:
     cut at n_max, with the (T, c) the columns of one pass over the sectors.
     Each pair raising v -> 1/2 sum_ij T_ij a_i^dag a_j^dag v from sector
     n - 2 to n takes x_j = a_j^dag v, one scatter from the raising table,
-    then 1/2 sum_i a_i^dag (sum_j T_ij x_j), one product with the stacked
-    sector blocks of the mode annihilators on up to _STATE_COLUMNS columns."""
+    then 1/2 sum_i a_i^dag (sum_j T_ij x_j), one gather from the lowering
+    table, its terms in mode order, on up to _STATE_COLUMNS columns."""
     index, amp = basis.raising_table()
+    down, root = basis.local_tables()[2:]
     off, M = basis.sector_offsets, basis.M
     amps = np.zeros((len(Ts), basis.size), dtype=complex)
     amps[:, 0] = cs
     for n in range(2, basis.n_max + 1, 2):
-        rows, up = slice(off[n - 2], off[n - 1]), sector_mode_lowerings(basis, n).T
+        rows, top = slice(off[n - 2], off[n - 1]), slice(off[n], off[n + 1])
+        # sum_i a_i^dag y_i from the stacked y, row i * dim(n-1) + r of y
+        # holding (y_i)_r
+        dim = off[n] - off[n - 1]
+        up = GatherOperator(down[:, top] + dim * np.arange(M)[:, None], root[:, top],
+                            (off[n + 1] - off[n], M * dim))
         for first in range(0, len(Ts), _STATE_COLUMNS):
             cols = slice(first, first + _STATE_COLUMNS)
             x = np.zeros((len(Ts[cols]), off[n] - off[n - 1], M), dtype=complex)
@@ -301,20 +311,26 @@ def _raised_states(phi0: FockVector, Ts, cs, RS) -> list:
     # a depth-first walk raises state q from its parent q - e_i, i the last
     # mode q occupies, as A_i^dag / sqrt(q_i), so it holds at most d + 1
     # wide vectors, each time a column, up to _STATE_COLUMNS at once;
-    # A_i^dag v takes one product with the stacked a_j and a_j^dag
+    # A_i^dag v takes one product with each of the stacked a_j and a_j^dag
     basis, M = phi0.basis, phi0.basis.M
     d = int(np.flatnonzero(phi0.sector_norms())[-1])
     wide = enumerate_basis(M, basis.n_max + d)
-    low, dim = sector_mode_lowerings(wide), wide.size
-    ladder = sp.vstack([low, *(low[j * dim:(j + 1) * dim].T for j in range(M))], format="csr")
+    low, up, dim = sector_mode_lowerings(wide), mode_raisings(wide), wide.size
     index, amp = basis.raising_table()
     out = np.zeros((len(Ts), basis.size), dtype=complex)
 
     def walk(q, first, v):
         out[part] += phi0.amplitudes[q] * v[:basis.size].T
-        for i in range(first, M if basis.totals()[q] < d else 0):
-            walk(index[q, i], i, np.einsum("tk,kwt->wt", RS[part, i],
-                                           (ladder @ v).reshape(2 * M, dim, -1)) / amp[q, i])
+        modes = range(first, M if basis.totals()[q] < d else 0)
+        if not len(modes):
+            return
+        # the children before the descent, so no level holds its 2M-stacked
+        # ladder while the levels below it run
+        ladder = np.concatenate([low @ v, up @ v]).reshape(2 * M, dim, -1)
+        children = [np.einsum("tk,kwt->wt", RS[part, i], ladder) / amp[q, i] for i in modes]
+        del ladder
+        for i, child in zip(modes, children):
+            walk(index[q, i], i, child)
 
     omega = np.array([s.amplitudes for s in _quasi_free_states(Ts, cs, wide)]).T
     for start in range(0, len(Ts), _STATE_COLUMNS):
@@ -357,7 +373,7 @@ def solve_bogoliubov(phi0: FockVector, traj: HartreeTrajectory, h0, W, dt,
     row_times = [0.0, *ends]
     u_mid = traj.interpolate(np.asarray(mids))
     u_rows = traj.interpolate(np.asarray(row_times))
-    energy_form = one_body_form(np.eye(basis.M) + h0, basis)
+    energy_form = OneBodyForm(np.eye(basis.M) + h0, basis)
     tangency = FluctuationRun.DIAG_COLUMNS.index("tangency")
     if not quasi_free:
         first = _diag_row(0.0, phi0, u_rows[0], energy_form)

@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bogoliubov import _generator_kernels, tangency_defect
 from .fock import (
@@ -206,9 +205,16 @@ def _by_sector(u, basis: OccupationBasis, top: int, *weights) -> list:
     # 1 - sum_{j<n} P_n[j]; one recursion serves every weight.  The term is
     # up (up P)^dag, as P is hermitian, so no sparse block sits on the right
     # of a dense one
+    import scipy.sparse as sp
+
     if abs(np.linalg.norm(u) - 1.0) > 1e-10:
         raise ValueError("condensate mode must be unit norm to 1e-10")
-    _, up = sector_lowerings(u, basis, top)
+    # each raising block as a CSR matrix of its rows, stored zeros included:
+    # scipy's compiled product takes these dense blocks about a third faster
+    # than the gather, with the same bits
+    up = [None] + [sp.csr_matrix((b.vals.T.ravel(), b.cols.T.ravel(),
+                                  np.arange(b.shape[0] + 1) * len(b.cols)), shape=b.shape)
+                   for b in sector_lowerings(u, basis, top)[1][1:]]
     blocks = [[] for _ in weights]
     P = []
     for n in range(top + 1):
@@ -299,7 +305,7 @@ def assemble_r1(frame: ExcitationFrame, h0, W, basis: OccupationBasis) -> np.nda
     return _r1(frame, W, basis, *d).toarray()
 
 
-def _r1(frame, W, basis, d1, d2, d3, d4) -> sp.csr_matrix:
+def _r1(frame, W, basis, d1, d2, d3, d4) -> "sp.csr_matrix":
     # assemble_r1 on the weights d1..d4 of one projector pass; m + k1 - mu is
     # the generator's bare one-body matrix at h0 = 0, and m u is k1_bare u
     u, Q = frame.u, frame.q
@@ -311,7 +317,7 @@ def _r1(frame, W, basis, d1, d2, d3, d4) -> sp.csr_matrix:
     return dgamma(Q @ A @ Q, basis) @ d1 + half + half.conj().T
 
 
-def assemble_r2(frame: ExcitationFrame, W, basis: OccupationBasis) -> sp.csr_matrix:
+def assemble_r2(frame: ExcitationFrame, W, basis: OccupationBasis) -> "sp.csr_matrix":
     """Second remainder: the fully condensate-orthogonal quartic interaction,
     (1/(2(N-1))) sum_ij W[i,j] b_i^dag b_j^dag b_i b_j
     = (1/(2(N-1))) sum_i b_i^dag dGamma(Q diag(W_i) Q) b_i,  b_i = a(Q e_i).
@@ -336,9 +342,11 @@ def leading_part(frame: ExcitationFrame, h0, W, basis: OccupationBasis) -> np.nd
     return _leading(frame, h0, W, basis, sqrtN).toarray()
 
 
-def _leading(frame, h0, W, basis, sqrtN) -> sp.csr_matrix:
+def _leading(frame, h0, W, basis, sqrtN) -> "sp.csr_matrix":
     # leading_part on the sqrt(N - Np) of one projector pass, from the
     # matrices the fluctuation run steps with
+    import scipy.sparse as sp
+
     u, N, Q = frame.u, frame.N, frame.q
     A, K, _ = _generator_kernels(u, h0, W)
     Au = A @ u

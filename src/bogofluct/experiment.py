@@ -143,7 +143,10 @@ class _Comparison:
         surviving N are mapped in one apply_u_n call, on one fill of a(u_t)
         up to the largest of them, and rows[N] lists per output time the
         comparison row against the fluctuation state, with the exact state's
-        norm and energy."""
+        norm and energy.  The difference of the two states is the
+        fluctuation state alone above sector N, so the energy form of the
+        difference takes its sectors up to N and, above N, the sector terms
+        of the fluctuation state, summed once per output time."""
         exact, failures = {}, {}
         for N, psi0 in zip(N_list, hartree_block(self.u0, self.phi0, N_list)):
             try:
@@ -153,17 +156,24 @@ class _Comparison:
         rows = {N: [] for N in exact}
         if not exact:
             return rows, failures
-        totals = self.basis.totals()
+        totals, off = self.basis.totals(), self.basis.sector_offsets
+        form = self.run.energy_form
         for k, (t, phi) in enumerate(zip(self.times, self.run.states)):
             u_t = self.traj.interpolate(t)
             images = apply_u_n(ExcitationFrame(u_t, max(exact)),
                                [states[k] for states, *_rest in exact.values()])
+            # above[N]: the Gram matrix of phi over its sectors above N
+            above, gram, top = {}, 0.0, self.basis.n_max
+            for N in sorted(exact, reverse=True):
+                gram = gram + form.gram(phi.amplitudes, N + 1, top)
+                above[N], top = gram, N
             for (N, (_states, densities, nbody, deficit)), mapped in zip(exact.items(), images):
                 delta = mapped.amplitudes - phi.amplitudes
+                energy = np.sum(form.A * (form.gram(delta[:off[N + 1]]) + above[N]))
                 rows[N].append(({
                     "time": t,
                     "err_norm": float(np.linalg.norm(delta)),
-                    "err_energy_form": float(np.real(self.run.energy_form(delta))),
+                    "err_energy_form": float(np.real(energy)),
                     "trace_dist_k1": trace_distance(densities[k], _condensate_density(u_t)),
                     "expect_Nplus": float(totals @ (np.abs(mapped.amplitudes) ** 2)),
                     "init_norm_deficit": deficit,
@@ -345,14 +355,26 @@ def _gronwall_constant(times, ratio):
     # smallest c with ratio(t) <= c*exp(c*t) for all t > 0; at each
     # point the bound c*t*exp(c*t) = t*ratio solves to c = W0(t*ratio)/t with
     # the principal Lambert W.  t = 0, where the ratio is 1, says nothing
-    # about the growth.  Only run_single needs scipy.special, so it loads
-    # here rather than with the package
-    from scipy.special import lambertw
-
+    # about the growth
     points = [(t, r) for t, r in zip(times, ratio) if t > 0]
     if not all(math.isfinite(r) for _, r in points):
         raise RuntimeError("no finite Gronwall constant: the ratio is not finite")
-    return max(float(lambertw(t * r).real) / t for t, r in points)
+    return max(_lambert_w0(t * r) / t for t, r in points)
+
+
+def _lambert_w0(z):
+    # the principal branch W0(z), w e^w = z, for z >= 0 by Halley's
+    # iteration from log(1 + z) >= W0(z), which converges cubically; it
+    # stops after the first step within a few ulp of w
+    w = math.log1p(z)
+    for _ in range(100):
+        ew = math.exp(w)
+        f = w * ew - z
+        step = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        if not abs(step) > 4.0 * math.ulp(w):
+            return w - step
+        w -= step
+    raise RuntimeError(f"Lambert W of {z!r} did not converge")
 
 
 def compare_coherent(cfg: ExperimentConfig, write=True):

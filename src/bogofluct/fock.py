@@ -16,37 +16,43 @@ The run path works on sector blocks cut from this basis: a(f) lowers the
 total by exactly one, so sector_lowerings and sector_mode_lowerings cut a(f)
 and the mode annihilators a_i into blocks from sector n to n-1;
 sector_lowerings also gives the adjoints, which raise; one_body_block builds
-dGamma(A) on a sector.
+dGamma(A) on a sector, and OneBodyForm takes <v, dGamma(A) v> sector by
+sector.
 
-Every ladder block the run path uses is cut from one table on the basis, the
-raised neighbours (OccupationBasis.raising_table): for each state r below
-the top sector, the index of r + e_i and the amplitude sqrt(r_i + 1) of
-a_i^dag, in closed form from the combinatorial rank.  Row r of a(f) is then
-conj(f_i) sqrt(r_i + 1) at the columns r + e_i, already in CSR order, and
-the hop a_i^dag a_j goes from row r's neighbour in mode j to its neighbour
-in mode i.  The table build is the one place where the lowering structure
-is checked.
+Every ladder block the run path uses is cut from two tables on the basis.
+The raised neighbours (OccupationBasis.raising_table) hold, for each state r
+below the top sector, the index of r + e_i and the amplitude sqrt(r_i + 1)
+of a_i^dag, in closed form from the combinatorial rank; the lowered
+neighbours (OccupationBasis.lowering_table) hold, for each state s, the
+index of s - e_i and sqrt(s_i), one scatter per mode from the first.  Row r
+of a(f) is then conj(f_i) sqrt(r_i + 1) at the columns r + e_i, already in
+ascending order, row s of a^dag(f) is f_i sqrt(s_i) at the columns s - e_i,
+and the hop a_i^dag a_j goes from s to s - e_i + e_j.  The raising table
+build is the one place where the lowering structure is checked.  Every
+run-path block is a linalg.GatherOperator, a numpy gather per row slot, so
+the run path imports no scipy.
 
-Operators on the whole basis are scipy CSR matrices in basis order.  The
-quadratic ones are value refills of a sparsity pattern cached on the basis
-(CSRPattern) by one rule: a fill passes a coefficient array per named
-family of blocks, and each stored value is one coefficient times one
-amplitude.  dGamma(A), pairing(K) and their sum, which only the dense
-identity checks use (the run path steps no Fock-space generator), fill the
-four families of the quadratic pattern.  The pattern is built on first use, and
-the particle-number band of each of its term blocks is checked once, then;
-a fill only writes values into those positions.  number_op and two_body_op
-are diagonal.  Every ladder amplitude is the square root of the exact
-integer product of its bosonic factors, no operator stores an exact zero,
-and the diagonal family starts at sector 1, since dGamma(A) vanishes on the
-vacuum.
+Operators on the whole basis, which only the identity checks and the tests
+use, are scipy CSR matrices in basis order; their builders import
+scipy.sparse when called.  The quadratic ones are value refills of a
+sparsity pattern cached on the basis (CSRPattern) by one rule: a fill
+passes a coefficient array per named family of blocks, and each stored
+value is one coefficient times one amplitude.  dGamma(A), pairing(K) and
+their sum fill the four families of the quadratic pattern.  The pattern is
+built on first use, and the particle-number band of each of its term blocks
+is checked once, then; a fill only writes values into those positions.
+number_op and two_body_op are diagonal.  Every ladder amplitude is the
+square root of the exact integer product of its bosonic factors, no
+operator stores an exact zero, and the diagonal family starts at sector 1,
+since dGamma(A) vanishes on the vacuum.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+
+from .linalg import GatherOperator
 
 __all__ = [
     "OccupationBasis",
@@ -58,9 +64,10 @@ __all__ = [
     "annihilate_op",
     "sector_lowerings",
     "sector_mode_lowerings",
+    "mode_raisings",
     "dgamma",
     "one_body_block",
-    "one_body_form",
+    "OneBodyForm",
     "number_op",
     "pairing_op",
     "pairing_raise",
@@ -108,6 +115,8 @@ class OccupationBasis:
         self._totals = None
         self._quad_pattern = None
         self._raising = None
+        self._lowering = None
+        self._local = None
 
     def index(self, occ) -> int:
         return int(self.lookup(np.asarray(occ)[None, :])[0])
@@ -218,6 +227,41 @@ class OccupationBasis:
             self._raising = (index, np.sqrt(occ + 1.0))
         return self._raising
 
+    def lowering_table(self):
+        """(index, amp), each size x M (cached): index[s, i] is the basis
+        index of s - e_i and amp[s, i] = sqrt(s_i), the amplitude of a_i
+        from s, one scatter per mode from the raising table.  Where s_i = 0,
+        index[s, i] is the first state of the sector below (0 on the vacuum)
+        and amp[s, i] = 0, so a gather reads a state of that sector and adds
+        nothing.  The entries with s_i > 0 ascend from the last mode to the
+        first (s - e_j holds more than s - e_i in the earlier mode i < j)."""
+        if self._lowering is None:
+            up, amp = self.raising_table()
+            below = self.sector_offsets[np.maximum(self.totals() - 1, 0)]
+            index = np.repeat(below.astype(up.dtype)[None], self.M, axis=0)
+            root = np.zeros((self.M, self.size))
+            sources = np.arange(len(up), dtype=up.dtype)
+            for i in range(self.M):  # mode by mode, kept as the transposed views
+                index[i, up[:, i]] = sources
+                root[i, up[:, i]] = amp[:, i]
+            self._lowering = (index.T, root.T)
+        return self._lowering
+
+    def local_tables(self):
+        """The raising and lowering tables mode by mode, (M, states), each
+        index local to the sector it points into (cached): (up, up_amp) of
+        the R states below the top sector, (down, down_amp) of every state.
+        Row i of up and up_amp is the block of a_i^dag, and of down and
+        down_amp the block of a_i, of every sector at once."""
+        if self._local is None:
+            off, totals = self.sector_offsets, self.totals()
+            up, up_amp = self.raising_table()
+            down, down_amp = self.lowering_table()
+            self._local = (np.subtract(up.T, off[totals[:len(up)] + 1], dtype=np.intp), up_amp.T,
+                           np.subtract(down.T, off[np.maximum(totals - 1, 0)], dtype=np.intp),
+                           down_amp.T)
+        return self._local
+
     def quadratic_pattern(self) -> "CSRPattern":
         """CSR pattern of the band-(-2, 0, 2) quadratic operators (cached).
 
@@ -304,13 +348,15 @@ class CSRPattern:
         self.indptr = np.zeros(n + 1, dtype=idx)
         np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
 
-    def fill(self, values: dict) -> sp.csr_matrix:
+    def fill(self, values: dict) -> "sp.csr_matrix":
         """CSR matrix of the families named in values, each an array of one
         coefficient per slot; the others are 0.  Every stored value is
         coeff[slot] * amps.  Exact zeros are not stored.  They can only come
         from a zero coefficient, a family left out included, so only then is
         the matrix compacted.
         """
+        import scipy.sparse as sp
+
         coeff = np.zeros(self.n_slots, dtype=complex)
         for family, val in values.items():
             start, end = self.families[family]  # KeyError: no such family
@@ -376,16 +422,16 @@ class SectorVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def annihilate_op(f: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
+def annihilate_op(f: np.ndarray, basis: OccupationBasis) -> "sp.csr_matrix":
     """a(f) = sum_i conj(f_i) a_i, antilinear in f: row r of a state below
     the top sector holds conj(f_i) sqrt(r_i + 1) at the column r + e_i."""
-    coeff, _f, modes = _coefficients(f, basis)
-    index, amp = basis.raising_table()
-    rows, width = len(index), len(coeff)
-    ptr = np.full(basis.size + 1, rows * width, dtype=index.dtype)
+    import scipy.sparse as sp
+
+    cols, vals = _lowering_rows(f, basis, int(basis.sector_offsets[basis.n_max]))
+    rows, width = cols.shape[1], len(cols)
+    ptr = np.full(basis.size + 1, rows * width, dtype=cols.dtype)
     ptr[:rows + 1] = np.arange(rows + 1) * width
-    return sp.csr_matrix(((coeff * amp[:, modes]).ravel(), index[:, modes].flatten(), ptr),
-                         shape=(basis.size, basis.size))
+    return sp.csr_matrix((vals.T.ravel(), cols.T.flatten(), ptr), shape=(basis.size, basis.size))
 
 
 def _coefficients(f, basis):
@@ -398,55 +444,67 @@ def _coefficients(f, basis):
     return np.conj(f).astype(complex)[modes], np.asarray(f, dtype=complex)[modes], modes
 
 
+def _lowering_rows(f, basis: OccupationBasis, end: int):
+    # (cols, vals), each (width, end), of the rows 0..end-1 of a(f), end at
+    # most the states below the top sector: row r holds conj(f_i)
+    # sqrt(r_i + 1) at r + e_i for each mode with f_i != 0, in mode order
+    coeff, _f, modes = _coefficients(f, basis)
+    index, amp = basis.raising_table()
+    return index[:end, modes].T, coeff[:, None] * amp[:end, modes].T
+
+
 def sector_lowerings(f: np.ndarray, basis: OccupationBasis, top: int) -> tuple:
     """(low, up): low[n] is the block of annihilate_op(f, basis) from sector n
     to n-1 and up[n] = low[n]^dag raises sector n-1 to n, n = 1..top (index 0
-    is None in both); up[n] is a CSC matrix on low[n]'s index arrays.
+    is None in both), each a GatherOperator in sector-local indices.
 
-    The rows of sector n-1 of the raising table are the rows of low[n]:
-    their values are conj(f_i) sqrt(r_i + 1), and up[n] stores
-    f_i sqrt(r_i + 1) at the same positions.
+    The rows of sector n-1 of the raising table are the rows of low[n],
+    conj(f_i) sqrt(r_i + 1) at r + e_i; the rows of sector n of the lowering
+    table, read from the last mode to the first, are the rows of up[n],
+    f_i sqrt(s_i) at s - e_i in ascending column order.
     """
-    coeff, f, modes = _coefficients(f, basis)
-    index, amp = basis.raising_table()
-    off = [int(o) for o in basis.sector_offsets]
+    coeff, g, modes = _coefficients(f, basis)
+    back = slice(None, None, -1) if isinstance(modes, slice) else modes[::-1]
+    off = [int(o) for o in basis.sector_offsets[:top + 2]]
+    raised, raised_amp, lowered, lowered_amp = basis.local_tables()
     low, up = [None], [None]
-    for n in range(1, top + 1):
-        rows, shape = slice(off[n - 1], off[n]), (off[n] - off[n - 1], off[n + 1] - off[n])
-        cols = (index[rows, modes] - off[n]).ravel()
-        ptr = np.arange(shape[0] + 1, dtype=index.dtype) * len(coeff)
-        block = amp[rows, modes]
-        low.append(sp.csr_matrix(((coeff * block).ravel(), cols, ptr), shape=shape))
-        up.append(sp.csc_matrix(((f * block).ravel(), cols, ptr), shape=shape[::-1]))
+    for n in range(1, top + 1):  # values block by block: no fresh array spans the basis
+        a, b, c = off[n - 1], off[n], off[n + 1]
+        low.append(GatherOperator(raised[modes, a:b], coeff[:, None] * raised_amp[modes, a:b],
+                                  (b - a, c - b)))
+        up.append(GatherOperator(lowered[back, b:c], g[::-1, None] * lowered_amp[back, b:c],
+                                 (c - b, b - a)))
     return low, up
 
 
-def sector_mode_lowerings(basis: OccupationBasis, n: int = None) -> sp.csr_matrix:
+def sector_mode_lowerings(basis: OccupationBasis, n: int = None) -> GatherOperator:
     """The blocks of the mode annihilators a_i from sector n to n-1, stacked:
-    row i * dim(n-1) + r is row r of a_i, in sector-local indices.  They are
-    the transposed rows of sector n-1 of the raising table; with no n, of
-    all its rows, so the a_i on the whole basis."""
+    row i * dim(n-1) + r is row r of a_i, in sector-local indices, one entry
+    per row.  They are the transposed rows of sector n-1 of the raising
+    table; with no n, of all its rows, so the a_i on the whole basis, whose
+    rows of the top sector are empty."""
     rows, cols = ((slice(0, basis.size),) * 2 if n is None
                   else (basis.sector_slice(n - 1), basis.sector_slice(n)))
-    return _mode_lowerings(basis, rows, cols)
-
-
-def _mode_lowerings(basis: OccupationBasis, rows: slice, cols: slice) -> sp.csr_matrix:
-    # the rows `rows` of the a_i stacked mode by mode, row i * len(rows) + r
-    # being row rows.start + r of a_i, with the columns cols; cols must hold
-    # every column those rows reach.  Each of the first k rows, those below
-    # the top sector, has one entry in every a_i, the others none
     index, amp = basis.raising_table()
-    dim = rows.stop - rows.start
-    first, k = min(rows.start, len(index)), max(0, min(rows.stop, len(index)) - rows.start)
-    ptr = np.arange(basis.M)[:, None] * k + np.minimum(np.arange(dim), k)
-    ptr = np.append(ptr.ravel(), basis.M * k).astype(index.dtype)
-    return sp.csr_matrix((amp[first:first + k].T.ravel(),
-                          (index[first:first + k].T - cols.start).ravel(), ptr),
-                         shape=(basis.M * dim, cols.stop - cols.start))
+    dim, end = rows.stop - rows.start, min(rows.stop, len(index))
+    col = np.zeros((basis.M, dim), dtype=np.intp)
+    val = np.zeros((basis.M, dim))
+    col[:, :end - rows.start] = index[rows.start:end].T - cols.start
+    val[:, :end - rows.start] = amp[rows.start:end].T
+    return GatherOperator(col.reshape(1, -1), val.reshape(1, -1),
+                          (basis.M * dim, cols.stop - cols.start))
 
 
-def create_op(f: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
+def mode_raisings(basis: OccupationBasis) -> GatherOperator:
+    """The mode creators a_i^dag on the whole basis, stacked: row
+    i * size + s is row s of a_i^dag, sqrt(s_i) at s - e_i (amplitudes above
+    the truncation dropped); the transposed rows of the lowering table."""
+    index, amp = basis.lowering_table()
+    return GatherOperator(index.T.reshape(1, -1), amp.T.reshape(1, -1),
+                          (basis.M * basis.size, basis.size))
+
+
+def create_op(f: np.ndarray, basis: OccupationBasis) -> "sp.csr_matrix":
     """a^dag(f), the exact adjoint of annihilate_op(f); linear in f.
 
     Amplitudes that would land above the truncation are dropped.
@@ -480,35 +538,39 @@ def _pair_values(K, basis, lower: bool):
     return {"raise": up, "lower": np.conj(up)} if lower else {"raise": up}
 
 
-def dgamma(A: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
+def dgamma(A: np.ndarray, basis: OccupationBasis) -> "sp.csr_matrix":
     """Second quantization of the one-body operator A: acts as sum_j A_j on
     each sector."""
     return quadratic_op(A, 0, basis)
 
 
-def one_body_block(A: np.ndarray, basis: OccupationBasis, n: int) -> sp.csr_matrix:
-    """The block of dgamma(A) on sector n, in sector-local indices, built from
-    the states of the sector alone: its diagonal and its hop entries.  The
-    hop a_i^dag a_j maps r + e_j to r + e_i, with amplitude
-    sqrt((r_j + 1)(r_i + 1)), for each state r of sector n-1: two reads of
-    the raising table."""
+def one_body_block(A: np.ndarray, basis: OccupationBasis, n: int, diagonal=0.0) -> GatherOperator:
+    """The block of dgamma(A) on sector n, plus diagonal on its diagonal, in
+    sector-local indices, built from the states of the sector alone.  Row s
+    holds its diagonal entry (a 0 included) and, for each hop
+    a_i^dag a_j with A_ij != 0 and s_i > 0, A_ij sqrt(s_i (s_j + 1)) at
+    s - e_i + e_j, two reads of the tables; the entries ascend in column,
+    and a row's padding repeats its diagonal column with value 0."""
     sl = basis.sector_slice(n)
     values = _one_body_values(A, basis, basis.states[sl])
     local = np.arange(sl.stop - sl.start)
-    rows, cols, vals = [local], [local], [values["diag"]]
+    keys, cols, vals = [local], [local], [values["diag"] + diagonal]
     if n:
-        below = basis.sector_slice(n - 1)
-        raised = basis.raising_table()[0][below] - sl.start
-        occ = basis.states[below] + 1
+        occ = basis.states[sl]
+        below = basis.lowering_table()[0][sl]
+        raised = basis.raising_table()[0]
         for (i, j), coeff in zip(_off_diagonal(basis.M), values["hop"]):
             if coeff != 0:
-                rows.append(raised[:, i])
-                cols.append(raised[:, j])
-                vals.append(coeff * np.sqrt((occ[:, j] * occ[:, i]).astype(float)))
-    mat = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(len(local), len(local)))
-    mat.eliminate_zeros()
-    return mat
+                hop = occ[:, i] > 0
+                target = raised[below[:, i], j] - sl.start
+                keys.append(np.where(hop, target, len(local)))  # padding sorts last
+                cols.append(np.where(hop, target, local))
+                amp = np.sqrt((occ[:, i] * (occ[:, j] + 1)).astype(float))
+                vals.append(np.where(hop, coeff * amp, 0))
+    cols, vals = np.array(cols), np.array(vals)
+    order = np.argsort(keys, axis=0, kind="stable")
+    return GatherOperator(np.take_along_axis(cols, order, axis=0),
+                          np.take_along_axis(vals, order, axis=0), (len(local), len(local)))
 
 
 # rows of a chunk of the energy form: its M x rows lowering images hold at
@@ -516,27 +578,46 @@ def one_body_block(A: np.ndarray, basis: OccupationBasis, n: int) -> sp.csr_matr
 _FORM_CHUNK_VALUES = 1 << 14
 
 
-def one_body_form(A: np.ndarray, basis: OccupationBasis):
-    """The quadratic form v -> <v, dGamma(A) v> = sum_ij A_ij G_ij on
-    full-basis amplitudes, G_ij = <a_i v, a_j v> the Gram matrix of the M
-    mode lowerings.  G is summed over chunks of rows, each from one stacked
-    matrix of the a_i on those rows, so a call holds no M x size array."""
-    step = max(1, _FORM_CHUNK_VALUES // basis.M)
-    whole = slice(0, basis.size)
-    chunks = [_mode_lowerings(basis, slice(r, min(r + step, basis.size)), whole).astype(complex)
-              for r in range(0, basis.size, step)]  # cast once, not per call
+class OneBodyForm:
+    """The quadratic form v -> <v, dGamma(A) v> = sum_ij A_ij G_ij, G_ij =
+    <a_i v, a_j v> the Gram matrix of the M mode lowerings, on amplitudes
+    over the sectors 0..k of the basis for any k (the whole basis or a
+    prefix of whole sectors).  G is summed over chunks of the rows r of the
+    raising table, each one gather of the a_i v at r and one M x M product,
+    so a call holds no M x size array.  dGamma(A) keeps the sector, so
+    gram(v, first, last) takes sectors first..last alone, and the Gram
+    matrices of disjoint sector ranges add."""
 
-    def form(v) -> complex:
-        G = np.zeros((basis.M, basis.M), dtype=complex)
-        for low in chunks:
-            X = (low @ v).reshape(basis.M, -1)
-            G += X.conj() @ X.T
-        return complex(np.sum(A * G))
+    def __init__(self, A: np.ndarray, basis: OccupationBasis):
+        self.A = _square(A, basis, "one-body matrix")
+        self.basis = basis
+        self._index, self._amp = basis.raising_table()
 
-    return form
+    def gram(self, v, first: int = 1, last: int = None) -> np.ndarray:
+        """sum over sectors n = first..last of <a_i v_n, a_j v_n>, last at
+        most the top sector v covers (the default)."""
+        off = self.basis.sector_offsets
+        top = int(np.searchsorted(off, len(v))) - 1
+        if off[top + 1] != len(v):
+            raise ValueError(f"{len(v)} amplitudes do not end a sector")
+        last = top if last is None else last
+        if last > top:
+            raise ValueError(f"sector {last} beyond the {len(v)} amplitudes")
+        index, amp = self._index, self._amp
+        step = max(1, _FORM_CHUNK_VALUES // self.basis.M)
+        G = np.zeros((self.basis.M,) * 2, dtype=complex)
+        # the rows of sectors first-1..last-1 raise into sectors first..last
+        for r in range(int(off[max(first, 1) - 1]), int(off[max(last, 0)]), step):
+            rows = slice(r, min(r + step, int(off[last])))
+            X = amp[rows] * v[index[rows]]
+            G += X.conj().T @ X
+        return G
+
+    def __call__(self, v) -> complex:
+        return complex(np.sum(self.A * self.gram(v)))
 
 
-def quadratic_op(A: np.ndarray, K: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
+def quadratic_op(A: np.ndarray, K: np.ndarray, basis: OccupationBasis) -> "sp.csr_matrix":
     """dGamma(A) + pairing_op(K) in one fill of the quadratic pattern; a
     scalar 0 for A or K leaves that part out."""
     values = _one_body_values(A, basis, basis.states[basis.sector_offsets[1]:])
@@ -544,11 +625,13 @@ def quadratic_op(A: np.ndarray, K: np.ndarray, basis: OccupationBasis) -> sp.csr
     return basis.quadratic_pattern().fill(values)
 
 
-def number_op(basis: OccupationBasis) -> sp.csr_matrix:
+def number_op(basis: OccupationBasis) -> "sp.csr_matrix":
+    import scipy.sparse as sp
+
     return sp.diags(basis.totals().astype(complex), format="csr")
 
 
-def pairing_op(K: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
+def pairing_op(K: np.ndarray, basis: OccupationBasis) -> "sp.csr_matrix":
     """Hermitian pairing operator (1/2) sum_xy K[x,y] a_x^dag a_y^dag + h.c.
 
     K must be symmetric; the operator changes particle number by +-2.
@@ -556,18 +639,20 @@ def pairing_op(K: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
     return quadratic_op(0, K, basis)
 
 
-def pairing_raise(K: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
+def pairing_raise(K: np.ndarray, basis: OccupationBasis) -> "sp.csr_matrix":
     """Creation half of the pairing operator, (1/2) sum K[x,y] a_x^dag a_y^dag."""
     return basis.quadratic_pattern().fill(_pair_values(K, basis, lower=False))
 
 
-def two_body_op(W: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
+def two_body_op(W: np.ndarray, basis: OccupationBasis) -> "sp.csr_matrix":
     """Normal-ordered density-density interaction
     (1/2) sum_xy W[x,y] a_x^dag a_y^dag a_y a_x.
 
     Diagonal in the occupation basis: on a state with occupations n it takes
     the value sum over particle pairs of W evaluated at their sites.
     """
+    import scipy.sparse as sp
+
     vals = two_body_diagonal(W, basis.states)
     return sp.diags(vals.astype(complex), format="csr")
 

@@ -1,17 +1,110 @@
-"""Matrix exponentials in numpy alone: Lanczos, which the tests take as an
-oracle, one Chebyshev recurrence for every output time of a time-independent
-sparse H, and a scaled Taylor polynomial for a stack of small dense matrices."""
+"""Sparse operators and matrix exponentials in numpy alone: a fixed-width
+row operator, Lanczos, which the tests take as an oracle, one Chebyshev
+recurrence for every output time of a time-independent sparse H, and a
+scaled Taylor polynomial for a stack of small dense matrices."""
 
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
+    "GatherOperator",
     "KrylovError",
     "krylov_expm",
     "ChebyshevPropagator",
 ]
+
+
+# terms (width x rows x columns) a product forms at once: rows are taken in
+# chunks of about this many, so its temporaries stay in cache
+_CHUNK_TERMS = 1 << 16
+
+
+class GatherOperator:
+    """A sparse matrix held as rows of one fixed width: cols and vals are
+    (width, rows) arrays, and row r of a product is
+    sum_k vals[k, r] x[cols[k, r]], its terms added in k order onto zero.
+
+    Each row lists its nonzero entries in ascending column order, with
+    padding entries of value 0 anywhere among them, so a product adds the
+    terms of a row in the order of a CSR row and, for complex values, forms
+    each term as re = vr xr - vi xi, im = vr xi + vi xr with every product
+    rounded on its own (numpy's einsum does; its complex multiply may fuse
+    them): the same bits as a scipy CSR or CSC product on the same entries,
+    since a 0 term added to a sum that starts at +0 leaves it as it was.
+    The absolute row sums leave a stored 0 out, as a compressed matrix
+    would.
+    """
+
+    def __init__(self, cols, vals, shape):
+        self.cols = np.asarray(cols, dtype=np.intp)
+        self.vals = np.asarray(vals)
+        self.shape = tuple(int(d) for d in shape)
+        if self.cols.ndim != 2 or self.cols.shape != self.vals.shape or (
+                self.cols.shape[1] != self.shape[0]):
+            raise ValueError(f"cols {self.cols.shape} and vals {self.vals.shape} are not "
+                             f"(width, rows) for shape {self.shape}")
+        self._pairs = None
+
+    def __matmul__(self, x):
+        x = np.asarray(x)
+        if x.shape[:1] != self.shape[1:]:
+            raise ValueError(f"operator of shape {self.shape} applied to shape {x.shape}")
+        x = x.astype(np.result_type(self.vals, x, 1.0), copy=False)
+        rows = self.shape[0]
+        step = max(1, _CHUNK_TERMS // (len(self.cols) * max(1, x[:1].size)))
+        if step >= rows:
+            return self._rows(x, slice(0, rows))
+        out = np.empty((rows,) + x.shape[1:], dtype=x.dtype)
+        for first in range(0, rows, step):
+            part = slice(first, min(first + step, rows))
+            out[part] = self._rows(x, part)
+        return out
+
+    def _rows(self, x, part):
+        # rows part of self @ x from every term at once, (width, rows, ...):
+        # numpy's einsum adds a row's terms in width order onto 0, as a CSR
+        # row adds them, each complex product formed term by term; a real
+        # operator on a complex vector scales its float pairs (xr, xi)
+        # instead, which has the same bits at less cost
+        g = np.take(x, self.cols[:, part], axis=0)
+        if x.ndim > 1 or x.dtype != complex or np.iscomplexobj(self.vals):
+            return np.einsum("kr...,kr->r...", g, self.vals[:, part])
+        pair = g.view(float)
+        pair *= self._doubled()[:, part].reshape(pair.shape)
+        return np.add.reduce(pair, axis=0, initial=0.0).view(complex)
+
+    def _doubled(self):
+        # each real value twice, (width, rows, 2), to scale the float pairs
+        # of a vector; cached, as a propagator applies one operator many
+        # times
+        if self._pairs is None:
+            self._pairs = np.repeat(self.vals[..., None], 2, axis=-1)
+        return self._pairs
+
+    def diagonal(self) -> np.ndarray:
+        on = self.cols == np.arange(self.shape[0])
+        return np.where(on, self.vals, 0).sum(axis=0)[:min(self.shape)]
+
+    def abs_row_sums(self) -> np.ndarray:
+        """sum_k |vals[k, r]| of each row r over its nonzero entries, in
+        row order: the first plus numpy's sum of the rest, as
+        np.add.reduceat sums a CSR row."""
+        mags = np.abs(self.vals.T)
+        keep = mags != 0
+        counts = keep.sum(axis=1)
+        out = np.zeros(self.shape[0])
+        filled = np.flatnonzero(counts)
+        if len(filled):
+            starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+            out[filled] = np.add.reduceat(mags[keep], starts[filled])
+        return out
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.vals.dtype)
+        rows = np.broadcast_to(np.arange(self.shape[0]), self.cols.shape)
+        np.add.at(out, (rows, self.cols), self.vals)
+        return out
 
 
 class KrylovError(RuntimeError):
@@ -96,8 +189,8 @@ def _expm_stack(A):
 
 
 class ChebyshevPropagator:
-    """exp(-i t H) v for a hermitian sparse H, at many times from one
-    Chebyshev recurrence.
+    """exp(-i t H) v for a hermitian GatherOperator H, at many times from
+    one Chebyshev recurrence.
 
     H is rescaled once onto its Gershgorin interval [c - a, c + a], with
     exp(-i t H) v = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(at) T_k(X) v and
@@ -109,16 +202,27 @@ class ChebyshevPropagator:
     longest span, whatever the other times.  The coefficients of each time
     come from one FFT of length 2n, so the memory beyond a few vectors per
     time is O(n) however long the span.
+
+    Every row of H must store its diagonal (a 0 included): the scaled copy
+    2(H - c)/a shifts the first slot of each row that holds it.
     """
 
-    def __init__(self, H):
+    def __init__(self, H: GatherOperator):
         diag = H.diagonal().real
-        radii = np.asarray(abs(H).sum(axis=1)).ravel() - np.abs(diag)
+        radii = H.abs_row_sums() - np.abs(diag)
         lo, hi = np.min(diag - radii), np.max(diag + radii)
         self.center, self.half_width = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        on = H.cols == np.arange(H.shape[0])
+        if not on.any(axis=0).all():
+            raise ValueError("every row of H must store its diagonal")
+        on &= np.cumsum(on, axis=0) == 1
         # 2X, so that each term T_{k+1} = 2X T_k - T_{k-1} takes one product
-        shifted = H - self.center * sp.identity(H.shape[0], dtype=H.dtype, format="csr")
-        self.twice_scaled = shifted * (2.0 / self.half_width) if self.half_width else None
+        self.twice_scaled = None
+        if self.half_width:
+            scaled = np.where(on, H.vals - self.center, H.vals) * (2.0 / self.half_width)
+            if np.iscomplexobj(scaled) and not scaled.imag.any():
+                scaled = scaled.real  # a real operator: a product then has the same bits, faster
+            self.twice_scaled = GatherOperator(H.cols, scaled, H.shape)
 
     def states(self, v, times):
         """exp(-i t H) v for each t of times, a (len(times), len(v)) array:

@@ -5,19 +5,18 @@ recurrence for all output times (each time's series cut at its own tail,
 coefficients by one FFT, O(n) memory for n terms), and computes reduced
 density matrices and trace distances between them, all on sector blocks cut
 from the Fock basis: the Hamiltonian from the states of sector N alone and
-the raising table, reduced densities through the sector blocks of the mode
-annihilators.
+the raising and lowering tables, reduced densities through the sector
+blocks of the mode annihilators, each a numpy GatherOperator.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fock import (OccupationBasis, SectorVector, one_body_block, sector_mode_lowerings,
                    two_body_diagonal)
-from .linalg import ChebyshevPropagator
+from .linalg import ChebyshevPropagator, GatherOperator
 
 __all__ = [
     "NBodyHamiltonian",
@@ -33,19 +32,19 @@ __all__ = [
 class NBodyHamiltonian:
     N: int
     basis: OccupationBasis
-    mat: sp.csr_matrix  # on sector N
+    mat: GatherOperator  # on sector N
 
 
 def build_hamiltonian(h0, W, N: int, basis: OccupationBasis) -> NBodyHamiltonian:
     """The second-quantized Hamiltonian dGamma(h0) + (1/(N-1)) two-body(W)
-    on the N-particle sector alone: the one-body block of the sector, and
-    the pair energies of its states on the diagonal."""
+    on the N-particle sector alone: the one-body block of the sector, with
+    the pair energies of its states added to its diagonal."""
     if basis.n_max < N:
         raise ValueError(f"basis truncation {basis.n_max} below N={N}")
     if N < 2:
         raise ValueError("mean-field coupling 1/(N-1) needs N >= 2")
     pair = two_body_diagonal(W, basis.states[basis.sector_slice(N)]).astype(complex)
-    mat = one_body_block(h0, basis, N) + sp.diags(pair * (1.0 / (N - 1)), format="csr")
+    mat = one_body_block(h0, basis, N, diagonal=pair * (1.0 / (N - 1)))
     return NBodyHamiltonian(N, basis, mat)
 
 

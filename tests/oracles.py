@@ -21,7 +21,7 @@ from bogofluct.fock import (
     pairing_raise,
 )
 from bogofluct.hartree import mean_field, mu_of
-from bogofluct.linalg import ChebyshevPropagator, _expm_stack, krylov_expm
+from bogofluct.linalg import ChebyshevPropagator, GatherOperator, _expm_stack, krylov_expm
 
 
 def embed(psi: SectorVector) -> FockVector:
@@ -47,6 +47,32 @@ def project_out_mode(u: np.ndarray, vec: FockVector) -> FockVector:
     for k in range(vec.basis.n_max - 1, -1, -1):
         acc = downs[k] - (raise_u @ acc) / (k + 1)
     return FockVector(vec.basis, acc)
+
+
+def as_csr(op: GatherOperator) -> sp.csr_matrix:
+    """The nonzero entries of a GatherOperator as a CSR matrix, each row in
+    the operator's order; its padding and stored zeros are left out, as a
+    compressed matrix leaves out zeros."""
+    keep = op.vals.T != 0
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sp.csr_matrix((op.vals.T[keep], op.cols.T[keep].astype(np.int32),
+                          indptr.astype(np.int32)), shape=op.shape)
+
+
+def dense_operator(H) -> GatherOperator:
+    """A square dense matrix as a GatherOperator: each row its diagonal and
+    its other nonzero entries in ascending column order, padded with 0 at
+    its diagonal column, the form ChebyshevPropagator takes."""
+    H = np.asarray(H)
+    n = len(H)
+    keep = (H != 0) | np.eye(n, dtype=bool)
+    width = int(keep.sum(axis=1).max())
+    cols = np.repeat(np.arange(n)[None], width, axis=0)
+    vals = np.zeros((width, n), dtype=H.dtype)
+    for r in range(n):
+        c = np.flatnonzero(keep[r])
+        cols[:len(c), r], vals[:len(c), r] = c, H[r, c]
+    return GatherOperator(cols, vals, H.shape)
 
 
 def mode_lowering(basis: OccupationBasis, i: int) -> sp.csr_matrix:
@@ -467,7 +493,7 @@ def per_pair_rows(cfg) -> list:
     vdot(X, A X) over the whole-basis stack X of the M mode lowerings."""
     from bogofluct.excitation import ExcitationFrame, apply_u_n
     from bogofluct.experiment import _condensate_density, _shared_setup
-    from bogofluct.fock import hartree_block, sector_mode_lowerings
+    from bogofluct.fock import hartree_block
     from bogofluct.nbody import build_hamiltonian, propagate_exact, reduced_density, trace_distance
 
     h0, W, u0, traj, basis = _shared_setup(cfg)
@@ -475,7 +501,7 @@ def per_pair_rows(cfg) -> list:
     times = list(cfg.output_times)
     run = solve_bogoliubov(phi0, traj, h0, W, cfg.dt_fock, t_grid=times,
                            tangency_tol=max(1e-4, cfg.tolerances["tangency"]))
-    low = sector_mode_lowerings(basis).astype(complex)
+    low = coo_mode_lowerings(basis).astype(complex)
     A = np.eye(basis.M) + h0
 
     def energy_form(v):

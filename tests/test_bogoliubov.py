@@ -426,7 +426,9 @@ def test_bound_report_refuses_an_indefinite_energy_form():
 
 def test_quasi_free_vacuum_run_matches_full_basis_krylov():
     # the Krylov loop on the full basis is cut at n_max; at n_max = 20 the
-    # weight it loses there is far below the tolerance
+    # weight it loses there is far below the tolerance.  The vacuum is even,
+    # and so is every state of the untruncated quasi-free dynamics: the odd
+    # sectors stay exactly zero
     from oracles import full_basis_krylov
     from test_parity_block import setup_run
 
@@ -434,9 +436,11 @@ def test_quasi_free_vacuum_run_matches_full_basis_krylov():
     vac = FockVector.vacuum(basis)
     grid = [0.1, 0.3]
     run = solve_bogoliubov(vac, traj, h0, W, dt=0.01, t_grid=grid)
+    odd = basis.totals() % 2 == 1
     for state, want in zip(run.states, full_basis_krylov(vac, traj, h0, W, 0.01, grid)):
         assert state.basis is basis
         assert np.linalg.norm(state.amplitudes - want) < 1e-12
+        assert np.all(state.amplitudes[odd] == 0)
     assert np.linalg.norm(run.states[-1].sector(2)) > 1e-3
 
 

@@ -604,6 +604,23 @@ def test_vacuum_run_never_builds_the_quadratic_pattern(monkeypatch):
     assert len(rep.rows) == len(cfg.N_list) * len(cfg.output_times)
 
 
+def test_lambert_w0_matches_scipy_over_the_run_range():
+    # run_single takes W0(t * ratio) with t up to T and the ratio of
+    # <N+> + 1 near 1 to a few; Halley's iteration in math agrees with
+    # scipy's lambertw to a few ulp there and far beyond, up to 1e12
+    from scipy.special import lambertw
+
+    from bogofluct.experiment import _lambert_w0
+
+    zs = np.concatenate([[0.0, 1e-300, 1e-12], np.linspace(1e-3, 60.0, 1001),
+                         np.geomspace(1e-6, 1e12, 400)])
+    for z in zs:
+        want = float(lambertw(z).real)
+        assert abs(_lambert_w0(float(z)) - want) <= 4e-16 * want
+    assert _lambert_w0(0.0) == 0.0
+    assert abs(_lambert_w0(math.e) - 1.0) <= 2.3e-16
+
+
 def test_gronwall_constant_refuses_a_ratio_with_no_finite_constant():
     from bogofluct.experiment import _gronwall_constant
 

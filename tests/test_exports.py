@@ -53,8 +53,9 @@ SRC = os.path.dirname(os.path.dirname(bogofluct.__file__))
 
 
 def _loaded_after(code, cwd=None):
-    # the scipy modules that running code in a fresh interpreter has loaded
-    code += "\nprint('loaded:', *sorted(m for m in sys.modules if m.startswith('scipy.')))"
+    # the scipy modules, scipy itself included, that running code in a fresh
+    # interpreter has loaded
+    code += "\nprint('loaded:', *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          cwd=cwd, env={**os.environ, "PYTHONPATH": SRC})
     last = out.stdout.splitlines()[-1].split()
@@ -63,10 +64,47 @@ def _loaded_after(code, cwd=None):
 
 
 def test_package_import_leaves_out_the_slow_scipy_modules():
-    # scipy.integrate and scipy.special each add to every run's start-up
-    # time, and scipy.linalg a second BLAS library and its memory
+    # the run path is numpy alone: importing the package, its CLI and the
+    # identity suite loads no scipy module (scipy.sparse alone took about
+    # half of the import)
     loaded = _loaded_after("import sys, bogofluct, bogofluct.cli, bogofluct.verify")
-    assert not {"scipy.integrate", "scipy.special", "scipy.linalg"} & loaded
+    assert not loaded
+
+
+# every run the CLI makes but the identity suite, on desk-sized configs: a
+# convergence run from the vacuum (the quasi-free path and the relative
+# bound constant) and from a table start (its creators raised on the
+# quasi-free state), run_single (the Gronwall constant) and
+# compare_coherent (both kernels)
+SCIPY_FREE_RUNS = """
+import sys
+import numpy as np
+from bogofluct import ExperimentConfig, compare_coherent, run_convergence, run_single
+doc = {"model": {"modes": 3, "spacing": 1.0,
+                 "interaction": {"kind": "gaussian", "params": {"strength": 1.0, "range": 1.0}}},
+       "u0": {"kind": "gaussian", "center": 0.0, "width": 0.8},
+       "N_list": [3, 4, 5], "n_max": 6, "T": 0.1, "output_times": [0.0, 0.05, 0.1],
+       "dt_hartree": 0.002, "dt_fock": 0.002, "dt_nbody": 0.1, "output_dir": "vacuum"}
+cfg = ExperimentConfig(doc)
+assert run_convergence(cfg, write=True).passed
+series, summary = run_single(cfg, 4, write=True)
+assert summary["gronwall_constant"] > 0
+assert len(compare_coherent(cfg, write=True)) == 3
+u0 = cfg.condensate(cfg.lattice())
+v = np.array([-np.conj(u0[1]), np.conj(u0[0]), 0.0])
+v *= 0.6 / np.linalg.norm(v)
+doc["phi0"] = {"kind": "table", "sectors": {
+    "0": [[0.8, 0.0]], "1": [[float(x.real), float(x.imag)] for x in v]}}
+doc["output_dir"] = "table"
+assert run_convergence(ExperimentConfig(doc), write=True).passed
+"""
+
+
+def test_runs_load_no_scipy_module(tmp_path):
+    assert not _loaded_after(SCIPY_FREE_RUNS, cwd=tmp_path)
+    for name in ("vacuum/gates.json", "vacuum/summary_N4.json", "vacuum/coherent_comparison.csv",
+                 "table/gates.json"):
+        assert (tmp_path / name).is_file(), name
 
 
 # a convergence run from the vacuum (the quasi-free path and the relative

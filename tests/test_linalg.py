@@ -5,9 +5,9 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from bogofluct.linalg import (ChebyshevPropagator, KrylovError, _exp_coefficients, _expm_stack,
-                              krylov_expm)
-from oracles import integer_spectral_function, node_sum_coefficients
+from bogofluct.linalg import (ChebyshevPropagator, GatherOperator, KrylovError, _exp_coefficients,
+                              _expm_stack, krylov_expm)
+from oracles import as_csr, dense_operator, integer_spectral_function, node_sum_coefficients
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -55,11 +55,76 @@ def test_krylov_raises_instead_of_degrading():
         krylov_expm(H, v, -5.0j, tol=1e-12, m_max=12)
 
 
+def random_gather(rng, shape, width, complex_values):
+    # rows of distinct ascending columns, about a fifth of the entries stored
+    # zeros (the padding of a row may sit anywhere among its entries)
+    rows, n = shape
+    cols = np.sort([rng.choice(n, width, replace=False) for _ in range(rows)], axis=1).T
+    vals = rng.normal(size=(width, rows)) + (1j * rng.normal(size=(width, rows)) if complex_values
+                                             else 0.0)
+    vals[rng.random(vals.shape) < 0.2] = 0.0
+    vals[:, 3] = 0.0  # one row with no nonzero entry
+    return GatherOperator(cols, vals, shape)
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("columns", [None, 1, 50])
+def test_gather_product_has_the_bits_of_the_csr_product(complex_values, columns):
+    # on the same nonzero entries, a vector and a column block wide enough to
+    # be taken in several row chunks, real and complex, real values on a
+    # complex vector included
+    rng = np.random.default_rng(40 + 2 * (columns or 0) + complex_values)
+    op = random_gather(rng, (1000, 700), 4, complex_values)
+    csr = as_csr(op)
+    size = (700,) if columns is None else (700, columns)
+    inputs = [rng.normal(size=size) + 1j * rng.normal(size=size)]
+    if not complex_values:
+        inputs.append(rng.normal(size=size))
+    for x in inputs:
+        got, want = op @ x, csr @ x
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_gather_diagonal_row_sums_and_dense_form():
+    # the Gershgorin inputs with the bits of scipy's on the compressed matrix
+    rng = np.random.default_rng(41)
+    for complex_values in (False, True):
+        op = random_gather(rng, (60, 60), 5, complex_values)
+        csr = as_csr(op)
+        assert np.array_equal(op.toarray(), csr.toarray())
+        assert op.diagonal().tobytes() == csr.diagonal().tobytes()
+        sums = np.asarray(abs(csr).sum(axis=1)).ravel()
+        assert op.abs_row_sums().tobytes() == sums.tobytes()
+        assert op.abs_row_sums()[3] == 0.0
+
+
+def test_gather_operator_refuses_mismatched_shapes():
+    cols = np.zeros((2, 3), dtype=int)
+    with pytest.raises(ValueError):
+        GatherOperator(cols, np.zeros((2, 4)), (3, 5))
+    with pytest.raises(ValueError):
+        GatherOperator(cols, np.zeros((2, 3)), (4, 5))
+    op = GatherOperator(cols, np.ones((2, 3)), (3, 5))
+    with pytest.raises(ValueError):
+        op @ np.ones(4)
+    assert np.array_equal(op @ np.arange(5.0), np.zeros(3))
+
+
+def test_chebyshev_refuses_a_row_without_its_diagonal():
+    # the scaled copy shifts each row's diagonal slot, so it must be stored
+    H = dense_operator(np.diag([1.0, 2.0, 3.0]) + 0.5 * np.eye(3, k=1) + 0.5 * np.eye(3, k=-1))
+    cols = H.cols.copy()
+    cols[cols == 1] = 0  # row 1 loses its diagonal slot
+    with pytest.raises(ValueError, match="diagonal"):
+        ChebyshevPropagator(GatherOperator(cols, H.vals, H.shape))
+
+
 def test_chebyshev_series_is_exact():
     rng = np.random.default_rng(4)
     H = random_hermitian(rng, 25)
     v = rng.normal(size=25) + 1j * rng.normal(size=25)
-    prop = ChebyshevPropagator(sp.csr_matrix(H))
+    prop = ChebyshevPropagator(dense_operator(H))
     for t in (1e-6, 0.3, 1.7):
         assert np.linalg.norm(prop.states(v, [t])[0] - sla.expm(-1j * t * H) @ v) < 1e-12
 
@@ -73,7 +138,7 @@ def test_chebyshev_series_needs_no_substep():
     v /= np.linalg.norm(v)
     with pytest.raises(KrylovError):
         krylov_expm(H, v, -2.0j, tol=1e-12)
-    prop = ChebyshevPropagator(sp.csr_matrix(H))
+    prop = ChebyshevPropagator(dense_operator(H))
     assert prop.half_width * 2.0 > 100
     assert np.linalg.norm(prop.states(v, [2.0])[0] - sla.expm(-2.0j * H) @ v) < 1e-12
 
@@ -87,7 +152,7 @@ def test_chebyshev_series_over_a_long_span_in_little_memory():
     H = random_hermitian(rng, 60)
     v = rng.normal(size=60) + 1j * rng.normal(size=60)
     v /= np.linalg.norm(v)
-    prop = ChebyshevPropagator(sp.csr_matrix(H))
+    prop = ChebyshevPropagator(dense_operator(H))
     t = 50.0
     assert prop.half_width * t > 3000
     tracemalloc.start()
@@ -110,7 +175,7 @@ def test_fft_coefficients_match_the_node_sums(n):
 
 def test_chebyshev_series_on_a_zero_width_interval_is_the_phase():
     v = np.random.default_rng(5).normal(size=7) + 0j
-    prop = ChebyshevPropagator(0.9 * sp.identity(7, dtype=complex, format="csr"))
+    prop = ChebyshevPropagator(dense_operator(0.9 * np.eye(7, dtype=complex)))
     assert prop.half_width == 0.0
     for t in (0.0, 0.3, 2.0):
         assert np.array_equal(prop.states(v, [t])[0], np.exp(-1j * 0.9 * t) * v)

@@ -71,23 +71,6 @@ def vacuum_plus_pair_start(basis, u0, rng):
     return FockVector(basis, amps / np.linalg.norm(amps))
 
 
-@pytest.mark.parametrize("start", ["vacuum"])
-def test_single_parity_start_matches_full_basis_krylov(start):
-    # a vacuum start steps the untruncated quasi-free dynamics; at n_max = 20
-    # the weight the full-basis Krylov loop loses at its cut is far below the
-    # tolerance
-    basis, u0, traj, h0, W = setup_run(n_max=20)
-    grid = [0.1, 0.3]
-    run = solve_bogoliubov(FockVector.vacuum(basis), traj, h0, W, dt=0.01, t_grid=grid)
-    ref = full_basis_krylov(FockVector.vacuum(basis), traj, h0, W, 0.01, grid)
-    odd = basis.totals() % 2 == 1
-    for state, want in zip(run.states, ref):
-        assert state.basis is basis
-        assert np.linalg.norm(state.amplitudes - want) < 1e-12
-        assert np.all(state.amplitudes[odd] == 0)
-    assert np.linalg.norm(run.states[-1].amplitudes[~odd][1:]) > 1e-3
-
-
 @pytest.mark.parametrize("start", ["vacuum plus sector 2", "sector 1"])
 def test_single_parity_table_start_keeps_exact_zeros_in_the_other_parity(start):
     basis, u0, traj, h0, W = setup_run()

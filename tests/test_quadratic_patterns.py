@@ -19,17 +19,18 @@ import scipy.sparse as sp
 from bogofluct.bogoliubov import bogoliubov_hamiltonian, build_kernels, mean_field_hamiltonian
 from bogofluct.fock import (
     CSRPattern,
+    OneBodyForm,
     annihilate_op,
     create_op,
     dgamma,
     enumerate_basis,
-    one_body_form,
+    mode_raisings,
     pairing_op,
     pairing_raise,
     quadratic_op,
     sector_mode_lowerings,
 )
-from oracles import mode_lowering
+from oracles import as_csr, mode_lowering
 
 SIZES = [(1, 4), (2, 3), (3, 1), (3, 4), (4, 5)]
 TOL = 1e-13
@@ -228,23 +229,25 @@ def test_sector_mode_lowerings_stack_the_blocks_of_each_a_i(M, n_max):
         rows, cols = basis.sector_slice(n - 1), basis.sector_slice(n)
         want = np.vstack([mode_lowering(basis, i).toarray()[rows, cols] for i in range(M)])
         assert np.array_equal(sector_mode_lowerings(basis, n).toarray(), want)
+    whole = np.vstack([mode_lowering(basis, i).toarray().T for i in range(M)])
+    assert np.array_equal(mode_raisings(basis).toarray(), whole)
 
 
 @pytest.mark.parametrize("M,n_max", [(1, 4), (3, 4), (4, 5)])
 def test_full_mode_lowering_stack_is_the_stack_of_each_a_i(M, n_max):
     # with no sector, the transposed rows of the whole raising table: the
     # values and index arrays of a stack of M annihilate_op fills; the energy
-    # form, summed as a Gram matrix over row chunks, agrees with the form of
+    # form, summed as a Gram matrix sector by sector, agrees with the form of
     # that stack to the bound of the dgamma expectation test
     basis = enumerate_basis(M, n_max)
-    low = sector_mode_lowerings(basis)
+    low = as_csr(sector_mode_lowerings(basis))
     want = sp.vstack([annihilate_op(e, basis) for e in np.eye(M)], format="csr")
     assert np.array_equal(low.toarray(), want.toarray())
     assert low.indices.tobytes() == want.indices.tobytes()
     assert low.indptr.tobytes() == want.indptr.tobytes()
     rng = np.random.default_rng(300 + 10 * M + n_max)
     A, _K, _f = random_inputs(rng, M)
-    form = one_body_form(A, basis)
+    form = OneBodyForm(A, basis)
     for _ in range(3):
         v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
         X = (want @ v).reshape(M, -1)
@@ -261,8 +264,8 @@ def test_energy_form_is_the_dgamma_expectation(M, n_max):
     A, _K, _f = random_inputs(rng, M)
     v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     want = np.vdot(v, dgamma(A, basis) @ v)
-    assert abs(one_body_form(A, basis)(v) - want) <= 1e-13 * abs(want)
-    assert abs(one_body_form(A.T, basis)(v) - want) > 1e-3 * abs(want)
+    assert abs(OneBodyForm(A, basis)(v) - want) <= 1e-13 * abs(want)
+    assert abs(OneBodyForm(A.T, basis)(v) - want) > 1e-3 * abs(want)
 
 
 def test_energy_form_call_holds_no_array_of_the_lowering_stack():
@@ -275,7 +278,7 @@ def test_energy_form_call_holds_no_array_of_the_lowering_stack():
     rng = np.random.default_rng(24)
     A, _K, _f = random_inputs(rng, basis.M)
     v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-    form = one_body_form(A, basis)
+    form = OneBodyForm(A, basis)
     tracemalloc.start()
     try:
         got = form(v)
